@@ -1,35 +1,49 @@
-"""q-deformed Wick machinery: normal ordering, pairing expansion, oracle.
+"""q-deformed Wick machinery: normal ordering, vacuum values, pairing oracle.
 
-Normal ordering is done by exhaustive rewriting of the defining relation
+Everything follows from the defining relation
 
     a adag -> q adag a + 1        (same label)
     a adag -> adag a              (distinct labels, factor 1)
 
-which terminates because each step strictly reduces either the number of
-annihilator-before-creator inversions or the string length.  Coefficients
-are kept as exact integer-coefficient polynomials in q, so the q = +-1
-statistics reductions are exact integer checks, not float comparisons.
+along three paths:
 
-The pairing expansion enumerates every diagram; a diagram's coefficient
-is q^(crossings) times the product of its pair values, where a pair
-<a adag> on one label is worth 1 and the reversed <adag a> pairing is
-worth 0.  Summing full-contraction diagrams reproduces the brute-force
-Fock vacuum expectation value; ``verify_wick`` is the harness that checks
-exactly that.
+* Rewrite (``normal_order``): apply the relation at the first
+  annihilator-before-creator inversion until every string is normal
+  ordered.  Each step strictly lowers the string length or its inversion
+  count, so the rewriting terminates; equal strings are merged and
+  expanded once.  Coefficients are exact integer-coefficient polynomials
+  in q, so the q = +-1 statistics reductions are exact integer checks,
+  not float comparisons.
+* Path product (``wick_vev``): read right to left, the string is a
+  lattice path per label.  A creator steps its label's height up; an
+  annihilator steps it down from height h and contributes the level
+  weight <h>_q, the sum of q^(crossings) over the h arcs it may close.
+  The crossing sum over all diagrams is therefore the product of these
+  weights (the Motzkin-path form of the sum, Flajolet 1980): linear in
+  the string length, with no diagram built.
+* Enumeration oracle (``wick_expand``): every pairing diagram, whose
+  coefficient is q^(crossings) times the product of its pair values, where
+  a pair <a adag> on one label is worth 1 and the reversed <adag a>
+  pairing is worth 0.  Summing the full-contraction diagrams gives the VEV
+  again; the ``wick expand`` command prints the diagrams, and the tests
+  use the sum as the reference for the path product.
+
+``verify_wick`` checks the path product against the brute-force Fock
+vacuum expectation value.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from . import fock
-from .errors import EqualTimeError
-from .fock import LadderOp
+from .errors import EqualTimeError, NegativeNormError
+from .fock import LadderOp, ModeLabel
+from .qcore import basic_number
 
 OperatorString = Tuple[LadderOp, ...]
-
-MAX_STRING_LEN = 12
 
 
 class QPoly:
@@ -42,10 +56,10 @@ class QPoly:
 
     @classmethod
     def one(cls) -> "QPoly":
-        return cls({0: 1.0})
+        return cls({0: 1})
 
     @classmethod
-    def q_power(cls, p: int, scale: complex = 1.0) -> "QPoly":
+    def q_power(cls, p: int, scale: complex = 1) -> "QPoly":
         return cls({p: scale})
 
     def __add__(self, other: "QPoly") -> "QPoly":
@@ -59,7 +73,9 @@ class QPoly:
         return QPoly({e + p: c for e, c in self.coeffs.items()})
 
     def __call__(self, q: float) -> complex:
-        return sum(c * q ** e for e, c in self.coeffs.items())
+        # Sorted exponents: the value does not depend on the order in
+        # which the coefficients were accumulated.
+        return sum(c * q ** e for e, c in sorted(self.coeffs.items()))
 
     def pure_power(self) -> int | None:
         """The exponent if this is a single power of q with unit weight."""
@@ -123,35 +139,87 @@ def is_normal_ordered(ops: Sequence[LadderOp]) -> bool:
 
 
 def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
-    """Rewrite an operator product into normal-ordered form."""
+    """Rewrite an operator product into normal-ordered form.
+
+    Equal strings share one worklist entry that collects every
+    contribution.  Strings leave the worklist in decreasing
+    (length, inversion count) order, which both rewrites strictly lower,
+    so each string is expanded once, after all of its contributions have
+    arrived.  The terms are polynomials in q; ``q`` is only the working
+    value that the returned ``NormalForm`` evaluates them at.
+    """
     ops = tuple(ops)
-    if len(ops) > MAX_STRING_LEN:
-        raise ValueError(f"string length {len(ops)} exceeds {MAX_STRING_LEN}")
-    pending: List[Tuple[OperatorString, QPoly]] = [(ops, QPoly.one())]
-    done: Dict[OperatorString, QPoly] = {}
-    while pending:
-        string, poly = pending.pop()
-        idx = _first_inversion(string)
-        if idx is None:
-            done[string] = done.get(string, QPoly()) + poly
-            continue
-        left, right = string[idx], string[idx + 1]
-        swapped = string[:idx] + (right, left) + string[idx + 2:]
-        if left.label == right.label:
-            pending.append((swapped, poly.shift(1)))
-            contracted = string[:idx] + string[idx + 2:]
-            pending.append((contracted, poly))
+    if len(ops) > fock.MAX_STRING_LEN:
+        raise ValueError(
+            f"string length {len(ops)} exceeds {fock.MAX_STRING_LEN}")
+    start, decode = _encode(ops)
+    pending: Dict[tuple, Dict[int, int]] = {}
+    done: Dict[tuple, Dict[int, int]] = {}
+    heap: List[tuple] = []
+
+    def feed(string: tuple, inversions: int, poly: Dict[int, int]):
+        if inversions == 0:
+            target = done.setdefault(string, {})
+        elif string in pending:
+            target = pending[string]
         else:
-            pending.append((swapped, poly))
-    done = {s: p for s, p in done.items() if p.coeffs}
-    return NormalForm(done, q)
+            target = pending[string] = {}
+            heapq.heappush(heap, (-len(string), -inversions, string))
+        for e, c in poly.items():
+            target[e] = target.get(e, 0) + c
+
+    feed(start, _inversions(start), {0: 1})
+    while heap:
+        _, neg_inversions, string = heapq.heappop(heap)
+        poly = pending.pop(string)
+        i = _first_inversion(string)
+        left, right = string[i], string[i + 1]
+        swapped = string[:i] + (right, left) + string[i + 2:]
+        if left >> 1 == right >> 1:
+            feed(swapped, -neg_inversions - 1,
+                 {e + 1: c for e, c in poly.items()})
+            contracted = string[:i] + string[i + 2:]
+            feed(contracted, _inversions(contracted), poly)
+        else:
+            feed(swapped, -neg_inversions - 1, poly)
+    # Every contribution is a positive integer, so no term cancels to 0.
+    return NormalForm({tuple(decode[c] for c in s): QPoly(p)
+                       for s, p in done.items()}, q)
 
 
-def _first_inversion(ops: OperatorString) -> int | None:
-    for i in range(len(ops) - 1):
-        if not ops[i].is_creator and ops[i + 1].is_creator:
+def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
+    """Code each operator as 2 * (label index) + is_creator.
+
+    Strings of small ints hash and compare far faster than tuples of
+    ``LadderOp``, and being orderable they break heap ties themselves.
+    Returns the coded string and the code-to-operator table.
+    """
+    labels: Dict[ModeLabel, int] = {}
+    decode: Dict[int, LadderOp] = {}
+    codes = []
+    for op in ops:
+        code = 2 * labels.setdefault(op.label, len(labels)) + op.is_creator
+        decode[code] = op
+        codes.append(code)
+    return tuple(codes), decode
+
+
+def _inversions(codes: tuple) -> int:
+    """Annihilator-before-creator pairs, not only adjacent ones."""
+    count = creators = 0
+    for c in reversed(codes):
+        if c & 1:
+            creators += 1
+        else:
+            count += creators
+    return count
+
+
+def _first_inversion(codes: tuple) -> int:
+    """Index of the first adjacent annihilator-creator pair (one exists)."""
+    for i in range(len(codes) - 1):
+        if not codes[i] & 1 and codes[i + 1] & 1:
             return i
-    return None
 
 
 @dataclass
@@ -183,8 +251,9 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
     Deterministic lexicographic diagram order.
     """
     ops = tuple(ops)
-    if len(ops) > MAX_STRING_LEN:
-        raise ValueError(f"string length {len(ops)} exceeds {MAX_STRING_LEN}")
+    if len(ops) > fock.MAX_STRING_LEN:
+        raise ValueError(
+            f"string length {len(ops)} exceeds {fock.MAX_STRING_LEN}")
     n = len(ops)
     diagrams: List[PairingDiagram] = []
 
@@ -228,8 +297,40 @@ def _make_diagram(ops: OperatorString, pairs: tuple, free: tuple,
 
 
 def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
-    """VEV via the pairing expansion: sum of full-contraction diagrams."""
-    return sum(d.coefficient for d in wick_expand(ops, q) if d.is_full)
+    """VEV as the product of level weights along the string's path.
+
+    One right-to-left sweep keeps a height per label; an annihilator at
+    height h contributes <h>_q (see the module docstring).  It equals the
+    sum of full-contraction diagrams from ``wick_expand`` and takes time
+    linear in the length, so no length cap applies.
+
+    Raises ``NegativeNormError`` exactly where ``fock.vev`` does: when a
+    creator takes a label to a height h with <h>_q below
+    -fock.NEGATIVE_NORM_TOL before the value is known to be zero.  A
+    weight in [-tol, 0] gives 0, as the oracle's clamped norm does, and
+    so does an annihilator at height 0 or a height left above 0.
+    """
+    height: Dict[ModeLabel, int] = {}
+    weights = [0.0]  # weights[h] = <h>_q, checked when first reached
+    value = 1.0
+    for op in reversed(tuple(ops)):
+        h = height.get(op.label, 0)
+        if op.is_creator:
+            h += 1
+            if h == len(weights):
+                w = basic_number(q, h)
+                if w < -fock.NEGATIVE_NORM_TOL:
+                    raise NegativeNormError(f"<{h}>_q = {w} < 0 at q={q}")
+                if w <= 0.0:  # the oracle clamps this norm to zero
+                    return 0.0
+                weights.append(w)
+            height[op.label] = h
+        elif h == 0:
+            return 0.0
+        else:
+            value *= weights[h]
+            height[op.label] = h - 1
+    return 0.0 if any(height.values()) else value
 
 
 @dataclass
@@ -250,7 +351,7 @@ class WickReport:
 
 def verify_wick(ops: Sequence[LadderOp], q: float,
                 n_max: int = fock.DEFAULT_N_MAX) -> WickReport:
-    """Compare the pairing-expansion VEV against the Fock-space oracle."""
+    """Compare the path-product VEV against the Fock-space oracle."""
     ops = tuple(ops)
     return WickReport(ops, q, wick_vev(ops, q), fock.vev(ops, q, n_max))
 

@@ -162,3 +162,18 @@ def test_spinor_boost_takes_rest_spinor_to_moving():
     u0 = u_spinor(rest, 1, M)
     up = u_spinor(L @ rest, 1, M)
     assert np.max(np.abs(S @ u0.components - up.components)) <= 1e-12
+
+
+def test_spinor_boost_closed_form_matches_expm():
+    # cosh(eta/2) + sinh(eta/2) alpha.n against the matrix exponential
+    from scipy.linalg import expm
+    rng = np.random.default_rng(7)
+    alpha = [gamma(0) @ gamma(i) for i in (1, 2, 3)]
+    for _ in range(200):
+        nhat = rng.normal(size=3)
+        nhat /= np.linalg.norm(nhat)
+        beta = rng.uniform(0.0, 0.99) * nhat
+        eta = np.arctanh(np.linalg.norm(beta))
+        want = expm(0.5 * eta * sum(n * a for n, a in zip(nhat, alpha)))
+        got = spinor_boost_matrix(beta)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

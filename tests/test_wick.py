@@ -1,10 +1,11 @@
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 
 from qfield import fock
-from qfield.errors import EqualTimeError
+from qfield.errors import EqualTimeError, NegativeNormError
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
 from qfield.wick import (QPoly, is_normal_ordered, normal_order, q_time_order,
                          verify_wick, wick_expand, wick_vev)
@@ -13,13 +14,34 @@ Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
 
 def all_single_mode_strings(length):
-    for bits in product((0, 1), repeat=length):
-        yield tuple(a_dag(0) if bit else a(0) for bit in bits)
+    yield from product((a(0), a_dag(0)), repeat=length)
 
 
 def all_two_mode_strings(length):
     choices = (a(0), a_dag(0), a(1), a_dag(1))
     yield from product(choices, repeat=length)
+
+
+def reference_normal_order(ops):
+    """Rewriting without merging: each derivation is its own work item."""
+    pending = [(tuple(ops), QPoly.one())]
+    done = {}
+    while pending:
+        string, poly = pending.pop()
+        idx = next((i for i in range(len(string) - 1)
+                    if not string[i].is_creator and string[i + 1].is_creator),
+                   None)
+        if idx is None:
+            done[string] = done.get(string, QPoly()) + poly
+            continue
+        left, right = string[idx], string[idx + 1]
+        swapped = string[:idx] + (right, left) + string[idx + 2:]
+        if left.label == right.label:
+            pending.append((swapped, poly.shift(1)))
+            pending.append((string[:idx] + string[idx + 2:], poly))
+        else:
+            pending.append((swapped, poly))
+    return {s: p for s, p in done.items() if p.coeffs}
 
 
 def test_qpoly_basics():
@@ -76,8 +98,68 @@ def test_normal_order_idempotent():
 
 
 def test_normal_order_length_bound():
+    too_long = tuple(a(0) for _ in range(fock.MAX_STRING_LEN + 1))
     with pytest.raises(ValueError):
-        normal_order(tuple(a(0) for _ in range(13)), 0.5)
+        normal_order(too_long, 0.5)
+    with pytest.raises(ValueError):
+        wick_expand(too_long, 0.5)
+
+
+def test_normal_order_matches_reference_rewriter():
+    strings = [ops for length in range(9)
+               for ops in all_single_mode_strings(length)]
+    strings += [ops for length in range(1, 6)
+                for ops in all_two_mode_strings(length)]
+    for ops in strings:
+        assert normal_order(ops, 0.5).terms == reference_normal_order(ops), ops
+
+
+def test_normal_order_coefficients_are_integers():
+    for length in range(9):
+        for ops in all_single_mode_strings(length):
+            for poly in normal_order(ops, 0.5).terms.values():
+                assert all(type(c) is int for c in poly.coeffs.values()), ops
+
+
+def test_wick_vev_matches_diagram_sum():
+    # crossings and pair values do not depend on q: expand once per string
+    strings = [ops for length in range(1, 11)
+               for ops in all_single_mode_strings(length)]
+    strings += [ops for length in range(1, 7)
+                for ops in all_two_mode_strings(length)]
+    for ops in strings:
+        full = [(d.pair_value, d.crossings)
+                for d in wick_expand(ops, 0.5) if d.is_full and d.pair_value]
+        for q in (-1.0, -0.5, 0.0, 0.3, 1.0, 1.2):
+            want = sum(v * q ** c for v, c in full)
+            assert wick_vev(ops, q) == pytest.approx(want, rel=1e-12,
+                                                     abs=1e-12), (ops, q)
+
+
+@pytest.mark.parametrize("q", [-1.5, -2.0])
+def test_wick_vev_shares_fock_domain(q):
+    # below q = -1 even levels have <h>_q < 0: both paths raise or agree
+    for length in range(1, 9):
+        for ops in all_single_mode_strings(length):
+            try:
+                want = vev(ops, q)
+            except NegativeNormError:
+                with pytest.raises(NegativeNormError):
+                    wick_vev(ops, q)
+                continue
+            assert wick_vev(ops, q) == pytest.approx(want, rel=1e-12,
+                                                     abs=1e-12), ops
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("q", [-0.7, 0.3, 1.5])
+def test_wick_vev_touchard_riordan(n, q):
+    # Sum over all words of length 2n (past the rewriters' length cap) is
+    # the Touchard-Riordan moment; near q = 1 the closed form cancels.
+    total = sum(wick_vev(ops, q) for ops in all_single_mode_strings(2 * n))
+    want = (1 - q) ** -n * sum((-1) ** k * q ** (k * (k - 1) // 2)
+                               * comb(2 * n, n + k) for k in range(-n, n + 1))
+    assert total == pytest.approx(want, rel=1e-12)
 
 
 def test_wick_expand_examples():
