@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import dirac, fock, propagator, scattering, wick
-from .errors import QFieldError
+from .errors import NonFiniteInputError, QFieldError
 from .qcore import basic_number, q_occupancy
 
 DEFAULT_GOLDEN_DIR = "golden"
@@ -45,8 +46,23 @@ def ops_repr(ops) -> str:
     return " ".join(repr(op) for op in ops)
 
 
+def finite(value: float, name: str) -> float:
+    """``value`` itself; NonFiniteInputError if it is nan or infinite."""
+    if not math.isfinite(value):
+        raise NonFiniteInputError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_finite_options(args):
+    """Reject a nan or infinite value in any float option."""
+    for name, value in vars(args).items():
+        if isinstance(value, float):
+            finite(value, "--" + name.replace("_", "-"))
+
+
 def parse_vec3(text: str) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
+    parts = [finite(float(p), f"component of {text!r}")
+             for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"need 3 components, got {text!r}")
     return np.array(parts)
@@ -54,7 +70,8 @@ def parse_vec3(text: str) -> np.ndarray:
 
 def parse_grid(text: str):
     lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    return np.linspace(finite(float(lo), f"grid start in {text!r}"),
+                       finite(float(hi), f"grid end in {text!r}"), int(n))
 
 
 # ---------------------------------------------------------------- commands
@@ -404,6 +421,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_finite_options(args)
         header, rows = args.func(args)
     except QFieldError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -195,12 +195,20 @@ def transverse_projector(kvec) -> np.ndarray:
     return np.eye(3) - np.outer(kvec, kvec) / k2
 
 
-def boost_matrix(beta) -> np.ndarray:
-    """4x4 Lorentz boost with velocity beta; takes (m,0) to (gamma m, gamma m beta)."""
+def subluminal_beta(beta) -> tuple:
+    """(beta as a float array, |beta|^2); SuperluminalError if |beta| >= 1."""
     beta = np.asarray(beta, dtype=float)
     b2 = float(beta @ beta)
-    if b2 >= 1.0:
+    # compare |beta| itself: b2 = 1 - 2^-53 has sqrt 1.0, where arctanh
+    # in spinor_boost_matrix would be infinite
+    if np.sqrt(b2) >= 1.0:
         raise SuperluminalError(f"|beta| = {np.sqrt(b2)} >= 1")
+    return beta, b2
+
+
+def boost_matrix(beta) -> np.ndarray:
+    """4x4 Lorentz boost with velocity beta; takes (m,0) to (gamma m, gamma m beta)."""
+    beta, b2 = subluminal_beta(beta)
     if b2 == 0.0:
         return np.eye(4)
     g = 1.0 / np.sqrt(1.0 - b2)
@@ -214,12 +222,10 @@ def boost_matrix(beta) -> np.ndarray:
 
 def spinor_boost_matrix(beta) -> np.ndarray:
     """Spinor representation S of the boost: S^-1 gamma^mu S = L^mu_nu gamma^nu."""
-    beta = np.asarray(beta, dtype=float)
-    b = np.linalg.norm(beta)
-    if b >= 1.0:
-        raise SuperluminalError(f"|beta| = {b} >= 1")
-    if b == 0.0:
+    beta, b2 = subluminal_beta(beta)
+    if b2 == 0.0:
         return np.eye(4, dtype=complex)
+    b = np.sqrt(b2)
     eta = np.arctanh(b)
     nhat = beta / b
     alpha_n = sum(nhat[i] * (_GAMMA[0] @ _GAMMA[i + 1]) for i in range(3))

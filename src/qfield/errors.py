@@ -9,6 +9,14 @@ class QFieldError(Exception):
     """Base class for all package errors."""
 
 
+class NonFiniteInputError(QFieldError):
+    """An input that must be a finite number is nan or infinite."""
+
+
+class NumericOverflowError(QFieldError):
+    """A result exceeds the floating-point range."""
+
+
 class OccupancyPoleError(QFieldError):
     """e^x == q in the deformed occupancy formula (unphysical parameter pair)."""
 

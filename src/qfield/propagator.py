@@ -13,9 +13,14 @@ projector) times the scalar factor.
 
 Position space reduces to 1-D radial integrals with a slowly decaying
 oscillatory tail (integrand ~ sin(pr) at large p).  These are evaluated
-by integrating panel-by-panel between consecutive zeros of the
-oscillation and accelerating the alternating partial sums with Wynn's
-epsilon algorithm, which Abel-sums the non-decaying tail.
+by Gauss-Legendre panels between consecutive zeros of the oscillation,
+whose alternating partial sums Wynn's epsilon algorithm accelerates; it
+Abel-sums the non-decaying tail.  The panels go to the integrand in
+batches, one (panels x nodes) grid per batch: the panels up to the first
+convergence checkpoint, then the panels up to each next one.  The
+epsilon table grows one anti-diagonal per partial sum and keeps only the
+last two, so a checkpoint costs no rebuild.  Both give the same floats
+as panel-by-panel sums with a table rebuilt at every checkpoint.
 """
 from __future__ import annotations
 
@@ -30,6 +35,8 @@ POLE_GUARD = 1e-10
 
 _GAUSS_N = 24
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
+_CHECK_EVERY = 4  # panels between Wynn checkpoints
+_TINY = 1e-300    # a Wynn difference below this ends the table
 
 
 @dataclass
@@ -137,46 +144,80 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     return PropagatorValue(tensor.astype(complex) * val, dist)
 
 
-def _wynn_epsilon(partial_sums) -> tuple:
-    """Accelerate a sequence of partial sums; returns (limit, error_estimate)."""
-    s = list(partial_sums)
-    n = len(s)
-    if n < 3:
-        return s[-1], float("inf")
-    eps_prev = [0.0] * (n + 1)          # epsilon_{-1}
-    eps_curr = list(s)                  # epsilon_0
-    best = s[-1]
-    err = abs(s[-1] - s[-2])
-    col = 0
-    while len(eps_curr) >= 2:
-        nxt = []
-        for i in range(len(eps_curr) - 1):
-            diff = eps_curr[i + 1] - eps_curr[i]
-            if abs(diff) < 1e-300:
-                # a (near-)constant even column is (numerically) exact
-                if col % 2 == 0:
-                    return eps_curr[i], 0.0
-                nxt = []
+class _WynnTable:
+    """Wynn's epsilon table over a growing sequence of partial sums.
+
+    Only the last two anti-diagonals are kept: ``curr[k]`` is the column-k
+    entry built from the latest partial sum, ``prev[k]`` the one built
+    from the sum before it.  Each new sum adds one anti-diagonal in
+    O(columns) operations, through the rhombus rule
+
+        eps_k^(j) = eps_{k-2}^(j+1) + 1 / (eps_{k-1}^(j+1) - eps_{k-1}^(j)).
+
+    A difference below ``_TINY`` ends the table at its column (the lowest
+    such column wins); an even column ending there is (numerically)
+    constant and its first such entry is the exact limit.  The entries
+    and the estimate are those of a full rebuild over the same sums.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.prev: list = []
+        self.curr: list = []
+        self.depth = None      # lowest column holding a tiny difference
+        self.exact = None      # that column's first entry before it
+
+    def push(self, s):
+        prev = self.curr
+        new = [s]
+        top = len(prev) if self.depth is None else min(len(prev), self.depth)
+        entry, below = s, 0.0          # eps_{k-1}^(j+1), eps_{k-2}^(j+1)
+        for col, older in enumerate(prev[:top]):
+            diff = entry - older
+            if abs(diff) < _TINY:
+                self.depth, self.exact = col, older
                 break
-            nxt.append(eps_prev[i + 1] + 1.0 / diff)
-        if not nxt:
-            break
-        eps_prev, eps_curr = eps_curr, nxt
-        col += 1
-        # even columns are the accelerated approximants; estimate the
-        # error from agreement along the column
-        if col % 2 == 0 and len(eps_curr) >= 2:
-            cand_err = abs(eps_curr[-1] - eps_curr[-2])
+            entry = below + 1.0 / diff
+            below = older
+            new.append(entry)
+        self.prev, self.curr = prev, new
+        self.count += 1
+
+    def estimate(self) -> tuple:
+        """(limit, error_estimate) from the sums pushed so far.
+
+        Starts from the last partial sum, with the last step as its
+        error, and takes each even column's last entry whose distance to
+        the entry before it is strictly smaller than the best so far.
+        """
+        curr, prev = self.curr, self.prev
+        if self.count < 3:
+            return curr[0], float("inf")
+        if self.depth is not None and self.depth % 2 == 0:
+            return self.exact, 0.0
+        best = curr[0]
+        err = abs(curr[0] - prev[0])
+        for col in range(2, min(len(curr), self.count - 1), 2):
+            cand_err = abs(curr[col] - prev[col])
             if cand_err < err:
-                best, err = eps_curr[-1], cand_err
-    return best, err
+                best, err = curr[col], cand_err
+        return best, err
 
 
-def _panel_integrate(f, lo: float, hi: float) -> complex:
+def _partial_sums(f, period: float, start: int, stop: int, total):
+    """Running totals after panels start..stop-1, continuing from ``total``.
+
+    Panel n spans [n, n+1] * period; all panels go to ``f`` as one
+    (panels x nodes) grid of Gauss-Legendre nodes.
+    """
+    edges = np.arange(start, stop + 1) * period
+    lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid + half * _GAUSS_X
-    return half * np.sum(_GAUSS_W * f(x))
+    x = mid[:, None] + half[:, None] * _GAUSS_X
+    panels = half * np.add.reduce(_GAUSS_W * f(x), axis=1)
+    panels[0] += total
+    return np.add.accumulate(panels)
 
 
 def oscillatory_integral(f, period: float, rel_tol: float = 1e-8,
@@ -184,20 +225,33 @@ def oscillatory_integral(f, period: float, rel_tol: float = 1e-8,
     """Integrate f over [0, inf) by half-period panels + epsilon acceleration.
 
     ``period`` is the half-period of the dominant oscillation (panel
-    width).  Returns (value, error_estimate); raises ConvergenceError if
-    the accelerated tail never stabilizes.
+    width); ``f`` must accept an array of any shape.  The Wynn estimate is
+    checked after panel n for every n divisible by _CHECK_EVERY with
+    n + 1 >= min_panels (13, 17, 21, ... panels by default).  The panels
+    up to the first checkpoint go to ``f`` in one call, then each
+    checkpoint's next _CHECK_EVERY panels in one call; every partial sum
+    extends an incremental epsilon table (``_WynnTable``).  Returns
+    (value, error_estimate) at the first checkpoint whose error is at
+    most rel_tol * max(1, |value|); raises ConvergenceError if none is
+    within max_panels.
     """
-    sums = []
+    table = _WynnTable()
+    err = float("inf")
     total = 0.0
-    best, err = None, float("inf")
-    for n in range(max_panels):
-        total = total + _panel_integrate(f, n * period, (n + 1) * period)
-        sums.append(total)
-        if n + 1 >= min_panels and (n % 4 == 0):
-            best, err = _wynn_epsilon(sums)
-            scale = max(1.0, abs(best))
-            if err <= rel_tol * scale:
-                return best, err
+    start = 0
+    first = max(min_panels - 1, 0)     # index of the first checkpoint panel
+    first += -first % _CHECK_EVERY
+    for stop in range(first + 1, max_panels + 1, _CHECK_EVERY):
+        sums = _partial_sums(f, period, start, stop, total)
+        # Real sums enter the table as Python floats: the same IEEE double
+        # arithmetic at about half numpy's per-scalar cost.  Complex sums
+        # stay numpy scalars, whose division rounds unlike Python's.
+        for s in sums if np.iscomplexobj(sums) else sums.tolist():
+            table.push(s)
+        total, start = sums[-1], stop
+        best, err = table.estimate()
+        if err <= rel_tol * max(1.0, abs(best)):
+            return best, err
     raise ConvergenceError(
         f"tail not stabilized after {max_panels} panels (err ~ {err})")
 

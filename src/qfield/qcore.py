@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import OccupancyPoleError
+from .errors import NumericOverflowError, OccupancyPoleError
 
 # |q - 1| below this uses the continuous limit <n> = n (avoids 0/0).
 Q_UNITY_TOL = 1e-12
@@ -26,16 +26,24 @@ def basic_number(q: float, n: int) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if abs(q - 1.0) < Q_UNITY_TOL:
         return float(n)
-    return (q ** n - 1.0) / (q - 1.0)
+    try:
+        return (q ** n - 1.0) / (q - 1.0)
+    except OverflowError:
+        raise NumericOverflowError(f"q^n overflows at q={q}, n={n}") from None
 
 
 def q_occupancy(x: float, q: float) -> float:
     """Deformed thermal occupancy <n> = 1/(e^x - q), x = h*nu/kT.
 
     q = 1 reduces to Bose-Einstein, q = -1 to Fermi-Dirac, q = 0 to
-    the Boltzmann factor e^(-x).
+    the Boltzmann factor e^(-x).  Where e^x overflows, the same value is
+    e^(-x)/(1 - q e^(-x)).
     """
-    denom = math.exp(x) - q
+    try:
+        denom = math.exp(x) - q
+    except OverflowError:
+        small = math.exp(-x)
+        return small / (1.0 - q * small)
     if abs(denom) < OCCUPANCY_GUARD:
         raise OccupancyPoleError(f"e^x == q at x={x}, q={q}")
     return 1.0 / denom

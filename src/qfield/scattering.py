@@ -12,23 +12,28 @@ The correction factors multiply the usual 1/(transfer)^2 denominators:
 written as half-sums so q = -+1 needs no special-casing.  Energies and
 3-momenta are taken in the current working frame, which is exactly what
 makes the factors frame dependent for q != 1.
+
+The Moller amplitudes of all 16 spin assignments come from one tensor:
+the spinors of both spins of each leg give the four currents
+J[mu, s_out, s_in], which the metric contracts in pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .dirac import (boost_matrix, gamma, mass2, minkowski_dot,
-                    u_spinor, DiracSpinor)
-from .errors import DegenerateTransferError, OffShellError, SuperluminalError
+from .dirac import (METRIC, ONSHELL_RTOL, _check_spin, boost_matrix, gamma,
+                    mass2, subluminal_beta, u_spinor, DiracSpinor)
+from .errors import DegenerateTransferError, OffShellError
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
 
-ONSHELL_RTOL = 1e-10
 TRANSFER_GUARD = 1e-12
+
+_GAMMAS = np.array([gamma(mu) for mu in range(4)])
+_METRIC_DIAG = np.diag(METRIC)
 
 
 @dataclass
@@ -36,9 +41,7 @@ class Boost:
     beta: np.ndarray
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        if float(self.beta @ self.beta) >= 1.0:
-            raise SuperluminalError(f"|beta| >= 1: {self.beta}")
+        self.beta, _ = subluminal_beta(self.beta)
 
     @property
     def gamma_factor(self) -> float:
@@ -71,10 +74,12 @@ class ProcessKinematics:
             raise OffShellError(f"4-momentum not conserved: {total}")
 
     def boosted(self, b: Boost) -> "ProcessKinematics":
-        return ProcessKinematics(
-            tuple(boost(p, b) for p in self.incoming),
-            tuple(boost(p, b) for p in self.outgoing),
-            self.masses)
+        # one boost matrix for all legs; einsum keeps each leg's sum
+        # order equal to boost()'s matrix-vector product
+        legs = np.einsum("ij,kj->ki", boost_matrix(b.beta),
+                         np.array(self.incoming + self.outgoing))
+        return ProcessKinematics(tuple(legs[:2]), tuple(legs[2:]),
+                                 self.masses)
 
 
 def cm_elastic_kinematics(energy: float, theta: float, m: float,
@@ -133,9 +138,22 @@ def current_four_vector(out: DiracSpinor, inc: DiracSpinor) -> np.ndarray:
     return np.array([current_matrix_element(out, inc, mu) for mu in range(4)])
 
 
-def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
-                     strict_paper_mode: bool = False) -> complex:
-    """Tree Moller amplitude with q-corrected photon exchanges.
+def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
+    """Photon-line factors (F_CA, F_DA) of the direct and exchange diagrams."""
+    pA = kin.incoming[0]
+    pC, pD = kin.outgoing
+    return (correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, PHOTON_LINE),
+            correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, PHOTON_LINE))
+
+
+def _current_tensor(out: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """J[mu, s_out, s_in] = ubar_out gamma^mu u_in over both spins of each leg."""
+    return np.einsum("ai,mij,bj->mab", out.conj() @ _GAMMAS[0], _GAMMAS, inc)
+
+
+def moller_amplitudes(kin: ProcessKinematics, q: float,
+                      strict_paper_mode: bool = False) -> np.ndarray:
+    """All 16 tree Moller amplitudes, M[rA-1, rB-1, rC-1, rD-1].
 
     M = q [ J_CA . J_DB * F_CA / t_CA  -  J_DA . J_CB * F_DA / t_DA ]
     with t the squared 4-momentum transfer.  ``strict_paper_mode``
@@ -145,35 +163,38 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     pA, pB = kin.incoming
     pC, pD = kin.outgoing
     m = kin.masses[0]
-    rA, rB, rC, rD = spins
-    uA, uB = u_spinor(pA, rA, m), u_spinor(pB, rB, m)
-    uC, uD = u_spinor(pC, rC, m), u_spinor(pD, rD, m)
+    uA, uB, uC, uD = (np.array([u_spinor(p, r, m).components for r in (1, 2)])
+                      for p in (pA, pB, pC, pD))
 
     t_direct = mass2(pC - pA)
     t_exchange = mass2(pB - pA) if strict_paper_mode else mass2(pD - pA)
     if abs(t_direct) <= TRANSFER_GUARD or abs(t_exchange) <= TRANSFER_GUARD:
         raise DegenerateTransferError("vanishing squared 4-momentum transfer")
 
-    F_CA = correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, PHOTON_LINE)
-    F_DA = correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, PHOTON_LINE)
+    F_CA, F_DA = photon_correction_pair(kin, q)
 
-    J_CA = current_four_vector(uC, uA)
-    J_DB = current_four_vector(uD, uB)
-    J_DA = current_four_vector(uD, uA)
-    J_CB = current_four_vector(uC, uB)
+    direct = np.einsum("m,mca,mdb->abcd", _METRIC_DIAG,
+                       _current_tensor(uC, uA), _current_tensor(uD, uB))
+    exchange = np.einsum("m,mda,mcb->abcd", _METRIC_DIAG,
+                         _current_tensor(uD, uA), _current_tensor(uC, uB))
+    return q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
 
-    direct = minkowski_dot(J_CA, J_DB) * F_CA / t_direct
-    exchange = minkowski_dot(J_DA, J_CB) * F_DA / t_exchange
-    return q * (direct - exchange)
+
+def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
+                     strict_paper_mode: bool = False) -> complex:
+    """The tree Moller amplitude for spins (rA, rB, rC, rD), each 1 or 2."""
+    rA, rB, rC, rD = spins
+    for r in spins:
+        _check_spin(r)
+    amps = moller_amplitudes(kin, q, strict_paper_mode)
+    return complex(amps[rA - 1, rB - 1, rC - 1, rD - 1])
 
 
 def moller_spin_summed(kin: ProcessKinematics, q: float,
                        strict_paper_mode: bool = False) -> float:
     """Sum of |M|^2 over the 16 spin assignments (no phase space)."""
-    total = 0.0
-    for spins in product((1, 2), repeat=4):
-        total += abs(moller_amplitude(kin, spins, q, strict_paper_mode)) ** 2
-    return total
+    amps = moller_amplitudes(kin, q, strict_paper_mode)
+    return float(np.sum(np.abs(amps) ** 2))
 
 
 def annihilation_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
@@ -195,17 +216,9 @@ def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
     Rows (beta, F1, F2) in input order: (F_CA, F_DA) for the photon
     line, the two annihilation factors for the electron line.
     """
-    rows = []
-    for b in boosts:
-        kb = kin.boosted(b)
-        if flavor == PHOTON_LINE:
-            pA = kb.incoming[0]
-            pC, pD = kb.outgoing
-            f1 = correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, PHOTON_LINE)
-            f2 = correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, PHOTON_LINE)
-        elif flavor == ELECTRON_LINE:
-            f1, f2 = annihilation_correction_pair(kb, q)
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        rows.append((np.asarray(b.beta, dtype=float), f1, f2))
-    return rows
+    pairs = {PHOTON_LINE: photon_correction_pair,
+             ELECTRON_LINE: annihilation_correction_pair}
+    if flavor not in pairs:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return [(np.asarray(b.beta, dtype=float), *pairs[flavor](kin.boosted(b), q))
+            for b in boosts]

@@ -167,3 +167,43 @@ def test_deterministic_reruns():
         b = run(*argv)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+def test_nonfinite_inputs_exit_1(capsys):
+    from qfield.cli import main
+    cases = [
+        ("propagator", "scalar", "--q", "nan", "--k0", "0.3",
+         "--kvec", "0.2,0,0.1"),
+        ("scatter", "moller", "--q", "inf"),
+        ("planck", "--q", "0.5", "--x=-inf"),
+        ("propagator", "position", "--q", "0.5", "--t", "nan", "--r", "1"),
+        ("propagator", "spinor", "--q", "0.5", "--kvec", "0.2,nan,0"),
+        ("propagator", "photon", "--q", "0.5", "--k0-grid", "0:inf:3"),
+        ("propagator", "spacelike", "--r-grid", "nan:2:3"),
+        ("scatter", "moller", "--q", "0.5", "--beta", "0,0,inf"),
+        ("scatter", "frame-scan", "--betas", "0,0,0;nan,0,0"),
+    ]
+    for argv in cases:
+        assert main(list(argv)) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: NonFiniteInputError:")
+        assert len(err.splitlines()) == 1
+
+
+def test_overflow_and_large_x_paths():
+    res = run("qnum", "--q", "2", "--n", "1100")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: NumericOverflowError:")
+    assert len(res.stderr.splitlines()) == 1
+    res = run("planck", "--q", "0.5", "--x", "1000")
+    assert res.returncode == 0
+    assert res.stdout == "x,q,occupancy\n1000,0.5,0\n"
+
+
+def test_import_leaves_scipy_out():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qfield, qfield.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout == "False\n"

@@ -248,3 +248,174 @@ def test_causal_position_invalid_args():
         prop.causal_position(1.0, 0.0, 1.0, 0.5)
     with pytest.raises(ConvergenceError):
         prop.causal_position(1.0, 1.0, 1.0, 0.5)  # light cone r = |t|
+
+
+# ------------------------------------- batched panels, incremental table
+#
+# The reference below is the panel-by-panel loop with a full rebuild of
+# Wynn's epsilon table at each checkpoint, which the batched panels and
+# the incremental table replace; they must give identical floats.
+
+BATCHED = prop.oscillatory_integral
+
+
+def reference_wynn_epsilon(partial_sums) -> tuple:
+    s = list(partial_sums)
+    n = len(s)
+    if n < 3:
+        return s[-1], float("inf")
+    eps_prev = [0.0] * (n + 1)
+    eps_curr = list(s)
+    best = s[-1]
+    err = abs(s[-1] - s[-2])
+    col = 0
+    while len(eps_curr) >= 2:
+        nxt = []
+        for i in range(len(eps_curr) - 1):
+            diff = eps_curr[i + 1] - eps_curr[i]
+            if abs(diff) < 1e-300:
+                if col % 2 == 0:
+                    return eps_curr[i], 0.0
+                nxt = []
+                break
+            nxt.append(eps_prev[i + 1] + 1.0 / diff)
+        if not nxt:
+            break
+        eps_prev, eps_curr = eps_curr, nxt
+        col += 1
+        if col % 2 == 0 and len(eps_curr) >= 2:
+            cand_err = abs(eps_curr[-1] - eps_curr[-2])
+            if cand_err < err:
+                best, err = eps_curr[-1], cand_err
+    return best, err
+
+
+def reference_oscillatory_integral(f, period, rel_tol=1e-8, max_panels=500,
+                                   min_panels=12):
+    sums = []
+    total = 0.0
+    err = float("inf")
+    for n in range(max_panels):
+        lo, hi = n * period, (n + 1) * period
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total = total + half * np.sum(prop._GAUSS_W
+                                      * f(mid + half * prop._GAUSS_X))
+        sums.append(total)
+        if n + 1 >= min_panels and (n % 4 == 0):
+            best, err = reference_wynn_epsilon(sums)
+            if err <= rel_tol * max(1.0, abs(best)):
+                return best, err
+    raise ConvergenceError(
+        f"tail not stabilized after {max_panels} panels (err ~ {err})")
+
+
+def evaluate(monkeypatch, integrator, fn, *args):
+    """fn(*args) with ``integrator`` as the quadrature: (value,
+    quad_error, integrand nodes evaluated)."""
+    nodes = []
+
+    def counted(f, period, rel_tol=1e-8, **kw):
+        def g(x):
+            nodes.append(np.size(x))
+            return f(x)
+        return integrator(g, period, rel_tol, **kw)
+
+    monkeypatch.setattr(prop, "oscillatory_integral", counted)
+    pv = fn(*args)
+    return pv.value, pv.quad_error, sum(nodes)
+
+
+def quadrature_grid():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        m = rng.uniform(0.5, 2.0)
+        yield prop.delta_plus_equal_time, (rng.uniform(0.05, 6.4) / m, m)
+    for sign in (1.0, -1.0):
+        for timelike in (False, True):
+            for _ in range(12):
+                m = rng.uniform(0.5, 2.0)
+                near = rng.uniform(0.2, 5.0) / m
+                gap = rng.uniform(0.3, 3.0) / m
+                t, r = (near + gap, near) if timelike else (near, near + gap)
+                yield prop.causal_position, (sign * t, r, m,
+                                             rng.uniform(-1.5, 2.0))
+
+
+def test_batched_quadrature_identical_to_panel_loop(monkeypatch):
+    for fn, args in quadrature_grid():
+        got = evaluate(monkeypatch, BATCHED, fn, *args)
+        want = evaluate(monkeypatch, reference_oscillatory_integral, fn, *args)
+        assert got == want, (fn.__name__, args)
+
+
+def test_batched_quadrature_same_failure():
+    # a divergent integrand fails at the same checkpoint with the same err
+    messages = []
+    for integrator in (BATCHED, reference_oscillatory_integral):
+        with pytest.raises(ConvergenceError) as info:
+            integrator(lambda x: x, 1.0, max_panels=60)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "60 panels" in messages[0]
+
+
+def test_batched_quadrature_checkpoints_follow_min_panels():
+    def f(p):
+        return p * np.sin(p * 1.3) / np.sqrt(p * p + 0.25)
+
+    for min_panels in (0, 1, 3, 12, 14, 21):
+        for rel_tol in (1e-8, 1e-13):
+            kw = dict(rel_tol=rel_tol, min_panels=min_panels)
+            assert BATCHED(f, np.pi / 1.3, **kw) \
+                == reference_oscillatory_integral(f, np.pi / 1.3, **kw)
+
+
+def test_zero_integrand_stops_exactly():
+    # a constant sequence of partial sums is its own limit, error 0
+    assert BATCHED(np.zeros_like, 1.0) == (0.0, 0.0)
+
+
+def wynn_sequences():
+    rng = np.random.default_rng(5)
+    k = np.arange(1, 31)
+    yield np.cumsum((-1.0) ** k / k)                  # alternating, slow
+    yield np.cumsum((-0.7) ** k * rng.uniform(0.5, 1.5, k.size))
+    yield np.cumsum(np.exp(1j * k) / k)               # complex
+    yield np.cumsum(rng.normal(size=30) + 1j * rng.normal(size=30))
+    yield 1.0 - 0.5 ** k        # column 2 exactly constant (even)
+    yield np.arange(30.0)       # column 1 exactly constant (odd)
+    yield np.concatenate([np.cumsum((-0.5) ** k[:8]), np.full(22, 0.25)])
+    yield np.concatenate([np.arange(6.0), 5.0 + np.cumsum(
+        (-0.5) ** k[:24])])     # tiny column 1 early, then a live tail
+    yield np.full(30, 2.5)      # constant from the start
+
+
+def test_incremental_wynn_table_matches_full_rebuild():
+    for seq in wynn_sequences():
+        for values in (seq, seq.tolist()):
+            table = prop._WynnTable()
+            for n, s in enumerate(values, 1):
+                table.push(s)
+                got = table.estimate()
+                want = reference_wynn_epsilon(values[:n])
+                assert got == want, (seq, n)
+
+
+def wynn_estimate(values):
+    table = prop._WynnTable()
+    for s in values:
+        table.push(s)
+    return table.estimate()
+
+
+def test_wynn_constant_sequence_early_return():
+    # the first tiny difference is in column 0: its first entry, error 0
+    assert wynn_estimate((1.0, 0.5, 0.5, 0.75, 0.625)) == (0.5, 0.0)
+    # tiny but nonzero: the entry before the difference is returned
+    assert wynn_estimate((1.0, 2.0, 0.0, 5e-301, 3.0)) == (0.0, 0.0)
+
+
+def test_wynn_estimate_needs_strictly_smaller_error():
+    # column 2's candidate ties the last step's error (3.0) and is not taken
+    assert wynn_estimate((0.0, 1.0, 4.0, 1.0)) == (1.0, 3.0)
+    assert reference_wynn_epsilon((0.0, 1.0, 4.0, 1.0)) == (1.0, 3.0)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qfield.errors import OccupancyPoleError
+from qfield.errors import NumericOverflowError, OccupancyPoleError
 from qfield.qcore import basic_number, q_occupancy
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
@@ -56,3 +56,21 @@ def test_occupancy_ratio_relation(x, q):
 def test_occupancy_pole():
     with pytest.raises(OccupancyPoleError):
         q_occupancy(0.0, 1.0)
+
+
+def test_basic_number_overflow_is_typed():
+    assert basic_number(2.0, 1000) == 2.0 ** 1000 - 1.0
+    for q, n in ((2.0, 1100), (-2.0, 1101), (1e10, 40)):
+        with pytest.raises(NumericOverflowError):
+            basic_number(q, n)
+
+
+def test_occupancy_finite_at_large_x():
+    # below the overflow of e^x the present formula is kept exactly
+    for x, q in ((709.0, 0.5), (700.0, -1.0), (30.0, 1.0)):
+        assert q_occupancy(x, q) == 1.0 / (math.exp(x) - q)
+    for q in (-1.0, 0.0, 0.5, 1.0):
+        edge = q_occupancy(709.78, q)
+        assert q_occupancy(709.79, q) == pytest.approx(edge * math.exp(-0.01),
+                                                       rel=1e-9)
+        assert q_occupancy(1000.0, q) == 0.0

@@ -223,3 +223,104 @@ def test_frame_scan_electron_line():
     kin = sc.cm_annihilation_kinematics(2.0, 1.0, M)
     rows = sc.frame_scan(kin, 0.5, [sc.Boost([0, 0, 0])], sc.ELECTRON_LINE)
     assert rows[0][1] == pytest.approx(0.25, abs=1e-12)
+
+
+# -------------------------------------------------- one amplitude tensor
+
+def per_spin_moller(kin, spins, q, strict_paper_mode=False):
+    """The amplitude one spin assignment at a time, from four spinors."""
+    pA, pB = kin.incoming
+    pC, pD = kin.outgoing
+    m = kin.masses[0]
+    uA, uB, uC, uD = (dirac.u_spinor(p, r, m)
+                      for p, r in zip((pA, pB, pC, pD), spins))
+    t_direct = dirac.mass2(pC - pA)
+    t_exchange = dirac.mass2(pB - pA if strict_paper_mode else pD - pA)
+    F_CA = sc.correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, sc.PHOTON_LINE)
+    F_DA = sc.correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, sc.PHOTON_LINE)
+    direct = dirac.minkowski_dot(sc.current_four_vector(uC, uA),
+                                 sc.current_four_vector(uD, uB))
+    exchange = dirac.minkowski_dot(sc.current_four_vector(uD, uA),
+                                   sc.current_four_vector(uC, uB))
+    return q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
+
+
+def trace_spin_sum(kin, q, strict_paper_mode=False):
+    """Sum over spins of |M|^2 by Dirac traces of (pslash + m)/2m."""
+    pA, pB = kin.incoming
+    pC, pD = kin.outgoing
+    m = kin.masses[0]
+    a, b, c, d = (dirac.theta_projector(p, 1, m) for p in (pA, pB, pC, pD))
+    g = np.array([dirac.gamma(mu) for mu in range(4)])
+    low = g * np.diag(dirac.METRIC)[:, None, None]
+
+    def tr2(x, y, gam):  # Tr[x gam^mu y gam^nu] as (mu, nu)
+        return np.einsum("uij,vji->uv", x @ gam, y @ gam)
+
+    direct = np.sum(tr2(c, a, g) * tr2(d, b, low)).real
+    exchange = np.sum(tr2(d, a, g) * tr2(c, b, low)).real
+    # Tr[c g^mu a g^nu d g_mu b g_nu]
+    cross = np.einsum("uij,vjk,ukl,vli->", c @ g @ a, g @ d, low @ b, low).real
+    t = dirac.mass2(pC - pA)
+    u = dirac.mass2(pB - pA if strict_paper_mode else pD - pA)
+    f1, f2 = sc.photon_correction_pair(kin, q)
+    c1, c2 = q * f1 / t, q * f2 / u
+    return c1 * c1 * direct + c2 * c2 * exchange - 2.0 * c1 * c2 * cross
+
+
+def moller_cases():
+    rng = np.random.default_rng(11)
+    for i in range(24):
+        m = rng.uniform(0.5, 2.0)
+        kin = sc.cm_elastic_kinematics(m * rng.uniform(1.2, 3.0),
+                                       rng.uniform(0.3, 2.8), m,
+                                       rng.uniform(0.0, 2 * np.pi))
+        if i % 3:
+            kin = kin.boosted(sc.Boost(rng.uniform(-0.5, 0.5, 3)))
+        yield kin, rng.uniform(-1.5, 2.0), bool(i % 2)
+
+
+def test_moller_tensor_matches_per_spin_amplitudes():
+    for kin, q, strict in moller_cases():
+        amps = sc.moller_amplitudes(kin, q, strict)
+        assert amps.shape == (2, 2, 2, 2)
+        scale = np.max(np.abs(amps))
+        per_spin_total = 0.0
+        for spins in product((1, 2), repeat=4):
+            want = per_spin_moller(kin, spins, q, strict)
+            per_spin_total += abs(want) ** 2
+            assert abs(amps[tuple(r - 1 for r in spins)] - want) <= 1e-12 * scale
+            assert sc.moller_amplitude(kin, spins, q, strict) \
+                == amps[tuple(r - 1 for r in spins)]
+        total = sc.moller_spin_summed(kin, q, strict)
+        assert total == pytest.approx(per_spin_total, rel=1e-12)
+        assert total == pytest.approx(trace_spin_sum(kin, q, strict), rel=1e-12)
+
+
+def test_moller_amplitude_validates_spins():
+    kin = generic_kinematics()
+    for spins in [(0, 1, 1, 1), (1, 1, 1, 3)]:
+        with pytest.raises(ValueError):
+            sc.moller_amplitude(kin, spins, 0.5)
+
+
+def test_boosted_kinematics_match_leg_by_leg_boost():
+    kin = generic_kinematics()
+    b = sc.Boost([0.2, -0.3, 0.4])
+    kb = kin.boosted(b)
+    for got, p in zip(kb.incoming + kb.outgoing, kin.incoming + kin.outgoing):
+        assert np.array_equal(got, sc.boost(p, b))
+
+
+def test_photon_correction_pair_is_frame_scan_row():
+    kin = sc.cm_elastic_kinematics(2.0, 1.0, M)
+    b = sc.Boost([0.1, 0.0, 0.4])
+    (_, f1, f2), = sc.frame_scan(kin, 0.3, [b])
+    assert (f1, f2) == sc.photon_correction_pair(kin.boosted(b), 0.3)
+
+
+def test_superluminal_check_shared():
+    for beta in ([0.0, 0.6, 0.8], [1.2, 0.0, 0.0]):
+        for build in (sc.Boost, dirac.boost_matrix, dirac.spinor_boost_matrix):
+            with pytest.raises(SuperluminalError):
+                build(beta)

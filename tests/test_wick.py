@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qfield import fock
-from qfield.errors import EqualTimeError, NegativeNormError
+from qfield.errors import EqualTimeError, NegativeNormError, NumericOverflowError
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
 from qfield.wick import (QPoly, is_normal_ordered, normal_order, q_time_order,
                          verify_wick, wick_expand, wick_vev)
@@ -260,3 +260,9 @@ def test_deterministic_diagram_order():
     first = [d.pairs for d in wick_expand(ops, 0.3)]
     second = [d.pairs for d in wick_expand(ops, 0.3)]
     assert first == second == sorted(first)
+
+
+def test_wick_vev_height_overflow_is_typed():
+    ops = (a(0),) * 1030 + (a_dag(0),) * 1030
+    with pytest.raises(NumericOverflowError):
+        wick_vev(ops, 2.0)
