@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import dirac, fock, propagator, scattering, wick
-from .errors import NonFiniteInputError, QFieldError
+from .errors import QFieldError, finite
 from .qcore import basic_number, q_occupancy
 
 DEFAULT_GOLDEN_DIR = "golden"
@@ -44,13 +43,6 @@ def parse_ops(text: str):
 
 def ops_repr(ops) -> str:
     return " ".join(repr(op) for op in ops)
-
-
-def finite(value: float, name: str) -> float:
-    """``value`` itself; NonFiniteInputError if it is nan or infinite."""
-    if not math.isfinite(value):
-        raise NonFiniteInputError(f"{name} must be finite, got {value}")
-    return value
 
 
 def check_finite_options(args):

@@ -3,6 +3,7 @@
 Every divergence or invalid input maps to one of these; no operation
 returns a silent NaN.
 """
+import math
 
 
 class QFieldError(Exception):
@@ -55,3 +56,10 @@ class SuperluminalError(QFieldError):
 
 class DegenerateTransferError(QFieldError):
     """Vanishing momentum transfer in a scattering correction factor."""
+
+
+def finite(value: float, name: str) -> float:
+    """``value`` itself; NonFiniteInputError if it is nan or infinite."""
+    if not math.isfinite(value):
+        raise NonFiniteInputError(f"{name} must be finite, got {value}")
+    return value

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import METRIC, slash
-from .errors import ConvergenceError, PoleError, ZeroMassError
+from .errors import ConvergenceError, PoleError, ZeroMassError, finite
 
 POLE_GUARD = 1e-10
 
@@ -264,6 +264,8 @@ def delta_plus_equal_time(r: float, m: float,
 
     Closed form m K1(m r)/(4 pi^2 r); the massless limit is 1/(4 pi^2 r^2).
     """
+    finite(r, "r")
+    finite(m, "m")
     if r <= 0.0:
         raise ValueError("need r > 0")
     if m < 0.0:
@@ -284,6 +286,7 @@ def spacelike_q_commutator(r: float, m: float, q: float,
     Zero at q = 1 (causal limit); nonzero otherwise.  The quantitative
     causality-violation probe.
     """
+    finite(q, "q")
     base = delta_plus_equal_time(r, m, rel_tol)
     return PropagatorValue((1.0 - q) * base.value, float("nan"),
                            abs(1.0 - q) * base.quad_error)
@@ -299,6 +302,8 @@ def causal_position(t: float, r: float, m: float, q: float,
 
     for t < 0 it is q * conj(I(|t|, r)).  Requires r > 0 and r != |t|.
     """
+    for value, name in ((t, "t"), (r, "r"), (m, "m"), (q, "q")):
+        finite(value, name)
     if t == 0.0:
         raise ValueError("need t != 0 (use delta_plus_equal_time)")
     if r <= 0.0:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericOverflowError, OccupancyPoleError
+from .errors import NumericOverflowError, OccupancyPoleError, finite
 
 # |q - 1| below this uses the continuous limit <n> = n (avoids 0/0).
 Q_UNITY_TOL = 1e-12
@@ -27,9 +27,14 @@ def basic_number(q: float, n: int) -> float:
     if abs(q - 1.0) < Q_UNITY_TOL:
         return float(n)
     try:
-        return (q ** n - 1.0) / (q - 1.0)
+        value = (q ** n - 1.0) / (q - 1.0)
     except OverflowError:
-        raise NumericOverflowError(f"q^n overflows at q={q}, n={n}") from None
+        value = math.inf
+    # numpy scalars overflow to inf where floats raise, and the division
+    # can overflow where q^n does not.
+    if math.isinf(value):
+        raise NumericOverflowError(f"<n>_q overflows at q={q}, n={n}")
+    return value
 
 
 def q_occupancy(x: float, q: float) -> float:
@@ -39,6 +44,8 @@ def q_occupancy(x: float, q: float) -> float:
     the Boltzmann factor e^(-x).  Where e^x overflows, the same value is
     e^(-x)/(1 - q e^(-x)).
     """
+    finite(x, "x")
+    finite(q, "q")
     try:
         denom = math.exp(x) - q
     except OverflowError:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import (METRIC, ONSHELL_RTOL, _check_spin, boost_matrix, gamma,
-                    mass2, subluminal_beta, u_spinor, DiracSpinor)
+                    mass2, subluminal_beta, u_spinor)
 from .errors import DegenerateTransferError, OffShellError
 
 PHOTON_LINE = "photon_line"
@@ -126,16 +126,6 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
     if flavor == ELECTRON_LINE:
         return 0.5 * ((1.0 - q) + (1.0 + q) * ratio)
     raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def current_matrix_element(out: DiracSpinor, inc: DiracSpinor,
-                           mu: int) -> complex:
-    """Spinor bilinear ubar_out gamma^mu u_in."""
-    return complex(out.bar() @ gamma(mu) @ inc.components)
-
-
-def current_four_vector(out: DiracSpinor, inc: DiracSpinor) -> np.ndarray:
-    return np.array([current_matrix_element(out, inc, mu) for mu in range(4)])
 
 
 def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:

@@ -7,13 +7,15 @@ Everything follows from the defining relation
 
 along three paths:
 
-* Rewrite (``normal_order``): apply the relation at the first
-  annihilator-before-creator inversion until every string is normal
-  ordered.  Each step strictly lowers the string length or its inversion
-  count, so the rewriting terminates; equal strings are merged and
-  expanded once.  Coefficients are exact integer-coefficient polynomials
-  in q, so the q = +-1 statistics reductions are exact integer checks,
-  not float comparisons.
+* Rewrite (``normal_order``): one right-to-left sweep keeps the normal
+  form of the suffix read so far, merged by normal-ordered string.  An
+  annihilator prepended to a form moves through its creators with the
+  recurrence a adag^j = q^j adag^j a + [j]_q adag^(j-1) (for one label
+  the coefficients are q-rook numbers, Varvak 2005), so one label costs
+  polynomial time in the length.  Coefficients are exact
+  integer-coefficient polynomials in q, packed into one Python int
+  during the sweep, so the q = +-1 statistics reductions are exact
+  integer checks, not float comparisons.
 * Path product (``wick_vev``): read right to left, the string is a
   lattice path per label.  A creator steps its label's height up; an
   annihilator steps it down from height h and contributes the level
@@ -33,13 +35,13 @@ vacuum expectation value.
 """
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from . import fock
-from .errors import EqualTimeError, NegativeNormError
+from .errors import EqualTimeError, NegativeNormError, NumericOverflowError
 from .fock import LadderOp, ModeLabel
 from .qcore import basic_number
 
@@ -114,19 +116,6 @@ class NormalForm:
         """Amplitude of the identity term: the string's VEV."""
         return self.coefficient(())
 
-    def apply(self, v: fock.StateVector,
-              n_max: int = fock.DEFAULT_N_MAX) -> fock.StateVector:
-        """Evaluate the normal form on a state (consistency checks)."""
-        out: dict = {}
-        overflow = v.overflowed
-        for ops, poly in self.terms.items():
-            c = poly(self.q)
-            w = fock.apply_string(ops, v, self.q, n_max)
-            overflow = overflow or w.overflowed
-            for state, amp in w.terms.items():
-                out[state] = out.get(state, 0.0 + 0.0j) + c * amp
-        return fock.StateVector(out, overflow).prune()
-
 
 def is_normal_ordered(ops: Sequence[LadderOp]) -> bool:
     seen_annihilator = False
@@ -141,58 +130,75 @@ def is_normal_ordered(ops: Sequence[LadderOp]) -> bool:
 def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     """Rewrite an operator product into normal-ordered form.
 
-    Equal strings share one worklist entry that collects every
-    contribution.  Strings leave the worklist in decreasing
-    (length, inversion count) order, which both rewrites strictly lower,
-    so each string is expanded once, after all of its contributions have
-    arrived.  The terms are polynomials in q; ``q`` is only the working
-    value that the returned ``NormalForm`` evaluates them at.
+    One right-to-left sweep keeps the normal form of the suffix read so
+    far: a map from each normal-ordered string (its creators, then its
+    annihilators, each in string order) to its coefficient.  Prepending a
+    creator prefixes it.  Prepending an annihilator of label x moves it
+    through the creators: it contracts with the t-th x-creator (from the
+    left, t = 0, 1, ...) at factor q^t, or passes all k of them at factor
+    q^k; creators of other labels commute at factor 1.  No redex
+    (annihilator, creator) overlaps another, so every rewriting order
+    reaches this normal form.
+
+    The terms are integer polynomials in q; ``q`` is only the working
+    value that the returned ``NormalForm`` evaluates them at.  Below
+    q = -1 the algebra has negative norms: there the string raises
+    ``NegativeNormError`` exactly where ``wick_vev`` and ``fock.vev`` do.
     """
     ops = tuple(ops)
     if len(ops) > fock.MAX_STRING_LEN:
         raise ValueError(
             f"string length {len(ops)} exceeds {fock.MAX_STRING_LEN}")
-    start, decode = _encode(ops)
-    pending: Dict[tuple, Dict[int, int]] = {}
-    done: Dict[tuple, Dict[int, int]] = {}
-    heap: List[tuple] = []
-
-    def feed(string: tuple, inversions: int, poly: Dict[int, int]):
-        if inversions == 0:
-            target = done.setdefault(string, {})
-        elif string in pending:
-            target = pending[string]
-        else:
-            target = pending[string] = {}
-            heapq.heappush(heap, (-len(string), -inversions, string))
-        for e, c in poly.items():
-            target[e] = target.get(e, 0) + c
-
-    feed(start, _inversions(start), {0: 1})
-    while heap:
-        _, neg_inversions, string = heapq.heappop(heap)
-        poly = pending.pop(string)
-        i = _first_inversion(string)
-        left, right = string[i], string[i + 1]
-        swapped = string[:i] + (right, left) + string[i + 2:]
-        if left >> 1 == right >> 1:
-            feed(swapped, -neg_inversions - 1,
-                 {e + 1: c for e, c in poly.items()})
-            contracted = string[:i] + string[i + 2:]
-            feed(contracted, _inversions(contracted), poly)
-        else:
-            feed(swapped, -neg_inversions - 1, poly)
-    # Every contribution is a positive integer, so no term cancels to 0.
-    return NormalForm({tuple(decode[c] for c in s): QPoly(p)
-                       for s, p in done.items()}, q)
+    if q < -1.0:
+        wick_vev(ops, q)  # for its NegativeNormError; the value is unused
+    # Coefficients are packed into one int, the coefficient of q^e in
+    # bits [e * width, (e + 1) * width): multiplying by q^t is a shift and
+    # adding is +.  Each coefficient of a suffix's form counts contraction
+    # patterns of that suffix, at most T(n) <= n! of them (T(n) the
+    # number of involutions), so a field never carries into the next.
+    width = math.factorial(len(ops)).bit_length() + 1
+    codes, decode = _encode(ops)
+    forms: Dict[Tuple[tuple, tuple], int] = {((), ()): 1}
+    # Creators read since the last annihilator wait in ``front``, which
+    # is prefixed to every form at the next annihilator or at the end.
+    front: tuple = ()
+    for code in reversed(codes):
+        if code & 1:
+            front = (code,) + front
+            continue
+        partner = code | 1
+        prepended: Dict[Tuple[tuple, tuple], int] = {}
+        for (creators, annihilators), v in forms.items():
+            creators = front + creators
+            shift = 0
+            for i, c in enumerate(creators):
+                if c == partner:
+                    key = (creators[:i] + creators[i + 1:], annihilators)
+                    prepended[key] = prepended.get(key, 0) + (v << shift)
+                    shift += width
+            key = (creators, (code,) + annihilators)
+            prepended[key] = prepended.get(key, 0) + (v << shift)
+        forms = prepended
+        front = ()
+    mask = (1 << width) - 1
+    terms = {}
+    for (creators, annihilators), v in forms.items():
+        coeffs = {}
+        e = 0
+        while v:
+            coeffs[e] = v & mask
+            v >>= width
+            e += 1
+        string = front + creators + annihilators
+        terms[tuple(map(decode.__getitem__, string))] = QPoly(coeffs)
+    return NormalForm(terms, q)
 
 
 def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
     """Code each operator as 2 * (label index) + is_creator.
 
     Strings of small ints hash and compare far faster than tuples of
-    ``LadderOp``, and being orderable they break heap ties themselves.
-    Returns the coded string and the code-to-operator table.
+    ``LadderOp``.  Returns the coded string and the code-to-operator table.
     """
     labels: Dict[ModeLabel, int] = {}
     decode: Dict[int, LadderOp] = {}
@@ -202,24 +208,6 @@ def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
         decode[code] = op
         codes.append(code)
     return tuple(codes), decode
-
-
-def _inversions(codes: tuple) -> int:
-    """Annihilator-before-creator pairs, not only adjacent ones."""
-    count = creators = 0
-    for c in reversed(codes):
-        if c & 1:
-            creators += 1
-        else:
-            count += creators
-    return count
-
-
-def _first_inversion(codes: tuple) -> int:
-    """Index of the first adjacent annihilator-creator pair (one exists)."""
-    for i in range(len(codes) - 1):
-        if not codes[i] & 1 and codes[i + 1] & 1:
-            return i
 
 
 @dataclass
@@ -308,7 +296,8 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
     creator takes a label to a height h with <h>_q below
     -fock.NEGATIVE_NORM_TOL before the value is known to be zero.  A
     weight in [-tol, 0] gives 0, as the oracle's clamped norm does, and
-    so does an annihilator at height 0 or a height left above 0.
+    so does an annihilator at height 0 or a height left above 0.  Raises
+    ``NumericOverflowError`` where a weight or the product overflows.
     """
     height: Dict[ModeLabel, int] = {}
     weights = [0.0]  # weights[h] = <h>_q, checked when first reached
@@ -330,7 +319,12 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
         else:
             value *= weights[h]
             height[op.label] = h - 1
-    return 0.0 if any(height.values()) else value
+    if any(height.values()):
+        return 0.0
+    # Every weight is > 0, so a product that reached inf stays inf.
+    if math.isinf(value):
+        raise NumericOverflowError(f"the path product overflows at q={q}")
+    return value
 
 
 @dataclass

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import k1
 
 from qfield import dirac, propagator as prop
-from qfield.errors import ConvergenceError, PoleError, ZeroMassError
+from qfield.errors import (ConvergenceError, NonFiniteInputError, PoleError,
+                           ZeroMassError)
 
 RNG = np.random.default_rng(77)
 
@@ -248,6 +249,20 @@ def test_causal_position_invalid_args():
         prop.causal_position(1.0, 0.0, 1.0, 0.5)
     with pytest.raises(ConvergenceError):
         prop.causal_position(1.0, 1.0, 1.0, 0.5)  # light cone r = |t|
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_position_space_nonfinite_inputs_are_typed(bad):
+    calls = [(prop.delta_plus_equal_time, (bad, 1.0)),
+             (prop.delta_plus_equal_time, (1.0, bad)),
+             (prop.spacelike_q_commutator, (1.0, 1.0, bad))]
+    for i in range(4):
+        args = [1.0, 1.5, 1.0, 0.5]
+        args[i] = bad
+        calls.append((prop.causal_position, tuple(args)))
+    for f, args in calls:
+        with pytest.raises(NonFiniteInputError):
+            f(*args)
 
 
 # ------------------------------------- batched panels, incremental table

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qfield.errors import NumericOverflowError, OccupancyPoleError
+from qfield.errors import (NonFiniteInputError, NumericOverflowError,
+                           OccupancyPoleError)
 from qfield.qcore import basic_number, q_occupancy
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
@@ -60,9 +62,19 @@ def test_occupancy_pole():
 
 def test_basic_number_overflow_is_typed():
     assert basic_number(2.0, 1000) == 2.0 ** 1000 - 1.0
-    for q, n in ((2.0, 1100), (-2.0, 1101), (1e10, 40)):
-        with pytest.raises(NumericOverflowError):
+    # (1.5, 1750): q^n is finite, the division by q - 1 overflows;
+    # a numpy float64 overflows to inf where a float raises
+    for q, n in ((2.0, 1100), (-2.0, 1101), (1e10, 40), (1.5, 1750),
+                 (np.float64(2.0), 1100)):
+        with pytest.raises(NumericOverflowError), np.errstate(over="ignore"):
             basic_number(q, n)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_occupancy_nonfinite_inputs_are_typed(bad):
+    for x, q in ((bad, 0.5), (1.0, bad)):
+        with pytest.raises(NonFiniteInputError):
+            q_occupancy(x, q)
 
 
 def test_occupancy_finite_at_large_x():

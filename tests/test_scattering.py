@@ -14,6 +14,15 @@ def generic_kinematics():
     return sc.cm_elastic_kinematics(2.0, 1.0, M)
 
 
+def current_matrix_element(out, inc, mu):
+    """Spinor bilinear ubar_out gamma^mu u_in, one component at a time."""
+    return complex(out.bar() @ dirac.gamma(mu) @ inc.components)
+
+
+def current_four_vector(out, inc):
+    return np.array([current_matrix_element(out, inc, mu) for mu in range(4)])
+
+
 def test_boost_examples():
     p = np.array([M, 0.0, 0.0, 0.0])
     assert np.allclose(sc.boost(p, sc.Boost([0.0, 0.0, 0.0])), p)
@@ -87,7 +96,7 @@ def test_correction_factor_degenerate():
 def test_current_matrix_element_basics():
     p = dirac.onshell_momentum([0.4, -0.2, 0.9], M)
     u = dirac.u_spinor(p, 1, M)
-    j0 = sc.current_matrix_element(u, u, 0)
+    j0 = current_matrix_element(u, u, 0)
     assert j0.imag == pytest.approx(0.0, abs=1e-12)
     assert j0.real > 0
     udag_u = complex(u.components.conj() @ u.components)
@@ -102,7 +111,7 @@ def test_current_conservation():
     for rA, rC in product((1, 2), repeat=2):
         uA = dirac.u_spinor(pA, rA, M)
         uC = dirac.u_spinor(pC, rC, M)
-        J = sc.current_four_vector(uC, uA)
+        J = current_four_vector(uC, uA)
         assert abs(dirac.minkowski_dot(k, J)) <= 1e-10
 
 
@@ -112,10 +121,10 @@ def test_current_rest_frame_hand_check():
     rest = np.array([M, 0.0, 0.0, 0.0])
     u1 = dirac.u_spinor(rest, 1, M)
     u2 = dirac.u_spinor(rest, 2, M)
-    assert sc.current_matrix_element(u1, u1, 0) == pytest.approx(1.0)
-    assert sc.current_matrix_element(u2, u1, 0) == pytest.approx(0.0, abs=1e-14)
+    assert current_matrix_element(u1, u1, 0) == pytest.approx(1.0)
+    assert current_matrix_element(u2, u1, 0) == pytest.approx(0.0, abs=1e-14)
     for mu in (1, 2, 3):
-        assert sc.current_matrix_element(u1, u1, mu) == pytest.approx(0.0, abs=1e-14)
+        assert current_matrix_element(u1, u1, mu) == pytest.approx(0.0, abs=1e-14)
 
 
 def textbook_moller(kin, spins):
@@ -126,10 +135,10 @@ def textbook_moller(kin, spins):
     uB = dirac.u_spinor(pB, rB, M)
     uC = dirac.u_spinor(pC, rC, M)
     uD = dirac.u_spinor(pD, rD, M)
-    direct = dirac.minkowski_dot(sc.current_four_vector(uC, uA),
-                                 sc.current_four_vector(uD, uB))
-    exchange = dirac.minkowski_dot(sc.current_four_vector(uD, uA),
-                                   sc.current_four_vector(uC, uB))
+    direct = dirac.minkowski_dot(current_four_vector(uC, uA),
+                                 current_four_vector(uD, uB))
+    exchange = dirac.minkowski_dot(current_four_vector(uD, uA),
+                                   current_four_vector(uC, uB))
     return direct / dirac.mass2(pC - pA) - exchange / dirac.mass2(pD - pA)
 
 
@@ -238,10 +247,10 @@ def per_spin_moller(kin, spins, q, strict_paper_mode=False):
     t_exchange = dirac.mass2(pB - pA if strict_paper_mode else pD - pA)
     F_CA = sc.correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, sc.PHOTON_LINE)
     F_DA = sc.correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, sc.PHOTON_LINE)
-    direct = dirac.minkowski_dot(sc.current_four_vector(uC, uA),
-                                 sc.current_four_vector(uD, uB))
-    exchange = dirac.minkowski_dot(sc.current_four_vector(uD, uA),
-                                   sc.current_four_vector(uC, uB))
+    direct = dirac.minkowski_dot(current_four_vector(uC, uA),
+                                 current_four_vector(uD, uB))
+    exchange = dirac.minkowski_dot(current_four_vector(uD, uA),
+                                   current_four_vector(uC, uB))
     return q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
 
 

@@ -1,3 +1,5 @@
+import heapq
+import random
 from itertools import product
 from math import comb
 
@@ -44,6 +46,97 @@ def reference_normal_order(ops):
     return {s: p for s, p in done.items() if p.coeffs}
 
 
+def heap_normal_order(ops):
+    """Rewriting with merged strings, popped from a heap in decreasing
+    (length, inversion count) order so each is expanded once, after all
+    its contributions arrived.  Operators are coded as
+    2 * (label index) + is_creator."""
+    labels, decode = {}, {}
+    codes = []
+    for op in ops:
+        code = 2 * labels.setdefault(op.label, len(labels)) + op.is_creator
+        decode[code] = op
+        codes.append(code)
+
+    def inversions(string):
+        count = creators = 0
+        for c in reversed(string):
+            if c & 1:
+                creators += 1
+            else:
+                count += creators
+        return count
+
+    pending, done, heap = {}, {}, []
+
+    def feed(string, n_inv, poly):
+        if n_inv == 0:
+            target = done.setdefault(string, {})
+        elif string in pending:
+            target = pending[string]
+        else:
+            target = pending[string] = {}
+            heapq.heappush(heap, (-len(string), -n_inv, string))
+        for e, c in poly.items():
+            target[e] = target.get(e, 0) + c
+
+    start = tuple(codes)
+    feed(start, inversions(start), {0: 1})
+    while heap:
+        _, neg_inv, string = heapq.heappop(heap)
+        poly = pending.pop(string)
+        i = next(i for i in range(len(string) - 1)
+                 if not string[i] & 1 and string[i + 1] & 1)
+        left, right = string[i], string[i + 1]
+        swapped = string[:i] + (right, left) + string[i + 2:]
+        if left >> 1 == right >> 1:
+            feed(swapped, -neg_inv - 1, {e + 1: c for e, c in poly.items()})
+            contracted = string[:i] + string[i + 2:]
+            feed(contracted, inversions(contracted), poly)
+        else:
+            feed(swapped, -neg_inv - 1, poly)
+    return {tuple(decode[c] for c in s): QPoly(p) for s, p in done.items()}
+
+
+def apply_normal_form(nf, v, n_max=fock.DEFAULT_N_MAX):
+    """Evaluate a normal form on a state, term by term."""
+    out = {}
+    overflow = v.overflowed
+    for ops, poly in nf.terms.items():
+        c = poly(nf.q)
+        w = apply_string(ops, v, nf.q, n_max)
+        overflow = overflow or w.overflowed
+        for state, amp in w.terms.items():
+            out[state] = out.get(state, 0.0 + 0.0j) + c * amp
+    return StateVector(out, overflow).prune()
+
+
+def poly_mul(x, y):
+    """Product of integer polynomials given as coefficient lists."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] += xi * yj
+    return out
+
+
+def q_integer(j):
+    return [1] * j
+
+
+def q_binomial(n, k):
+    """Gaussian binomial [n, k]_q by [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k in (0, n):
+        return [1]
+    left, right = q_binomial(n - 1, k - 1), q_binomial(n - 1, k)
+    out = [0] * max(len(left), k + len(right))
+    for i, c in enumerate(left):
+        out[i] += c
+    for i, c in enumerate(right):
+        out[k + i] += c
+    return out
+
+
 def test_qpoly_basics():
     p = QPoly.one().shift(2) + QPoly.q_power(0)
     assert p(2.0) == 5.0
@@ -83,7 +176,7 @@ def test_normal_order_matches_string_action_on_states(q):
     nf = normal_order(ops, q)
     seed = apply_string([a_dag(0), a_dag(1)], StateVector.vacuum(), q)
     direct = apply_string(ops, seed, q)
-    via_nf = nf.apply(seed)
+    via_nf = apply_normal_form(nf, seed)
     keys = set(direct.terms) | set(via_nf.terms)
     for s in keys:
         assert via_nf.amplitude(s) == pytest.approx(direct.amplitude(s), abs=1e-10)
@@ -114,6 +207,33 @@ def test_normal_order_matches_reference_rewriter():
         assert normal_order(ops, 0.5).terms == reference_normal_order(ops), ops
 
 
+def test_normal_order_matches_heap_rewriter():
+    strings = [ops for length in range(9, 13)
+               for ops in all_single_mode_strings(length)]
+    strings += list(all_two_mode_strings(6))
+    rng = random.Random(2024)
+    choices = (a(0), a_dag(0), a(1), a_dag(1), b(0), b_dag(0))
+    strings += [tuple(rng.choice(choices) for _ in range(rng.randint(7, 12)))
+                for _ in range(500)]
+    for ops in strings:
+        assert normal_order(ops, 0.5).terms == heap_normal_order(ops), ops
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_normal_order_closed_form(n):
+    # a^n adag^n = sum_k q^((n-k)^2) [n, k]_q^2 [k]_q! adag^(n-k) a^(n-k);
+    # at n = 6 its coefficients are the largest below the length cap.
+    want = {}
+    for k in range(n + 1):
+        poly = [0] * (n - k) ** 2 + [1]
+        for _ in range(2):
+            poly = poly_mul(poly, q_binomial(n, k))
+        for j in range(1, k + 1):
+            poly = poly_mul(poly, q_integer(j))
+        want[(a_dag(0),) * (n - k) + (a(0),) * (n - k)] = QPoly(dict(enumerate(poly)))
+    assert normal_order((a(0),) * n + (a_dag(0),) * n, 0.5).terms == want
+
+
 def test_normal_order_coefficients_are_integers():
     for length in range(9):
         for ops in all_single_mode_strings(length):
@@ -138,7 +258,8 @@ def test_wick_vev_matches_diagram_sum():
 
 @pytest.mark.parametrize("q", [-1.5, -2.0])
 def test_wick_vev_shares_fock_domain(q):
-    # below q = -1 even levels have <h>_q < 0: both paths raise or agree
+    # below q = -1 even levels have <h>_q < 0: wick_vev and normal_order
+    # both raise or agree with the oracle
     for length in range(1, 9):
         for ops in all_single_mode_strings(length):
             try:
@@ -146,9 +267,13 @@ def test_wick_vev_shares_fock_domain(q):
             except NegativeNormError:
                 with pytest.raises(NegativeNormError):
                     wick_vev(ops, q)
+                with pytest.raises(NegativeNormError):
+                    normal_order(ops, q)
                 continue
             assert wick_vev(ops, q) == pytest.approx(want, rel=1e-12,
                                                      abs=1e-12), ops
+            assert normal_order(ops, q).vacuum_projection() == pytest.approx(
+                want, rel=1e-12, abs=1e-12), ops
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -264,5 +389,12 @@ def test_deterministic_diagram_order():
 
 def test_wick_vev_height_overflow_is_typed():
     ops = (a(0),) * 1030 + (a_dag(0),) * 1030
+    with pytest.raises(NumericOverflowError):
+        wick_vev(ops, 2.0)
+
+
+def test_wick_vev_product_overflow_is_typed():
+    # every <h>_q is finite up to h = 300; their product is not
+    ops = (a(0),) * 300 + (a_dag(0),) * 300
     with pytest.raises(NumericOverflowError):
         wick_vev(ops, 2.0)
