@@ -8,17 +8,48 @@ Modules:
     propagator  q-causal propagators in momentum and position space
     scattering  Moller / annihilation correction factors and frame scans
     cli         command-line front end (CSV output, golden files)
+
+The first three need no numpy and load with the package.  ``dirac``,
+``propagator`` and ``scattering`` need numpy; each loads, with numpy, on
+first access to it or to a name re-exported from it (PEP 562).
 """
-from . import qcore, fock, wick, dirac, propagator, scattering, errors
+from importlib import import_module as _import_module
+
+from . import qcore, fock, wick, errors
 from .qcore import basic_number, q_occupancy
 from .fock import a, a_dag, b, b_dag, vev, StateVector
 from .wick import normal_order, wick_expand, wick_vev, verify_wick, q_time_order
-from .propagator import (scalar_propagator_momentum, spinor_propagator_momentum,
-                         photon_propagator_momentum, pole_residues,
-                         delta_plus_equal_time, spacelike_q_commutator,
-                         causal_position)
-from .scattering import (Boost, ProcessKinematics, boost, correction_factor,
-                         moller_amplitude, annihilation_correction_pair,
-                         frame_scan)
+
+_LAZY_LAYERS = ("dirac", "propagator", "scattering")
+_LAZY_NAMES = dict.fromkeys(
+    ("scalar_propagator_momentum", "spinor_propagator_momentum",
+     "photon_propagator_momentum", "pole_residues", "delta_plus_equal_time",
+     "spacelike_q_commutator", "causal_position"), "propagator")
+_LAZY_NAMES.update(dict.fromkeys(
+    ("Boost", "ProcessKinematics", "boost", "correction_factor",
+     "moller_amplitude", "annihilation_correction_pair", "frame_scan"),
+    "scattering"))
+
+__all__ = ["qcore", "fock", "wick", "errors", *_LAZY_LAYERS,
+           "basic_number", "q_occupancy",
+           "a", "a_dag", "b", "b_dag", "vev", "StateVector",
+           "normal_order", "wick_expand", "wick_vev", "verify_wick",
+           "q_time_order", *_LAZY_NAMES]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAZY_LAYERS:
+        # importing a submodule binds it on the package, so this runs once
+        return _import_module(f"{__name__}.{name}")
+    layer = _LAZY_NAMES.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

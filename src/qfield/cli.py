@@ -4,22 +4,26 @@ Every subcommand emits a CSV table (header always present, floats at 17
 significant digits, complex values as re/im column pairs) so runs are
 byte-reproducible and suitable for golden-file testing.  Exit codes:
 0 success, 1 computation error (typed error on stderr), 2 usage error.
+
+Only the numpy-free layers (qcore, fock, wick) load with the CLI; numpy
+and the dirac, propagator and scattering layers are imported by the
+commands that use them, so a q-algebra command never loads numpy.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
+from itertools import zip_longest
 
-import numpy as np
-
-from . import dirac, fock, propagator, scattering, wick
+from . import fock, wick
 from .errors import QFieldError, finite
 from .qcore import basic_number, q_occupancy
 
 DEFAULT_GOLDEN_DIR = "golden"
+# scattering.PHOTON_LINE and scattering.ELECTRON_LINE, spelled out so that
+# building the parser does not load numpy (a test pins the two together)
+FLAVORS = ("photon_line", "electron_line")
 
 
 def fmt(x) -> str:
@@ -52,7 +56,8 @@ def check_finite_options(args):
             finite(value, "--" + name.replace("_", "-"))
 
 
-def parse_vec3(text: str) -> np.ndarray:
+def parse_vec3(text: str):
+    import numpy as np
     parts = [finite(float(p), f"component of {text!r}")
              for p in text.split(",")]
     if len(parts) != 3:
@@ -61,6 +66,7 @@ def parse_vec3(text: str) -> np.ndarray:
 
 
 def parse_grid(text: str):
+    import numpy as np
     lo, hi, n = text.split(":")
     return np.linspace(finite(float(lo), f"grid start in {text!r}"),
                        finite(float(hi), f"grid end in {text!r}"), int(n))
@@ -133,6 +139,8 @@ def cmd_wick_verify(args):
 
 
 def cmd_dirac_check(args):
+    import numpy as np
+    from . import dirac
     checks = []
     anti_err = 0.0
     for mu in range(4):
@@ -167,6 +175,8 @@ def cmd_dirac_check(args):
 
 
 def _propagator_rows(args, kind: str):
+    import numpy as np
+    from . import propagator
     kvec = parse_vec3(args.kvec)
     k0_values = parse_grid(args.k0_grid) if getattr(args, "k0_grid", None) \
         else [args.k0]
@@ -198,6 +208,7 @@ def _propagator_rows(args, kind: str):
 
 
 def cmd_propagator_residues(args):
+    from . import propagator
     kvec = parse_vec3(args.kvec)
     rp, rm = propagator.pole_residues(kvec, args.m, args.q)
     w = propagator.omega(kvec, args.m)
@@ -207,6 +218,7 @@ def cmd_propagator_residues(args):
 
 
 def cmd_propagator_position(args):
+    from . import propagator
     pv = propagator.causal_position(args.t, args.r, args.m, args.q)
     header = ["q", "m", "t", "r", "value_re", "value_im", "quad_error"]
     rows = [[fmt(args.q), fmt(args.m), fmt(args.t), fmt(args.r),
@@ -215,6 +227,7 @@ def cmd_propagator_position(args):
 
 
 def cmd_propagator_spacelike(args):
+    from . import propagator
     r_values = parse_grid(args.r_grid) if args.r_grid else [args.r]
     header = ["q", "m", "r", "value", "quad_error"]
     rows = []
@@ -226,6 +239,7 @@ def cmd_propagator_spacelike(args):
 
 
 def cmd_scatter_moller(args):
+    from . import scattering
     kin = scattering.cm_elastic_kinematics(args.energy, args.theta, args.m)
     if args.beta:
         kin = kin.boosted(scattering.Boost(parse_vec3(args.beta)))
@@ -239,6 +253,7 @@ def cmd_scatter_moller(args):
 
 
 def cmd_scatter_annihilate(args):
+    from . import scattering
     kin = scattering.cm_annihilation_kinematics(args.energy, args.theta, args.m)
     if args.beta:
         kin = kin.boosted(scattering.Boost(parse_vec3(args.beta)))
@@ -250,6 +265,7 @@ def cmd_scatter_annihilate(args):
 
 
 def cmd_scatter_frame_scan(args):
+    from . import scattering
     if args.flavor == scattering.PHOTON_LINE:
         kin = scattering.cm_elastic_kinematics(args.energy, args.theta, args.m)
     else:
@@ -370,9 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--betas", default="0,0,0;0,0,0.25;0,0,0.5",
                    help="semicolon-separated boost velocities")
-    p.add_argument("--flavor", choices=(scattering.PHOTON_LINE,
-                                        scattering.ELECTRON_LINE),
-                   default=scattering.PHOTON_LINE)
+    p.add_argument("--flavor", choices=FLAVORS, default=FLAVORS[0])
     p.set_defaults(func=cmd_scatter_frame_scan)
 
     return parser
@@ -380,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def render(header, rows, fmt_kind: str) -> str:
     if fmt_kind == "json":
+        import json
         objs = [dict(zip(header, row)) for row in rows]
         return json.dumps(objs, indent=2) + "\n"
     lines = [",".join(header)]
@@ -387,7 +402,41 @@ def render(header, rows, fmt_kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cells(text: str, fmt_kind: str) -> list:
+    """The rows of a rendered table, header first, as lists of cells."""
+    if fmt_kind == "json":
+        import json
+        try:
+            objs = json.loads(text)
+            return [list(objs[0])] + [[str(v) for v in o.values()]
+                                      for o in objs]
+        except (ValueError, LookupError, TypeError, AttributeError):
+            return []
+    return [line.split(",") for line in text.splitlines()]
+
+
+def first_difference(golden: str, text: str, fmt_kind: str) -> str:
+    """Where this run's table first differs from the golden one: the row
+    (the header is row 0), the column, both cells and, when both parse as
+    numbers, the delta; "" when the two agree cell by cell."""
+    new = _cells(text, fmt_kind)
+    header = new[0] if new else []
+    rows = zip_longest(_cells(golden, fmt_kind), new, fillvalue=())
+    for r, (old_row, new_row) in enumerate(rows):
+        for c, (was, got) in enumerate(zip_longest(old_row, new_row)):
+            if was != got:
+                column = header[c] if c < len(header) else f"#{c + 1}"
+                where = (f" at row {r}, column {column}: golden {was!r}, "
+                         f"got {got!r}")
+                try:
+                    return f"{where}, delta {fmt(float(got) - float(was))}"
+                except (TypeError, ValueError):
+                    return where
+    return ""
+
+
 def golden_path(argv) -> str:
+    import hashlib
     root = os.environ.get("QFIELD_GOLDEN_DIR", DEFAULT_GOLDEN_DIR)
     # key on the invocation minus the --golden flag itself, so `write` and
     # `check` runs of the same command resolve to the same file
@@ -432,10 +481,12 @@ def main(argv=None) -> int:
                 print(f"error: no golden file at {path}", file=sys.stderr)
                 return 1
             with open(path) as fh:
-                if fh.read() != text:
-                    print(f"error: output differs from golden {path}",
-                          file=sys.stderr)
-                    return 1
+                golden = fh.read()
+            if golden != text:
+                print(f"error: output differs from golden {path}"
+                      + first_difference(golden, text, args.format),
+                      file=sys.stderr)
+                return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

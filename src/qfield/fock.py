@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import NegativeNormError
+from .errors import NegativeNormError, finite
 from .qcore import basic_number
 
 PARTICLE = "particle"
@@ -180,6 +180,7 @@ def vev(ops: Sequence[LadderOp], q: float,
     The oracle for the Wick engine: exact up to floating point once
     n_max exceeds half the string length.
     """
+    finite(q, "q")
     ops = list(ops)
     if len(ops) > MAX_STRING_LEN:
         raise ValueError(f"string length {len(ops)} exceeds {MAX_STRING_LEN}")

@@ -24,12 +24,15 @@ as panel-by-panel sums with a table rebuilt at every checkpoint.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dirac import METRIC, slash
-from .errors import ConvergenceError, PoleError, ZeroMassError, finite
+from .errors import (ConvergenceError, NumericOverflowError, PoleError,
+                     ZeroMassError, finite)
 
 POLE_GUARD = 1e-10
 
@@ -64,11 +67,24 @@ def _scalar_factor(k0: float, kvec, m: float, q: float) -> tuple:
     if abs(k2_m2) <= POLE_GUARD:
         raise PoleError(f"|k^2 - m^2| = {abs(k2_m2)} inside guard band")
     val = 0.5 * ((1.0 + q) + (1.0 - q) * (k0 / w)) / k2_m2
+    if not (math.isfinite(val) and math.isfinite(k2_m2)):
+        for x in (k0, *kvec):  # a non-finite input, else an overflow
+            finite(x, "component of k")
+        raise NumericOverflowError(
+            f"propagator overflows at k0={k0}, omega={w}, q={q}")
     return val, abs(k2_m2)
+
+
+def _finite_matrix(matrix: np.ndarray) -> np.ndarray:
+    if not np.isfinite(matrix).all():
+        raise NumericOverflowError("propagator matrix overflows")
+    return matrix
 
 
 def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     """Momentum-space q-causal scalar propagator; 1/(k^2-m^2) at q=1."""
+    finite(m, "m")
+    finite(q, "q")
     k = np.asarray(k, dtype=float)
     val, dist = _scalar_factor(k[0], k[1:], m, q)
     return PropagatorValue(complex(val), dist)
@@ -91,6 +107,8 @@ def pole_residues(kvec, m: float, q: float, h0: float | None = None) -> tuple:
     Evaluates (k0 -+ w) * D near each pole and Richardson-extrapolates
     h -> 0.  The physical (+w) residue is q-independent.
     """
+    finite(m, "m")
+    finite(q, "q")
     kvec = np.asarray(kvec, dtype=float)
     w = omega(kvec, m)
     if w <= 0.0:
@@ -106,7 +124,10 @@ def pole_residues(kvec, m: float, q: float, h0: float | None = None) -> tuple:
         val, _ = _scalar_factor(-w + h, kvec, m, q)
         return h * val
 
-    return (_richardson(near_plus, h0), _richardson(near_minus, h0))
+    residues = (_richardson(near_plus, h0), _richardson(near_minus, h0))
+    if not all(map(math.isfinite, residues)):
+        raise NumericOverflowError(f"pole residues overflow at m={m}, q={q}")
+    return residues
 
 
 def _richardson(f, h0: float, levels: int = 5) -> float:
@@ -122,12 +143,14 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
 
     Reduces to (m+pslash)/(2m (p^2-m^2)) at q = -1.
     """
+    finite(m, "m")
+    finite(q, "q")
     if m <= 0.0:
         raise ZeroMassError("spinor propagator needs m > 0")
     p = np.asarray(p, dtype=float)
     val, dist = _scalar_factor(p[0], p[1:], m, -q)
     matrix = (m * np.eye(4) + slash(p)) / (2.0 * m) * val
-    return PropagatorValue(matrix, dist)
+    return PropagatorValue(_finite_matrix(matrix), dist)
 
 
 def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -135,13 +158,15 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
 
     The half-sum scalar form is used internally, so q = -1 is evaluable.
     """
+    finite(m, "m")
+    finite(q, "q")
     k = np.asarray(k, dtype=float)
     val, dist = _scalar_factor(k[0], k[1:], m, q)
     if m > 0.0:
         tensor = METRIC - np.outer(k, k) / (m * m)
     else:
         tensor = METRIC
-    return PropagatorValue(tensor.astype(complex) * val, dist)
+    return PropagatorValue(_finite_matrix(tensor.astype(complex) * val), dist)
 
 
 class _WynnTable:
@@ -256,6 +281,15 @@ def oscillatory_integral(f, period: float, rel_tol: float = 1e-8,
         f"tail not stabilized after {max_panels} panels (err ~ {err})")
 
 
+def _position_value(value, err: float) -> PropagatorValue:
+    """A position-space value, which has no on-shell distance;
+    NumericOverflowError where the value or its error overflowed."""
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise NumericOverflowError(
+            f"position-space value {value} (error {err}) overflows")
+    return PropagatorValue(value, float("nan"), err)
+
+
 def delta_plus_equal_time(r: float, m: float,
                           rel_tol: float = 1e-8) -> PropagatorValue:
     """Equal-time Wightman function as the radial oscillatory integral
@@ -276,7 +310,7 @@ def delta_plus_equal_time(r: float, m: float,
 
     val, err = oscillatory_integral(integrand, np.pi / r, rel_tol)
     pref = 1.0 / (4.0 * np.pi ** 2 * r)
-    return PropagatorValue(pref * val, float("nan"), pref * err)
+    return _position_value(pref * val, pref * err)
 
 
 def spacelike_q_commutator(r: float, m: float, q: float,
@@ -288,7 +322,7 @@ def spacelike_q_commutator(r: float, m: float, q: float,
     """
     finite(q, "q")
     base = delta_plus_equal_time(r, m, rel_tol)
-    return PropagatorValue((1.0 - q) * base.value, float("nan"),
+    return _position_value((1.0 - q) * base.value,
                            abs(1.0 - q) * base.quad_error)
 
 
@@ -332,4 +366,4 @@ def causal_position(t: float, r: float, m: float, q: float,
     if t < 0:
         value = q * np.conj(value)
         err = abs(q) * err
-    return PropagatorValue(complex(value), float("nan"), err)
+    return _position_value(complex(value), err)

@@ -31,8 +31,9 @@ def basic_number(q: float, n: int) -> float:
     except OverflowError:
         value = math.inf
     # numpy scalars overflow to inf where floats raise, and the division
-    # can overflow where q^n does not.
-    if math.isinf(value):
+    # can overflow where q^n does not; a non-finite q gives nan or inf.
+    if not math.isfinite(value):
+        finite(q, "q")
         raise NumericOverflowError(f"<n>_q overflows at q={q}, n={n}")
     return value
 

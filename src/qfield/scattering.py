@@ -25,7 +25,8 @@ import numpy as np
 
 from .dirac import (METRIC, ONSHELL_RTOL, _check_spin, boost_matrix, gamma,
                     mass2, subluminal_beta, u_spinor)
-from .errors import DegenerateTransferError, OffShellError
+from .errors import (DegenerateTransferError, NonFiniteInputError,
+                     NumericOverflowError, OffShellError)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -67,7 +68,10 @@ class ProcessKinematics:
         legs = self.incoming + self.outgoing
         for p, m in zip(legs, self.masses):
             scale = max(1.0, p[0] ** 2)
-            if abs(mass2(p) - m * m) > ONSHELL_RTOL * scale:
+            # written so that a nan or infinite leg fails the test too
+            if not abs(mass2(p) - m * m) <= ONSHELL_RTOL * scale:
+                if not np.isfinite(p).all():
+                    raise NonFiniteInputError(f"leg {p} must be finite")
                 raise OffShellError(f"leg {p} not on shell for m={m}")
         total = sum(self.incoming) - sum(self.outgoing)
         if np.max(np.abs(total)) > ONSHELL_RTOL * max(1.0, legs[0][0]):
@@ -82,14 +86,25 @@ class ProcessKinematics:
                                  self.masses)
 
 
+def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
+    """(|p| of a leg of mass m and energy E, unit vector at theta, phi)."""
+    if m < 0.0:
+        raise ValueError("need m >= 0")
+    if energy <= m:
+        raise ValueError("need E > m")
+    try:
+        pmag = np.sqrt(energy ** 2 - m ** 2)
+    except OverflowError:
+        raise NumericOverflowError(f"E^2 overflows at E={energy}") from None
+    nhat = np.array([np.sin(theta) * np.cos(phi),
+                     np.sin(theta) * np.sin(phi), np.cos(theta)])
+    return pmag, nhat
+
+
 def cm_elastic_kinematics(energy: float, theta: float, m: float,
                           phi: float = 0.0) -> ProcessKinematics:
     """Equal-mass elastic scattering in the CM frame along z, scatter by theta."""
-    if energy <= m:
-        raise ValueError("need E > m")
-    pmag = np.sqrt(energy ** 2 - m ** 2)
-    nhat = np.array([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi), np.cos(theta)])
+    pmag, nhat = _cm_frame(energy, theta, m, phi)
     pA = np.array([energy, 0.0, 0.0, pmag])
     pB = np.array([energy, 0.0, 0.0, -pmag])
     pC = np.array([energy, *(pmag * nhat)])
@@ -100,11 +115,7 @@ def cm_elastic_kinematics(energy: float, theta: float, m: float,
 def cm_annihilation_kinematics(energy: float, theta: float, m: float,
                                phi: float = 0.0) -> ProcessKinematics:
     """e+ e- -> gamma gamma in the CM frame: massive in, massless out."""
-    if energy <= m:
-        raise ValueError("need E > m")
-    pmag = np.sqrt(energy ** 2 - m ** 2)
-    nhat = np.array([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi), np.cos(theta)])
+    pmag, nhat = _cm_frame(energy, theta, m, phi)
     pplus = np.array([energy, 0.0, 0.0, pmag])
     pminus = np.array([energy, 0.0, 0.0, -pmag])
     k1 = np.array([energy, *(energy * nhat)])
@@ -167,7 +178,10 @@ def moller_amplitudes(kin: ProcessKinematics, q: float,
                        _current_tensor(uC, uA), _current_tensor(uD, uB))
     exchange = np.einsum("m,mda,mcb->abcd", _METRIC_DIAG,
                          _current_tensor(uD, uA), _current_tensor(uC, uB))
-    return q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
+    amps = q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
+    if not np.isfinite(amps).all():
+        raise NumericOverflowError(f"Moller amplitudes overflow at m={m}")
+    return amps
 
 
 def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,

@@ -1,10 +1,16 @@
 """End-to-end tests of the CLI: exit codes, CSV schema, formats, goldens."""
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 CLI = [sys.executable, "-m", "qfield"]
 
@@ -147,6 +153,30 @@ def test_golden_check_mismatch_exits_1(tmp_path):
     assert "differs" in res.stderr
 
 
+def test_golden_mismatch_names_first_cell(tmp_path, monkeypatch, capsys):
+    from qfield.cli import main
+    monkeypatch.setenv("QFIELD_GOLDEN_DIR", str(tmp_path))
+    argv = ["scatter", "frame-scan", "--q", "0.5"]
+    assert main(["--golden", "write", *argv]) == 0
+    good, _ = capsys.readouterr()
+    path = next(tmp_path.rglob("*.csv"))
+    rows = [line.split(",") for line in good.splitlines()]
+    f1 = rows[2][3]
+    rows[2][3] = repr(float(f1) + 0.25)
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    assert main(["--golden", "check", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: output differs from golden {path} at row 2, "
+                   f"column F1: golden {rows[2][3]!r}, got {f1!r}, "
+                   f"delta {float(f1) - float(rows[2][3]):.17g}\n")
+    # a cell that is not a number gets no delta
+    path.write_text(good.replace("bz", "b_z", 1))
+    assert main(["--golden", "check", *argv]) == 1
+    assert capsys.readouterr().err.endswith(
+        "at row 0, column bz: golden 'b_z', got 'bz'\n")
+
+
 def test_strict_paper_mode_changes_only_moller():
     base = run("scatter", "moller", "--q", "0.5", "--theta", "1.2")
     strict = run("scatter", "moller", "--q", "0.5", "--theta", "1.2",
@@ -191,6 +221,33 @@ def test_nonfinite_inputs_exit_1(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_intermediate_overflow_exits_1(capsys):
+    # finite inputs whose results overflowed: these printed nan or inf, or
+    # (the CM kinematics' energy ** 2) died with a raw OverflowError
+    from qfield.cli import main
+    cases = [
+        ("propagator", "scalar", "--k0=1e200"),
+        ("propagator", "photon", "--m=1e-200", "--k0=0.3"),
+        ("propagator", "spinor", "--m=1e-310", "--k0=0.3"),
+        ("propagator", "residues", "--q=1e308", "--m=8e45"),
+        ("propagator", "spacelike", "--q=1e308", "--r=1e-67"),
+        ("scatter", "annihilate", "--energy=1e308"),
+        ("scatter", "moller", "--m=1e-308"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for argv in cases:
+            assert main(list(argv)) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: NumericOverflowError:"), argv
+    # a negative mass gave nan kinematics; it is now a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["scatter", "frame-scan", "--m=-1", "--energy=-0.5"])
+    assert info.value.code == 2
+    assert "need m >= 0" in capsys.readouterr().err
+
+
 def test_overflow_and_large_x_paths():
     res = run("qnum", "--q", "2", "--n", "1100")
     assert res.returncode == 1 and res.stdout == ""
@@ -201,9 +258,177 @@ def test_overflow_and_large_x_paths():
     assert res.stdout == "x,q,occupancy\n1000,0.5,0\n"
 
 
+# The q-algebra commands, which need neither numpy nor scipy.
+NUMPY_FREE_ARGV = (
+    ("qnum", "--q", "1.2", "--n", "5"),
+    ("planck", "--q", "0.5", "--x", "1.0"),
+    ("fock", "vev", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
+    ("wick", "normal", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
+    ("wick", "expand", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
+    ("wick", "verify", "--max-len", "4", "--q", "0.7"),
+)
+
+# Every name the package re-exports, with the module that defines it.
+REEXPORTS = {
+    "qcore": ("basic_number", "q_occupancy"),
+    "fock": ("a", "a_dag", "b", "b_dag", "vev", "StateVector"),
+    "wick": ("normal_order", "wick_expand", "wick_vev", "verify_wick",
+             "q_time_order"),
+    "propagator": ("scalar_propagator_momentum", "spinor_propagator_momentum",
+                   "photon_propagator_momentum", "pole_residues",
+                   "delta_plus_equal_time", "spacelike_q_commutator",
+                   "causal_position"),
+    "scattering": ("Boost", "ProcessKinematics", "boost", "correction_factor",
+                   "moller_amplitude", "annihilation_correction_pair",
+                   "frame_scan"),
+}
+LAYERS = ("qcore", "fock", "wick", "dirac", "propagator", "scattering",
+          "errors")
+
+
 def test_import_leaves_scipy_out():
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qfield, qfield.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True)
-    assert res.returncode == 0 and res.stdout == "False\n"
+    # numpy loads only with the dirac, propagator and scattering layers
+    script = f"""
+import contextlib, io, sys
+import qfield, qfield.cli
+
+def heavy():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+
+assert heavy() == [], heavy()
+for argv in {NUMPY_FREE_ARGV!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qfield.cli.main(list(argv)) == 0, argv
+    assert heavy() == [], (argv, heavy())
+print("ok")
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
+
+
+def test_package_reexports_resolve_to_their_layers():
+    import importlib
+
+    import qfield
+    names = [n for names in REEXPORTS.values() for n in names]
+    assert sorted(qfield.__all__) == sorted([*LAYERS, *names])
+    assert set(qfield.__all__) <= set(dir(qfield))
+    for layer in LAYERS:
+        assert getattr(qfield, layer) is importlib.import_module(
+            f"qfield.{layer}")
+    for layer, names in REEXPORTS.items():
+        module = importlib.import_module(f"qfield.{layer}")
+        for name in names:
+            assert getattr(qfield, name) is getattr(module, name), name
+    from qfield import frame_scan, scattering
+    assert frame_scan is scattering.frame_scan
+    with pytest.raises(AttributeError):
+        qfield.no_such_name
+
+
+def test_flavor_choices_match_scattering(capsys):
+    from qfield import cli, scattering
+    assert cli.FLAVORS == (scattering.PHOTON_LINE, scattering.ELECTRON_LINE)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scatter", "frame-scan", "--flavor", "bogus"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --flavor: invalid choice: 'bogus' "
+        "(choose from 'photon_line', 'electron_line')\n")
+
+
+# ------------------------------------------------------------ fuzz of main
+#
+# argv drawn from the subcommand grammar, with option values that include
+# nan, +-inf, +-1e308, negative counts and malformed vectors and grids.
+# Every call must end in exit 0, 1 or 2 without an untyped exception, and
+# print no nan or inf where every number it was given is finite.
+
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-308",
+                     "0", "-0", "1", "-1", "0.5", "2", "1.2", "x", ""]),
+    st.floats().map(repr))
+_COUNT = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["x", "1.5"]))
+_VECTOR = st.one_of(
+    st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["0,0,0", "0.2,0,0.1", "0,0,0.5", "1,2", ",,", ""]))
+_GRID = st.one_of(
+    st.tuples(_NUMBER, _NUMBER, _COUNT).map(":".join),
+    st.sampled_from(["2:4:5", "0.5:2:4", "1:2", "a:b:c", ""]))
+_OPS = st.lists(st.sampled_from(["a0", "a0+", "a1", "a1+", "b0", "b0+", "a",
+                                 "a+", "c0", "a0++", "+", "ax"]),
+                max_size=6).map(",".join)
+_SPINS = st.one_of(st.lists(st.sampled_from(["1", "-1", "2", "0", "x"]),
+                            min_size=1, max_size=5).map(",".join),
+                   st.just(""))
+_BETAS = st.lists(_VECTOR, min_size=1, max_size=3).map(";".join)
+_MOMENTUM = {"q": _NUMBER, "m": _NUMBER, "k0": _NUMBER, "kvec": _VECTOR,
+             "k0-grid": _GRID}
+_KINEMATICS = {"q": _NUMBER, "m": _NUMBER, "energy": _NUMBER,
+               "theta": _NUMBER}
+_GRAMMAR = {
+    ("qnum",): {"q": _NUMBER, "n": _COUNT},
+    ("planck",): {"q": _NUMBER, "x": _NUMBER},
+    ("fock", "vev"): {"q": _NUMBER, "ops": _OPS, "n-max": _COUNT},
+    ("wick", "normal"): {"q": _NUMBER, "ops": _OPS},
+    ("wick", "expand"): {"q": _NUMBER, "ops": _OPS},
+    ("wick", "verify"): {"q": _NUMBER, "max-len": _COUNT},
+    ("dirac", "check"): {},
+    ("propagator", "scalar"): _MOMENTUM,
+    ("propagator", "spinor"): _MOMENTUM,
+    ("propagator", "photon"): _MOMENTUM,
+    ("propagator", "residues"): {"q": _NUMBER, "m": _NUMBER, "kvec": _VECTOR},
+    ("propagator", "position"): {"q": _NUMBER, "m": _NUMBER, "t": _NUMBER,
+                                 "r": _NUMBER},
+    ("propagator", "spacelike"): {"q": _NUMBER, "m": _NUMBER, "r": _NUMBER,
+                                  "r-grid": _GRID},
+    ("scatter", "moller"): {**_KINEMATICS, "spins": _SPINS, "beta": _VECTOR,
+                            "strict-paper-mode": st.none()},
+    ("scatter", "annihilate"): {**_KINEMATICS, "beta": _VECTOR},
+    ("scatter", "frame-scan"): {
+        **_KINEMATICS, "betas": _BETAS,
+        "flavor": st.sampled_from(["photon_line", "electron_line", "x"])},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = draw(st.sampled_from([[], ["--format", "json"]])) + list(command)
+    for name, values in _GRAMMAR[command].items():
+        if draw(st.booleans()):
+            value = draw(values)
+            argv.append(f"--{name}" if value is None else f"--{name}={value}")
+    return argv
+
+
+def _nonfinite_number_in(argv) -> bool:
+    for token in argv:
+        for part in re.split("[=,:;]", token):
+            try:
+                if not math.isfinite(float(part)):
+                    return True
+            except ValueError:
+                pass
+    return False
+
+
+# derandomized, so the suite sees the same 150 argv on every run
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_main_fuzz_exits_cleanly(argv):
+    from qfield.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
+    if not _nonfinite_number_in(argv):
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), argv

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qfield import fock
-from qfield.errors import NegativeNormError
+from qfield.errors import NegativeNormError, NonFiniteInputError
 from qfield.fock import (StateVector, a, a_dag, b, b_dag, apply_ladder,
                          apply_string, charge_conjugate_op,
                          charge_conjugate_state, charge_conjugate_string, vev)
@@ -161,3 +161,10 @@ def test_charge_conjugation_state_involution():
 def test_prune_drops_tiny_amplitudes():
     v = StateVector({fock.VACUUM: 1e-16}).prune()
     assert v.terms == {}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vev_nonfinite_q_is_typed(bad):
+    # a nan norm used to be pruned as if it were zero, giving 0j
+    with pytest.raises(NonFiniteInputError):
+        vev([a(), a_dag()], bad)

@@ -260,6 +260,12 @@ def test_position_space_nonfinite_inputs_are_typed(bad):
         args = [1.0, 1.5, 1.0, 0.5]
         args[i] = bad
         calls.append((prop.causal_position, tuple(args)))
+    k = np.array([0.3, 0.2, 0.0, 0.1])
+    for f in (prop.scalar_propagator_momentum, prop.spinor_propagator_momentum,
+              prop.photon_propagator_momentum):
+        calls += [(f, (k, bad, 0.5)), (f, (k, 1.0, bad))]
+    calls += [(prop.pole_residues, (k[1:], bad, 0.5)),
+              (prop.pole_residues, (k[1:], 1.0, bad))]
     for f, args in calls:
         with pytest.raises(NonFiniteInputError):
             f(*args)

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
                            OccupancyPoleError)
+from qfield.fock import a, a_dag
 from qfield.qcore import basic_number, q_occupancy
+from qfield.wick import wick_vev
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
@@ -75,6 +77,13 @@ def test_occupancy_nonfinite_inputs_are_typed(bad):
     for x, q in ((bad, 0.5), (1.0, bad)):
         with pytest.raises(NonFiniteInputError):
             q_occupancy(x, q)
+    # basic_number names a non-finite q where its result is not finite,
+    # and wick_vev, which multiplies basic numbers, inherits the check
+    for n in (1, 3):
+        with pytest.raises(NonFiniteInputError):
+            basic_number(bad, n)
+    with pytest.raises(NonFiniteInputError):
+        wick_vev((a(), a(), a_dag(), a_dag()), bad)
 
 
 def test_occupancy_finite_at_large_x():
