@@ -435,7 +435,8 @@ def first_difference(golden: str, text: str, fmt_kind: str) -> str:
     return ""
 
 
-def golden_path(argv) -> str:
+def golden_path(argv, command: str) -> str:
+    """Golden file of an invocation: <root>/<command>/<digest>.csv."""
     import hashlib
     root = os.environ.get("QFIELD_GOLDEN_DIR", DEFAULT_GOLDEN_DIR)
     # key on the invocation minus the --golden flag itself, so `write` and
@@ -452,9 +453,8 @@ def golden_path(argv) -> str:
         if a.startswith("--golden="):
             continue
         keyed.append(a)
-    name = next((a for a in keyed if not a.startswith("-")), "run")
     digest = hashlib.sha256(" ".join(keyed).encode()).hexdigest()[:16]
-    return os.path.join(root, name, f"{digest}.csv")
+    return os.path.join(root, command, f"{digest}.csv")
 
 
 def main(argv=None) -> int:
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits 2
     text = render(header, rows, args.format)
     if args.golden:
-        path = golden_path(argv)
+        path = golden_path(argv, args.command)
         if args.golden == "write":
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w") as fh:

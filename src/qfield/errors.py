@@ -47,7 +47,7 @@ class PoleError(QFieldError):
 
 
 class ConvergenceError(QFieldError):
-    """Accelerated oscillatory quadrature failed to stabilize."""
+    """A position-space value that does not converge (on the light cone)."""
 
 
 class SuperluminalError(QFieldError):

@@ -131,9 +131,6 @@ class StateVector:
     def amplitude(self, state: FockState) -> complex:
         return self.terms.get(state, 0.0 + 0.0j)
 
-    def norm2(self) -> float:
-        return sum(abs(c) ** 2 for c in self.terms.values())
-
 
 def apply_ladder(op: LadderOp, v: StateVector, q: float,
                  n_max: int = DEFAULT_N_MAX) -> StateVector:

@@ -1,5 +1,5 @@
 """q-deformed propagators: momentum-space forms, pole residues, and
-position-space evaluation by oscillatory quadrature.
+position-space evaluation from the invariant interval.
 
 Momentum space, scalar:
 
@@ -11,16 +11,15 @@ equivalently (1/2w)[1/(k0-w) - q/(k0+w)]: two poles of unequal strength
 the scalar factor; the photon/vector form is the metric (or the massive
 projector) times the scalar factor.
 
-Position space reduces to 1-D radial integrals with a slowly decaying
-oscillatory tail (integrand ~ sin(pr) at large p).  These are evaluated
-by Gauss-Legendre panels between consecutive zeros of the oscillation,
-whose alternating partial sums Wynn's epsilon algorithm accelerates; it
-Abel-sums the non-decaying tail.  The panels go to the integrand in
-batches, one (panels x nodes) grid per batch: the panels up to the first
-convergence checkpoint, then the panels up to each next one.  The
-epsilon table grows one anti-diagonal per partial sum and keeps only the
-last two, so a checkpoint costs no rebuild.  Both give the same floats
-as panel-by-panel sums with a table rebuilt at every checkpoint.
+Position space depends on the invariant interval zeta^2 = r^2 - t^2
+only: the positive-frequency Wightman function is m K1(m zeta)/(4 pi^2
+zeta), with zeta = +i sqrt(t^2 - r^2) at timelike points (the t - i0
+prescription, where it is m (Y1 + i J1)/(8 pi tau)).  K1 of a real or
+imaginary argument is one exp-sinh trapezoid sum over a smooth,
+exponentially decaying integrand (DLMF 10.32.8) on a fixed set of nodes
+built at import; the sum at twice the step reuses every other node and
+bounds the error.  The equal-time value, the spacelike q-commutator
+(1-q) Delta_plus and the q-causal propagator all come from it.
 """
 from __future__ import annotations
 
@@ -36,11 +35,6 @@ from .errors import (ConvergenceError, NumericOverflowError, PoleError,
 
 POLE_GUARD = 1e-10
 
-_GAUSS_N = 24
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
-_CHECK_EVERY = 4  # panels between Wynn checkpoints
-_TINY = 1e-300    # a Wynn difference below this ends the table
-
 
 @dataclass
 class PropagatorValue:
@@ -48,7 +42,7 @@ class PropagatorValue:
 
     ``value`` is a complex scalar or a 4x4 complex matrix;
     ``onshell_distance`` is |k^2 - m^2|; ``quad_error`` is present only
-    for quadrature-based position-space evaluations.
+    for position-space evaluations, where it bounds the absolute error.
     """
 
     value: object
@@ -169,116 +163,77 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     return PropagatorValue(_finite_matrix(tensor.astype(complex) * val), dist)
 
 
-class _WynnTable:
-    """Wynn's epsilon table over a growing sequence of partial sums.
 
-    Only the last two anti-diagonals are kept: ``curr[k]`` is the column-k
-    entry built from the latest partial sum, ``prev[k]`` the one built
-    from the sum before it.  Each new sum adds one anti-diagonal in
-    O(columns) operations, through the rhombus rule
 
-        eps_k^(j) = eps_{k-2}^(j+1) + 1 / (eps_{k-1}^(j+1) - eps_{k-1}^(j)).
+def _exp_sinh_rule() -> tuple:
+    """Nodes u and weights (2 x nodes) of the exp-sinh trapezoid rule
 
-    A difference below ``_TINY`` ends the table at its column (the lowest
-    such column wins); an even column ending there is (numerically)
-    constant and its first such entry is the exact limit.  The entries
-    and the estimate are those of a full rebuild over the same sums.
+        Int_0^inf e^{-u} u^{1/2} g(u) du ~ sum_i w_i g(u_i),
+        u = exp(pi/2 sinh tau),  tau in [-5, 4] at step 1/16.
+
+    Row 0 holds the weights at step 1/16, row 1 those of the rule at step
+    1/8: every other node, at doubled weight.  Nodes whose weight
+    underflows to 0 are dropped.
     """
-
-    def __init__(self):
-        self.count = 0
-        self.prev: list = []
-        self.curr: list = []
-        self.depth = None      # lowest column holding a tiny difference
-        self.exact = None      # that column's first entry before it
-
-    def push(self, s):
-        prev = self.curr
-        new = [s]
-        top = len(prev) if self.depth is None else min(len(prev), self.depth)
-        entry, below = s, 0.0          # eps_{k-1}^(j+1), eps_{k-2}^(j+1)
-        for col, older in enumerate(prev[:top]):
-            diff = entry - older
-            if abs(diff) < _TINY:
-                self.depth, self.exact = col, older
-                break
-            entry = below + 1.0 / diff
-            below = older
-            new.append(entry)
-        self.prev, self.curr = prev, new
-        self.count += 1
-
-    def estimate(self) -> tuple:
-        """(limit, error_estimate) from the sums pushed so far.
-
-        Starts from the last partial sum, with the last step as its
-        error, and takes each even column's last entry whose distance to
-        the entry before it is strictly smaller than the best so far.
-        """
-        curr, prev = self.curr, self.prev
-        if self.count < 3:
-            return curr[0], float("inf")
-        if self.depth is not None and self.depth % 2 == 0:
-            return self.exact, 0.0
-        best = curr[0]
-        err = abs(curr[0] - prev[0])
-        for col in range(2, min(len(curr), self.count - 1), 2):
-            cand_err = abs(curr[col] - prev[col])
-            if cand_err < err:
-                best, err = curr[col], cand_err
-        return best, err
+    step = 1.0 / 16.0
+    tau = np.arange(-80, 65) * step
+    u = np.exp(0.5 * np.pi * np.sinh(tau))
+    w = step * 0.5 * np.pi * np.cosh(tau) * u * np.sqrt(u) * np.exp(-u)
+    coarse = np.where(np.arange(tau.size) % 2 == 0, 2.0 * w, 0.0)
+    keep = w > 0.0
+    return u[keep], np.stack([w, coarse])[:, keep]
 
 
-def _partial_sums(f, period: float, start: int, stop: int, total):
-    """Running totals after panels start..stop-1, continuing from ``total``.
+_DE_NODES, _DE_WEIGHTS = _exp_sinh_rule()
+_EPS = math.ulp(1.0)
+_UNDERFLOW = math.ulp(0.0)  # the absolute rounding of a subnormal result
 
-    Panel n spans [n, n+1] * period; all panels go to ``f`` as one
-    (panels x nodes) grid of Gauss-Legendre nodes.
+
+def _wightman(t: float, r: float, m: float) -> tuple:
+    """(W, error) for the positive-frequency Wightman function at |t|,
+
+        W = m K1(m zeta) / (4 pi^2 zeta),  zeta^2 = r^2 - t^2.
+
+    Spacelike zeta = sqrt(zeta^2), where W is real.  Timelike
+    zeta = +i sqrt(-zeta^2), the t - i0 prescription, where
+    W = m (Y1 + i J1)(m tau) / (8 pi tau), tau = sqrt(t^2 - r^2).  Massless,
+    W = 1/(4 pi^2 zeta^2).  With z = m zeta, DLMF 10.32.8 (nu = 1,
+    |arg z| < pi) gives
+
+        z K1(z) = e^{-z} Int_0^inf e^{-u} u^{1/2} (u + 2z)^{1/2} du,
+
+    a smooth integrand that decays exponentially, summed by the exp-sinh
+    rule.  The error is the distance between the sums at steps 1/16 and
+    1/8, plus the rounding of z (W is about |z| times as sensitive to it)
+    and of the final exponential, plus one subnormal unit.
+    NumericOverflowError where zeta^2 leaves the float range or W does.
     """
-    edges = np.arange(start, stop + 1) * period
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GAUSS_X
-    panels = half * np.add.reduce(_GAUSS_W * f(x), axis=1)
-    panels[0] += total
-    return np.add.accumulate(panels)
-
-
-def oscillatory_integral(f, period: float, rel_tol: float = 1e-8,
-                         max_panels: int = 500, min_panels: int = 12) -> tuple:
-    """Integrate f over [0, inf) by half-period panels + epsilon acceleration.
-
-    ``period`` is the half-period of the dominant oscillation (panel
-    width); ``f`` must accept an array of any shape.  The Wynn estimate is
-    checked after panel n for every n divisible by _CHECK_EVERY with
-    n + 1 >= min_panels (13, 17, 21, ... panels by default).  The panels
-    up to the first checkpoint go to ``f`` in one call, then each
-    checkpoint's next _CHECK_EVERY panels in one call; every partial sum
-    extends an incremental epsilon table (``_WynnTable``).  Returns
-    (value, error_estimate) at the first checkpoint whose error is at
-    most rel_tol * max(1, |value|); raises ConvergenceError if none is
-    within max_panels.
-    """
-    table = _WynnTable()
-    err = float("inf")
-    total = 0.0
-    start = 0
-    first = max(min_panels - 1, 0)     # index of the first checkpoint panel
-    first += -first % _CHECK_EVERY
-    for stop in range(first + 1, max_panels + 1, _CHECK_EVERY):
-        sums = _partial_sums(f, period, start, stop, total)
-        # Real sums enter the table as Python floats: the same IEEE double
-        # arithmetic at about half numpy's per-scalar cost.  Complex sums
-        # stay numpy scalars, whose division rounds unlike Python's.
-        for s in sums if np.iscomplexobj(sums) else sums.tolist():
-            table.push(s)
-        total, start = sums[-1], stop
-        best, err = table.estimate()
-        if err <= rel_tol * max(1.0, abs(best)):
-            return best, err
-    raise ConvergenceError(
-        f"tail not stabilized after {max_panels} panels (err ~ {err})")
+    ta = abs(t)
+    zeta2 = (r - ta) * (r + ta)  # a product keeps the digits near the cone
+    den = 4.0 * math.pi ** 2 * zeta2
+    if not 0.0 < abs(den) < math.inf:
+        raise NumericOverflowError(
+            f"invariant interval r^2 - t^2 = {zeta2} out of range "
+            f"at t={t}, r={r}")
+    if m == 0.0:
+        value = 1.0 / den
+        return value, 4.0 * _EPS * abs(value) + _UNDERFLOW
+    # the hyperboloid, and so W, depends on m only through m^2
+    if zeta2 > 0.0:
+        z, log, exp = abs(m) * math.sqrt(zeta2), math.log, math.exp
+    else:
+        z, log, exp = 1j * abs(m) * math.sqrt(-zeta2), cmath.log, cmath.exp
+    fine, coarse = np.dot(_DE_WEIGHTS, np.sqrt(_DE_NODES + 2.0 * z)).tolist()
+    # e^{-z} S / den as one exponential: no intermediate under- or overflow
+    lead = log(fine / den) - z
+    try:
+        value = exp(lead)
+    except OverflowError:
+        raise NumericOverflowError(
+            f"position-space value overflows at t={t}, r={r}, m={m}") from None
+    rounding = 4.0 * _EPS * (2.0 + 2.0 * abs(z) + abs(lead))
+    err = abs(value) * (abs(fine - coarse) / abs(fine) + rounding)
+    return value, err + _UNDERFLOW
 
 
 def _position_value(value, err: float) -> PropagatorValue:
@@ -290,51 +245,41 @@ def _position_value(value, err: float) -> PropagatorValue:
     return PropagatorValue(value, float("nan"), err)
 
 
-def delta_plus_equal_time(r: float, m: float,
-                          rel_tol: float = 1e-8) -> PropagatorValue:
-    """Equal-time Wightman function as the radial oscillatory integral
-
-        (1/(4 pi^2 r)) Int_0^inf dp p sin(p r) / omega(p)
-
-    Closed form m K1(m r)/(4 pi^2 r); the massless limit is 1/(4 pi^2 r^2).
-    """
+def delta_plus_equal_time(r: float, m: float) -> PropagatorValue:
+    """Equal-time Wightman function m K1(m r)/(4 pi^2 r), the radial
+    integral (1/(4 pi^2 r)) Int_0^inf dp p sin(p r) / omega(p); the
+    massless limit is 1/(4 pi^2 r^2)."""
     finite(r, "r")
     finite(m, "m")
     if r <= 0.0:
         raise ValueError("need r > 0")
     if m < 0.0:
         raise ValueError("need m >= 0")
-
-    def integrand(p):
-        return p * np.sin(p * r) / np.sqrt(p * p + m * m)
-
-    val, err = oscillatory_integral(integrand, np.pi / r, rel_tol)
-    pref = 1.0 / (4.0 * np.pi ** 2 * r)
-    return _position_value(pref * val, pref * err)
+    return _position_value(*_wightman(0.0, r, m))
 
 
-def spacelike_q_commutator(r: float, m: float, q: float,
-                           rel_tol: float = 1e-8) -> PropagatorValue:
+def spacelike_q_commutator(r: float, m: float, q: float) -> PropagatorValue:
     """Equal-time spacelike q-commutator (1-q) * Delta_plus(r).
 
     Zero at q = 1 (causal limit); nonzero otherwise.  The quantitative
     causality-violation probe.
     """
     finite(q, "q")
-    base = delta_plus_equal_time(r, m, rel_tol)
+    base = delta_plus_equal_time(r, m)
     return _position_value((1.0 - q) * base.value,
                            abs(1.0 - q) * base.quad_error)
 
 
-def causal_position(t: float, r: float, m: float, q: float,
-                    rel_tol: float = 1e-8) -> PropagatorValue:
+def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
     """q-causal propagator in position space (off the light cone).
 
     For t > 0 this is the positive-frequency hyperboloid integral
 
         I(t, r) = (1/(4 pi^2 r)) Int_0^inf dk k sin(k r) e^{-i w t} / w,
 
-    for t < 0 it is q * conj(I(|t|, r)).  Requires r > 0 and r != |t|.
+    which depends on the invariant interval only: I = m K1(m zeta) /
+    (4 pi^2 zeta), zeta = sqrt(r^2 - t^2) with t -> t - i0.  For t < 0 it
+    is q * conj(I(|t|, r)).  Requires r > 0 and r != |t|.
     """
     for value, name in ((t, "t"), (r, "r"), (m, "m"), (q, "q")):
         finite(value, name)
@@ -342,28 +287,10 @@ def causal_position(t: float, r: float, m: float, q: float,
         raise ValueError("need t != 0 (use delta_plus_equal_time)")
     if r <= 0.0:
         raise ValueError("light-cone/axis evaluation unsupported (need r > 0)")
-    ta = abs(t)
-    if abs(r - ta) < 1e-12:
+    if abs(r - abs(t)) < 1e-12:
         raise ConvergenceError("evaluation on the light cone r = |t|")
-
-    # Split sin(kr) e^{-i w t} into e^{ik(r-t)} and e^{-ik(r+t)} pieces
-    # modulated by the decaying phase e^{-i(w-k)t}; each piece gets
-    # panels matched to its own oscillation frequency.
-    def make_piece(s, sign):
-        def f(k):
-            w = np.sqrt(k * k + m * m)
-            g = (k / w) * np.exp(-1j * (w - k) * ta)
-            return sign * g * np.exp(1j * k * s) / 2j
-        return f
-
-    val1, err1 = oscillatory_integral(make_piece(r - ta, +1.0),
-                                      np.pi / abs(r - ta), rel_tol)
-    val2, err2 = oscillatory_integral(make_piece(-(r + ta), -1.0),
-                                      np.pi / (r + ta), rel_tol)
-    pref = 1.0 / (4.0 * np.pi ** 2 * r)
-    value = pref * (val1 + val2)
-    err = pref * (err1 + err2)
+    value, err = _wightman(t, r, m)
     if t < 0:
-        value = q * np.conj(value)
+        value = q * value.conjugate()
         err = abs(q) * err
     return _position_value(complex(value), err)

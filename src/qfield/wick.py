@@ -117,16 +117,6 @@ class NormalForm:
         return self.coefficient(())
 
 
-def is_normal_ordered(ops: Sequence[LadderOp]) -> bool:
-    seen_annihilator = False
-    for op in ops:
-        if op.is_creator and seen_annihilator:
-            return False
-        if not op.is_creator:
-            seen_annihilator = True
-    return True
-
-
 def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     """Rewrite an operator product into normal-ordered form.
 

@@ -177,6 +177,29 @@ def test_golden_mismatch_names_first_cell(tmp_path, monkeypatch, capsys):
         "at row 0, column bz: golden 'b_z', got 'bz'\n")
 
 
+def test_golden_path_keys_on_the_subcommand(tmp_path, monkeypatch, capsys):
+    import hashlib
+    from qfield.cli import golden_path, main
+    golden = tmp_path / "golden"
+    monkeypatch.setenv("QFIELD_GOLDEN_DIR", str(golden))
+    # subcommand first: the path it always had
+    argv = ["qnum", "--q", "2", "--n", "3"]
+    digest = hashlib.sha256(" ".join(argv).encode()).hexdigest()[:16]
+    assert golden_path(["--golden", "write", *argv], "qnum") \
+        == os.path.join(str(golden), "qnum", f"{digest}.csv")
+    # an option placed first no longer names the directory
+    assert main(["--format", "json", "--golden", "write", *argv]) == 0
+    capsys.readouterr()
+    assert [p.parent.name for p in golden.rglob("*.csv")] == ["qnum"]
+    # nor does an absolute --out path: the output file is written as asked
+    out = tmp_path / "x.csv"
+    assert main(["--out", str(out), "--golden", "write", *argv]) == 0
+    assert out.read_text() == "q,n,basic_number\n2,3,7\n"
+    assert sorted(p.parent.name for p in golden.rglob("*.csv")) \
+        == ["qnum", "qnum"]
+    assert main(["--out", str(out), "--golden", "check", *argv]) == 0
+
+
 def test_strict_paper_mode_changes_only_moller():
     base = run("scatter", "moller", "--q", "0.5", "--theta", "1.2")
     strict = run("scatter", "moller", "--q", "0.5", "--theta", "1.2",

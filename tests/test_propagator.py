@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import k1
 
+import oscillatory_oracle as oracle
 from qfield import dirac, propagator as prop
 from qfield.errors import (ConvergenceError, NonFiniteInputError, PoleError,
                            ZeroMassError)
@@ -271,13 +273,103 @@ def test_position_space_nonfinite_inputs_are_typed(bad):
             f(*args)
 
 
+def wightman_reference(t, r, m, mp):
+    """W at |t| from the float inputs exactly, at mpmath's precision:
+    m K1(m zeta)/(4 pi^2 zeta) spacelike, i m H1^(2)(m tau)/(8 pi tau)
+    timelike, 1/(4 pi^2 zeta^2) massless."""
+    t, r, m = mp.mpf(abs(t)), mp.mpf(r), mp.mpf(m)
+    zeta2 = (r - t) * (r + t)
+    if m == 0:
+        return 1 / (4 * mp.pi ** 2 * zeta2)
+    if zeta2 > 0:
+        zeta = mp.sqrt(zeta2)
+        return m * mp.besselk(1, m * zeta) / (4 * mp.pi ** 2 * zeta)
+    tau = mp.sqrt(-zeta2)
+    return 1j * m * mp.hankel2(1, m * tau) / (8 * mp.pi * tau)
+
+
+def whole_domain_grid():
+    """(t, r, m) with r up to 50 and m |r - |t|| from 1e-9 up, on both
+    sides of the light cone and both signs of t, massless included;
+    m r reaches the subnormal range and past underflow."""
+    for m in (0.0, 1e-3, 0.7, 3.0, 14.7):
+        for r in (1e-3, 0.1, 1.0, 7.0, 20.0, 50.0):
+            yield 0.0, r, m
+            for gap in (1e-9, 1e-6, 1e-3, 0.3, 3.0, 40.0):
+                d = gap / m if m else gap
+                for t in (r - d, r + d):
+                    if t > 0.0 and abs(r - t) >= 1e-12:
+                        yield t, r, m
+                        yield -t, r, m
+
+
+def test_position_space_whole_domain_against_bessel_closed_forms():
+    mp = pytest.importorskip("mpmath")
+    q = 0.35
+    points = 0
+    for t, r, m in whole_domain_grid():
+        with mp.workdps(30):
+            want = wightman_reference(t, r, m, mp)
+            if t == 0.0:
+                got = [(prop.delta_plus_equal_time(r, m), want),
+                       (prop.spacelike_q_commutator(r, m, q), (1 - q) * want)]
+            else:
+                want = want if t > 0 else q * mp.conj(want)
+                got = [(prop.causal_position(t, r, m, q), want)]
+            for pv, ref in got:
+                true_err = abs(mp.mpc(pv.value) - ref)
+                assert true_err <= pv.quad_error, (t, r, m, pv, complex(ref))
+                if abs(ref) >= sys.float_info.min:
+                    assert true_err <= 1e-12 * abs(ref), (t, r, m, pv)
+                points += 1
+    assert points > 600
+
+
+def test_position_space_error_covers_the_rounding_of_the_interval():
+    # far inside the cone at large m the phase m tau is ~1e9 radians, and
+    # the rounding of tau alone moves the value by ~1e-8 relative: more
+    # than the exp-sinh step difference, which the bound must exceed too
+    mp = pytest.importorskip("mpmath")
+    for t, r, m in ((3.0, 1.0, 1e9), (50.0, 49.0, 1e8), (-7.0, 2.0, 3e8)):
+        pv = prop.causal_position(t, r, m, 1.0)
+        with mp.workdps(30):
+            ref = wightman_reference(t, r, m, mp)
+            ref = ref if t > 0 else mp.conj(ref)
+            assert abs(mp.mpc(pv.value) - ref) <= pv.quad_error, (t, r, m)
+
+
+def test_position_space_matches_oscillatory_oracle_in_its_window():
+    # The oracle is right for m r <= 6 and m |r - |t|| >= 0.3, where it
+    # stops once its error is 1e-8 of max(1, |integral|): the two agree
+    # within the sum of their error bounds.
+    def agree(new, old):
+        assert abs(new.value - old.value) <= new.quad_error + old.quad_error
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m = rng.uniform(0.3, 2.0)
+        r = rng.uniform(0.05, 6.0) / m
+        agree(prop.delta_plus_equal_time(r, m),
+              oracle.delta_plus_equal_time(r, m))
+    for timelike in (False, True):
+        for _ in range(20):
+            m = rng.uniform(0.3, 2.0)
+            near = rng.uniform(0.2, 3.0) / m
+            gap = rng.uniform(0.3, 3.0) / m
+            t, r = (near + gap, near) if timelike else (near, near + gap)
+            t *= rng.choice((-1.0, 1.0))
+            q = rng.uniform(-1.5, 2.0)
+            agree(prop.causal_position(t, r, m, q),
+                  oracle.causal_position(t, r, m, q))
+
+
 # ------------------------------------- batched panels, incremental table
 #
 # The reference below is the panel-by-panel loop with a full rebuild of
-# Wynn's epsilon table at each checkpoint, which the batched panels and
-# the incremental table replace; they must give identical floats.
+# Wynn's epsilon table at each checkpoint, which the oracle's batched
+# panels and incremental table replace; they must give identical floats.
 
-BATCHED = prop.oscillatory_integral
+BATCHED = oracle.oscillatory_integral
 
 
 def reference_wynn_epsilon(partial_sums) -> tuple:
@@ -319,8 +411,8 @@ def reference_oscillatory_integral(f, period, rel_tol=1e-8, max_panels=500,
     for n in range(max_panels):
         lo, hi = n * period, (n + 1) * period
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total = total + half * np.sum(prop._GAUSS_W
-                                      * f(mid + half * prop._GAUSS_X))
+        total = total + half * np.sum(oracle._GAUSS_W
+                                      * f(mid + half * oracle._GAUSS_X))
         sums.append(total)
         if n + 1 >= min_panels and (n % 4 == 0):
             best, err = reference_wynn_epsilon(sums)
@@ -341,7 +433,7 @@ def evaluate(monkeypatch, integrator, fn, *args):
             return f(x)
         return integrator(g, period, rel_tol, **kw)
 
-    monkeypatch.setattr(prop, "oscillatory_integral", counted)
+    monkeypatch.setattr(oracle, "oscillatory_integral", counted)
     pv = fn(*args)
     return pv.value, pv.quad_error, sum(nodes)
 
@@ -350,7 +442,7 @@ def quadrature_grid():
     rng = np.random.default_rng(2024)
     for _ in range(40):
         m = rng.uniform(0.5, 2.0)
-        yield prop.delta_plus_equal_time, (rng.uniform(0.05, 6.4) / m, m)
+        yield oracle.delta_plus_equal_time, (rng.uniform(0.05, 6.4) / m, m)
     for sign in (1.0, -1.0):
         for timelike in (False, True):
             for _ in range(12):
@@ -358,7 +450,7 @@ def quadrature_grid():
                 near = rng.uniform(0.2, 5.0) / m
                 gap = rng.uniform(0.3, 3.0) / m
                 t, r = (near + gap, near) if timelike else (near, near + gap)
-                yield prop.causal_position, (sign * t, r, m,
+                yield oracle.causal_position, (sign * t, r, m,
                                              rng.uniform(-1.5, 2.0))
 
 
@@ -414,7 +506,7 @@ def wynn_sequences():
 def test_incremental_wynn_table_matches_full_rebuild():
     for seq in wynn_sequences():
         for values in (seq, seq.tolist()):
-            table = prop._WynnTable()
+            table = oracle._WynnTable()
             for n, s in enumerate(values, 1):
                 table.push(s)
                 got = table.estimate()
@@ -423,7 +515,7 @@ def test_incremental_wynn_table_matches_full_rebuild():
 
 
 def wynn_estimate(values):
-    table = prop._WynnTable()
+    table = oracle._WynnTable()
     for s in values:
         table.push(s)
     return table.estimate()
