@@ -470,6 +470,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     text = render(header, rows, args.format)
+    try:
+        return _emit(text, argv, args)
+    except OSError as exc:  # an unwritable --out or golden path
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _emit(text: str, argv, args) -> int:
+    """Write or check the golden file, then write the table to --out or
+    stdout; the exit code."""
     if args.golden:
         path = golden_path(argv, args.command)
         if args.golden == "write":

@@ -7,6 +7,7 @@ the energy projectors (+-m + pslash)/2m exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,7 @@ def gamma(mu: int) -> np.ndarray:
 
 
 def minkowski_dot(p, k) -> float:
-    p = np.asarray(p)
-    k = np.asarray(k)
+    """p.k in the metric (+,-,-,-), for tuples, lists and arrays alike."""
     return p[0] * k[0] - p[1] * k[1] - p[2] * k[2] - p[3] * k[3]
 
 
@@ -69,10 +69,11 @@ def onshell_momentum(pvec, m: float) -> np.ndarray:
 
 def _check_onshell(p, m: float):
     dev = abs(mass2(p) - m * m)
-    scale = max(1.0, abs(m * m), float(np.asarray(p)[0]) ** 2)
+    p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
+    scale = max(1.0, abs(m * m), p0 * p0)
     if dev > ONSHELL_RTOL * scale:
         raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
-    if np.asarray(p)[0] <= 0:
+    if p0 <= 0:
         raise OffShellError("p0 must be positive")
 
 
@@ -88,36 +89,34 @@ class DiracSpinor:
         return self.components.conj() @ _GAMMA[0]
 
 
-_CHI = [np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex)]
+def _spinors(p, m: float, kind: str) -> np.ndarray:
+    """Components of both spins of a leg, row r - 1, from one sigma.p:
+    n (chi_r, s chi_r) for u and n (s chi_r, chi_r) for v, with
+    s = sigma.p/(E+m), n = sqrt((E+m)/2m) and chi_r the unit 2-spinors."""
+    p = np.asarray(p, dtype=float)
+    _check_mass(m)
+    _check_onshell(p, m)
+    E = p[0]
+    sigma_p = sum(p[i + 1] * _SIGMA[i] for i in range(3))
+    norm = np.sqrt((E + m) / (2 * m))
+    # row r - 1 is s chi_r, column r - 1 of s; + 0.0 turns a -0.0 into
+    # 0.0, the zero the product s @ chi_r gives
+    lower = (sigma_p / (E + m)).T + 0.0
+    return norm * np.hstack((_ID2, lower) if kind == "u" else (lower, _ID2))
 
 
 def u_spinor(p, r: int, m: float) -> DiracSpinor:
     """Positive-energy on-shell spinor, ubar u = 1."""
-    p = np.asarray(p, dtype=float)
     _check_spin(r)
-    _check_mass(m)
-    _check_onshell(p, m)
-    E = p[0]
-    sigma_p = sum(p[i + 1] * _SIGMA[i] for i in range(3))
-    norm = np.sqrt((E + m) / (2 * m))
-    chi = _CHI[r - 1]
-    comps = norm * np.concatenate([chi, (sigma_p / (E + m)) @ chi])
-    return DiracSpinor(comps, p, r, "u")
+    p = np.asarray(p, dtype=float)
+    return DiracSpinor(_spinors(p, m, "u")[r - 1], p, r, "u")
 
 
 def v_spinor(p, r: int, m: float) -> DiracSpinor:
     """Negative-energy on-shell spinor, vbar v = -1."""
-    p = np.asarray(p, dtype=float)
     _check_spin(r)
-    _check_mass(m)
-    _check_onshell(p, m)
-    E = p[0]
-    sigma_p = sum(p[i + 1] * _SIGMA[i] for i in range(3))
-    norm = np.sqrt((E + m) / (2 * m))
-    chi = _CHI[r - 1]
-    comps = norm * np.concatenate([(sigma_p / (E + m)) @ chi, chi])
-    return DiracSpinor(comps, p, r, "v")
+    p = np.asarray(p, dtype=float)
+    return DiracSpinor(_spinors(p, m, "v")[r - 1], p, r, "v")
 
 
 def charge_conjugate_spinor(s: DiracSpinor) -> DiracSpinor:
@@ -143,12 +142,8 @@ def theta_projector(p, sign: int, m: float) -> np.ndarray:
 
 def spin_sum(p, m: float, kind: str = "u") -> np.ndarray:
     """Sum_r u ubar (or v vbar) assembled from explicit spinors."""
-    build = u_spinor if kind == "u" else v_spinor
-    total = np.zeros((4, 4), dtype=complex)
-    for r in (1, 2):
-        s = build(p, r, m)
-        total += np.outer(s.components, s.bar())
-    return total
+    return sum(np.outer(s, s.conj() @ _GAMMA[0])
+               for s in _spinors(p, m, kind))
 
 
 def polarization_vectors(p, m: float) -> list:
@@ -196,28 +191,39 @@ def transverse_projector(kvec) -> np.ndarray:
 
 
 def subluminal_beta(beta) -> tuple:
-    """(beta as a float array, |beta|^2); SuperluminalError if |beta| >= 1."""
-    beta = np.asarray(beta, dtype=float)
-    b2 = float(beta @ beta)
+    """(beta as a float 3-tuple, |beta|^2); SuperluminalError if |beta| >= 1."""
+    bx, by, bz = map(float, beta)
+    b2 = bx * bx + by * by + bz * bz
     # compare |beta| itself: b2 = 1 - 2^-53 has sqrt 1.0, where arctanh
     # in spinor_boost_matrix would be infinite
-    if np.sqrt(b2) >= 1.0:
-        raise SuperluminalError(f"|beta| = {np.sqrt(b2)} >= 1")
-    return beta, b2
+    if math.sqrt(b2) >= 1.0:
+        raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
+    return (bx, by, bz), b2
+
+
+def boost_rows(beta) -> tuple:
+    """Rows of the Lorentz boost with velocity beta, as float 4-tuples:
+
+        L00 = gamma,  L0i = Li0 = gamma beta_i,
+        Lij = delta_ij + (gamma - 1) beta_i beta_j / beta^2,
+
+    which takes (m, 0) to (gamma m, gamma m beta)."""
+    beta, b2 = subluminal_beta(beta)
+    if b2 == 0.0:
+        return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    bx, by, bz = beta
+    g = 1.0 / math.sqrt(1.0 - b2)
+    k = (g - 1.0) / b2
+    return ((g, g * bx, g * by, g * bz),
+            (g * bx, 1.0 + k * (bx * bx), k * (bx * by), k * (bx * bz)),
+            (g * by, k * (by * bx), 1.0 + k * (by * by), k * (by * bz)),
+            (g * bz, k * (bz * bx), k * (bz * by), 1.0 + k * (bz * bz)))
 
 
 def boost_matrix(beta) -> np.ndarray:
-    """4x4 Lorentz boost with velocity beta; takes (m,0) to (gamma m, gamma m beta)."""
-    beta, b2 = subluminal_beta(beta)
-    if b2 == 0.0:
-        return np.eye(4)
-    g = 1.0 / np.sqrt(1.0 - b2)
-    L = np.eye(4)
-    L[0, 0] = g
-    L[0, 1:] = g * beta
-    L[1:, 0] = g * beta
-    L[1:, 1:] += (g - 1.0) / b2 * np.outer(beta, beta)
-    return L
+    """4x4 Lorentz boost with velocity beta: the rows of boost_rows."""
+    return np.array(boost_rows(beta))
 
 
 def spinor_boost_matrix(beta) -> np.ndarray:
@@ -227,7 +233,7 @@ def spinor_boost_matrix(beta) -> np.ndarray:
         return np.eye(4, dtype=complex)
     b = np.sqrt(b2)
     eta = np.arctanh(b)
-    nhat = beta / b
+    nhat = np.array(beta) / b
     alpha_n = sum(nhat[i] * (_GAMMA[0] @ _GAMMA[i + 1]) for i in range(3))
     # exp(eta/2 alpha_n) in closed form, exact because alpha_n^2 = 1.
     return (np.cosh(0.5 * eta) * np.eye(4, dtype=complex)

@@ -56,11 +56,17 @@ def omega(kvec, m: float) -> float:
 
 
 def _scalar_factor(k0: float, kvec, m: float, q: float) -> tuple:
+    # Python floats: an overflow gives inf and a zero omega an exception,
+    # where numpy scalars would warn before the typed error below
+    k0 = float(k0)
     w = omega(kvec, m)
     k2_m2 = k0 * k0 - w * w
     if abs(k2_m2) <= POLE_GUARD:
         raise PoleError(f"|k^2 - m^2| = {abs(k2_m2)} inside guard band")
-    val = 0.5 * ((1.0 + q) + (1.0 - q) * (k0 / w)) / k2_m2
+    try:
+        val = 0.5 * ((1.0 + q) + (1.0 - q) * (k0 / w)) / k2_m2
+    except ZeroDivisionError:  # omega = 0: the k0/w term is infinite
+        val = math.inf
     if not (math.isfinite(val) and math.isfinite(k2_m2)):
         for x in (k0, *kvec):  # a non-finite input, else an overflow
             finite(x, "component of k")
@@ -143,7 +149,8 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
         raise ZeroMassError("spinor propagator needs m > 0")
     p = np.asarray(p, dtype=float)
     val, dist = _scalar_factor(p[0], p[1:], m, -q)
-    matrix = (m * np.eye(4) + slash(p)) / (2.0 * m) * val
+    with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
+        matrix = (m * np.eye(4) + slash(p)) / (2.0 * m) * val
     return PropagatorValue(_finite_matrix(matrix), dist)
 
 
@@ -156,11 +163,13 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     finite(q, "q")
     k = np.asarray(k, dtype=float)
     val, dist = _scalar_factor(k[0], k[1:], m, q)
-    if m > 0.0:
-        tensor = METRIC - np.outer(k, k) / (m * m)
-    else:
-        tensor = METRIC
-    return PropagatorValue(_finite_matrix(tensor.astype(complex) * val), dist)
+    with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
+        if m > 0.0:
+            tensor = METRIC - np.outer(k, k) / (m * m)
+        else:
+            tensor = METRIC
+        matrix = tensor.astype(complex) * val
+    return PropagatorValue(_finite_matrix(matrix), dist)
 
 
 
@@ -218,11 +227,10 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     if m == 0.0:
         value = 1.0 / den
         return value, 4.0 * _EPS * abs(value) + _UNDERFLOW
-    # the hyperboloid, and so W, depends on m only through m^2
     if zeta2 > 0.0:
-        z, log, exp = abs(m) * math.sqrt(zeta2), math.log, math.exp
+        z, log, exp = m * math.sqrt(zeta2), math.log, math.exp
     else:
-        z, log, exp = 1j * abs(m) * math.sqrt(-zeta2), cmath.log, cmath.exp
+        z, log, exp = 1j * m * math.sqrt(-zeta2), cmath.log, cmath.exp
     fine, coarse = np.dot(_DE_WEIGHTS, np.sqrt(_DE_NODES + 2.0 * z)).tolist()
     # e^{-z} S / den as one exponential: no intermediate under- or overflow
     lead = log(fine / den) - z
@@ -287,6 +295,8 @@ def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
         raise ValueError("need t != 0 (use delta_plus_equal_time)")
     if r <= 0.0:
         raise ValueError("light-cone/axis evaluation unsupported (need r > 0)")
+    if m < 0.0:
+        raise ValueError("need m >= 0")
     if abs(r - abs(t)) < 1e-12:
         raise ConvergenceError("evaluation on the light cone r = |t|")
     value, err = _wightman(t, r, m)

@@ -13,20 +13,25 @@ written as half-sums so q = -+1 needs no special-casing.  Energies and
 3-momenta are taken in the current working frame, which is exactly what
 makes the factors frame dependent for q != 1.
 
-The Moller amplitudes of all 16 spin assignments come from one tensor:
-the spinors of both spins of each leg give the four currents
+Kinematics, boosts and correction factors are Python-float arithmetic on
+four-vectors held as 4-tuples.  The spin-summed Moller |M|^2 is the Dirac
+trace closed form in the six dot products of the legs; the amplitudes of
+the 16 spin assignments, which the CLI prints one at a time, come from
+one tensor: the spinors of both spins of each leg give the four currents
 J[mu, s_out, s_in], which the metric contracts in pairs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import (METRIC, ONSHELL_RTOL, _check_spin, boost_matrix, gamma,
-                    mass2, subluminal_beta, u_spinor)
+from .dirac import (METRIC, ONSHELL_RTOL, _check_mass, _check_onshell,
+                    _check_spin, _spinors, boost_rows, gamma, mass2,
+                    minkowski_dot)
 from .errors import (DegenerateTransferError, NonFiniteInputError,
-                     NumericOverflowError, OffShellError)
+                     NumericOverflowError, OffShellError, finite)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -39,51 +44,64 @@ _METRIC_DIAG = np.diag(METRIC)
 
 @dataclass
 class Boost:
-    beta: np.ndarray
+    """A Lorentz boost with velocity ``beta`` (a float 3-tuple once built);
+    ``rows`` holds its 4x4 matrix as float 4-tuples (dirac.boost_rows)."""
+
+    beta: tuple
 
     def __post_init__(self):
-        self.beta, _ = subluminal_beta(self.beta)
+        self.rows = boost_rows(self.beta)
+        self.beta = tuple(map(float, self.beta))
 
     @property
     def gamma_factor(self) -> float:
-        return 1.0 / np.sqrt(1.0 - float(self.beta @ self.beta))
+        return self.rows[0][0]
+
+    def apply(self, p) -> tuple:
+        """The boosted four-vector, as a float 4-tuple."""
+        p0, p1, p2, p3 = p
+        return tuple([r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3
+                      for r0, r1, r2, r3 in self.rows])
 
 
 def boost(p, b: Boost) -> np.ndarray:
     """Boost a four-vector; preserves the invariant mass."""
-    return boost_matrix(b.beta) @ np.asarray(p, dtype=float)
+    return np.array(b.apply(p), dtype=float)
 
 
-@dataclass
 class ProcessKinematics:
-    """2 -> 2 kinematics with per-leg masses, validated on construction."""
+    """2 -> 2 kinematics with per-leg masses, validated on construction.
 
-    incoming: tuple
-    outgoing: tuple
-    masses: tuple  # (mA, mB, mC, mD)
+    ``legs`` holds the four-momenta A, B (in) and C, D (out) once, as float
+    4-tuples; ``incoming`` and ``outgoing`` give them as numpy arrays.
+    """
 
-    def __post_init__(self):
-        self.incoming = tuple(np.asarray(p, dtype=float) for p in self.incoming)
-        self.outgoing = tuple(np.asarray(p, dtype=float) for p in self.outgoing)
-        legs = self.incoming + self.outgoing
-        for p, m in zip(legs, self.masses):
-            scale = max(1.0, p[0] ** 2)
+    def __init__(self, incoming, outgoing, masses):
+        self.legs = tuple(tuple(map(float, p)) for p in (*incoming, *outgoing))
+        self.masses = tuple(masses)
+        for p, m in zip(self.legs, self.masses):
+            scale = max(1.0, p[0] * p[0])
             # written so that a nan or infinite leg fails the test too
             if not abs(mass2(p) - m * m) <= ONSHELL_RTOL * scale:
-                if not np.isfinite(p).all():
+                if not all(map(math.isfinite, p)):
                     raise NonFiniteInputError(f"leg {p} must be finite")
                 raise OffShellError(f"leg {p} not on shell for m={m}")
-        total = sum(self.incoming) - sum(self.outgoing)
-        if np.max(np.abs(total)) > ONSHELL_RTOL * max(1.0, legs[0][0]):
+        a, b, c, d = self.legs
+        total = [(ai + bi) - (ci + di) for ai, bi, ci, di in zip(a, b, c, d)]
+        if max(map(abs, total)) > ONSHELL_RTOL * max(1.0, a[0]):
             raise OffShellError(f"4-momentum not conserved: {total}")
 
+    @property
+    def incoming(self) -> tuple:
+        return tuple(np.array(p) for p in self.legs[:2])
+
+    @property
+    def outgoing(self) -> tuple:
+        return tuple(np.array(p) for p in self.legs[2:])
+
     def boosted(self, b: Boost) -> "ProcessKinematics":
-        # one boost matrix for all legs; einsum keeps each leg's sum
-        # order equal to boost()'s matrix-vector product
-        legs = np.einsum("ij,kj->ki", boost_matrix(b.beta),
-                         np.array(self.incoming + self.outgoing))
-        return ProcessKinematics(tuple(legs[:2]), tuple(legs[2:]),
-                                 self.masses)
+        legs = [b.apply(p) for p in self.legs]
+        return ProcessKinematics(legs[:2], legs[2:], self.masses)
 
 
 def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
@@ -93,42 +111,41 @@ def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
     if energy <= m:
         raise ValueError("need E > m")
     try:
-        pmag = np.sqrt(energy ** 2 - m ** 2)
+        pmag = math.sqrt(energy ** 2 - m ** 2)
     except OverflowError:
         raise NumericOverflowError(f"E^2 overflows at E={energy}") from None
-    nhat = np.array([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi), np.cos(theta)])
-    return pmag, nhat
+    # math.sin of an infinite angle raises ValueError; make it typed
+    st = math.sin(finite(theta, "theta"))
+    return pmag, (st * math.cos(finite(phi, "phi")), st * math.sin(phi),
+                  math.cos(theta))
 
 
 def cm_elastic_kinematics(energy: float, theta: float, m: float,
                           phi: float = 0.0) -> ProcessKinematics:
     """Equal-mass elastic scattering in the CM frame along z, scatter by theta."""
-    pmag, nhat = _cm_frame(energy, theta, m, phi)
-    pA = np.array([energy, 0.0, 0.0, pmag])
-    pB = np.array([energy, 0.0, 0.0, -pmag])
-    pC = np.array([energy, *(pmag * nhat)])
-    pD = np.array([energy, *(-pmag * nhat)])
+    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m, phi)
+    pA = (energy, 0.0, 0.0, pmag)
+    pB = (energy, 0.0, 0.0, -pmag)
+    pC = (energy, pmag * nx, pmag * ny, pmag * nz)
+    pD = (energy, -pmag * nx, -pmag * ny, -pmag * nz)
     return ProcessKinematics((pA, pB), (pC, pD), (m, m, m, m))
 
 
 def cm_annihilation_kinematics(energy: float, theta: float, m: float,
                                phi: float = 0.0) -> ProcessKinematics:
     """e+ e- -> gamma gamma in the CM frame: massive in, massless out."""
-    pmag, nhat = _cm_frame(energy, theta, m, phi)
-    pplus = np.array([energy, 0.0, 0.0, pmag])
-    pminus = np.array([energy, 0.0, 0.0, -pmag])
-    k1 = np.array([energy, *(energy * nhat)])
-    k2 = np.array([energy, *(-energy * nhat)])
+    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m, phi)
+    pplus = (energy, 0.0, 0.0, pmag)
+    pminus = (energy, 0.0, 0.0, -pmag)
+    k1 = (energy, energy * nx, energy * ny, energy * nz)
+    k2 = (energy, -energy * nx, -energy * ny, -energy * nz)
     return ProcessKinematics((pplus, pminus), (k1, k2), (m, m, 0.0, 0.0))
 
 
 def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
                       q: float, flavor: str) -> float:
     """q-dependent multiplicative factor on an internal line (see module doc)."""
-    pvec_in = np.asarray(pvec_in, dtype=float)
-    pvec_out = np.asarray(pvec_out, dtype=float)
-    dp = float(np.linalg.norm(pvec_in - pvec_out))
+    dp = math.hypot(*(a - b for a, b in zip(pvec_in, pvec_out)))
     if dp <= TRANSFER_GUARD:
         raise DegenerateTransferError("vanishing 3-momentum transfer")
     ratio = (E_in - E_out) / dp
@@ -141,10 +158,21 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
 
 def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
     """Photon-line factors (F_CA, F_DA) of the direct and exchange diagrams."""
-    pA = kin.incoming[0]
-    pC, pD = kin.outgoing
+    pA, _, pC, pD = kin.legs
     return (correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, PHOTON_LINE),
             correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, PHOTON_LINE))
+
+
+def _moller_transfers(kin: ProcessKinematics,
+                      strict_paper_mode: bool) -> tuple:
+    """(t, u) = ((C - A)^2, (D - A)^2), or (B - A)^2 for u in strict paper
+    mode; DegenerateTransferError where either is within TRANSFER_GUARD."""
+    pA, pB, pC, pD = kin.legs
+    t = mass2([c - a for c, a in zip(pC, pA)])
+    u = mass2([x - a for x, a in zip(pB if strict_paper_mode else pD, pA)])
+    if abs(t) <= TRANSFER_GUARD or abs(u) <= TRANSFER_GUARD:
+        raise DegenerateTransferError("vanishing squared 4-momentum transfer")
+    return t, u
 
 
 def _current_tensor(out: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -161,24 +189,17 @@ def moller_amplitudes(kin: ProcessKinematics, q: float,
     switches the exchange denominator to the literal (P_B - P_A)^2
     reading instead of (P_D - P_A)^2.
     """
-    pA, pB = kin.incoming
-    pC, pD = kin.outgoing
     m = kin.masses[0]
-    uA, uB, uC, uD = (np.array([u_spinor(p, r, m).components for r in (1, 2)])
-                      for p in (pA, pB, pC, pD))
-
-    t_direct = mass2(pC - pA)
-    t_exchange = mass2(pB - pA) if strict_paper_mode else mass2(pD - pA)
-    if abs(t_direct) <= TRANSFER_GUARD or abs(t_exchange) <= TRANSFER_GUARD:
-        raise DegenerateTransferError("vanishing squared 4-momentum transfer")
-
+    with np.errstate(all="ignore"):  # an overflow raises below
+        uA, uB, uC, uD = (_spinors(p, m, "u") for p in kin.legs)
+    t_direct, t_exchange = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = photon_correction_pair(kin, q)
-
-    direct = np.einsum("m,mca,mdb->abcd", _METRIC_DIAG,
-                       _current_tensor(uC, uA), _current_tensor(uD, uB))
-    exchange = np.einsum("m,mda,mcb->abcd", _METRIC_DIAG,
-                         _current_tensor(uD, uA), _current_tensor(uC, uB))
-    amps = q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
+    with np.errstate(all="ignore"):
+        direct = np.einsum("m,mca,mdb->abcd", _METRIC_DIAG,
+                           _current_tensor(uC, uA), _current_tensor(uD, uB))
+        exchange = np.einsum("m,mda,mcb->abcd", _METRIC_DIAG,
+                             _current_tensor(uD, uA), _current_tensor(uC, uB))
+        amps = q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
     if not np.isfinite(amps).all():
         raise NumericOverflowError(f"Moller amplitudes overflow at m={m}")
     return amps
@@ -196,9 +217,58 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
 
 def moller_spin_summed(kin: ProcessKinematics, q: float,
                        strict_paper_mode: bool = False) -> float:
-    """Sum of |M|^2 over the 16 spin assignments (no phase space)."""
-    amps = moller_amplitudes(kin, q, strict_paper_mode)
-    return float(np.sum(np.abs(amps) ** 2))
+    """Sum of |M|^2 over the 16 spin assignments (no phase space).
+
+    With ubar u = 1 each spin sum is (pslash + m)/2m, and the Dirac
+    traces give, in the dot products ab, ..., cd of the legs A, B, C, D,
+
+        direct   = 32 [cd ab + bc ad - m^2 ac - m^2 bd + 2 m^4]
+        exchange = 32 [cd ab + bd ac - m^2 ad - m^2 bc + 2 m^4]
+        cross    = -32 ab cd + 16 m^2 (ab + ac + ad + bc + bd + cd) - 32 m^4
+        sum      = q^2 [c1^2 direct + c2^2 exchange - 2 c1 c2 cross] / (16 m^4)
+
+    with c1 = F_CA/t and c2 = F_DA/u (see moller_amplitudes).  The dot
+    products are taken in units of the largest of ab, |t| and |u|, so no
+    product of them overflows where the sum itself is finite.
+
+    Tolerance: relative 1e-13 kappa against the sum of |M|^2 over
+    moller_amplitudes, with kappa = (E_max/m)^2 (m^2/|t| + m^2/|u|) and
+    E_max the largest leg energy in the working frame; kappa is the
+    condition number of the sum in the rounded legs (the float legs are on
+    shell and conserve momentum only to the rounding of E_max^2).  Traces
+    of the projectors multiplied out numerically round on a larger scale,
+    and agree within 1e-13 kappa (E_max/m)^2.
+
+    Raises what moller_amplitudes raises, in the same order: ZeroMassError,
+    OffShellError, DegenerateTransferError, then NumericOverflowError where
+    the sum leaves the float range.  It forms no spinor, whose components
+    grow as sqrt(E/m), so it stays finite at some E/m where the amplitude
+    tensor overflows.
+    """
+    m = kin.masses[0]
+    _check_mass(m)
+    for p in kin.legs:
+        _check_onshell(p, m)
+    t, u = _moller_transfers(kin, strict_paper_mode)
+    F_CA, F_DA = photon_correction_pair(kin, q)
+    a, b, c, d = kin.legs
+    scale = max(minkowski_dot(a, b), abs(t), abs(u))  # >= |t| > 0
+    if not math.isfinite(scale):
+        raise NumericOverflowError(f"Moller dot products overflow at m={m}")
+    ab, ac, ad, bc, bd, cd = (minkowski_dot(x, y) / scale for x, y in (
+        (a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
+    mm = m * m / scale
+    # direct/32, exchange/32 and cross/16 over scale^2
+    direct = cd * ab + bc * ad - mm * (ac + bd) + 2.0 * mm * mm
+    exchange = cd * ab + bd * ac - mm * (ad + bc) + 2.0 * mm * mm
+    cross = -2.0 * ab * cd + mm * (ab + ac + ad + bc + bd + cd) - 2.0 * mm * mm
+    qm = q / m / m  # not q^2 / m^4: m^4 underflows below m = 1e-77
+    c1 = qm * F_CA / (t / scale)
+    c2 = qm * F_DA / (u / scale)
+    total = 2.0 * (c1 * c1 * direct + c2 * c2 * exchange - c1 * c2 * cross)
+    if not math.isfinite(total):
+        raise NumericOverflowError(f"Moller spin sum overflows at m={m}")
+    return total
 
 
 def annihilation_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
@@ -206,8 +276,7 @@ def annihilation_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
 
     In the CM frame both reduce to (1-q)/2 for any q.
     """
-    pplus = kin.incoming[0]
-    k1, k2 = kin.outgoing
+    pplus, _, k1, k2 = kin.legs
     f1 = correction_factor(pplus[0], k1[0], pplus[1:], k1[1:], q, ELECTRON_LINE)
     f2 = correction_factor(pplus[0], k2[0], pplus[1:], k2[1:], q, ELECTRON_LINE)
     return f1, f2
@@ -224,5 +293,4 @@ def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
              ELECTRON_LINE: annihilation_correction_pair}
     if flavor not in pairs:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return [(np.asarray(b.beta, dtype=float), *pairs[flavor](kin.boosted(b), q))
-            for b in boosts]
+    return [(b.beta, *pairs[flavor](kin.boosted(b), q)) for b in boosts]

@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +153,28 @@ def test_golden_check_mismatch_exits_1(tmp_path):
     res = run("--golden", "check", "qnum", "--q", "2", "--n", "3", env=env)
     assert res.returncode == 1
     assert "differs" in res.stderr
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exits_1_with_one_line(tmp_path, where):
+    target = tmp_path / "missing" / "x.csv" if where != "directory" \
+        else tmp_path
+    res = run("--out", str(target), "qnum", "--q", "2", "--n", "3")
+    assert res.returncode == 1 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(
+        "error: FileNotFoundError:" if where != "directory"
+        else "error: IsADirectoryError:")
+
+
+def test_unwritable_golden_dir_exits_1_with_one_line(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = run("--golden", "write", "qnum", "--q", "2", "--n", "3",
+              env={"QFIELD_GOLDEN_DIR": str(blocker)})
+    assert res.returncode == 1 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: NotADirectoryError:")
 
 
 def test_golden_mismatch_names_first_cell(tmp_path, monkeypatch, capsys):
@@ -415,10 +439,21 @@ _GRAMMAR = {
 }
 
 
+# global options; TMP stands for a fresh directory per example, so --out
+# names a file there, a file in a missing directory, or the directory itself
+_GLOBAL = {"format": st.sampled_from(["csv", "json", "xml"]),
+           "out": st.sampled_from(["TMP/x.csv", "TMP/missing/x.csv", "TMP"]),
+           "golden": st.sampled_from(["write", "check"])}
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_GRAMMAR)))
-    argv = draw(st.sampled_from([[], ["--format", "json"]])) + list(command)
+    argv = []
+    for name, values in _GLOBAL.items():
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(values)}")
+    argv += command
     for name, values in _GRAMMAR[command].items():
         if draw(st.booleans()):
             value = draw(values)
@@ -437,21 +472,33 @@ def _nonfinite_number_in(argv) -> bool:
     return False
 
 
-# derandomized, so the suite sees the same 150 argv on every run
+# derandomized, so the suite sees the same 150 argv on every run; a
+# warning is an error here, since it would reach stderr ahead of the error
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_argv())
 def test_main_fuzz_exits_cleanly(argv):
     from qfield.cli import main
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("TMP", tmp) for a in argv]
+        env = {"QFIELD_GOLDEN_DIR": os.path.join(tmp, "golden")}
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, env), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        written = os.path.join(tmp, "x.csv")
+        if os.path.isfile(written):
+            with open(written) as fh:
+                out.write(fh.read())
     assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert err.getvalue() == "", argv
     if code == 1:
-        assert err.getvalue().startswith("error: "), argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
     if not _nonfinite_number_in(argv):
         assert not re.search(r"\b(nan|inf)\b", out.getvalue()), argv

@@ -251,6 +251,11 @@ def test_causal_position_invalid_args():
         prop.causal_position(1.0, 0.0, 1.0, 0.5)
     with pytest.raises(ConvergenceError):
         prop.causal_position(1.0, 1.0, 1.0, 0.5)  # light cone r = |t|
+    # m < 0 is rejected as delta_plus_equal_time rejects it
+    with pytest.raises(ValueError, match="need m >= 0"):
+        prop.causal_position(1.0, 2.0, -1.0, 0.5)
+    with pytest.raises(ValueError, match="need m >= 0"):
+        prop.delta_plus_equal_time(2.0, -1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qfield import dirac, scattering as sc
-from qfield.errors import (DegenerateTransferError, OffShellError,
-                           SuperluminalError)
+from qfield.errors import (DegenerateTransferError, NumericOverflowError,
+                           OffShellError, QFieldError, SuperluminalError,
+                           ZeroMassError)
 
 M = 1.0
 
@@ -333,3 +334,103 @@ def test_superluminal_check_shared():
         for build in (sc.Boost, dirac.boost_matrix, dirac.spinor_boost_matrix):
             with pytest.raises(SuperluminalError):
                 build(beta)
+
+
+# ------------------------------------------- the closed form, whole domain
+
+def condition_number(kin, strict_paper_mode):
+    """kappa of moller_spin_summed's docstring: (E_max/m)^2 (m^2/|t| + m^2/|u|)."""
+    pA, pB = kin.incoming
+    pC, pD = kin.outgoing
+    m = kin.masses[0]
+    t = dirac.mass2(pC - pA)
+    u = dirac.mass2((pB if strict_paper_mode else pD) - pA)
+    emax = max(p[0] for p in kin.legs)
+    return (emax / m) ** 2 * (m * m / abs(t) + m * m / abs(u)), emax / m
+
+
+def unit(v):
+    return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+
+def test_moller_spin_summed_log_grid():
+    """E/m - 1 in [1e-3, 1e3], m in [1e-2, 1e2], |beta| up to 1 - 1e-6 and
+    theta down to where TRANSFER_GUARD trips; q at the fermionic, trivial
+    and bosonic points, inside and outside [-1, 1]; both modes."""
+    direction = unit([0.3, -0.5, 0.8])
+    evaluated = tripped = 0
+    for x, m, speed, theta in product(np.logspace(-3, 3, 4), (1e-2, 1.0, 1e2),
+                                      (0.0, 0.9, 1 - 1e-6), (2.5, 1e-2, 1e-7)):
+        kin = sc.cm_elastic_kinematics(m * (1 + x), theta, m, 0.7)
+        if speed:
+            kin = kin.boosted(sc.Boost(speed * direction))
+        for q, strict in product((-1.0, 0.0, 1.0, 0.37, 2.5, -3.0),
+                                 (False, True)):
+            try:
+                amps = sc.moller_amplitudes(kin, q, strict)
+            except DegenerateTransferError:
+                with pytest.raises(DegenerateTransferError):
+                    sc.moller_spin_summed(kin, q, strict)
+                tripped += 1
+                continue
+            got = sc.moller_spin_summed(kin, q, strict)
+            kappa, emax_m = condition_number(kin, strict)
+            want = float(np.sum(np.abs(amps) ** 2))
+            assert abs(got - want) <= 1e-13 * kappa * want
+            traced = trace_spin_sum(kin, q, strict)
+            assert abs(got - traced) <= 1e-13 * kappa * emax_m ** 2 * want
+            evaluated += 1
+    assert evaluated > 1000 and tripped > 50
+
+
+def test_frame_scan_rows_near_light_speed():
+    elastic = sc.cm_elastic_kinematics(3.0, 0.4, M)
+    annihilation = sc.cm_annihilation_kinematics(3.0, 0.4, M)
+    boosts = [sc.Boost(s * unit(v)) for s in (0.5, 0.999, 1 - 1e-6)
+              for v in ([0, 0, 1], [1, 0, 0], [-0.3, 0.6, -0.7])]
+    for kin, flavor, pair in (
+            (elastic, sc.PHOTON_LINE, sc.photon_correction_pair),
+            (annihilation, sc.ELECTRON_LINE, sc.annihilation_correction_pair)):
+        for q in (-1.0, 0.5, 2.5):
+            rows = sc.frame_scan(kin, q, boosts, flavor)
+            for b, (beta, f1, f2) in zip(boosts, rows):
+                assert beta == b.beta
+                assert (f1, f2) == pair(kin.boosted(b), q)
+
+
+def test_moller_spin_summed_error_parity():
+    """At degenerate and extreme inputs the closed form raises what the
+    amplitude tensor raises, and nothing untyped; where the tensor's
+    spinors overflow it may instead return a finite sum."""
+    seen = set()
+    for m, energy, theta, q, beta in product(
+            (0.0, 1e-200, 1e-100, 1e-30, 1.0, 1e100),
+            (1.5, 1e30, 1e100, 1e150, 1e200), (0.0, 1.0), (0.5, -3.0),
+            (None, [0.0, 0.0, 0.9])):
+        try:
+            kin = sc.cm_elastic_kinematics(max(energy, 1.5 * m), theta, m)
+            if beta:
+                kin = kin.boosted(sc.Boost(beta))
+        except QFieldError as exc:
+            seen.add(("kinematics", type(exc)))
+            continue
+        try:
+            amps = sc.moller_amplitudes(kin, q)
+            with np.errstate(over="ignore"):
+                total = float(np.sum(np.abs(amps) ** 2))
+            want = None if np.isfinite(total) else NumericOverflowError
+        except QFieldError as exc:
+            want = type(exc)
+        try:
+            got = sc.moller_spin_summed(kin, q)
+            assert want in (None, NumericOverflowError) and np.isfinite(got)
+            if want is None:
+                kappa, _ = condition_number(kin, False)
+                assert abs(got - total) <= 1e-13 * kappa * total
+        except QFieldError as exc:
+            assert type(exc) is want
+        seen.add(("moller", want))
+    assert seen >= {("kinematics", NumericOverflowError),
+                    ("moller", ZeroMassError),
+                    ("moller", DegenerateTransferError),
+                    ("moller", NumericOverflowError), ("moller", None)}
