@@ -4,14 +4,19 @@ Modules:
     qcore       basic q-numbers and deformed occupancy statistics
     fock        truncated q-Fock space, ladder operators, brute-force VEVs
     wick        q-Wick normal ordering and pairing expansion + oracle harness
-    dirac       Minkowski kinematics, gamma matrices, spinors, projectors
+    lorentz     float four-vectors: Minkowski products, checks, boost rows
+    dirac       gamma matrices, spinors, projectors, boost matrices
     propagator  q-causal propagators in momentum and position space
     scattering  Moller / annihilation correction factors and frame scans
     cli         command-line front end (CSV output, golden files)
 
-The first three need no numpy and load with the package.  ``dirac``,
-``propagator`` and ``scattering`` need numpy; each loads, with numpy, on
-first access to it or to a name re-exported from it (PEP 562).
+The first three load with the package.  ``lorentz``, ``dirac``,
+``propagator`` and ``scattering`` each load on first access to it or to a
+name re-exported from it (PEP 562).  Only ``dirac`` imports numpy at module level;
+``propagator`` and ``scattering`` import it where they first build a
+matrix or a position-space sum, so the scalar propagator, the residues,
+the kinematics, correction factors, frame scans and the Moller spin sum
+run without it.
 """
 from importlib import import_module as _import_module
 
@@ -20,7 +25,7 @@ from .qcore import basic_number, q_occupancy
 from .fock import a, a_dag, b, b_dag, vev, StateVector
 from .wick import normal_order, wick_expand, wick_vev, verify_wick, q_time_order
 
-_LAZY_LAYERS = ("dirac", "propagator", "scattering")
+_LAZY_LAYERS = ("lorentz", "dirac", "propagator", "scattering")
 _LAZY_NAMES = dict.fromkeys(
     ("scalar_propagator_momentum", "spinor_propagator_momentum",
      "photon_propagator_momentum", "pole_residues", "delta_plus_equal_time",

@@ -5,9 +5,12 @@ significant digits, complex values as re/im column pairs) so runs are
 byte-reproducible and suitable for golden-file testing.  Exit codes:
 0 success, 1 computation error (typed error on stderr), 2 usage error.
 
-Only the numpy-free layers (qcore, fock, wick) load with the CLI; numpy
-and the dirac, propagator and scattering layers are imported by the
-commands that use them, so a q-algebra command never loads numpy.
+Only the q-algebra layers (qcore, fock, wick) load with the CLI; the
+propagator and scattering layers are imported by the commands that use
+them, and numpy only where a matrix or a position-space sum is built
+(`dirac check`, `propagator spinor|photon|position|spacelike`,
+`scatter moller`).  The q-algebra commands, `propagator scalar|residues`
+and `scatter annihilate|frame-scan` never load numpy.
 """
 from __future__ import annotations
 
@@ -56,20 +59,35 @@ def check_finite_options(args):
             finite(value, "--" + name.replace("_", "-"))
 
 
-def parse_vec3(text: str):
-    import numpy as np
-    parts = [finite(float(p), f"component of {text!r}")
-             for p in text.split(",")]
+def parse_vec3(text: str) -> tuple:
+    parts = tuple(finite(float(p), f"component of {text!r}")
+                  for p in text.split(","))
     if len(parts) != 3:
         raise ValueError(f"need 3 components, got {text!r}")
-    return np.array(parts)
+    return parts
 
 
-def parse_grid(text: str):
-    import numpy as np
+def parse_grid(text: str) -> list:
+    """lo:hi:n as the floats of numpy.linspace(lo, hi, n), bit for bit:
+    lo + i*step with the last point set to hi, where step = (hi - lo)/(n - 1)
+    underflows to 0 (i/(n - 1))*(hi - lo) + lo, and 0*(hi - lo) + lo at
+    n = 1."""
     lo, hi, n = text.split(":")
-    return np.linspace(finite(float(lo), f"grid start in {text!r}"),
-                       finite(float(hi), f"grid end in {text!r}"), int(n))
+    lo = finite(float(lo), f"grid start in {text!r}")
+    hi = finite(float(hi), f"grid end in {text!r}")
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    delta, div = hi - lo, n - 1
+    if div <= 0:
+        return [0.0 * delta + lo] * n
+    step = delta / div
+    if step == 0.0:  # a subnormal step, as numpy.linspace handles it
+        grid = [i / div * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
 
 # ---------------------------------------------------------------- commands
@@ -175,7 +193,6 @@ def cmd_dirac_check(args):
 
 
 def _propagator_rows(args, kind: str):
-    import numpy as np
     from . import propagator
     kvec = parse_vec3(args.kvec)
     k0_values = parse_grid(args.k0_grid) if getattr(args, "k0_grid", None) \
@@ -187,7 +204,7 @@ def _propagator_rows(args, kind: str):
         header += ["component", "value_re", "value_im", "onshell_distance"]
     rows = []
     for k0 in k0_values:
-        k = np.array([k0, *kvec])
+        k = (k0, *kvec)
         if kind == "scalar":
             pv = propagator.scalar_propagator_momentum(k, args.m, args.q)
             rows.append([fmt(args.q), fmt(args.m), fmt(k0), *map(fmt, kvec),

@@ -1,9 +1,11 @@
-"""Minkowski kinematics and 4x4 Dirac algebra.
+"""4x4 Dirac algebra: gamma matrices, spinors, projectors and boosts.
 
 Metric signature (+,-,-,-), natural units.  Gamma matrices in the Dirac
 representation, so rest-frame projectors come out diagonal.  Spinors are
 normalized to ubar u = 1 / vbar v = -1, which makes the spin sums equal
-the energy projectors (+-m + pslash)/2m exactly.
+the energy projectors (+-m + pslash)/2m exactly.  The float four-vector
+helpers (minkowski_dot, mass2, boost_rows and the on-shell, mass and spin
+checks) are defined in ``lorentz`` and re-exported here.
 """
 from __future__ import annotations
 
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (OffShellError, SuperluminalError, ZeroMassError,
-                     ZeroVectorError)
+from .errors import NumericOverflowError, ZeroVectorError
+from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell,  # noqa: F401
+                      _check_spin, boost_rows, mass2, minkowski_dot,
+                      subluminal_beta)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -34,23 +38,12 @@ for _i in range(3):
 # Charge conjugation matrix, C = i gamma^2 gamma^0.
 C_MATRIX = 1j * _GAMMA[2] @ _GAMMA[0]
 
-ONSHELL_RTOL = 1e-10
-
 
 def gamma(mu: int) -> np.ndarray:
     """Dirac-representation gamma matrix, mu in 0..3."""
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"mu must be 0..3, got {mu}")
     return _GAMMA[mu].copy()
-
-
-def minkowski_dot(p, k) -> float:
-    """p.k in the metric (+,-,-,-), for tuples, lists and arrays alike."""
-    return p[0] * k[0] - p[1] * k[1] - p[2] * k[2] - p[3] * k[3]
-
-
-def mass2(p) -> float:
-    return minkowski_dot(p, p)
 
 
 def slash(p) -> np.ndarray:
@@ -65,16 +58,6 @@ def onshell_momentum(pvec, m: float) -> np.ndarray:
     pvec = np.asarray(pvec, dtype=float)
     p0 = np.sqrt(float(pvec @ pvec) + m * m)
     return np.array([p0, *pvec])
-
-
-def _check_onshell(p, m: float):
-    dev = abs(mass2(p) - m * m)
-    p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
-    scale = max(1.0, abs(m * m), p0 * p0)
-    if dev > ONSHELL_RTOL * scale:
-        raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
-    if p0 <= 0:
-        raise OffShellError("p0 must be positive")
 
 
 @dataclass
@@ -92,17 +75,28 @@ class DiracSpinor:
 def _spinors(p, m: float, kind: str) -> np.ndarray:
     """Components of both spins of a leg, row r - 1, from one sigma.p:
     n (chi_r, s chi_r) for u and n (s chi_r, chi_r) for v, with
-    s = sigma.p/(E+m), n = sqrt((E+m)/2m) and chi_r the unit 2-spinors."""
+    s = sigma.p/(E+m), n = sqrt((E+m)/2m) and chi_r the unit 2-spinors.
+    NumericOverflowError where (E+m)/2m or a component is not finite (at a
+    tiny m, m^2 underflows and the on-shell check cannot see it)."""
     p = np.asarray(p, dtype=float)
+    # Python floats: an overflow gives inf, where numpy scalars would warn
+    m = float(m)
     _check_mass(m)
-    _check_onshell(p, m)
-    E = p[0]
+    leg = p.tolist()
+    _check_onshell(leg, m)
+    E = leg[0]
+    ratio = (E + m) / (2 * m)
+    if not math.isfinite(ratio):
+        raise NumericOverflowError(f"spinor norm overflows at E={E}, m={m}")
     sigma_p = sum(p[i + 1] * _SIGMA[i] for i in range(3))
-    norm = np.sqrt((E + m) / (2 * m))
     # row r - 1 is s chi_r, column r - 1 of s; + 0.0 turns a -0.0 into
     # 0.0, the zero the product s @ chi_r gives
     lower = (sigma_p / (E + m)).T + 0.0
-    return norm * np.hstack((_ID2, lower) if kind == "u" else (lower, _ID2))
+    rows = math.sqrt(ratio) * np.hstack(
+        (_ID2, lower) if kind == "u" else (lower, _ID2))
+    if not np.isfinite(rows).all():
+        raise NumericOverflowError(f"spinor components of {p} not finite")
+    return rows
 
 
 def u_spinor(p, r: int, m: float) -> DiracSpinor:
@@ -190,37 +184,6 @@ def transverse_projector(kvec) -> np.ndarray:
     return np.eye(3) - np.outer(kvec, kvec) / k2
 
 
-def subluminal_beta(beta) -> tuple:
-    """(beta as a float 3-tuple, |beta|^2); SuperluminalError if |beta| >= 1."""
-    bx, by, bz = map(float, beta)
-    b2 = bx * bx + by * by + bz * bz
-    # compare |beta| itself: b2 = 1 - 2^-53 has sqrt 1.0, where arctanh
-    # in spinor_boost_matrix would be infinite
-    if math.sqrt(b2) >= 1.0:
-        raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
-    return (bx, by, bz), b2
-
-
-def boost_rows(beta) -> tuple:
-    """Rows of the Lorentz boost with velocity beta, as float 4-tuples:
-
-        L00 = gamma,  L0i = Li0 = gamma beta_i,
-        Lij = delta_ij + (gamma - 1) beta_i beta_j / beta^2,
-
-    which takes (m, 0) to (gamma m, gamma m beta)."""
-    beta, b2 = subluminal_beta(beta)
-    if b2 == 0.0:
-        return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    bx, by, bz = beta
-    g = 1.0 / math.sqrt(1.0 - b2)
-    k = (g - 1.0) / b2
-    return ((g, g * bx, g * by, g * bz),
-            (g * bx, 1.0 + k * (bx * bx), k * (bx * by), k * (bx * bz)),
-            (g * by, k * (by * bx), 1.0 + k * (by * by), k * (by * bz)),
-            (g * bz, k * (bz * bx), k * (bz * by), 1.0 + k * (bz * bz)))
-
-
 def boost_matrix(beta) -> np.ndarray:
     """4x4 Lorentz boost with velocity beta: the rows of boost_rows."""
     return np.array(boost_rows(beta))
@@ -239,12 +202,3 @@ def spinor_boost_matrix(beta) -> np.ndarray:
     return (np.cosh(0.5 * eta) * np.eye(4, dtype=complex)
             + np.sinh(0.5 * eta) * alpha_n)
 
-
-def _check_spin(r: int):
-    if r not in (1, 2):
-        raise ValueError(f"spin index must be 1 or 2, got {r}")
-
-
-def _check_mass(m: float):
-    if m <= 0.0:
-        raise ZeroMassError(f"need m > 0, got {m}")

@@ -1,0 +1,75 @@
+"""Four-vector arithmetic on Python floats: Minkowski products, the
+on-shell, mass and spin checks, and Lorentz boost rows.
+
+Metric signature (+,-,-,-).  A four-vector is any indexable of four
+numbers (a tuple, a list or a numpy array); nothing here needs numpy, so
+the float layers (kinematics, correction factors, the scalar propagator)
+load without it.
+"""
+from __future__ import annotations
+
+import math
+
+from .errors import OffShellError, SuperluminalError, ZeroMassError
+
+ONSHELL_RTOL = 1e-10
+
+
+def minkowski_dot(p, k) -> float:
+    """p.k in the metric (+,-,-,-), for tuples, lists and arrays alike."""
+    return p[0] * k[0] - p[1] * k[1] - p[2] * k[2] - p[3] * k[3]
+
+
+def mass2(p) -> float:
+    return minkowski_dot(p, p)
+
+
+def _check_onshell(p, m: float):
+    dev = abs(mass2(p) - m * m)
+    p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
+    scale = max(1.0, abs(m * m), p0 * p0)
+    if dev > ONSHELL_RTOL * scale:
+        raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
+    if p0 <= 0:
+        raise OffShellError("p0 must be positive")
+
+
+def _check_spin(r: int):
+    if r not in (1, 2):
+        raise ValueError(f"spin index must be 1 or 2, got {r}")
+
+
+def _check_mass(m: float):
+    if m <= 0.0:
+        raise ZeroMassError(f"need m > 0, got {m}")
+
+
+def subluminal_beta(beta) -> tuple:
+    """(beta as a float 3-tuple, |beta|^2); SuperluminalError if |beta| >= 1."""
+    bx, by, bz = map(float, beta)
+    b2 = bx * bx + by * by + bz * bz
+    # compare |beta| itself: b2 = 1 - 2^-53 has sqrt 1.0, where arctanh
+    # in spinor_boost_matrix would be infinite
+    if math.sqrt(b2) >= 1.0:
+        raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
+    return (bx, by, bz), b2
+
+
+def boost_rows(beta) -> tuple:
+    """Rows of the Lorentz boost with velocity beta, as float 4-tuples:
+
+        L00 = gamma,  L0i = Li0 = gamma beta_i,
+        Lij = delta_ij + (gamma - 1) beta_i beta_j / beta^2,
+
+    which takes (m, 0) to (gamma m, gamma m beta)."""
+    beta, b2 = subluminal_beta(beta)
+    if b2 == 0.0:
+        return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    bx, by, bz = beta
+    g = 1.0 / math.sqrt(1.0 - b2)
+    k = (g - 1.0) / b2
+    return ((g, g * bx, g * by, g * bz),
+            (g * bx, 1.0 + k * (bx * bx), k * (bx * by), k * (bx * bz)),
+            (g * by, k * (by * bx), 1.0 + k * (by * by), k * (by * bz)),
+            (g * bz, k * (bz * bx), k * (bz * by), 1.0 + k * (bz * bz)))

@@ -9,17 +9,23 @@ Momentum space, scalar:
 equivalently (1/2w)[1/(k0-w) - q/(k0+w)]: two poles of unequal strength
 1 and q.  The spinor form carries (m + pslash)/2m and swaps q -> -q in
 the scalar factor; the photon/vector form is the metric (or the massive
-projector) times the scalar factor.
+projector) times the scalar factor.  The scalar factor, its residues and
+omega are Python-float arithmetic, with k^2 - m^2 formed as
+(k0 - w)(k0 + w) so that the digits near a pole survive.
 
 Position space depends on the invariant interval zeta^2 = r^2 - t^2
 only: the positive-frequency Wightman function is m K1(m zeta)/(4 pi^2
 zeta), with zeta = +i sqrt(t^2 - r^2) at timelike points (the t - i0
 prescription, where it is m (Y1 + i J1)/(8 pi tau)).  K1 of a real or
 imaginary argument is one exp-sinh trapezoid sum over a smooth,
-exponentially decaying integrand (DLMF 10.32.8) on a fixed set of nodes
-built at import; the sum at twice the step reuses every other node and
-bounds the error.  The equal-time value, the spacelike q-commutator
-(1-q) Delta_plus and the q-causal propagator all come from it.
+exponentially decaying integrand (DLMF 10.32.8) on a fixed set of nodes;
+the sum at twice the step reuses every other node and bounds the error.
+The equal-time value, the spacelike q-commutator (1-q) Delta_plus and the
+q-causal propagator all come from it.
+
+numpy (with the dirac layer and the nodes) is loaded on the first spinor
+or photon matrix or position-space sum, not at import: the scalar
+propagator and the residues never load it.
 """
 from __future__ import annotations
 
@@ -27,13 +33,23 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dirac import METRIC, slash
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
                      ZeroMassError, finite)
 
 POLE_GUARD = 1e-10
+
+# numpy, the dirac layer and the exp-sinh rule, bound by _load_numpy where a
+# matrix or a position-space sum is first built (see the module docstring)
+_np = _dirac = _DE_NODES = _DE_WEIGHTS = None
+
+
+def _load_numpy():
+    global _np, _dirac, _DE_NODES, _DE_WEIGHTS
+    from . import dirac
+    _dirac = dirac
+    _DE_NODES, _DE_WEIGHTS = _exp_sinh_rule()
+    import numpy
+    _np = numpy  # last: _np set means everything else is bound
 
 
 @dataclass
@@ -51,21 +67,32 @@ class PropagatorValue:
 
 
 def omega(kvec, m: float) -> float:
-    kvec = np.asarray(kvec, dtype=float)
-    return float(np.sqrt(kvec @ kvec + m * m))
+    """sqrt(|kvec|^2 + m^2), summed left to right on Python floats."""
+    kx, ky, kz = map(float, kvec)
+    m = float(m)
+    return math.sqrt(kx * kx + ky * ky + kz * kz + m * m)
 
 
-def _scalar_factor(k0: float, kvec, m: float, q: float) -> tuple:
-    # Python floats: an overflow gives inf and a zero omega an exception,
-    # where numpy scalars would warn before the typed error below
-    k0 = float(k0)
-    w = omega(kvec, m)
-    k2_m2 = k0 * k0 - w * w
+def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
+    """(D, |k^2 - m^2|) for Python floats k0, w = omega and q:
+
+        k^2 - m^2 = (k0 - w)(k0 + w),
+        D = (1/2) [(k0 + w) - q (k0 - w)] / w / (k^2 - m^2),
+
+    the half-sum form with the distance to the pole and the numerator both
+    taken from k0 -+ w, each rounded once, so that no digit cancels near
+    either pole (tolerance: scalar_propagator_momentum).  kvec serves only
+    to name a non-finite input.
+    """
+    d, s = k0 - w, k0 + w
+    k2_m2 = d * s
     if abs(k2_m2) <= POLE_GUARD:
         raise PoleError(f"|k^2 - m^2| = {abs(k2_m2)} inside guard band")
+    # Python floats: an overflow gives inf and a zero omega an exception,
+    # where numpy scalars would warn before the typed error below
     try:
-        val = 0.5 * ((1.0 + q) + (1.0 - q) * (k0 / w)) / k2_m2
-    except ZeroDivisionError:  # omega = 0: the k0/w term is infinite
+        val = 0.5 * ((s - q * d) / w) / k2_m2
+    except ZeroDivisionError:  # omega = 0: no finite value
         val = math.inf
     if not (math.isfinite(val) and math.isfinite(k2_m2)):
         for x in (k0, *kvec):  # a non-finite input, else an overflow
@@ -75,56 +102,65 @@ def _scalar_factor(k0: float, kvec, m: float, q: float) -> tuple:
     return val, abs(k2_m2)
 
 
-def _finite_matrix(matrix: np.ndarray) -> np.ndarray:
-    if not np.isfinite(matrix).all():
+def _finite_matrix(matrix):
+    if not _np.isfinite(matrix).all():
         raise NumericOverflowError("propagator matrix overflows")
     return matrix
 
 
 def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
-    """Momentum-space q-causal scalar propagator; 1/(k^2-m^2) at q=1."""
+    """Momentum-space q-causal scalar propagator; 1/(k^2-m^2) at q=1.
+
+    Tolerance, with S = (1/2w)[1/|k0 - w| + |q|/|k0 + w|] the size of the
+    partial-fraction terms: within 8 eps S of
+    scalar_propagator_partial_fractions at the same w, and within
+    4 eps (1 + w/|k0 - w| + w/|k0 + w|) S of the exact value at the float
+    inputs, the w terms being the rounding of w.  Near k0 = w, S is |D| to
+    first order, so that is relative 6 eps (1 + w/|k0 - w|).
+    """
     finite(m, "m")
     finite(q, "q")
-    k = np.asarray(k, dtype=float)
-    val, dist = _scalar_factor(k[0], k[1:], m, q)
+    k0, *kvec = map(float, k)
+    val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
     return PropagatorValue(complex(val), dist)
 
 
 def scalar_propagator_partial_fractions(k, m: float, q: float) -> PropagatorValue:
     """Same propagator via (1/2w)[1/(k0-w) - q/(k0+w)] (consistency form)."""
-    k = np.asarray(k, dtype=float)
-    w = omega(k[1:], m)
-    dist = abs(k[0] ** 2 - w * w)
-    if abs(k[0] - w) * 2 * w <= POLE_GUARD or abs(k[0] + w) * 2 * w <= POLE_GUARD:
+    k0, *kvec = map(float, k)
+    q = float(q)
+    w = omega(kvec, m)
+    d, s = k0 - w, k0 + w
+    if abs(d) * 2 * w <= POLE_GUARD or abs(s) * 2 * w <= POLE_GUARD:
         raise PoleError("evaluation inside guard band")
-    val = (1.0 / (k[0] - w) - q / (k[0] + w)) / (2.0 * w)
-    return PropagatorValue(complex(val), dist)
+    val = (1.0 / d - q / s) / (2.0 * w)
+    return PropagatorValue(complex(val), abs(d * s))
 
 
 def pole_residues(kvec, m: float, q: float, h0: float | None = None) -> tuple:
     """Numerically extracted residues at k0 = +-w: (1/2w, -q/2w).
 
-    Evaluates (k0 -+ w) * D near each pole and Richardson-extrapolates
+    Evaluates (k0 -+ w) * D at k0 = +-w + h and Richardson-extrapolates
     h -> 0.  The physical (+w) residue is q-independent.
     """
     finite(m, "m")
     finite(q, "q")
-    kvec = np.asarray(kvec, dtype=float)
+    kvec = tuple(map(float, kvec))
+    q = float(q)
     w = omega(kvec, m)
     if w <= 0.0:
         raise ZeroMassError("need omega > 0")
     if h0 is None:
         h0 = 1e-3 * max(w, 1.0)
 
-    def near_plus(h):
-        val, _ = _scalar_factor(w + h, kvec, m, q)
-        return h * val
+    def near(pole):
+        # (k0 - pole) of the rounded k0, so D's pole cancels exactly
+        def f(h):
+            k0 = pole + h
+            return (k0 - pole) * _scalar_factor(k0, w, q, kvec)[0]
+        return f
 
-    def near_minus(h):
-        val, _ = _scalar_factor(-w + h, kvec, m, q)
-        return h * val
-
-    residues = (_richardson(near_plus, h0), _richardson(near_minus, h0))
+    residues = (_richardson(near(w), h0), _richardson(near(-w), h0))
     if not all(map(math.isfinite, residues)):
         raise NumericOverflowError(f"pole residues overflow at m={m}, q={q}")
     return residues
@@ -147,10 +183,14 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
     finite(q, "q")
     if m <= 0.0:
         raise ZeroMassError("spinor propagator needs m > 0")
+    if _np is None:
+        _load_numpy()
+    np = _np
     p = np.asarray(p, dtype=float)
-    val, dist = _scalar_factor(p[0], p[1:], m, -q)
+    k0, *kvec = p.tolist()
+    val, dist = _scalar_factor(k0, omega(kvec, m), -float(q), kvec)
     with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
-        matrix = (m * np.eye(4) + slash(p)) / (2.0 * m) * val
+        matrix = (m * np.eye(4) + _dirac.slash(p)) / (2.0 * m) * val
     return PropagatorValue(_finite_matrix(matrix), dist)
 
 
@@ -161,17 +201,19 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     """
     finite(m, "m")
     finite(q, "q")
+    if _np is None:
+        _load_numpy()
+    np = _np
     k = np.asarray(k, dtype=float)
-    val, dist = _scalar_factor(k[0], k[1:], m, q)
+    k0, *kvec = k.tolist()
+    val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
     with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
         if m > 0.0:
-            tensor = METRIC - np.outer(k, k) / (m * m)
+            tensor = _dirac.METRIC - np.outer(k, k) / (m * m)
         else:
-            tensor = METRIC
+            tensor = _dirac.METRIC
         matrix = tensor.astype(complex) * val
     return PropagatorValue(_finite_matrix(matrix), dist)
-
-
 
 
 def _exp_sinh_rule() -> tuple:
@@ -184,6 +226,7 @@ def _exp_sinh_rule() -> tuple:
     1/8: every other node, at doubled weight.  Nodes whose weight
     underflows to 0 are dropped.
     """
+    import numpy as np
     step = 1.0 / 16.0
     tau = np.arange(-80, 65) * step
     u = np.exp(0.5 * np.pi * np.sinh(tau))
@@ -193,9 +236,9 @@ def _exp_sinh_rule() -> tuple:
     return u[keep], np.stack([w, coarse])[:, keep]
 
 
-_DE_NODES, _DE_WEIGHTS = _exp_sinh_rule()
 _EPS = math.ulp(1.0)
 _UNDERFLOW = math.ulp(0.0)  # the absolute rounding of a subnormal result
+_FOUR_PI2 = 4.0 * math.pi ** 2
 
 
 def _wightman(t: float, r: float, m: float) -> tuple:
@@ -219,7 +262,7 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     """
     ta = abs(t)
     zeta2 = (r - ta) * (r + ta)  # a product keeps the digits near the cone
-    den = 4.0 * math.pi ** 2 * zeta2
+    den = _FOUR_PI2 * zeta2
     if not 0.0 < abs(den) < math.inf:
         raise NumericOverflowError(
             f"invariant interval r^2 - t^2 = {zeta2} out of range "
@@ -231,7 +274,9 @@ def _wightman(t: float, r: float, m: float) -> tuple:
         z, log, exp = m * math.sqrt(zeta2), math.log, math.exp
     else:
         z, log, exp = 1j * m * math.sqrt(-zeta2), cmath.log, cmath.exp
-    fine, coarse = np.dot(_DE_WEIGHTS, np.sqrt(_DE_NODES + 2.0 * z)).tolist()
+    if _np is None:
+        _load_numpy()
+    fine, coarse = _np.dot(_DE_WEIGHTS, _np.sqrt(_DE_NODES + 2.0 * z)).tolist()
     # e^{-z} S / den as one exponential: no intermediate under- or overflow
     lead = log(fine / den) - z
     try:

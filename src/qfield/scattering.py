@@ -19,27 +19,24 @@ trace closed form in the six dot products of the legs; the amplitudes of
 the 16 spin assignments, which the CLI prints one at a time, come from
 one tensor: the spinors of both spins of each leg give the four currents
 J[mu, s_out, s_in], which the metric contracts in pairs.
+
+Only that tensor, boost() and the ``incoming``/``outgoing`` arrays load
+numpy and the dirac layer; everything else runs on ``lorentz`` floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dirac import (METRIC, ONSHELL_RTOL, _check_mass, _check_onshell,
-                    _check_spin, _spinors, boost_rows, gamma, mass2,
-                    minkowski_dot)
 from .errors import (DegenerateTransferError, NonFiniteInputError,
                      NumericOverflowError, OffShellError, finite)
+from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell, _check_spin,
+                      boost_rows, mass2, minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
 
 TRANSFER_GUARD = 1e-12
-
-_GAMMAS = np.array([gamma(mu) for mu in range(4)])
-_METRIC_DIAG = np.diag(METRIC)
 
 
 @dataclass
@@ -64,8 +61,9 @@ class Boost:
                       for r0, r1, r2, r3 in self.rows])
 
 
-def boost(p, b: Boost) -> np.ndarray:
-    """Boost a four-vector; preserves the invariant mass."""
+def boost(p, b: Boost):
+    """Boost a four-vector, as a numpy array; preserves the invariant mass."""
+    import numpy as np
     return np.array(b.apply(p), dtype=float)
 
 
@@ -93,10 +91,12 @@ class ProcessKinematics:
 
     @property
     def incoming(self) -> tuple:
+        import numpy as np
         return tuple(np.array(p) for p in self.legs[:2])
 
     @property
     def outgoing(self) -> tuple:
+        import numpy as np
         return tuple(np.array(p) for p in self.legs[2:])
 
     def boosted(self, b: Boost) -> "ProcessKinematics":
@@ -166,7 +166,13 @@ def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
 def _moller_transfers(kin: ProcessKinematics,
                       strict_paper_mode: bool) -> tuple:
     """(t, u) = ((C - A)^2, (D - A)^2), or (B - A)^2 for u in strict paper
-    mode; DegenerateTransferError where either is within TRANSFER_GUARD."""
+    mode, after the checks the spinors make: ZeroMassError, OffShellError
+    per leg, then DegenerateTransferError where t or u is within
+    TRANSFER_GUARD."""
+    m = kin.masses[0]
+    _check_mass(m)
+    for p in kin.legs:
+        _check_onshell(p, m)
     pA, pB, pC, pD = kin.legs
     t = mass2([c - a for c, a in zip(pC, pA)])
     u = mass2([x - a for x, a in zip(pB if strict_paper_mode else pD, pA)])
@@ -175,30 +181,33 @@ def _moller_transfers(kin: ProcessKinematics,
     return t, u
 
 
-def _current_tensor(out: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """J[mu, s_out, s_in] = ubar_out gamma^mu u_in over both spins of each leg."""
-    return np.einsum("ai,mij,bj->mab", out.conj() @ _GAMMAS[0], _GAMMAS, inc)
-
-
 def moller_amplitudes(kin: ProcessKinematics, q: float,
-                      strict_paper_mode: bool = False) -> np.ndarray:
-    """All 16 tree Moller amplitudes, M[rA-1, rB-1, rC-1, rD-1].
+                      strict_paper_mode: bool = False):
+    """All 16 tree Moller amplitudes, a numpy array M[rA-1, rB-1, rC-1, rD-1].
 
     M = q [ J_CA . J_DB * F_CA / t_CA  -  J_DA . J_CB * F_DA / t_DA ]
     with t the squared 4-momentum transfer.  ``strict_paper_mode``
     switches the exchange denominator to the literal (P_B - P_A)^2
     reading instead of (P_D - P_A)^2.
     """
+    import numpy as np
+    from .dirac import _GAMMA, METRIC, _spinors
+
+    def current(out, inc):
+        """J[mu, s_out, s_in] = ubar_out gamma^mu u_in over both spins."""
+        return np.einsum("ai,mij,bj->mab", out.conj() @ _GAMMA[0], _GAMMA,
+                         inc)
+
     m = kin.masses[0]
-    with np.errstate(all="ignore"):  # an overflow raises below
-        uA, uB, uC, uD = (_spinors(p, m, "u") for p in kin.legs)
     t_direct, t_exchange = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = photon_correction_pair(kin, q)
+    uA, uB, uC, uD = (_spinors(p, m, "u") for p in kin.legs)
+    metric = np.diag(METRIC)
     with np.errstate(all="ignore"):
-        direct = np.einsum("m,mca,mdb->abcd", _METRIC_DIAG,
-                           _current_tensor(uC, uA), _current_tensor(uD, uB))
-        exchange = np.einsum("m,mda,mcb->abcd", _METRIC_DIAG,
-                             _current_tensor(uD, uA), _current_tensor(uC, uB))
+        direct = np.einsum("m,mca,mdb->abcd", metric,
+                           current(uC, uA), current(uD, uB))
+        exchange = np.einsum("m,mda,mcb->abcd", metric,
+                             current(uD, uA), current(uC, uB))
         amps = q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
     if not np.isfinite(amps).all():
         raise NumericOverflowError(f"Moller amplitudes overflow at m={m}")
@@ -246,9 +255,6 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
     tensor overflows.
     """
     m = kin.masses[0]
-    _check_mass(m)
-    for p in kin.legs:
-        _check_onshell(p, m)
     t, u = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = photon_correction_pair(kin, q)
     a, b, c, d = kin.legs

@@ -305,7 +305,8 @@ def test_overflow_and_large_x_paths():
     assert res.stdout == "x,q,occupancy\n1000,0.5,0\n"
 
 
-# The q-algebra commands, which need neither numpy nor scipy.
+# The q-algebra commands and the float propagator and scattering
+# commands, which need neither numpy nor scipy.
 NUMPY_FREE_ARGV = (
     ("qnum", "--q", "1.2", "--n", "5"),
     ("planck", "--q", "0.5", "--x", "1.0"),
@@ -313,6 +314,16 @@ NUMPY_FREE_ARGV = (
     ("wick", "normal", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
     ("wick", "expand", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
     ("wick", "verify", "--max-len", "4", "--q", "0.7"),
+    ("propagator", "scalar", "--q", "0.5", "--k0-grid", "2:4:5",
+     "--kvec", "0,0,0"),
+    ("propagator", "residues", "--q", "0.5", "--kvec", "1,0,0"),
+    ("scatter", "annihilate", "--q", "0.5"),
+    ("scatter", "frame-scan", "--q", "0.5"),
+)
+# Error paths that exit 1 without loading numpy either.
+NUMPY_FREE_ERROR_ARGV = (
+    ("propagator", "scalar", "--q", "0.5", "--k0", "1", "--kvec", "0,0,0"),
+    ("scatter", "moller", "--q", "0.5", "--beta", "0,0,1.2"),
 )
 
 # Every name the package re-exports, with the module that defines it.
@@ -329,23 +340,28 @@ REEXPORTS = {
                    "moller_amplitude", "annihilation_correction_pair",
                    "frame_scan"),
 }
-LAYERS = ("qcore", "fock", "wick", "dirac", "propagator", "scattering",
-          "errors")
+LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
+          "scattering", "errors")
 
 
 def test_import_leaves_scipy_out():
-    # numpy loads only with the dirac, propagator and scattering layers
+    # numpy loads only where a matrix or a position-space sum is built
     script = f"""
 import contextlib, io, sys
 import qfield, qfield.cli
+import qfield.lorentz, qfield.propagator, qfield.scattering
 
 def heavy():
     return [m for m in ("numpy", "scipy") if m in sys.modules]
 
 assert heavy() == [], heavy()
-for argv in {NUMPY_FREE_ARGV!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert qfield.cli.main(list(argv)) == 0, argv
+for argv, code in ([(a, 0) for a in {NUMPY_FREE_ARGV!r}]
+                   + [(a, 1) for a in {NUMPY_FREE_ERROR_ARGV!r}]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        assert qfield.cli.main(list(argv)) == code, argv
+    assert code == 0 or err.getvalue().startswith("error: "), argv
     assert heavy() == [], (argv, heavy())
 print("ok")
 """
@@ -383,6 +399,32 @@ def test_flavor_choices_match_scattering(capsys):
     assert capsys.readouterr().err.endswith(
         "argument --flavor: invalid choice: 'bogus' "
         "(choose from 'photon_line', 'electron_line')\n")
+
+
+def test_parse_grid_is_linspace_bit_for_bit():
+    import random
+
+    import numpy as np
+    from qfield.cli import parse_grid
+    tiny = math.ulp(0.0)
+    ends = [(0.5, 2.0), (2.0, 0.5), (1.25, 1.25), (-0.0, -0.0), (-0.0, 1.0),
+            (0.0, -3.0), (0.0, tiny), (tiny, 0.0), (-tiny, 3 * tiny),
+            (1e-310, 1e-310 + 40 * tiny), (-3.0, 7.0)]
+    cases = [(lo, hi, n) for lo, hi in ends for n in (0, 1, 2, 7)]
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        lo = rng.uniform(-10.0, 10.0)
+        hi = rng.choice((lo, rng.uniform(-10.0, 10.0)))
+        cases.append((lo, hi, rng.randrange(0, 40)))
+    for lo, hi, n in cases:
+        want = np.linspace(lo, hi, n).tolist()
+        got = parse_grid(f"{lo!r}:{hi!r}:{n}")
+        assert [x.hex() for x in got] == [x.hex() for x in want], (lo, hi, n)
+    with pytest.raises(ValueError) as ours:
+        parse_grid("2:4:-1")
+    with pytest.raises(ValueError) as numpy_text:
+        np.linspace(2.0, 4.0, -1)
+    assert str(ours.value) == str(numpy_text.value)
 
 
 # ------------------------------------------------------------ fuzz of main

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from qfield.dirac import (METRIC, boost_matrix, charge_conjugate_spinor,
                           slash, spin_sum, spinor_boost_matrix,
                           theta_projector, transverse_projector, u_spinor,
                           v_spinor)
-from qfield.errors import (OffShellError, SuperluminalError, ZeroMassError,
-                           ZeroVectorError)
+from qfield.errors import (NumericOverflowError, OffShellError,
+                           SuperluminalError, ZeroMassError, ZeroVectorError)
 
 RNG = np.random.default_rng(20240817)
 M = 1.0
@@ -177,3 +179,46 @@ def test_spinor_boost_closed_form_matches_expm():
         want = expm(0.5 * eta * sum(n * a for n, a in zip(nhat, alpha)))
         got = spinor_boost_matrix(beta)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def reference_spinors(p, m, kind):
+    """The spinor rows as built before the overflow check, for finite ones."""
+    p = np.asarray(p, dtype=float)
+    E = p[0]
+    sigma_p = sum(p[i + 1] * dirac._SIGMA[i] for i in range(3))
+    norm = np.sqrt((E + m) / (2 * m))
+    lower = (sigma_p / (E + m)).T + 0.0
+    return norm * np.hstack((dirac._ID2, lower) if kind == "u"
+                            else (lower, dirac._ID2))
+
+
+def test_spinor_overflow_is_typed_and_silent():
+    # m^2 underflows to 0, so the leg passes the on-shell check, and
+    # (E + m)/2m overflows; a nan momentum component passes it too
+    cases = [([1.0, 0.0, 0.0, 1.0], 1e-310), ([2.0, 0.0, 0.0, 2.0], 5e-324),
+             ([1.0, np.nan, 0.0, 0.0], 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, m in cases:
+            for call in (lambda: u_spinor(p, 1, m), lambda: v_spinor(p, 2, m),
+                         lambda: spin_sum(p, m, "u"),
+                         lambda: spin_sum(p, m, "v")):
+                with pytest.raises(NumericOverflowError):
+                    call()
+        # finite spinors are the rows they were, bit for bit
+        for m in (1e-3, 1.0, 7.5):
+            for _ in range(50):
+                p = onshell_momentum(RNG.uniform(-20, 20, 3) * m, m)
+                for kind, make in (("u", u_spinor), ("v", v_spinor)):
+                    want = reference_spinors(p, m, kind)
+                    for r in (1, 2):
+                        got = make(p, r, m).components
+                        assert got.tobytes() == want[r - 1].tobytes()
+
+
+def test_float_helpers_are_lorentz_objects():
+    from qfield import lorentz
+    for name in ("minkowski_dot", "mass2", "ONSHELL_RTOL", "_check_onshell",
+                 "_check_mass", "_check_spin", "subluminal_beta",
+                 "boost_rows"):
+        assert getattr(dirac, name) is getattr(lorentz, name), name

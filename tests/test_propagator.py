@@ -68,6 +68,43 @@ def test_pole_residues():
         assert rm == pytest.approx(-q / (2 * w), abs=1e-8)
 
 
+def test_near_pole_accuracy_both_poles():
+    # k0 within 2 POLE_GUARD/w of +-w up to O(1) away, on either side.  The
+    # value agrees with the partial-fraction form at the same omega within
+    # 8 eps of the term size S, and with the exact value at the float
+    # inputs within the docstring's 4 eps (1 + w/|k0 - w| + w/|k0 + w|) S;
+    # the residues within 1e-14 relative.
+    import random
+
+    import mpmath as mp
+    mp.mp.dps = 40
+    eps = math.ulp(1.0)
+    rng = random.Random(20261018)
+    for i in range(10_000):
+        m = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        kvec = [rng.uniform(-3.0, 3.0) * m for _ in range(3)]
+        q = rng.choice((-1.0, 0.0, 1.0, rng.uniform(-2.0, 2.0)))
+        w = prop.omega(kvec, m)
+        # bit for bit the left-to-right sum on Python floats
+        assert w == math.sqrt(sum(x * x for x in kvec) + m * m)
+        gap = w * 10 ** rng.uniform(math.log10(2 * prop.POLE_GUARD / w ** 2), 0)
+        k0 = rng.choice((w, -w)) + rng.choice((-gap, gap))
+        k = [k0, *kvec]
+        got = prop.scalar_propagator_momentum(k, m, q).value
+        d, s = k0 - w, k0 + w
+        size = (1 / abs(d) + abs(q) / abs(s)) / (2 * w)
+        pf = prop.scalar_propagator_partial_fractions(k, m, q).value
+        assert abs(got - pf) <= 8 * eps * size, (k, m, q)
+        W = mp.sqrt(sum(mp.mpf(x) ** 2 for x in kvec) + mp.mpf(m) ** 2)
+        exact = (1 / (mp.mpf(k0) - W) - q / (mp.mpf(k0) + W)) / (2 * W)
+        bound = 4 * eps * (1 + w / abs(d) + w / abs(s)) * size
+        assert abs(got.real - exact) <= bound and got.imag == 0.0, (k, m, q)
+        if i % 10 == 0:
+            rp, rm = prop.pole_residues(kvec, m, q)
+            assert abs(rp - 1 / (2 * W)) <= 1e-14 / (2 * w)
+            assert abs(rm + q / (2 * W)) <= 1e-14 * max(1.0, abs(q)) / (2 * w)
+
+
 def test_residue_physical_pole_q_independent():
     # on the mass hyperboloid the propagator takes the usual form for any q
     kvec = (0.4, 0.1, -0.3)
