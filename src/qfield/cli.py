@@ -141,6 +141,10 @@ def cmd_wick_expand(args):
 
 
 def cmd_wick_verify(args):
+    # the sweep visits 2^(N+1) - 2 strings, so it keeps the enumerators' cap
+    if args.max_len > wick.MAX_STRING_LEN:
+        raise ValueError(f"string length {wick.MAX_STRING_LEN + 1} exceeds "
+                         f"{wick.MAX_STRING_LEN}")
     max_diff = 0.0
     count = 0
     for length in range(1, args.max_len + 1):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import OffShellError, SuperluminalError, ZeroMassError
+from .errors import (NonFiniteInputError, OffShellError, SuperluminalError,
+                     ZeroMassError, finite)
 
 ONSHELL_RTOL = 1e-10
 
@@ -28,7 +29,10 @@ def _check_onshell(p, m: float):
     dev = abs(mass2(p) - m * m)
     p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
     scale = max(1.0, abs(m * m), p0 * p0)
-    if dev > ONSHELL_RTOL * scale:
+    # written so that a nan component or mass fails the test too
+    if not dev <= ONSHELL_RTOL * scale:
+        for x in (*p, m):
+            finite(x, "p and m")
         raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
     if p0 <= 0:
         raise OffShellError("p0 must be positive")
@@ -50,7 +54,9 @@ def subluminal_beta(beta) -> tuple:
     b2 = bx * bx + by * by + bz * bz
     # compare |beta| itself: b2 = 1 - 2^-53 has sqrt 1.0, where arctanh
     # in spinor_boost_matrix would be infinite
-    if math.sqrt(b2) >= 1.0:
+    if not math.sqrt(b2) < 1.0:  # so that a nan component fails too
+        if math.isnan(b2):  # an infinite component is superluminal
+            raise NonFiniteInputError(f"beta = {(bx, by, bz)} must be finite")
         raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
     return (bx, by, bz), b2
 

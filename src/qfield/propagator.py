@@ -137,11 +137,17 @@ def scalar_propagator_partial_fractions(k, m: float, q: float) -> PropagatorValu
     return PropagatorValue(complex(val), abs(d * s))
 
 
-def pole_residues(kvec, m: float, q: float, h0: float | None = None) -> tuple:
+def pole_residues(kvec, m: float, q: float) -> tuple:
     """Numerically extracted residues at k0 = +-w: (1/2w, -q/2w).
 
     Evaluates (k0 -+ w) * D at k0 = +-w + h and Richardson-extrapolates
-    h -> 0.  The physical (+w) residue is q-independent.
+    h -> 0 from the steps h = 1e-3 w / 2^i, i < 5.  The physical (+w)
+    residue is q-independent.
+
+    Tolerance: each residue within 1e-14 of 1/2w relative (|q|/2w for the
+    second), for w from 1e-3 up.  The steps scale with w, but the pole
+    guard band |k^2 - m^2| <= POLE_GUARD does not: below w ~ 1e-3 the
+    smallest step falls inside it, and the call raises PoleError naming w.
     """
     finite(m, "m")
     finite(q, "q")
@@ -150,8 +156,6 @@ def pole_residues(kvec, m: float, q: float, h0: float | None = None) -> tuple:
     w = omega(kvec, m)
     if w <= 0.0:
         raise ZeroMassError("need omega > 0")
-    if h0 is None:
-        h0 = 1e-3 * max(w, 1.0)
 
     def near(pole):
         # (k0 - pole) of the rounded k0, so D's pole cancels exactly
@@ -160,13 +164,19 @@ def pole_residues(kvec, m: float, q: float, h0: float | None = None) -> tuple:
             return (k0 - pole) * _scalar_factor(k0, w, q, kvec)[0]
         return f
 
-    residues = (_richardson(near(w), h0), _richardson(near(-w), h0))
+    h0 = 1e-3 * w
+    try:
+        residues = (_richardson(near(w), h0), _richardson(near(-w), h0))
+    except PoleError:
+        raise PoleError(f"Richardson steps inside the pole guard band at "
+                        f"omega={w}") from None
     if not all(map(math.isfinite, residues)):
         raise NumericOverflowError(f"pole residues overflow at m={m}, q={q}")
     return residues
 
 
-def _richardson(f, h0: float, levels: int = 5) -> float:
+def _richardson(f, h0: float) -> float:
+    levels = 5
     table = [f(h0 / 2 ** i) for i in range(levels)]
     for j in range(1, levels):
         for i in range(levels - j):

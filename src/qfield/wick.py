@@ -26,9 +26,11 @@ along three paths:
 * Enumeration oracle (``wick_expand``): every pairing diagram, whose
   coefficient is q^(crossings) times the product of its pair values, where
   a pair <a adag> on one label is worth 1 and the reversed <adag a>
-  pairing is worth 0.  Summing the full-contraction diagrams gives the VEV
-  again; the ``wick expand`` command prints the diagrams, and the tests
-  use the sum as the reference for the path product.
+  pairing is worth 0.  Crossings and the pair value are counted as each
+  pair is made, so a finished diagram is only recorded.  Summing the
+  full-contraction diagrams gives the VEV again; the ``wick expand``
+  command prints the diagrams, and the tests use the sum as the
+  reference for the path product.
 
 ``verify_wick`` checks the path product against the brute-force Fock
 vacuum expectation value.
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from . import fock
@@ -47,6 +48,18 @@ from .qcore import basic_number
 
 OperatorString = Tuple[LadderOp, ...]
 
+# The longest string the two enumerators, normal_order and wick_expand,
+# accept: their output can grow exponentially with the length.  wick_vev
+# and fock.vev are linear in it and take any length.
+MAX_STRING_LEN = 12
+
+
+def _capped(ops: Sequence[LadderOp]) -> OperatorString:
+    ops = tuple(ops)
+    if len(ops) > MAX_STRING_LEN:
+        raise ValueError(f"string length {len(ops)} exceeds {MAX_STRING_LEN}")
+    return ops
+
 
 class QPoly:
     """Polynomial in q with numeric coefficients, keyed by exponent."""
@@ -55,24 +68,6 @@ class QPoly:
 
     def __init__(self, coeffs: Dict[int, complex] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def q_power(cls, p: int, scale: complex = 1) -> "QPoly":
-        return cls({p: scale})
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(out)
-
-    def shift(self, p: int = 1) -> "QPoly":
-        """Multiply by q^p."""
-        return QPoly({e + p: c for e, c in self.coeffs.items()})
 
     def __call__(self, q: float) -> complex:
         # Sorted exponents: the value does not depend on the order in
@@ -135,10 +130,7 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     q = -1 the algebra has negative norms: there the string raises
     ``NegativeNormError`` exactly where ``wick_vev`` and ``fock.vev`` do.
     """
-    ops = tuple(ops)
-    if len(ops) > fock.MAX_STRING_LEN:
-        raise ValueError(
-            f"string length {len(ops)} exceeds {fock.MAX_STRING_LEN}")
+    ops = _capped(ops)
     if q < -1.0:
         wick_vev(ops, q)  # for its NegativeNormError; the value is unused
     # Coefficients are packed into one int, the coefficient of q^e in
@@ -228,50 +220,37 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
 
     Deterministic lexicographic diagram order.
     """
-    ops = tuple(ops)
-    if len(ops) > fock.MAX_STRING_LEN:
-        raise ValueError(
-            f"string length {len(ops)} exceeds {fock.MAX_STRING_LEN}")
-    n = len(ops)
+    ops = _capped(ops)
+    codes, _ = _encode(ops)
     diagrams: List[PairingDiagram] = []
 
-    def recurse(avail: tuple, pairs: tuple):
+    def recurse(avail: tuple, pairs: tuple, free: tuple, crossings: int,
+                value: float):
         # Each index is either left unpaired or paired while it is the
-        # head of ``avail``, so every diagram is generated exactly once.
+        # head of ``avail``, so every diagram is generated exactly once,
+        # with its pairs and unpaired indices in increasing order.
         if not avail:
-            paired = {k for p in pairs for k in p}
-            free = tuple(i for i in range(n) if i not in paired)
-            diagrams.append(_make_diagram(ops, pairs, free, q))
+            diagrams.append(PairingDiagram(pairs, free, crossings, value,
+                                           (q ** crossings) * value))
             return
         i, rest = avail[0], avail[1:]
-        recurse(rest, pairs)
+        recurse(rest, pairs, free + (i,), crossings, value)
+        label = codes[i] >> 1
+        if codes[i] & 1:  # <adag a> pairing: worth 0
+            value = 0.0
         for j in rest:
-            if ops[i].label != ops[j].label:
+            if codes[j] != codes[i] ^ 1:  # same label, opposite kind
                 continue
-            if ops[i].is_creator == ops[j].is_creator:
-                continue
-            recurse(tuple(k for k in rest if k != j), pairs + ((i, j),))
+            # An earlier pair (k, l) has k < i, so it crosses (i, j) iff
+            # i < l < j; only same-label interleavings carry a factor q.
+            new = sum(1 for k, l in pairs
+                      if i < l < j and codes[k] >> 1 == label)
+            recurse(tuple(k for k in rest if k != j), pairs + ((i, j),),
+                    free, crossings + new, value)
 
-    recurse(tuple(range(n)), ())
+    recurse(tuple(range(len(ops))), (), (), 0, 1.0)
     diagrams.sort(key=lambda d: d.pairs)
     return diagrams
-
-
-def _make_diagram(ops: OperatorString, pairs: tuple, free: tuple,
-                  q: float) -> PairingDiagram:
-    # Only same-label interleavings carry a factor q: operators on
-    # distinct labels commute exactly, so untangling them is free.
-    crossings = 0
-    for (i, j), (k, l) in combinations(sorted(pairs), 2):
-        if i < k < j < l and ops[i].label == ops[k].label:
-            crossings += 1
-    value = 1.0
-    for i, j in pairs:
-        if ops[i].is_creator:  # <adag a> pairing: worth 0
-            value = 0.0
-            break
-    return PairingDiagram(tuple(sorted(pairs)), free, crossings, value,
-                          (q ** crossings) * value)
 
 
 def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:

@@ -58,6 +58,14 @@ def test_wick_verify_sweep():
     assert row[4] == "true"
 
 
+def test_wick_verify_keeps_the_length_cap():
+    # the sweep doubles per length: past the cap it exits 2 before any work
+    res = run("wick", "verify", "--max-len", "13", "--q", "0.7")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.endswith("error: string length 13 exceeds 12\n")
+
+
 def test_fock_vev_matches_library():
     res = run("fock", "vev", "--q", "0.5", "--ops", "a0,a0,a0+,a0+")
     assert res.returncode == 0

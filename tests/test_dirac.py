@@ -10,8 +10,9 @@ from qfield.dirac import (METRIC, boost_matrix, charge_conjugate_spinor,
                           slash, spin_sum, spinor_boost_matrix,
                           theta_projector, transverse_projector, u_spinor,
                           v_spinor)
-from qfield.errors import (NumericOverflowError, OffShellError,
-                           SuperluminalError, ZeroMassError, ZeroVectorError)
+from qfield.errors import (NonFiniteInputError, NumericOverflowError,
+                           OffShellError, SuperluminalError, ZeroMassError,
+                           ZeroVectorError)
 
 RNG = np.random.default_rng(20240817)
 M = 1.0
@@ -194,9 +195,8 @@ def reference_spinors(p, m, kind):
 
 def test_spinor_overflow_is_typed_and_silent():
     # m^2 underflows to 0, so the leg passes the on-shell check, and
-    # (E + m)/2m overflows; a nan momentum component passes it too
-    cases = [([1.0, 0.0, 0.0, 1.0], 1e-310), ([2.0, 0.0, 0.0, 2.0], 5e-324),
-             ([1.0, np.nan, 0.0, 0.0], 1.0)]
+    # (E + m)/2m overflows
+    cases = [([1.0, 0.0, 0.0, 1.0], 1e-310), ([2.0, 0.0, 0.0, 2.0], 5e-324)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p, m in cases:
@@ -214,6 +214,23 @@ def test_spinor_overflow_is_typed_and_silent():
                     for r in (1, 2):
                         got = make(p, r, m).components
                         assert got.tobytes() == want[r - 1].tobytes()
+
+
+def test_onshell_check_rejects_nan():
+    # nan compares false both ways: the check is written so that it fails
+    p = [1.0, 0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for leg, m in (([np.nan, 0.0, 0.0, 0.0], 1.0), (p, np.nan),
+                       ([1.0, np.nan, 0.0, 0.0], 1.0)):
+            for call in (lambda: theta_projector(leg, 1, m),
+                         lambda: polarization_vectors(leg, m),
+                         lambda: u_spinor(leg, 1, m),
+                         lambda: v_spinor(leg, 2, m),
+                         lambda: spin_sum(leg, m, "u"),
+                         lambda: spin_sum(leg, m, "v")):
+                with pytest.raises(NonFiniteInputError):
+                    call()
 
 
 def test_float_helpers_are_lorentz_objects():

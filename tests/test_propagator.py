@@ -105,6 +105,27 @@ def test_near_pole_accuracy_both_poles():
             assert abs(rm + q / (2 * W)) <= 1e-14 * max(1.0, abs(q)) / (2 * w)
 
 
+def test_pole_residues_log_grid():
+    # the Richardson steps scale with w, so the relative error does not
+    # depend on it until the steps reach the absolute pole guard band
+    import mpmath as mp
+    mp.mp.dps = 40
+    raised = []
+    for i in range(-80, 31):
+        m = 10 ** (i / 10)
+        for q in (-0.7, 0.5, 1.2):
+            try:
+                rp, rm = prop.pole_residues((0.0, 0.0, 0.0), m, q)
+            except PoleError as e:
+                assert "omega=" in str(e)
+                raised.append(m)
+                continue
+            half = 1 / (2 * mp.sqrt(mp.mpf(m) ** 2))
+            assert abs(rp - half) <= 1e-14 * half, (m, q)
+            assert abs(rm + q * half) <= 1e-14 * abs(q) * half, (m, q)
+    assert raised and max(raised) < 1e-3
+
+
 def test_residue_physical_pole_q_independent():
     # on the mass hyperboloid the propagator takes the usual form for any q
     kvec = (0.4, 0.1, -0.3)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qfield import dirac, scattering as sc
-from qfield.errors import (DegenerateTransferError, NumericOverflowError,
-                           OffShellError, QFieldError, SuperluminalError,
-                           ZeroMassError)
+from qfield.errors import (DegenerateTransferError, NonFiniteInputError,
+                           NumericOverflowError, OffShellError, QFieldError,
+                           SuperluminalError, ZeroMassError)
 
 M = 1.0
 
@@ -40,6 +40,13 @@ def test_boost_examples():
 def test_boost_superluminal():
     with pytest.raises(SuperluminalError):
         sc.Boost([0.0, 0.0, 1.0])
+
+
+def test_boost_rejects_nan_velocity():
+    # nan compares false both ways: the check is written so that it fails
+    for build in (sc.Boost, dirac.boost_matrix, dirac.spinor_boost_matrix):
+        with pytest.raises(NonFiniteInputError):
+            build([np.nan, 0.0, 0.0])
 
 
 def test_boost_composition_along_axis():

@@ -1,16 +1,17 @@
 import heapq
 import random
-from itertools import product
-from math import comb
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 import pytest
 
-from qfield import fock
+from qfield import fock, wick
 from qfield.errors import EqualTimeError, NegativeNormError, NumericOverflowError
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
-from qfield.wick import (QPoly, normal_order, q_time_order, verify_wick,
-                         wick_expand, wick_vev)
+from qfield.wick import (PairingDiagram, QPoly, normal_order, q_time_order,
+                         verify_wick, wick_expand, wick_vev)
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
@@ -35,9 +36,25 @@ def all_two_mode_strings(length):
     yield from product(choices, repeat=length)
 
 
+def q_power(p):
+    return QPoly({p: 1})
+
+
+def shift(poly, p=1):
+    """poly times q^p."""
+    return QPoly({e + p: c for e, c in poly.coeffs.items()})
+
+
+def add(x, y):
+    out = dict(x.coeffs)
+    for e, c in y.coeffs.items():
+        out[e] = out.get(e, 0) + c
+    return QPoly(out)
+
+
 def reference_normal_order(ops):
     """Rewriting without merging: each derivation is its own work item."""
-    pending = [(tuple(ops), QPoly.one())]
+    pending = [(tuple(ops), q_power(0))]
     done = {}
     while pending:
         string, poly = pending.pop()
@@ -45,12 +62,12 @@ def reference_normal_order(ops):
                     if not string[i].is_creator and string[i + 1].is_creator),
                    None)
         if idx is None:
-            done[string] = done.get(string, QPoly()) + poly
+            done[string] = add(done.get(string, QPoly()), poly)
             continue
         left, right = string[idx], string[idx + 1]
         swapped = string[:idx] + (right, left) + string[idx + 2:]
         if left.label == right.label:
-            pending.append((swapped, poly.shift(1)))
+            pending.append((swapped, shift(poly)))
             pending.append((string[:idx] + string[idx + 2:], poly))
         else:
             pending.append((swapped, poly))
@@ -109,6 +126,46 @@ def heap_normal_order(ops):
     return {tuple(decode[c] for c in s): QPoly(p) for s, p in done.items()}
 
 
+def reference_wick_expand(ops, q):
+    """Every pairing diagram over the ``LadderOp``s themselves, with the
+    crossings recounted over all pairs of pairs once a diagram is done."""
+    ops = tuple(ops)
+    n = len(ops)
+    diagrams = []
+
+    def recurse(avail, pairs):
+        if not avail:
+            paired = {k for p in pairs for k in p}
+            free = tuple(i for i in range(n) if i not in paired)
+            diagrams.append(make_diagram(pairs, free))
+            return
+        i, rest = avail[0], avail[1:]
+        recurse(rest, pairs)
+        for j in rest:
+            if ops[i].label != ops[j].label:
+                continue
+            if ops[i].is_creator == ops[j].is_creator:
+                continue
+            recurse(tuple(k for k in rest if k != j), pairs + ((i, j),))
+
+    def make_diagram(pairs, free):
+        crossings = 0
+        for (i, j), (k, l) in combinations(sorted(pairs), 2):
+            if i < k < j < l and ops[i].label == ops[k].label:
+                crossings += 1
+        value = 1.0
+        for i, j in pairs:
+            if ops[i].is_creator:
+                value = 0.0
+                break
+        return PairingDiagram(tuple(sorted(pairs)), free, crossings, value,
+                              (q ** crossings) * value)
+
+    recurse(tuple(range(n)), ())
+    diagrams.sort(key=lambda d: d.pairs)
+    return diagrams
+
+
 def apply_normal_form(nf, v, n_max=fock.DEFAULT_N_MAX):
     """Evaluate a normal form on a state, term by term."""
     out = {}
@@ -149,10 +206,11 @@ def q_binomial(n, k):
 
 
 def test_qpoly_basics():
-    p = QPoly.one().shift(2) + QPoly.q_power(0)
+    p = add(shift(q_power(0), 2), q_power(0))
     assert p(2.0) == 5.0
     assert p.pure_power() is None
-    assert QPoly.q_power(3).pure_power() == 3
+    assert q_power(3).pure_power() == 3
+    assert repr(p) == "1*q^0 + 1*q^2" and repr(QPoly()) == "0"
 
 
 def test_normal_order_two_ops():
@@ -165,7 +223,7 @@ def test_normal_order_two_ops():
 
 def test_normal_order_already_normal():
     nf = normal_order((a_dag(0), a(0)), 0.7)
-    assert nf.terms == {(a_dag(0), a(0)): QPoly.one()}
+    assert nf.terms == {(a_dag(0), a(0)): q_power(0)}
 
 
 def test_normal_order_four_ops_oracle_confirmed():
@@ -198,11 +256,11 @@ def test_normal_order_idempotent():
     for term in nf.terms:
         assert is_normal_ordered(term)
         again = normal_order(term, 0.8)
-        assert again.terms == {term: QPoly.one()}
+        assert again.terms == {term: q_power(0)}
 
 
 def test_normal_order_length_bound():
-    too_long = tuple(a(0) for _ in range(fock.MAX_STRING_LEN + 1))
+    too_long = tuple(a(0) for _ in range(wick.MAX_STRING_LEN + 1))
     with pytest.raises(ValueError):
         normal_order(too_long, 0.5)
     with pytest.raises(ValueError):
@@ -267,6 +325,16 @@ def test_wick_vev_matches_diagram_sum():
                                                      abs=1e-12), (ops, q)
 
 
+def test_fock_vev_takes_any_length():
+    # the oracle is linear in the length: <a^20 adag^20> = [20]_q! =
+    # 302,816.554..., with [j]_q = (2^j - 1)/2^(j-1) at q = 1/2
+    ops = (a(0),) * 20 + (a_dag(0),) * 20
+    exact = prod(Fraction(2 ** j - 1, 2 ** (j - 1)) for j in range(1, 21))
+    assert wick_vev(ops, 0.5) == pytest.approx(exact, rel=1e-12)
+    assert vev(ops, 0.5, n_max=20) == pytest.approx(wick_vev(ops, 0.5),
+                                                    rel=1e-12)
+
+
 @pytest.mark.parametrize("q", [-1.5, -2.0])
 def test_wick_vev_shares_fock_domain(q):
     # below q = -1 even levels have <h>_q < 0: wick_vev and normal_order
@@ -296,6 +364,19 @@ def test_wick_vev_touchard_riordan(n, q):
     want = (1 - q) ** -n * sum((-1) ** k * q ** (k * (k - 1) // 2)
                                * comb(2 * n, n + k) for k in range(-n, n + 1))
     assert total == pytest.approx(want, rel=1e-12)
+
+
+def test_wick_expand_matches_reference():
+    strings = [ops for length in range(9)
+               for ops in all_single_mode_strings(length)]
+    strings += [ops for length in range(7)
+                for ops in all_two_mode_strings(length)]
+    rng = random.Random(11)
+    choices = (a(0), a_dag(0), a(1), a_dag(1), b(0), b_dag(0))
+    strings += [tuple(rng.choice(choices) for _ in range(rng.randint(1, 10)))
+                for _ in range(300)]
+    for ops in strings:
+        assert wick_expand(ops, 0.5) == reference_wick_expand(ops, 0.5), ops
 
 
 def test_wick_expand_examples():
