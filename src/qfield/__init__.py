@@ -4,8 +4,8 @@ Modules:
     qcore       basic q-numbers and deformed occupancy statistics
     fock        truncated q-Fock space, ladder operators, brute-force VEVs
     wick        q-Wick normal ordering and pairing expansion + oracle harness
-    lorentz     float four-vectors: Minkowski products, checks, boost rows
-    dirac       gamma matrices, spinors, projectors, boost matrices
+    lorentz     float four-vectors: Minkowski products, omega, checks, boost rows
+    dirac       gamma matrices, spinors, projectors, the spinor boost
     propagator  q-causal propagators in momentum and position space
     scattering  Moller / annihilation correction factors and frame scans
     cli         command-line front end (CSV output, golden files)
@@ -31,7 +31,7 @@ _LAZY_NAMES = dict.fromkeys(
      "photon_propagator_momentum", "pole_residues", "delta_plus_equal_time",
      "spacelike_q_commutator", "causal_position"), "propagator")
 _LAZY_NAMES.update(dict.fromkeys(
-    ("Boost", "ProcessKinematics", "boost", "correction_factor",
+    ("Boost", "ProcessKinematics", "correction_factor",
      "moller_amplitude", "annihilation_correction_pair", "frame_scan"),
     "scattering"))
 

@@ -1,11 +1,12 @@
-"""4x4 Dirac algebra: gamma matrices, spinors, projectors and boosts.
+"""4x4 Dirac algebra: gamma matrices, spinors, projectors and the spinor
+boost.
 
 Metric signature (+,-,-,-), natural units.  Gamma matrices in the Dirac
 representation, so rest-frame projectors come out diagonal.  Spinors are
 normalized to ubar u = 1 / vbar v = -1, which makes the spin sums equal
 the energy projectors (+-m + pslash)/2m exactly.  The float four-vector
-helpers (minkowski_dot, mass2, boost_rows and the on-shell, mass and spin
-checks) are defined in ``lorentz`` and re-exported here.
+rules (omega, the on-shell, mass and spin checks, the boost velocity) come
+from ``lorentz``.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, ZeroVectorError
-from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell,  # noqa: F401
-                      _check_spin, boost_rows, mass2, minkowski_dot,
+from .lorentz import (_check_mass, _check_onshell, _check_spin, omega,
                       subluminal_beta)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -54,10 +54,9 @@ def slash(p) -> np.ndarray:
 
 
 def onshell_momentum(pvec, m: float) -> np.ndarray:
-    """Four-momentum with p0 = +sqrt(|pvec|^2 + m^2)."""
+    """Four-momentum with p0 = +sqrt(|pvec|^2 + m^2), lorentz.omega."""
     pvec = np.asarray(pvec, dtype=float)
-    p0 = np.sqrt(float(pvec @ pvec) + m * m)
-    return np.array([p0, *pvec])
+    return np.array([omega(pvec, m), *pvec])
 
 
 @dataclass
@@ -130,7 +129,7 @@ def theta_projector(p, sign: int, m: float) -> np.ndarray:
         raise ValueError("sign must be +1 or -1")
     _check_mass(m)
     p = np.asarray(p, dtype=float)
-    _check_onshell(p, m)
+    _check_onshell(p.tolist(), m)  # floats: inf - inf is nan, not a warning
     return (sign * m * np.eye(4) + slash(p)) / (2 * m)
 
 
@@ -144,7 +143,7 @@ def polarization_vectors(p, m: float) -> list:
     """Three massive polarization four-vectors: e.p = 0, orthonormal."""
     _check_mass(m)
     p = np.asarray(p, dtype=float)
-    _check_onshell(p, m)
+    _check_onshell(p.tolist(), m)  # floats: inf - inf is nan, not a warning
     pvec = p[1:]
     pmag = np.linalg.norm(pvec)
     if pmag < 1e-14:
@@ -182,11 +181,6 @@ def transverse_projector(kvec) -> np.ndarray:
     if k2 <= 0.0:
         raise ZeroVectorError("need |k| > 0")
     return np.eye(3) - np.outer(kvec, kvec) / k2
-
-
-def boost_matrix(beta) -> np.ndarray:
-    """4x4 Lorentz boost with velocity beta: the rows of boost_rows."""
-    return np.array(boost_rows(beta))
 
 
 def spinor_boost_matrix(beta) -> np.ndarray:

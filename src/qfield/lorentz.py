@@ -1,5 +1,7 @@
 """Four-vector arithmetic on Python floats: Minkowski products, the
-on-shell, mass and spin checks, and Lorentz boost rows.
+on-shell energy omega, the on-shell, mass and spin checks, and Lorentz
+boost rows.  Each rule is stated here once; the dirac, propagator and
+scattering layers call it.
 
 Metric signature (+,-,-,-).  A four-vector is any indexable of four
 numbers (a tuple, a list or a numpy array); nothing here needs numpy, so
@@ -25,12 +27,20 @@ def mass2(p) -> float:
     return minkowski_dot(p, p)
 
 
+def omega(kvec, m: float) -> float:
+    """sqrt(|kvec|^2 + m^2), summed left to right on Python floats."""
+    kx, ky, kz = map(float, kvec)
+    m = float(m)
+    return math.sqrt(kx * kx + ky * ky + kz * kz + m * m)
+
+
 def _check_onshell(p, m: float):
     dev = abs(mass2(p) - m * m)
     p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
     scale = max(1.0, abs(m * m), p0 * p0)
-    # written so that a nan component or mass fails the test too
-    if not dev <= ONSHELL_RTOL * scale:
+    # written so that a nan component or mass, or an infinite scale (where
+    # inf <= inf would hold), fails the test too
+    if not dev <= ONSHELL_RTOL * scale < math.inf:
         for x in (*p, m):
             finite(x, "p and m")
         raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
@@ -44,7 +54,8 @@ def _check_spin(r: int):
 
 
 def _check_mass(m: float):
-    if m <= 0.0:
+    if not 0.0 < m < math.inf:  # so that a nan mass fails too
+        finite(m, "m")
         raise ZeroMassError(f"need m > 0, got {m}")
 
 

@@ -10,8 +10,8 @@ equivalently (1/2w)[1/(k0-w) - q/(k0+w)]: two poles of unequal strength
 1 and q.  The spinor form carries (m + pslash)/2m and swaps q -> -q in
 the scalar factor; the photon/vector form is the metric (or the massive
 projector) times the scalar factor.  The scalar factor, its residues and
-omega are Python-float arithmetic, with k^2 - m^2 formed as
-(k0 - w)(k0 + w) so that the digits near a pole survive.
+omega (from ``lorentz``) are Python-float arithmetic, with k^2 - m^2
+formed as (k0 - w)(k0 + w) so that the digits near a pole survive.
 
 Position space depends on the invariant interval zeta^2 = r^2 - t^2
 only: the positive-frequency Wightman function is m K1(m zeta)/(4 pi^2
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
                      ZeroMassError, finite)
+from .lorentz import _check_mass, omega
 
 POLE_GUARD = 1e-10
 
@@ -64,13 +65,6 @@ class PropagatorValue:
     value: object
     onshell_distance: float
     quad_error: float | None = None
-
-
-def omega(kvec, m: float) -> float:
-    """sqrt(|kvec|^2 + m^2), summed left to right on Python floats."""
-    kx, ky, kz = map(float, kvec)
-    m = float(m)
-    return math.sqrt(kx * kx + ky * ky + kz * kz + m * m)
 
 
 def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
@@ -189,10 +183,8 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
 
     Reduces to (m+pslash)/(2m (p^2-m^2)) at q = -1.
     """
-    finite(m, "m")
     finite(q, "q")
-    if m <= 0.0:
-        raise ZeroMassError("spinor propagator needs m > 0")
+    _check_mass(m)
     if _np is None:
         _load_numpy()
     np = _np
@@ -205,12 +197,15 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
 
 
 def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
-    """Vector propagator: g (massless) or g - k k / m^2 (massive) times scalar.
+    """Vector propagator: g (massless) or g - k k / m^2 (massive) times scalar;
+    ValueError at m < 0, where omega (in m^2) would mix the two.
 
     The half-sum scalar form is used internally, so q = -1 is evaluable.
     """
     finite(m, "m")
     finite(q, "q")
+    if m < 0.0:
+        raise ValueError("need m >= 0")
     if _np is None:
         _load_numpy()
     np = _np

@@ -20,16 +20,16 @@ the 16 spin assignments, which the CLI prints one at a time, come from
 one tensor: the spinors of both spins of each leg give the four currents
 J[mu, s_out, s_in], which the metric contracts in pairs.
 
-Only that tensor, boost() and the ``incoming``/``outgoing`` arrays load
-numpy and the dirac layer; everything else runs on ``lorentz`` floats.
+Only that tensor loads numpy and the dirac layer; everything else runs
+on ``lorentz`` floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import (DegenerateTransferError, NonFiniteInputError,
-                     NumericOverflowError, OffShellError, finite)
+from .errors import (DegenerateTransferError, NumericOverflowError,
+                     OffShellError, finite)
 from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell, _check_spin,
                       boost_rows, mass2, minkowski_dot)
 
@@ -42,17 +42,13 @@ TRANSFER_GUARD = 1e-12
 @dataclass
 class Boost:
     """A Lorentz boost with velocity ``beta`` (a float 3-tuple once built);
-    ``rows`` holds its 4x4 matrix as float 4-tuples (dirac.boost_rows)."""
+    ``rows`` holds its 4x4 matrix as float 4-tuples (lorentz.boost_rows)."""
 
     beta: tuple
 
     def __post_init__(self):
         self.rows = boost_rows(self.beta)
         self.beta = tuple(map(float, self.beta))
-
-    @property
-    def gamma_factor(self) -> float:
-        return self.rows[0][0]
 
     def apply(self, p) -> tuple:
         """The boosted four-vector, as a float 4-tuple."""
@@ -61,43 +57,22 @@ class Boost:
                       for r0, r1, r2, r3 in self.rows])
 
 
-def boost(p, b: Boost):
-    """Boost a four-vector, as a numpy array; preserves the invariant mass."""
-    import numpy as np
-    return np.array(b.apply(p), dtype=float)
-
-
 class ProcessKinematics:
     """2 -> 2 kinematics with per-leg masses, validated on construction.
 
-    ``legs`` holds the four-momenta A, B (in) and C, D (out) once, as float
-    4-tuples; ``incoming`` and ``outgoing`` give them as numpy arrays.
+    ``legs`` holds the four-momenta A, B (in) and C, D (out) as float
+    4-tuples, each on shell (lorentz._check_onshell).
     """
 
     def __init__(self, incoming, outgoing, masses):
         self.legs = tuple(tuple(map(float, p)) for p in (*incoming, *outgoing))
         self.masses = tuple(masses)
         for p, m in zip(self.legs, self.masses):
-            scale = max(1.0, p[0] * p[0])
-            # written so that a nan or infinite leg fails the test too
-            if not abs(mass2(p) - m * m) <= ONSHELL_RTOL * scale:
-                if not all(map(math.isfinite, p)):
-                    raise NonFiniteInputError(f"leg {p} must be finite")
-                raise OffShellError(f"leg {p} not on shell for m={m}")
+            _check_onshell(p, m)
         a, b, c, d = self.legs
         total = [(ai + bi) - (ci + di) for ai, bi, ci, di in zip(a, b, c, d)]
         if max(map(abs, total)) > ONSHELL_RTOL * max(1.0, a[0]):
             raise OffShellError(f"4-momentum not conserved: {total}")
-
-    @property
-    def incoming(self) -> tuple:
-        import numpy as np
-        return tuple(np.array(p) for p in self.legs[:2])
-
-    @property
-    def outgoing(self) -> tuple:
-        import numpy as np
-        return tuple(np.array(p) for p in self.legs[2:])
 
     def boosted(self, b: Boost) -> "ProcessKinematics":
         legs = [b.apply(p) for p in self.legs]

@@ -58,6 +58,16 @@ def test_wick_verify_sweep():
     assert row[4] == "true"
 
 
+def test_wick_verify_passes_on_the_relative_rule():
+    # |vev| reaches 7.4e7 at q = 20: an absolute 1.5e-8 difference is
+    # within WickReport.passed's relative 1e-9 on every string
+    res = run("wick", "verify", "--max-len", "8", "--q", "20")
+    assert res.returncode == 0
+    row = res.stdout.strip().split("\n")[1].split(",")
+    assert row[2] == "510" and float(row[3]) > 1e-9
+    assert row[4] == "true"
+
+
 def test_wick_verify_keeps_the_length_cap():
     # the sweep doubles per length: past the cap it exits 2 before any work
     res = run("wick", "verify", "--max-len", "13", "--q", "0.7")
@@ -296,11 +306,15 @@ def test_intermediate_overflow_exits_1(capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: NumericOverflowError:"), argv
-    # a negative mass gave nan kinematics; it is now a usage error
-    with pytest.raises(SystemExit) as info:
-        main(["scatter", "frame-scan", "--m=-1", "--energy=-0.5"])
-    assert info.value.code == 2
-    assert "need m >= 0" in capsys.readouterr().err
+    # a negative mass gave nan kinematics, or (omega takes m^2) the
+    # massless photon tensor times the massive scalar factor; it is now a
+    # usage error
+    for argv in (["scatter", "frame-scan", "--m=-1", "--energy=-0.5"],
+                 ["propagator", "photon", "--m=-1", "--k0=0.3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "need m >= 0" in capsys.readouterr().err
 
 
 def test_overflow_and_large_x_paths():
@@ -344,7 +358,7 @@ REEXPORTS = {
                    "photon_propagator_momentum", "pole_residues",
                    "delta_plus_equal_time", "spacelike_q_commutator",
                    "causal_position"),
-    "scattering": ("Boost", "ProcessKinematics", "boost", "correction_factor",
+    "scattering": ("Boost", "ProcessKinematics", "correction_factor",
                    "moller_amplitude", "annihilation_correction_pair",
                    "frame_scan"),
 }

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qfield import dirac
-from qfield.dirac import (METRIC, boost_matrix, charge_conjugate_spinor,
-                          gamma, mass2, onshell_momentum, polarization_sum,
+from qfield import dirac, lorentz
+from qfield.dirac import (METRIC, charge_conjugate_spinor, gamma,
+                          onshell_momentum, polarization_sum,
                           polarization_sum_closed_form, polarization_vectors,
                           slash, spin_sum, spinor_boost_matrix,
                           theta_projector, transverse_projector, u_spinor,
@@ -13,6 +13,7 @@ from qfield.dirac import (METRIC, boost_matrix, charge_conjugate_spinor,
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
                            OffShellError, SuperluminalError, ZeroMassError,
                            ZeroVectorError)
+from qfield.lorentz import mass2
 
 RNG = np.random.default_rng(20240817)
 M = 1.0
@@ -104,10 +105,10 @@ def test_polarization_vectors_transverse_orthonormal():
     p = onshell_momentum([0.5, -1.2, 0.8], M)
     vecs = polarization_vectors(p, M)
     for e in vecs:
-        assert dirac.minkowski_dot(e, p) == pytest.approx(0.0, abs=1e-12)
+        assert lorentz.minkowski_dot(e, p) == pytest.approx(0.0, abs=1e-12)
     for i in range(3):
         for j in range(3):
-            dot = dirac.minkowski_dot(vecs[i], vecs[j])
+            dot = lorentz.minkowski_dot(vecs[i], vecs[j])
             assert dot == pytest.approx(-1.0 if i == j else 0.0, abs=1e-12)
 
 
@@ -118,7 +119,7 @@ def test_polarization_sum_closed_form_100_momenta():
         p = random_onshell()
         got = polarization_sum(p, M)
         assert np.max(np.abs(got - polarization_sum_closed_form(p, M))) <= 1e-12
-        contraction = np.array([dirac.minkowski_dot(got[:, i], p) for i in range(4)])
+        contraction = np.array([lorentz.minkowski_dot(got[:, i], p) for i in range(4)])
         assert np.max(np.abs(contraction)) <= 1e-10
     with pytest.raises(ZeroMassError):
         polarization_sum(np.array([1.0, 0, 0, 1.0]), 0.0)
@@ -137,18 +138,18 @@ def test_transverse_projector():
 
 def test_boost_matrix_properties():
     beta = np.array([0.1, -0.25, 0.4])
-    L = boost_matrix(beta)
+    L = np.array(lorentz.boost_rows(beta))
     p = random_onshell(2.0)
     assert mass2(L @ p) == pytest.approx(mass2(p), abs=1e-12)
     with pytest.raises(SuperluminalError):
-        boost_matrix([0.0, 0.0, 1.0])
+        lorentz.boost_rows([0.0, 0.0, 1.0])
 
 
 def test_boost_covariance_of_projector():
     # building the projector after boosting equals conjugating with the
     # spinor boost representation
     beta = np.array([0.3, 0.1, -0.2])
-    L = boost_matrix(beta)
+    L = np.array(lorentz.boost_rows(beta))
     S = spinor_boost_matrix(beta)
     for _ in range(10):
         p = random_onshell(3.0)
@@ -160,7 +161,7 @@ def test_boost_covariance_of_projector():
 def test_spinor_boost_takes_rest_spinor_to_moving():
     beta = np.array([0.0, 0.0, 0.6])
     S = spinor_boost_matrix(beta)
-    L = boost_matrix(beta)
+    L = np.array(lorentz.boost_rows(beta))
     rest = np.array([M, 0.0, 0.0, 0.0])
     u0 = u_spinor(rest, 1, M)
     up = u_spinor(L @ rest, 1, M)
@@ -217,25 +218,35 @@ def test_spinor_overflow_is_typed_and_silent():
 
 
 def test_onshell_check_rejects_nan():
-    # nan compares false both ways: the check is written so that it fails
+    # nan compares false both ways, and at an infinite p0 or m the scale is
+    # infinite too: the check is written so that both fail
     p = [1.0, 0.0, 0.0, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for leg, m in (([np.nan, 0.0, 0.0, 0.0], 1.0), (p, np.nan),
-                       ([1.0, np.nan, 0.0, 0.0], 1.0)):
-            for call in (lambda: theta_projector(leg, 1, m),
-                         lambda: polarization_vectors(leg, m),
-                         lambda: u_spinor(leg, 1, m),
-                         lambda: v_spinor(leg, 2, m),
-                         lambda: spin_sum(leg, m, "u"),
-                         lambda: spin_sum(leg, m, "v")):
-                with pytest.raises(NonFiniteInputError):
-                    call()
+        for x in (np.nan, np.inf, -np.inf):
+            for leg, m in (([x, 0.0, 0.0, 0.0], 1.0), (p, x),
+                           ([1.0, x, 0.0, 0.0], 1.0)):
+                for call in (lambda: theta_projector(leg, 1, m),
+                             lambda: polarization_vectors(leg, m),
+                             lambda: u_spinor(leg, 1, m),
+                             lambda: v_spinor(leg, 2, m),
+                             lambda: spin_sum(leg, m, "u"),
+                             lambda: spin_sum(leg, m, "v")):
+                    with pytest.raises(NonFiniteInputError):
+                        call()
+
+
+def test_mass_check_rejects_nonfinite():
+    # 0 < m < inf, written so that a nan mass fails too
+    for m in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInputError):
+            lorentz._check_mass(m)
+    for m in (0.0, -0.0, -1.0):
+        with pytest.raises(ZeroMassError):
+            lorentz._check_mass(m)
 
 
 def test_float_helpers_are_lorentz_objects():
-    from qfield import lorentz
-    for name in ("minkowski_dot", "mass2", "ONSHELL_RTOL", "_check_onshell",
-                 "_check_mass", "_check_spin", "subluminal_beta",
-                 "boost_rows"):
+    for name in ("omega", "_check_onshell", "_check_mass", "_check_spin",
+                 "subluminal_beta"):
         assert getattr(dirac, name) is getattr(lorentz, name), name

@@ -9,6 +9,7 @@ import oscillatory_oracle as oracle
 from qfield import dirac, propagator as prop
 from qfield.errors import (ConvergenceError, NonFiniteInputError, PoleError,
                            ZeroMassError)
+from qfield.lorentz import mass2
 
 RNG = np.random.default_rng(77)
 
@@ -16,7 +17,7 @@ RNG = np.random.default_rng(77)
 def random_offshell_k(min_dist=0.1):
     while True:
         k = RNG.uniform(-3.0, 3.0, 4)
-        if abs(dirac.mass2(k) - 1.0) > min_dist:
+        if abs(mass2(k) - 1.0) > min_dist:
             return k
 
 
@@ -24,7 +25,7 @@ def test_scalar_q1_reduction():
     for _ in range(50):
         k = random_offshell_k()
         pv = prop.scalar_propagator_momentum(k, 1.0, 1.0)
-        assert pv.value == pytest.approx(1.0 / (dirac.mass2(k) - 1.0), abs=1e-12)
+        assert pv.value == pytest.approx(1.0 / (mass2(k) - 1.0), abs=1e-12)
 
 
 def test_scalar_reference_point():
@@ -39,7 +40,7 @@ def test_scalar_q_minus1():
     k = np.array([0.7, 0.2, -0.4, 1.1])
     w = prop.omega(k[1:], 1.0)
     pv = prop.scalar_propagator_momentum(k, 1.0, -1.0)
-    assert pv.value == pytest.approx((k[0] / w) / (dirac.mass2(k) - 1.0), abs=1e-13)
+    assert pv.value == pytest.approx((k[0] / w) / (mass2(k) - 1.0), abs=1e-13)
 
 
 def test_partial_fraction_consistency():
@@ -144,13 +145,13 @@ def test_spinor_reduction_and_structure():
     m = 1.0
     p = random_offshell_k()
     pv = prop.spinor_propagator_momentum(p, m, -1.0)
-    expect = (m * np.eye(4) + dirac.slash(p)) / (2 * m * (dirac.mass2(p) - m * m))
+    expect = (m * np.eye(4) + dirac.slash(p)) / (2 * m * (mass2(p) - m * m))
     assert np.max(np.abs(pv.value - expect)) <= 1e-12
     # p0 = 0 kills the second term of the scalar factor
     p0 = np.array([0.0, 1.2, 0.3, -0.4])
     q = 0.6
     pv = prop.spinor_propagator_momentum(p0, m, q)
-    scalar = (1 - q) / (2 * (dirac.mass2(p0) - m * m))
+    scalar = (1 - q) / (2 * (mass2(p0) - m * m))
     expect = (m * np.eye(4) + dirac.slash(p0)) / (2 * m) * scalar
     assert np.max(np.abs(pv.value - expect)) <= 1e-13
     # trace kills pslash
@@ -162,7 +163,7 @@ def test_spinor_reduction_and_structure():
 def test_photon_q1_reduction():
     k = random_offshell_k()
     pv = prop.photon_propagator_momentum(k, 0.0, 1.0)
-    expect = dirac.METRIC / dirac.mass2(k)
+    expect = dirac.METRIC / mass2(k)
     assert np.max(np.abs(pv.value - expect)) <= 1e-12
 
 
@@ -170,7 +171,7 @@ def test_photon_q_minus1_evaluable():
     k = np.array([0.5, 1.0, 0.0, 0.0])
     w = prop.omega(k[1:], 0.0)
     pv = prop.photon_propagator_momentum(k, 0.0, -1.0)
-    expect = dirac.METRIC * (k[0] / w) / dirac.mass2(k)
+    expect = dirac.METRIC * (k[0] / w) / mass2(k)
     assert np.max(np.abs(pv.value - expect)) <= 1e-12
 
 
@@ -178,12 +179,21 @@ def test_massive_photon_projector_contraction():
     # unit-normalized contraction khat.T.khat = (1 - k^2/m^2) * scalar
     m, q = 1.0, 0.7
     k = np.array([0.3, 0.8, -0.2, 0.5])
-    k2 = dirac.mass2(k)
+    k2 = mass2(k)
     pv = prop.photon_propagator_momentum(k, m, q)
     scalar = prop.scalar_propagator_momentum(k, m, q).value
     k_lower = dirac.METRIC @ k
     contraction = k_lower @ pv.value @ k_lower / k2
     assert contraction == pytest.approx((1 - k2 / m ** 2) * scalar, abs=1e-12)
+
+
+def test_photon_rejects_negative_mass():
+    # omega takes m^2, so at m < 0 the massless tensor g would meet the
+    # massive scalar factor; rejected as position space rejects it
+    k = np.array([0.3, 0.2, 0.0, 0.1])
+    for m in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="need m >= 0"):
+            prop.photon_propagator_momentum(k, m, 0.5)
 
 
 # ------------------------------------------------------- position space
