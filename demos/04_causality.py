@@ -4,8 +4,8 @@ Position space: the invariant interval and the causality probe
 
 Every position-space value depends on the invariant interval r^2 - t^2
 only.  The equal-time two-point function Delta_plus is m K1(mr)/(4 pi^2 r);
-the library sums K1 from its integral representation by an exp-sinh
-rule, and scipy's k1 checks it here.  For q != 1 the field commutator no
+the library evaluates K1 from its power series and a Chebyshev series
+on Python floats, and scipy's k1 checks it here.  For q != 1 the field commutator no
 longer vanishes at spacelike separation -- the residue is exactly
 (1-q) Delta_plus, and this script measures it.
 """
@@ -16,8 +16,8 @@ from qfield import propagator
 
 m = 1.0
 
-# the exp-sinh sum versus scipy's Bessel K1 across two decades of mr
-print("   r        exp-sinh      m K1(mr)/(4 pi^2 r)   rel err")
+# the library versus scipy's Bessel K1 across two decades of mr
+print("   r        qfield        m K1(mr)/(4 pi^2 r)   rel err")
 for r in (0.2, 0.5, 1.0, 2.0, 4.0):
     got = propagator.delta_plus_equal_time(r, m)
     want = m * k1(m * r) / (4 * np.pi ** 2 * r)

@@ -14,9 +14,9 @@ The first three load with the package.  ``lorentz``, ``dirac``,
 ``propagator`` and ``scattering`` each load on first access to it or to a
 name re-exported from it (PEP 562).  Only ``dirac`` imports numpy at module level;
 ``propagator`` and ``scattering`` import it where they first build a
-matrix or a position-space sum, so the scalar propagator, the residues,
-the kinematics, correction factors, frame scans and the Moller spin sum
-run without it.
+matrix, so the scalar propagator, the residues, position space, the
+kinematics, correction factors, frame scans and the Moller spin sum run
+without it.
 """
 from importlib import import_module as _import_module
 

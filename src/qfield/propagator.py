@@ -16,16 +16,22 @@ formed as (k0 - w)(k0 + w) so that the digits near a pole survive.
 Position space depends on the invariant interval zeta^2 = r^2 - t^2
 only: the positive-frequency Wightman function is m K1(m zeta)/(4 pi^2
 zeta), with zeta = +i sqrt(t^2 - r^2) at timelike points (the t - i0
-prescription, where it is m (Y1 + i J1)/(8 pi tau)).  K1 of a real or
-imaginary argument is one exp-sinh trapezoid sum over a smooth,
-exponentially decaying integrand (DLMF 10.32.8) on a fixed set of nodes;
-the sum at twice the step reuses every other node and bounds the error.
-The equal-time value, the spacelike q-commutator (1-q) Delta_plus and the
+prescription, where it is m (Y1 + i J1)/(8 pi tau)).  z K1(z) of a real
+or imaginary argument is a fixed-length expansion on Python floats: the
+power series (DLMF 10.31.1, 10.8.1) at small |z|, above it a Chebyshev
+series of e^z sqrt(z) K1(z), or of the Hankel modulus and phase (DLMF
+10.18).  The coefficients and each expansion's error bound come from
+tools/bessel_tables.py (mpmath); ``quad_error`` is that bound plus the
+rounding of z and of the final exponential, and bounds the true error.
+The expansions themselves are within 1e-13 relative; the rounding of
+zeta adds about eps m |zeta| relative, so values are within 1e-12 of
+the exact one at the float inputs for m |zeta| up to ~1e3.  The
+equal-time value, the spacelike q-commutator (1-q) Delta_plus and the
 q-causal propagator all come from it.
 
-numpy (with the dirac layer and the nodes) is loaded on the first spinor
-or photon matrix or position-space sum, not at import: the scalar
-propagator and the residues never load it.
+numpy (with the dirac layer) is loaded on the first spinor or photon
+matrix, not at import: the scalar propagator, the residues and position
+space never load it.
 """
 from __future__ import annotations
 
@@ -33,24 +39,24 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
                      ZeroMassError, finite)
 from .lorentz import _check_mass, omega
 
 POLE_GUARD = 1e-10
 
-# numpy, the dirac layer and the exp-sinh rule, bound by _load_numpy where a
-# matrix or a position-space sum is first built (see the module docstring)
-_np = _dirac = _DE_NODES = _DE_WEIGHTS = None
+# numpy and the dirac layer, bound by _load_numpy where a spinor or photon
+# matrix is first built; nothing else in this module uses them
+_np = _dirac = None
 
 
 def _load_numpy():
-    global _np, _dirac, _DE_NODES, _DE_WEIGHTS
+    global _np, _dirac
     from . import dirac
     _dirac = dirac
-    _DE_NODES, _DE_WEIGHTS = _exp_sinh_rule()
     import numpy
-    _np = numpy  # last: _np set means everything else is bound
+    _np = numpy  # last: _np set means _dirac is bound too
 
 
 @dataclass
@@ -221,49 +227,99 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     return PropagatorValue(_finite_matrix(matrix), dist)
 
 
-def _exp_sinh_rule() -> tuple:
-    """Nodes u and weights (2 x nodes) of the exp-sinh trapezoid rule
-
-        Int_0^inf e^{-u} u^{1/2} g(u) du ~ sum_i w_i g(u_i),
-        u = exp(pi/2 sinh tau),  tau in [-5, 4] at step 1/16.
-
-    Row 0 holds the weights at step 1/16, row 1 those of the rule at step
-    1/8: every other node, at doubled weight.  Nodes whose weight
-    underflows to 0 are dropped.
-    """
-    import numpy as np
-    step = 1.0 / 16.0
-    tau = np.arange(-80, 65) * step
-    u = np.exp(0.5 * np.pi * np.sinh(tau))
-    w = step * 0.5 * np.pi * np.cosh(tau) * u * np.sqrt(u) * np.exp(-u)
-    coarse = np.where(np.arange(tau.size) % 2 == 0, 2.0 * w, 0.0)
-    keep = w > 0.0
-    return u[keep], np.stack([w, coarse])[:, keep]
-
-
 _EPS = math.ulp(1.0)
 _UNDERFLOW = math.ulp(0.0)  # the absolute rounding of a subnormal result
 _FOUR_PI2 = 4.0 * math.pi ** 2
+_HALF_PI = 0.5 * math.pi
+_THREE_QUARTER_PI = 0.75 * math.pi
+
+# The expansions of z K1(z) (see _bessel_tables), in the order Horner's
+# rule and Clenshaw's recurrence take them: highest degree first
+_SERIES = tuple(zip(reversed(_tab.SERIES_A), reversed(_tab.SERIES_B)))
+_SPACE_SERIES = _SERIES[-_tab.SPACE_TERMS:]
+_K1_CHEB = tuple(reversed(_tab.K1_CHEB))
+_HANKEL_CHEB = tuple(zip(reversed(_tab.M1_CHEB), reversed(_tab.THETA1_CHEB)))
+
+
+def _series(y: float, terms) -> tuple:
+    """(A(y), B(y)) of the z K1(z) series, by Horner's rule."""
+    a = b = 0.0
+    for ca, cb in terms:
+        a = a * y + ca
+        b = b * y + cb
+    return a, b
+
+
+def _spacelike(z: float, den: float) -> tuple:
+    """(W, relative error bound, lead) at z = m zeta, den = 4 pi^2 zeta^2;
+    lead is the exponent of W where W is formed as one exponential."""
+    if z <= _tab.SPACE_CUT:
+        y = 0.25 * z * z
+        a, b = _series(y, _SPACE_SERIES)
+        s = 1.0 + y * (2.0 * math.log(0.5 * z) * a - b) if y else 1.0
+        return s / den, _tab.SPACE_SERIES_RTOL, 0.0
+    # g = e^z sqrt(z) K1(z) by Clenshaw's recurrence in t = 2 cut/z - 1
+    t2 = 4.0 * _tab.SPACE_CUT / z - 2.0
+    b0 = b1 = 0.0
+    for c in _K1_CHEB:
+        b0, b1 = t2 * b0 - b1 + c, b0
+    g = b0 - 0.5 * t2 * b1
+    # e^{-z} z K1(z) / den as one exponential: no intermediate under- or
+    # overflow (sqrt(z) g / den itself overflows at m ~ 1e300, zeta ~ 1e-150)
+    lead = math.log(math.sqrt(z) * g) - math.log(den) - z
+    try:
+        return math.exp(lead), _tab.K1_CHEB_RTOL, lead
+    except OverflowError:
+        raise NumericOverflowError(
+            f"position-space value overflows at m zeta={z}") from None
+
+
+def _timelike(x: float, den: float) -> tuple:
+    """(W, relative error bound, 0) at x = m tau, den = -4 pi^2 tau^2, from
+    z K1(z) = -(pi/2) x (Y1 + i J1)(x) at z = i x."""
+    if x <= _tab.TIME_CUT:
+        y = -0.25 * x * x
+        a, b = _series(y, _SERIES)
+        re, im = (1.0 + y * (2.0 * math.log(0.5 * x) * a - b),
+                  math.pi * y * a) if y else (1.0, 0.0)
+        return complex(re / den, im / den), _tab.TIME_SERIES_RTOL, 0.0
+    # sqrt(x) M1 and (theta1 - x + 3 pi/4) x by Clenshaw's recurrence in
+    # t = 2 cut/x - 1
+    t2 = 4.0 * _tab.TIME_CUT / x - 2.0
+    b0 = b1 = d0 = d1 = 0.0
+    for c, e in _HANKEL_CHEB:
+        b0, b1 = t2 * b0 - b1 + c, b0
+        d0, d1 = t2 * d0 - d1 + e, d0
+    modulus = b0 - 0.5 * t2 * b1
+    # theta1 = x + d: sin and cos of x and of d apart, so that x + d is
+    # never rounded
+    d = (d0 - 0.5 * t2 * d1) / x - _THREE_QUARTER_PI
+    sx, cx, sd, cd = math.sin(x), math.cos(x), math.sin(d), math.cos(d)
+    # Y1 + i J1 = M1 (sin theta1 + i cos theta1)
+    scale = -_HALF_PI * math.sqrt(x) * modulus / den
+    return (complex(scale * (sx * cd + cx * sd), scale * (cx * cd - sx * sd)),
+            _tab.HANKEL_CHEB_RTOL, 0.0)
 
 
 def _wightman(t: float, r: float, m: float) -> tuple:
     """(W, error) for the positive-frequency Wightman function at |t|,
 
-        W = m K1(m zeta) / (4 pi^2 zeta),  zeta^2 = r^2 - t^2.
+        W = m K1(m zeta) / (4 pi^2 zeta) = z K1(z) / (4 pi^2 zeta^2),
 
-    Spacelike zeta = sqrt(zeta^2), where W is real.  Timelike
-    zeta = +i sqrt(-zeta^2), the t - i0 prescription, where
-    W = m (Y1 + i J1)(m tau) / (8 pi tau), tau = sqrt(t^2 - r^2).  Massless,
-    W = 1/(4 pi^2 zeta^2).  With z = m zeta, DLMF 10.32.8 (nu = 1,
-    |arg z| < pi) gives
+    z = m zeta, zeta^2 = r^2 - t^2.  Spacelike zeta = sqrt(zeta^2), where W
+    is real.  Timelike zeta = +i tau, tau = sqrt(t^2 - r^2), the t - i0
+    prescription, where W = m (Y1 + i J1)(m tau) / (8 pi tau).  Massless,
+    W = 1/(4 pi^2 zeta^2).
 
-        z K1(z) = e^{-z} Int_0^inf e^{-u} u^{1/2} (u + 2z)^{1/2} du,
-
-    a smooth integrand that decays exponentially, summed by the exp-sinh
-    rule.  The error is the distance between the sums at steps 1/16 and
-    1/8, plus the rounding of z (W is about |z| times as sensitive to it)
-    and of the final exponential, plus one subnormal unit.
-    NumericOverflowError where zeta^2 leaves the float range or W does.
+    z K1(z) comes from fixed-length expansions in Python floats (tables
+    and derivation in _bessel_tables): the power series of DLMF 10.31.1
+    and 10.8.1 up to z = 2 spacelike and m tau = 4 timelike, above them
+    Chebyshev series of e^z sqrt(z) K1(z) and of the modulus and phase of
+    the Hankel function (DLMF 10.18).  The error is each expansion's bound
+    (its truncation and the rounding of its evaluation), plus the rounding
+    of z (W is about |z| times as sensitive to it) and of the final
+    exponential, plus one subnormal unit.  NumericOverflowError where
+    zeta^2, m zeta or W leaves the float range.
     """
     ta = abs(t)
     zeta2 = (r - ta) * (r + ta)  # a product keeps the digits near the cone
@@ -275,23 +331,13 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     if m == 0.0:
         value = 1.0 / den
         return value, 4.0 * _EPS * abs(value) + _UNDERFLOW
-    if zeta2 > 0.0:
-        z, log, exp = m * math.sqrt(zeta2), math.log, math.exp
-    else:
-        z, log, exp = 1j * m * math.sqrt(-zeta2), cmath.log, cmath.exp
-    if _np is None:
-        _load_numpy()
-    fine, coarse = _np.dot(_DE_WEIGHTS, _np.sqrt(_DE_NODES + 2.0 * z)).tolist()
-    # e^{-z} S / den as one exponential: no intermediate under- or overflow
-    lead = log(fine / den) - z
-    try:
-        value = exp(lead)
-    except OverflowError:
+    z = m * math.sqrt(abs(zeta2))
+    if z == math.inf:
         raise NumericOverflowError(
-            f"position-space value overflows at t={t}, r={r}, m={m}") from None
-    rounding = 4.0 * _EPS * (2.0 + 2.0 * abs(z) + abs(lead))
-    err = abs(value) * (abs(fine - coarse) / abs(fine) + rounding)
-    return value, err + _UNDERFLOW
+            f"m zeta overflows at t={t}, r={r}, m={m}")
+    value, rtol, lead = (_spacelike if zeta2 > 0.0 else _timelike)(z, den)
+    rounding = 4.0 * _EPS * (2.0 + 2.0 * z + abs(lead))
+    return value, abs(value) * (rtol + rounding) + _UNDERFLOW
 
 
 def _position_value(value, err: float) -> PropagatorValue:

@@ -44,11 +44,16 @@ def q_occupancy(x: float, q: float) -> float:
     q = 1 reduces to Bose-Einstein, q = -1 to Fermi-Dirac, q = 0 to
     the Boltzmann factor e^(-x).  Where e^x overflows, the same value is
     e^(-x)/(1 - q e^(-x)).
+
+    Tolerance: e^x - q is formed as expm1(x) + (1 - q), so the relative
+    error is within 3 eps (|e^x - 1| + |1 - q|)/|e^x - q|, a few eps
+    wherever the two terms share a sign (x >= 0 and q <= 1 near the pole).
     """
     finite(x, "x")
     finite(q, "q")
     try:
-        denom = math.exp(x) - q
+        # e^x - q without the cancellation of e^x against q near x = 0
+        denom = math.expm1(x) + (1.0 - q)
     except OverflowError:
         small = math.exp(-x)
         return small / (1.0 - q * small)

@@ -51,10 +51,19 @@ class Boost:
         self.beta = tuple(map(float, self.beta))
 
     def apply(self, p) -> tuple:
-        """The boosted four-vector, as a float 4-tuple."""
+        """The boosted four-vector, as a float 4-tuple; NonFiniteInputError
+        for a non-finite component of p, NumericOverflowError where a
+        boosted component overflows."""
         p0, p1, p2, p3 = p
-        return tuple([r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3
-                      for r0, r1, r2, r3 in self.rows])
+        out = tuple([r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3
+                     for r0, r1, r2, r3 in self.rows])
+        # the sum is finite unless a component is not, or the components
+        # are near the float limit
+        if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+            for x in p:
+                finite(x, "component of p")
+            raise NumericOverflowError(f"boosted four-vector {out} overflows")
+        return out
 
 
 class ProcessKinematics:
@@ -119,16 +128,27 @@ def cm_annihilation_kinematics(energy: float, theta: float, m: float,
 
 def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
                       q: float, flavor: str) -> float:
-    """q-dependent multiplicative factor on an internal line (see module doc)."""
+    """q-dependent multiplicative factor on an internal line (see module
+    doc); NonFiniteInputError for a non-finite input, NumericOverflowError
+    where the factor overflows."""
     dp = math.hypot(*(a - b for a, b in zip(pvec_in, pvec_out)))
     if dp <= TRANSFER_GUARD:
         raise DegenerateTransferError("vanishing 3-momentum transfer")
     ratio = (E_in - E_out) / dp
     if flavor == PHOTON_LINE:
-        return 0.5 * ((1.0 + q) + (1.0 - q) * ratio)
-    if flavor == ELECTRON_LINE:
-        return 0.5 * ((1.0 - q) + (1.0 + q) * ratio)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        value = 0.5 * ((1.0 + q) + (1.0 - q) * ratio)
+    elif flavor == ELECTRON_LINE:
+        value = 0.5 * ((1.0 - q) + (1.0 + q) * ratio)
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    # an infinite transfer gives ratio 0 and a finite factor, so dp is
+    # tested with the result
+    if not (math.isfinite(value) and dp < math.inf):
+        for x in (E_in, E_out, *pvec_in, *pvec_out, q):
+            finite(x, "correction_factor input")
+        raise NumericOverflowError(
+            f"correction factor overflows at E_in={E_in}, E_out={E_out}")
+    return value
 
 
 def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
@@ -142,12 +162,13 @@ def _moller_transfers(kin: ProcessKinematics,
                       strict_paper_mode: bool) -> tuple:
     """(t, u) = ((C - A)^2, (D - A)^2), or (B - A)^2 for u in strict paper
     mode, after the checks the spinors make: ZeroMassError, OffShellError
-    per leg, then DegenerateTransferError where t or u is within
-    TRANSFER_GUARD."""
+    where the legs' masses differ (ProcessKinematics checked each leg on
+    shell at its own mass), then DegenerateTransferError where t or u is
+    within TRANSFER_GUARD."""
     m = kin.masses[0]
     _check_mass(m)
-    for p in kin.legs:
-        _check_onshell(p, m)
+    if any(mi != m for mi in kin.masses):
+        raise OffShellError(f"Moller legs need one mass, got {kin.masses}")
     pA, pB, pC, pD = kin.legs
     t = mass2([c - a for c, a in zip(pC, pA)])
     u = mass2([x - a for x, a in zip(pB if strict_paper_mode else pD, pA)])

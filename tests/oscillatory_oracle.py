@@ -1,7 +1,7 @@
 """Position space by oscillatory quadrature: the test-side oracle.
 
 The library evaluates position-space values from the invariant interval
-(a K1/Hankel closed form summed by an exp-sinh rule).  This module is an
+(a K1/Hankel closed form from power and Chebyshev series).  This module is an
 independent route to the same values, the radial integrals
 
     Delta_plus(r)  = (1/(4 pi^2 r)) Int_0^inf dp p sin(p r) / omega(p),
@@ -18,6 +18,10 @@ keeps only the last two, so a checkpoint costs no rebuild.
 It shares no code with the library's position-space path and is right
 inside the window m r <= 6, m |r - |t|| >= 0.3; outside it (large m r,
 near the light cone) it can miss by far more than its error estimate.
+Position-space values report the tolerance each integral stops at,
+REL_TOL * max(1, |integral|), as their error: Wynn's estimate, which
+decides when to stop, is not a bound (at r = 0.16687, m = 1.32254 it
+reads 1.3e-11 where the value is 1.6e-10 off).
 """
 import numpy as np
 
@@ -28,6 +32,7 @@ _GAUSS_N = 24
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
 _CHECK_EVERY = 4  # panels between Wynn checkpoints
 _TINY = 1e-300    # a Wynn difference below this ends the table
+REL_TOL = 1e-8    # stopping tolerance of the position-space integrals
 
 
 class _WynnTable:
@@ -142,15 +147,19 @@ def oscillatory_integral(f, period: float, rel_tol: float = 1e-8,
         f"tail not stabilized after {max_panels} panels (err ~ {err})")
 
 
+def _tolerance(val) -> float:
+    return REL_TOL * max(1.0, abs(val))
+
+
 def delta_plus_equal_time(r: float, m: float) -> PropagatorValue:
     """Equal-time Wightman function by the radial oscillatory integral."""
 
     def integrand(p):
         return p * np.sin(p * r) / np.sqrt(p * p + m * m)
 
-    val, err = oscillatory_integral(integrand, np.pi / r)
+    val = oscillatory_integral(integrand, np.pi / r, REL_TOL)[0]
     pref = 1.0 / (4.0 * np.pi ** 2 * r)
-    return PropagatorValue(pref * val, float("nan"), pref * err)
+    return PropagatorValue(pref * val, float("nan"), pref * _tolerance(val))
 
 
 def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
@@ -168,13 +177,13 @@ def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
             return sign * g * np.exp(1j * k * s) / 2j
         return f
 
-    val1, err1 = oscillatory_integral(make_piece(r - ta, +1.0),
-                                      np.pi / abs(r - ta))
-    val2, err2 = oscillatory_integral(make_piece(-(r + ta), -1.0),
-                                      np.pi / (r + ta))
+    val1 = oscillatory_integral(make_piece(r - ta, +1.0),
+                                np.pi / abs(r - ta), REL_TOL)[0]
+    val2 = oscillatory_integral(make_piece(-(r + ta), -1.0),
+                                np.pi / (r + ta), REL_TOL)[0]
     pref = 1.0 / (4.0 * np.pi ** 2 * r)
     value = pref * (val1 + val2)
-    err = pref * (err1 + err2)
+    err = pref * (_tolerance(val1) + _tolerance(val2))
     if t < 0:
         value = q * np.conj(value)
         err = abs(q) * err

@@ -339,6 +339,8 @@ NUMPY_FREE_ARGV = (
     ("propagator", "scalar", "--q", "0.5", "--k0-grid", "2:4:5",
      "--kvec", "0,0,0"),
     ("propagator", "residues", "--q", "0.5", "--kvec", "1,0,0"),
+    ("propagator", "position", "--q", "0.5", "--t", "2", "--r", "0.5"),
+    ("propagator", "spacelike", "--q", "0.5", "--r-grid", "0.5:2:4"),
     ("scatter", "annihilate", "--q", "0.5"),
     ("scatter", "frame-scan", "--q", "0.5"),
 )
@@ -367,7 +369,7 @@ LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
 
 
 def test_import_leaves_scipy_out():
-    # numpy loads only where a matrix or a position-space sum is built
+    # numpy loads only where a spinor, photon or Moller matrix is built
     script = f"""
 import contextlib, io, sys
 import qfield, qfield.cli

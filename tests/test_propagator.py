@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 
@@ -231,6 +232,13 @@ def test_delta_plus_scaling():
     assert v1 == pytest.approx(m * m * v2, rel=1e-7)
 
 
+def test_delta_plus_underflows_to_zero_at_huge_m_zeta():
+    # m zeta = 1e150 with zeta^2 = 1e-300: the value is 0 to the float,
+    # though sqrt(m zeta) / zeta^2 alone would overflow
+    got = prop.delta_plus_equal_time(1e-150, 1e300)
+    assert got.value == 0.0 and got.quad_error == math.ulp(0.0)
+
+
 def test_delta_plus_invalid_args():
     with pytest.raises(ValueError):
         prop.delta_plus_equal_time(0.0, 1.0)
@@ -401,7 +409,7 @@ def test_position_space_whole_domain_against_bessel_closed_forms():
 def test_position_space_error_covers_the_rounding_of_the_interval():
     # far inside the cone at large m the phase m tau is ~1e9 radians, and
     # the rounding of tau alone moves the value by ~1e-8 relative: more
-    # than the exp-sinh step difference, which the bound must exceed too
+    # than the expansions' own bound, which the bound must exceed too
     mp = pytest.importorskip("mpmath")
     for t, r, m in ((3.0, 1.0, 1e9), (50.0, 49.0, 1e8), (-7.0, 2.0, 3e8)):
         pv = prop.causal_position(t, r, m, 1.0)
@@ -409,6 +417,104 @@ def test_position_space_error_covers_the_rounding_of_the_interval():
             ref = wightman_reference(t, r, m, mp)
             ref = ref if t > 0 else mp.conj(ref)
             assert abs(mp.mpc(pv.value) - ref) <= pv.quad_error, (t, r, m)
+
+
+def test_position_space_branch_joins_on_dense_log_grids():
+    # z = m zeta spacelike on [1e-8, 700] and x = m tau timelike on
+    # [1e-8, 1e4], log-spaced, plus the floats around each expansion's
+    # cut; zeta = tau = 1 exactly, so z and x are the float m
+    mp = pytest.importorskip("mpmath")
+    from qfield import _bessel_tables as tab
+
+    def grid(hi, cut):
+        points = {1e-8 * (hi / 1e-8) ** (i / 299) for i in range(300)}
+        for rel in (1e-12, 1e-8, 1e-4, 1e-2):
+            points |= {cut * (1.0 - rel), cut * (1.0 + rel)}
+        return sorted(points | {cut, math.nextafter(cut, 0.0),
+                                math.nextafter(cut, math.inf)})
+
+    cases = [(0.0, 1.0, m) for m in grid(700.0, tab.SPACE_CUT)]
+    cases += [(1.0, 1e-20, m) for m in grid(1e4, tab.TIME_CUT)]
+    for t, r, m in cases:
+        pv = (prop.causal_position(t, r, m, 1.0) if t
+              else prop.delta_plus_equal_time(r, m))
+        with mp.workdps(30):
+            want = wightman_reference(t, r, m, mp)
+            true_err = abs(mp.mpc(pv.value) - want)
+            assert true_err <= 1e-12 * abs(want), (t, r, m, pv)
+            assert true_err <= pv.quad_error, (t, r, m, pv)
+
+
+def test_expansion_tables_match_their_generator():
+    # rerun tools/bessel_tables.py: the committed coefficients and bounds
+    # are the ones it computes
+    pytest.importorskip("mpmath")
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).parents[1] / "tools" / "bessel_tables.py"
+    spec = importlib.util.spec_from_file_location("bessel_tables", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    from qfield import _bessel_tables as tab
+    want = generator.tables()
+    assert sorted(want) == sorted(n for n in vars(tab) if n.isupper())
+    for name, value in want.items():
+        assert getattr(tab, name) == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+def exp_sinh_rule() -> tuple:
+    """Nodes u and weights (2 x nodes) of the exp-sinh trapezoid rule
+
+        Int_0^inf e^{-u} u^{1/2} g(u) du ~ sum_i w_i g(u_i),
+        u = exp(pi/2 sinh tau),  tau in [-5, 4] at step 1/16.
+
+    Row 0 holds the weights at step 1/16, row 1 those of the rule at step
+    1/8: every other node, at doubled weight.  Nodes whose weight
+    underflows to 0 are dropped.
+    """
+    step = 1.0 / 16.0
+    tau = np.arange(-80, 65) * step
+    u = np.exp(0.5 * np.pi * np.sinh(tau))
+    w = step * 0.5 * np.pi * np.cosh(tau) * u * np.sqrt(u) * np.exp(-u)
+    coarse = np.where(np.arange(tau.size) % 2 == 0, 2.0 * w, 0.0)
+    keep = w > 0.0
+    return u[keep], np.stack([w, coarse])[:, keep]
+
+
+def exp_sinh_wightman(t, r, m) -> tuple:
+    """(W, error) at |t| for m > 0 off the light cone, by an independent
+    route: DLMF 10.32.8,
+
+        z K1(z) = e^{-z} Int_0^inf e^{-u} u^{1/2} (u + 2z)^{1/2} du,
+
+    summed by the exp-sinh rule; the error is the distance between the
+    sums at steps 1/16 and 1/8 plus the rounding of z and of the final
+    exponential, plus one subnormal unit."""
+    nodes, weights = exp_sinh_rule()
+    ta = abs(t)
+    zeta2 = (r - ta) * (r + ta)
+    den = 4.0 * math.pi ** 2 * zeta2
+    z = m * cmath.sqrt(zeta2)  # +i tau inside the cone: t - i0
+    fine, coarse = np.dot(weights, np.sqrt(nodes + 2.0 * z)).tolist()
+    lead = cmath.log(fine / den) - z
+    value = cmath.exp(lead)
+    eps = math.ulp(1.0)
+    rounding = 4.0 * eps * (2.0 + 2.0 * abs(z) + abs(lead))
+    return value, (abs(value) * (abs(fine - coarse) / abs(fine) + rounding)
+                   + math.ulp(0.0))
+
+
+def test_position_space_matches_exp_sinh_quadrature():
+    # the library's expansions against the quadrature they replaced, over
+    # the whole-domain grid
+    for t, r, m in whole_domain_grid():
+        if m == 0.0:
+            continue
+        pv = (prop.causal_position(t, r, m, 1.0) if t
+              else prop.delta_plus_equal_time(r, m))
+        value, err = exp_sinh_wightman(t, r, m)
+        want = value if t >= 0 else value.conjugate()
+        assert abs(pv.value - want) <= pv.quad_error + err, (t, r, m)
 
 
 def test_position_space_matches_oscillatory_oracle_in_its_window():

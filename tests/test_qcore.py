@@ -57,6 +57,16 @@ def test_occupancy_ratio_relation(x, q):
     assert (1.0 + q * y) / y == pytest.approx(math.exp(x), rel=1e-12)
 
 
+def test_occupancy_near_its_pole_against_mpmath():
+    # e^x - q cancelled here: 4.4e-5 and 8.3e-8 relative off
+    mp = pytest.importorskip("mpmath")
+    for x, q in ((1e-12, 1.0 - 1e-12), (1e-10, 1.0), (1e-8, 0.999),
+                 (-1e-9, 0.5)):
+        with mp.workdps(40):
+            want = 1 / (mp.exp(mp.mpf(x)) - mp.mpf(q))
+            assert abs(q_occupancy(x, q) - want) <= 4e-16 * abs(want), (x, q)
+
+
 def test_occupancy_pole():
     with pytest.raises(OccupancyPoleError):
         q_occupancy(0.0, 1.0)

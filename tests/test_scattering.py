@@ -50,6 +50,18 @@ def test_boost_rejects_nan_velocity():
             build([np.nan, 0.0, 0.0])
 
 
+def test_boost_apply_rejects_nonfinite_components():
+    boost = sc.Boost([0.5, 0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(4):
+            p = [1.0, 0.2, 0.0, 0.1]
+            p[i] = bad
+            with pytest.raises(NonFiniteInputError):
+                boost.apply(p)
+    with pytest.raises(NumericOverflowError):
+        sc.Boost([0.9, 0.0, 0.0]).apply([1.7e308, 1.7e308, 0.0, 0.0])
+
+
 def test_boost_composition_along_axis():
     b1, b2 = 0.3, 0.4
     combined = (b1 + b2) / (1 + b1 * b2)
@@ -105,6 +117,48 @@ def test_correction_factor_degenerate():
     with pytest.raises(DegenerateTransferError):
         sc.correction_factor(1.0, 1.0, [1, 0, 0], [1, 0, 0], 0.5,
                              sc.PHOTON_LINE)
+
+
+def test_correction_factor_rejects_nonfinite_input():
+    good = [2.0, 1.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5]
+    for flavor in (sc.PHOTON_LINE, sc.ELECTRON_LINE):
+        for bad in (np.nan, np.inf):
+            cases = []
+            for i in (0, 1, 4):
+                args = list(good)
+                args[i] = bad
+                cases.append(args)
+            for i in (2, 3):
+                for j in range(3):
+                    args = [*good[:2], list(good[2]), list(good[3]), good[4]]
+                    args[i][j] = bad
+                    cases.append(args)
+            for args in cases:
+                with pytest.raises(NonFiniteInputError):
+                    sc.correction_factor(*args, flavor)
+    # finite inputs whose transfer or ratio overflows
+    with pytest.raises(NumericOverflowError):
+        sc.correction_factor(2.0, 1.0, [1e308, 0, 0], [-1e308, 0, 0], 0.5,
+                             sc.PHOTON_LINE)
+    with pytest.raises(NumericOverflowError):
+        sc.correction_factor(1e308, -1e308, [1.0, 0, 0], [0, 0, 0], 0.5,
+                             sc.PHOTON_LINE)
+
+
+def test_moller_rejects_unequal_leg_masses():
+    # each leg on shell at its own mass: ProcessKinematics accepts it, the
+    # Moller amplitudes need one mass
+    m1, m2 = 1.0, 1.5
+    e = 3.0
+    p1, p2 = np.sqrt(e * e - m1 * m1), np.sqrt(e * e - m2 * m2)
+    kin = sc.ProcessKinematics(((e, 0.0, 0.0, p1), (e, 0.0, 0.0, -p1)),
+                               ((e, p2, 0.0, 0.0), (e, -p2, 0.0, 0.0)),
+                               (m1, m1, m2, m2))
+    for f in (sc.moller_spin_summed, sc.moller_amplitudes):
+        with pytest.raises(OffShellError, match="one mass"):
+            f(kin, 0.5)
+    with pytest.raises(OffShellError):
+        sc.moller_amplitude(kin, (1, 1, 1, 1), 0.5)
 
 
 def test_current_matrix_element_basics():
