@@ -251,13 +251,12 @@ def _series(y: float, terms) -> tuple:
 
 
 def _spacelike(z: float, den: float) -> tuple:
-    """(W, relative error bound, lead) at z = m zeta, den = 4 pi^2 zeta^2;
-    lead is the exponent of W where W is formed as one exponential."""
+    """(W, relative error bound) at z = m zeta, den = 4 pi^2 zeta^2."""
     if z <= _tab.SPACE_CUT:
         y = 0.25 * z * z
         a, b = _series(y, _SPACE_SERIES)
         s = 1.0 + y * (2.0 * math.log(0.5 * z) * a - b) if y else 1.0
-        return s / den, _tab.SPACE_SERIES_RTOL, 0.0
+        return s / den, _tab.SPACE_SERIES_RTOL
     # g = e^z sqrt(z) K1(z) by Clenshaw's recurrence in t = 2 cut/z - 1
     t2 = 4.0 * _tab.SPACE_CUT / z - 2.0
     b0 = b1 = 0.0
@@ -268,21 +267,22 @@ def _spacelike(z: float, den: float) -> tuple:
     # overflow (sqrt(z) g / den itself overflows at m ~ 1e300, zeta ~ 1e-150)
     lead = math.log(math.sqrt(z) * g) - math.log(den) - z
     try:
-        return math.exp(lead), _tab.K1_CHEB_RTOL, lead
+        # the bound adds the rounding of lead, which moves W by |lead| eps
+        return math.exp(lead), _tab.K1_CHEB_RTOL + 4.0 * _EPS * abs(lead)
     except OverflowError:
         raise NumericOverflowError(
             f"position-space value overflows at m zeta={z}") from None
 
 
 def _timelike(x: float, den: float) -> tuple:
-    """(W, relative error bound, 0) at x = m tau, den = -4 pi^2 tau^2, from
+    """(W, relative error bound) at x = m tau, den = -4 pi^2 tau^2, from
     z K1(z) = -(pi/2) x (Y1 + i J1)(x) at z = i x."""
     if x <= _tab.TIME_CUT:
         y = -0.25 * x * x
         a, b = _series(y, _SERIES)
         re, im = (1.0 + y * (2.0 * math.log(0.5 * x) * a - b),
                   math.pi * y * a) if y else (1.0, 0.0)
-        return complex(re / den, im / den), _tab.TIME_SERIES_RTOL, 0.0
+        return complex(re / den, im / den), _tab.TIME_SERIES_RTOL
     # sqrt(x) M1 and (theta1 - x + 3 pi/4) x by Clenshaw's recurrence in
     # t = 2 cut/x - 1
     t2 = 4.0 * _tab.TIME_CUT / x - 2.0
@@ -298,7 +298,7 @@ def _timelike(x: float, den: float) -> tuple:
     # Y1 + i J1 = M1 (sin theta1 + i cos theta1)
     scale = -_HALF_PI * math.sqrt(x) * modulus / den
     return (complex(scale * (sx * cd + cx * sd), scale * (cx * cd - sx * sd)),
-            _tab.HANKEL_CHEB_RTOL, 0.0)
+            _tab.HANKEL_CHEB_RTOL)
 
 
 def _wightman(t: float, r: float, m: float) -> tuple:
@@ -335,8 +335,8 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     if z == math.inf:
         raise NumericOverflowError(
             f"m zeta overflows at t={t}, r={r}, m={m}")
-    value, rtol, lead = (_spacelike if zeta2 > 0.0 else _timelike)(z, den)
-    rounding = 4.0 * _EPS * (2.0 + 2.0 * z + abs(lead))
+    value, rtol = (_spacelike if zeta2 > 0.0 else _timelike)(z, den)
+    rounding = 4.0 * _EPS * (2.0 + 2.0 * z)
     return value, abs(value) * (rtol + rounding) + _UNDERFLOW
 
 

@@ -15,6 +15,9 @@ Q_UNITY_TOL = 1e-12
 # Pole guard for the occupancy denominator e^x - q.
 OCCUPANCY_GUARD = 1e-300
 
+# Below x = -ln 2, e^x < |e^x - 1|, so e^x - q rounds less than expm1.
+_LN2 = math.log(2.0)
+
 
 def basic_number(q: float, n: int) -> float:
     """The q-deformation <n> = (q^n - 1)/(q - 1) of the integer n.
@@ -45,15 +48,20 @@ def q_occupancy(x: float, q: float) -> float:
     the Boltzmann factor e^(-x).  Where e^x overflows, the same value is
     e^(-x)/(1 - q e^(-x)).
 
-    Tolerance: e^x - q is formed as expm1(x) + (1 - q), so the relative
-    error is within 3 eps (|e^x - 1| + |1 - q|)/|e^x - q|, a few eps
-    wherever the two terms share a sign (x >= 0 and q <= 1 near the pole).
+    Tolerance: the relative error is within 3 eps S/|e^x - q|.  For
+    x >= -ln 2, e^x - q is formed as expm1(x) + (1 - q) and
+    S = |e^x - 1| + |1 - q|, a few eps wherever the two terms share a
+    sign (x >= 0 and q <= 1 near the pole).  Below -ln 2 it is formed
+    as e^x - q and S = e^x + |q|, a few eps unless q is near e^x.
     """
     finite(x, "x")
     finite(q, "q")
     try:
         # e^x - q without the cancellation of e^x against q near x = 0
-        denom = math.expm1(x) + (1.0 - q)
+        if x < -_LN2:
+            denom = math.exp(x) - q
+        else:
+            denom = math.expm1(x) + (1.0 - q)
     except OverflowError:
         small = math.exp(-x)
         return small / (1.0 - q * small)

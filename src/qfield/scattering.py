@@ -57,9 +57,7 @@ class Boost:
         p0, p1, p2, p3 = p
         out = tuple([r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3
                      for r0, r1, r2, r3 in self.rows])
-        # the sum is finite unless a component is not, or the components
-        # are near the float limit
-        if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+        if not all(map(math.isfinite, out)):
             for x in p:
                 finite(x, "component of p")
             raise NumericOverflowError(f"boosted four-vector {out} overflows")

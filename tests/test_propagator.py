@@ -422,7 +422,9 @@ def test_position_space_error_covers_the_rounding_of_the_interval():
 def test_position_space_branch_joins_on_dense_log_grids():
     # z = m zeta spacelike on [1e-8, 700] and x = m tau timelike on
     # [1e-8, 1e4], log-spaced, plus the floats around each expansion's
-    # cut; zeta = tau = 1 exactly, so z and x are the float m
+    # cut; zeta = tau = 1 exactly, so z and x are the float m.  Timelike
+    # x up to 1e13 checks the Hankel series near s = 0, past its last
+    # interpolation node
     mp = pytest.importorskip("mpmath")
     from qfield import _bessel_tables as tab
 
@@ -434,7 +436,8 @@ def test_position_space_branch_joins_on_dense_log_grids():
                                 math.nextafter(cut, math.inf)})
 
     cases = [(0.0, 1.0, m) for m in grid(700.0, tab.SPACE_CUT)]
-    cases += [(1.0, 1e-20, m) for m in grid(1e4, tab.TIME_CUT)]
+    cases += [(1.0, 1e-20, m) for m in grid(1e4, tab.TIME_CUT)
+              + [1e5, 1e7, 1e10, 1e13]]
     for t, r, m in cases:
         pv = (prop.causal_position(t, r, m, 1.0) if t
               else prop.delta_plus_equal_time(r, m))

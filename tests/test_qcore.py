@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -58,13 +60,35 @@ def test_occupancy_ratio_relation(x, q):
 
 
 def test_occupancy_near_its_pole_against_mpmath():
-    # e^x - q cancelled here: 4.4e-5 and 8.3e-8 relative off
+    # e^x - q cancelled at the first two: 4.4e-5 and 8.3e-8 relative off;
+    # expm1(x) + 1 cancels at the next three: a false pole at x = -40
     mp = pytest.importorskip("mpmath")
     for x, q in ((1e-12, 1.0 - 1e-12), (1e-10, 1.0), (1e-8, 0.999),
-                 (-1e-9, 0.5)):
+                 (-1e-9, 0.5), (-40.0, 0.0), (-30.0, 0.0), (-5.0, 0.001)):
         with mp.workdps(40):
             want = 1 / (mp.exp(mp.mpf(x)) - mp.mpf(q))
             assert abs(q_occupancy(x, q) - want) <= 4e-16 * abs(want), (x, q)
+
+
+def test_occupancy_within_its_stated_tolerance():
+    # both forms of e^x - q, on both sides of x = -ln 2 and next to q = e^x
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    eps = sys.float_info.epsilon
+    for _ in range(400):
+        x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, 2.5)
+        near = math.exp(x) * (1.0 + rng.choice((-1.0, 1.0))
+                              * 10.0 ** rng.uniform(-12.0, -1.0))
+        q = rng.choice((rng.uniform(-2.0, 2.0), near))
+        with mp.workdps(40):
+            ex, mq = mp.exp(mp.mpf(x)), mp.mpf(q)
+            if x < -math.log(2.0):
+                scale = ex + abs(mq)
+            else:
+                scale = abs(ex - 1) + abs(1 - mq)
+            want = 1 / (ex - mq)
+            rel_tol = 3 * eps * scale * abs(want)
+            assert abs(q_occupancy(x, q) - want) <= rel_tol * abs(want), (x, q)
 
 
 def test_occupancy_pole():
