@@ -4,7 +4,8 @@ Modules:
     qcore       basic q-numbers and deformed occupancy statistics
     fock        truncated q-Fock space, ladder operators, brute-force VEVs
     wick        q-Wick normal ordering and pairing expansion + oracle harness
-    lorentz     float four-vectors: Minkowski products, omega, checks, boost rows
+    lorentz     float four-vectors: Minkowski products, omega, checks, boost
+                rows, the Dirac spinor basis
     dirac       gamma matrices, spinors, projectors, the spinor boost
     propagator  q-causal propagators in momentum and position space
     scattering  Moller / annihilation correction factors and frame scans
@@ -12,11 +13,12 @@ Modules:
 
 The first three load with the package.  ``lorentz``, ``dirac``,
 ``propagator`` and ``scattering`` each load on first access to it or to a
-name re-exported from it (PEP 562).  Only ``dirac`` imports numpy at module level;
-``propagator`` and ``scattering`` import it where they first build a
-matrix, so the scalar propagator, the residues, position space, the
-kinematics, correction factors, frame scans and the Moller spin sum run
-without it.
+name re-exported from it (PEP 562).  Only ``dirac`` imports numpy at
+module level, and ``propagator`` imports it where it first builds a
+spinor or photon matrix; ``scattering`` never loads it.  So the scalar
+propagator, the residues, position space and the whole scattering layer
+(kinematics, correction factors, frame scans, the Moller amplitudes and
+spin sum) run without it.
 """
 from importlib import import_module as _import_module
 

@@ -7,10 +7,10 @@ byte-reproducible and suitable for golden-file testing.  Exit codes:
 
 Only the q-algebra layers (qcore, fock, wick) load with the CLI; the
 propagator and scattering layers are imported by the commands that use
-them, and numpy only where a matrix is built (`dirac check`,
-`propagator spinor|photon`, `scatter moller`).  The q-algebra commands,
-`propagator scalar|residues|position|spacelike` and `scatter
-annihilate|frame-scan` never load numpy.
+them, and numpy only where a matrix is built: `dirac check` and
+`propagator spinor|photon`.  The q-algebra commands, `propagator
+scalar|residues|position|spacelike` and every `scatter` command never
+load numpy.
 """
 from __future__ import annotations
 

@@ -5,8 +5,7 @@ Metric signature (+,-,-,-), natural units.  Gamma matrices in the Dirac
 representation, so rest-frame projectors come out diagonal.  Spinors are
 normalized to ubar u = 1 / vbar v = -1, which makes the spin sums equal
 the energy projectors (+-m + pslash)/2m exactly.  The float four-vector
-rules (omega, the on-shell, mass and spin checks, the boost velocity) come
-from ``lorentz``.
+rules and the spinor basis come from ``lorentz``.
 """
 from __future__ import annotations
 
@@ -15,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, ZeroVectorError
+from .errors import NumericOverflowError, ZeroVectorError, finite
 from .lorentz import (_check_mass, _check_onshell, _check_spin, omega,
-                      subluminal_beta)
+                      reduced_spinor, subluminal_beta)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -46,16 +45,28 @@ def gamma(mu: int) -> np.ndarray:
     return _GAMMA[mu].copy()
 
 
+def _finite_array(x, name: str) -> np.ndarray:
+    """x as a float array; NonFiniteInputError where an entry is nan or
+    infinite, tested on Python floats so that numpy warns of nothing."""
+    x = np.asarray(x, dtype=float)
+    for value in x.tolist():
+        finite(value, name)
+    return x
+
+
 def slash(p) -> np.ndarray:
-    """pslash = gamma^mu p_mu for contravariant components p."""
-    p = np.asarray(p)
+    """pslash = gamma^mu p_mu for contravariant components p;
+    NonFiniteInputError for a nan or infinite component."""
+    p = _finite_array(p, "component of p")
     return (p[0] * _GAMMA[0] - p[1] * _GAMMA[1]
             - p[2] * _GAMMA[2] - p[3] * _GAMMA[3])
 
 
 def onshell_momentum(pvec, m: float) -> np.ndarray:
-    """Four-momentum with p0 = +sqrt(|pvec|^2 + m^2), lorentz.omega."""
-    pvec = np.asarray(pvec, dtype=float)
+    """Four-momentum with p0 = +sqrt(|pvec|^2 + m^2), lorentz.omega;
+    NonFiniteInputError for a nan or infinite component or mass."""
+    pvec = _finite_array(pvec, "component of pvec")
+    finite(m, "m")
     return np.array([omega(pvec, m), *pvec])
 
 
@@ -72,30 +83,23 @@ class DiracSpinor:
 
 
 def _spinors(p, m: float, kind: str) -> np.ndarray:
-    """Components of both spins of a leg, row r - 1, from one sigma.p:
-    n (chi_r, s chi_r) for u and n (s chi_r, chi_r) for v, with
-    s = sigma.p/(E+m), n = sqrt((E+m)/2m) and chi_r the unit 2-spinors.
-    NumericOverflowError where (E+m)/2m or a component is not finite (at a
-    tiny m, m^2 underflows and the on-shell check cannot see it)."""
-    p = np.asarray(p, dtype=float)
+    """Both spins of a leg, row r - 1: sqrt((E+m)/2m) times
+    lorentz.reduced_spinor, its halves swapped for v.  NumericOverflowError
+    where (E+m)/2m overflows (at a tiny m, m^2 underflows and the on-shell
+    check cannot see it)."""
     # Python floats: an overflow gives inf, where numpy scalars would warn
     m = float(m)
     _check_mass(m)
-    leg = p.tolist()
+    leg = np.asarray(p, dtype=float).tolist()
     _check_onshell(leg, m)
-    E = leg[0]
-    ratio = (E + m) / (2 * m)
+    ratio = (leg[0] + m) / (2 * m)
     if not math.isfinite(ratio):
-        raise NumericOverflowError(f"spinor norm overflows at E={E}, m={m}")
-    sigma_p = sum(p[i + 1] * _SIGMA[i] for i in range(3))
-    # row r - 1 is s chi_r, column r - 1 of s; + 0.0 turns a -0.0 into
-    # 0.0, the zero the product s @ chi_r gives
-    lower = (sigma_p / (E + m)).T + 0.0
-    rows = math.sqrt(ratio) * np.hstack(
-        (_ID2, lower) if kind == "u" else (lower, _ID2))
-    if not np.isfinite(rows).all():
-        raise NumericOverflowError(f"spinor components of {p} not finite")
-    return rows
+        raise NumericOverflowError(
+            f"spinor norm overflows at E={leg[0]}, m={m}")
+    k = 0 if kind == "u" else 2  # v swaps the halves
+    w = [x[k:] + x[:k] for x in (reduced_spinor(leg, m, r) for r in (1, 2))]
+    # + 0.0 turns a -0.0 into 0.0
+    return math.sqrt(ratio) * (np.array(w, dtype=complex) + 0.0)
 
 
 def u_spinor(p, r: int, m: float) -> DiracSpinor:
@@ -168,15 +172,17 @@ def polarization_sum(p, m: float) -> np.ndarray:
 
 
 def polarization_sum_closed_form(p, m: float) -> np.ndarray:
-    """-g^{ab} + p^a p^b / m^2: what the explicit basis sums to."""
+    """-g^{ab} + p^a p^b / m^2: what the explicit basis sums to;
+    NonFiniteInputError for a nan or infinite component or mass."""
     _check_mass(m)
-    p = np.asarray(p, dtype=float)
+    p = _finite_array(p, "component of p")
     return -METRIC + np.outer(p, p) / (m * m)
 
 
 def transverse_projector(kvec) -> np.ndarray:
-    """Momentum-space transverse projector delta_ij - k_i k_j / k^2."""
-    kvec = np.asarray(kvec, dtype=float)
+    """Momentum-space transverse projector delta_ij - k_i k_j / k^2;
+    NonFiniteInputError for a nan or infinite component."""
+    kvec = _finite_array(kvec, "component of kvec")
     k2 = float(kvec @ kvec)
     if k2 <= 0.0:
         raise ZeroVectorError("need |k| > 0")

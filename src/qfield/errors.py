@@ -47,7 +47,9 @@ class PoleError(QFieldError):
 
 
 class ConvergenceError(QFieldError):
-    """A position-space value that does not converge (on the light cone)."""
+    """A position-space value with no correct digit: on the light cone,
+    where it diverges, or deep inside it (m tau past about 5.6e14), where
+    the rounding of tau moves the phase m tau by a radian."""
 
 
 class SuperluminalError(QFieldError):

@@ -28,7 +28,6 @@ ANNIHILATE = "annihilate"
 CREATE = "create"
 
 DEFAULT_N_MAX = 16
-DEFAULT_N_MODES = 4
 
 PRUNE_TOL = 1e-15
 

@@ -1,12 +1,12 @@
 """Four-vector arithmetic on Python floats: Minkowski products, the
-on-shell energy omega, the on-shell, mass and spin checks, and Lorentz
-boost rows.  Each rule is stated here once; the dirac, propagator and
-scattering layers call it.
+on-shell energy omega, the on-shell, mass and spin checks, Lorentz boost
+rows and the Dirac spinor basis.  Each rule is stated here once; the
+dirac, propagator and scattering layers call it.
 
 Metric signature (+,-,-,-).  A four-vector is any indexable of four
 numbers (a tuple, a list or a numpy array); nothing here needs numpy, so
-the float layers (kinematics, correction factors, the scalar propagator)
-load without it.
+the float layers (all of scattering, the scalar propagator) load without
+it.
 """
 from __future__ import annotations
 
@@ -57,6 +57,18 @@ def _check_mass(m: float):
     if not 0.0 < m < math.inf:  # so that a nan mass fails too
         finite(m, "m")
         raise ZeroMassError(f"need m > 0, got {m}")
+
+
+def reduced_spinor(p, m: float, r: int) -> tuple:
+    """u_r(p)/sqrt((E+m)/2m) in the Dirac representation, (chi_r, s sigma.p
+    chi_r), s = 1/(E+m), chi_1 = (1, 0), chi_2 = (0, 1), entries at most 1
+    in modulus (v_r swaps the halves); ValueError for r other than 1, 2."""
+    p0, p1, p2, p3 = p
+    s = 1.0 / (p0 + m)  # a product by s, as numpy divides a complex by E+m
+    if r == 1:
+        return 1.0, 0.0, p3 * s, complex(p1, p2) * s
+    _check_spin(r)
+    return 0.0, 1.0, complex(p1, -p2) * s, -p3 * s
 
 
 def subluminal_beta(beta) -> tuple:

@@ -319,7 +319,9 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     (its truncation and the rounding of its evaluation), plus the rounding
     of z (W is about |z| times as sensitive to it) and of the final
     exponential, plus one subnormal unit.  NumericOverflowError where
-    zeta^2, m zeta or W leaves the float range.
+    zeta^2, m zeta or W leaves the float range; ConvergenceError at a
+    timelike point where the relative bound reaches 1 (m tau past about
+    5.6e14), where W has no correct digit.
     """
     ta = abs(t)
     zeta2 = (r - ta) * (r + ta)  # a product keeps the digits near the cone
@@ -337,6 +339,11 @@ def _wightman(t: float, r: float, m: float) -> tuple:
             f"m zeta overflows at t={t}, r={r}, m={m}")
     value, rtol = (_spacelike if zeta2 > 0.0 else _timelike)(z, den)
     rounding = 4.0 * _EPS * (2.0 + 2.0 * z)
+    if zeta2 < 0.0 and rtol + rounding >= 1.0:
+        # spacelike, e^-z has underflowed long before
+        raise ConvergenceError(
+            f"no correct digit at m tau = {z} (t={t}, r={r}, m={m}): the "
+            f"rounding of tau moves the phase m tau by a radian")
     return value, abs(value) * (rtol + rounding) + _UNDERFLOW
 
 
@@ -384,6 +391,8 @@ def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
     which depends on the invariant interval only: I = m K1(m zeta) /
     (4 pi^2 zeta), zeta = sqrt(r^2 - t^2) with t -> t - i0.  For t < 0 it
     is q * conj(I(|t|, r)).  Requires r > 0 and r != |t|.
+    ConvergenceError on the light cone, and inside it where m tau passes
+    about 5.6e14 and the value has no correct digit (see _wightman).
     """
     for value, name in ((t, "t"), (r, "r"), (m, "m"), (q, "q")):
         finite(value, name)

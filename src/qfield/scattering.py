@@ -13,25 +13,21 @@ written as half-sums so q = -+1 needs no special-casing.  Energies and
 3-momenta are taken in the current working frame, which is exactly what
 makes the factors frame dependent for q != 1.
 
-Kinematics, boosts and correction factors are Python-float arithmetic on
-four-vectors held as 4-tuples.  The spin-summed Moller |M|^2 is the Dirac
-trace closed form in the six dot products of the legs; the amplitudes of
-the 16 spin assignments, which the CLI prints one at a time, come from
-one tensor: the spinors of both spins of each leg give the four currents
-J[mu, s_out, s_in], which the metric contracts in pairs.
-
-Only that tensor loads numpy and the dirac layer; everything else runs
-on ``lorentz`` floats.
+All of it is Python-float arithmetic on 4-tuples (``lorentz``); numpy and
+``dirac`` are never loaded.  The spin-summed Moller |M|^2 is the Dirac
+trace closed form in the legs' six dot products; one spin assignment's
+amplitude contracts currents of the spinor basis lorentz.reduced_spinor.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, finite)
 from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell, _check_spin,
-                      boost_rows, mass2, minkowski_dot)
+                      boost_rows, mass2, minkowski_dot, reduced_spinor)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -175,47 +171,49 @@ def _moller_transfers(kin: ProcessKinematics,
     return t, u
 
 
-def moller_amplitudes(kin: ProcessKinematics, q: float,
-                      strict_paper_mode: bool = False):
-    """All 16 tree Moller amplitudes, a numpy array M[rA-1, rB-1, rC-1, rD-1].
-
-    M = q [ J_CA . J_DB * F_CA / t_CA  -  J_DA . J_CB * F_DA / t_DA ]
-    with t the squared 4-momentum transfer.  ``strict_paper_mode``
-    switches the exchange denominator to the literal (P_B - P_A)^2
-    reading instead of (P_D - P_A)^2.
-    """
-    import numpy as np
-    from .dirac import _GAMMA, METRIC, _spinors
-
-    def current(out, inc):
-        """J[mu, s_out, s_in] = ubar_out gamma^mu u_in over both spins."""
-        return np.einsum("ai,mij,bj->mab", out.conj() @ _GAMMA[0], _GAMMA,
-                         inc)
-
-    m = kin.masses[0]
-    t_direct, t_exchange = _moller_transfers(kin, strict_paper_mode)
-    F_CA, F_DA = photon_correction_pair(kin, q)
-    uA, uB, uC, uD = (_spinors(p, m, "u") for p in kin.legs)
-    metric = np.diag(METRIC)
-    with np.errstate(all="ignore"):
-        direct = np.einsum("m,mca,mdb->abcd", metric,
-                           current(uC, uA), current(uD, uB))
-        exchange = np.einsum("m,mda,mcb->abcd", metric,
-                             current(uD, uA), current(uC, uB))
-        amps = q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
-    if not np.isfinite(amps).all():
-        raise NumericOverflowError(f"Moller amplitudes overflow at m={m}")
-    return amps
+def _current(out, inc) -> tuple:
+    """ubar_out gamma^mu u_in of two lorentz.reduced_spinor 4-tuples."""
+    a0, a1, b0, b1 = (x.conjugate() for x in out)
+    c0, c1, d0, d1 = inc
+    return (a0 * c0 + a1 * c1 + b0 * d0 + b1 * d1,
+            a0 * d1 + a1 * d0 + b0 * c1 + b1 * c0,
+            1j * (a1 * d0 - a0 * d1 + b1 * c0 - b0 * c1),
+            a0 * d0 - a1 * d1 + b0 * c0 - b1 * c1)
 
 
 def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
                      strict_paper_mode: bool = False) -> complex:
-    """The tree Moller amplitude for spins (rA, rB, rC, rD), each 1 or 2."""
-    rA, rB, rC, rD = spins
+    """The tree Moller amplitude for spins (rA, rB, rC, rD), each 1 or 2:
+
+        M = q [ J_CA . J_DB F_CA / t  -  J_DA . J_CB F_DA / u ]
+
+    with J_CA = ubar_C gamma^mu u_A (ubar u = 1), t = (C - A)^2 and u =
+    (D - A)^2, or (B - A)^2 in ``strict_paper_mode``.  The currents use
+    lorentz.reduced_spinor; the norms sqrt(E+m)/sqrt(2m) go into F/t, F/u.
+
+    Tolerance: 1e-14 kappa max|M| against M exactly at the float legs,
+    max|M| over the 16 spin assignments, kappa = E_max^2/(A.B) with E_max
+    the largest leg energy: about 1 in the CM frame, growing as gamma^2
+    under a boost, where the currents cancel in the contraction.
+
+    ValueError for a spin other than 1 or 2, then what moller_spin_summed
+    raises; NumericOverflowError where M, F/t, F/u, t or u overflows.
+    """
     for r in spins:
         _check_spin(r)
-    amps = moller_amplitudes(kin, q, strict_paper_mode)
-    return complex(amps[rA - 1, rB - 1, rC - 1, rD - 1])
+    m = kin.masses[0]
+    t, u = _moller_transfers(kin, strict_paper_mode)
+    F_CA, F_DA = photon_correction_pair(kin, q)
+    wA, wB, wC, wD = (reduced_spinor(p, m, r) for p, r in zip(kin.legs, spins))
+    nA, nB, nC, nD = (math.sqrt(p[0] + m) for p in kin.legs)
+    # n_out n_in / 2m >= 1: a partial product overflows only where c does
+    c1 = q * F_CA * (nC * nA / (2 * m) / t * (nD * nB / (2 * m)))
+    c2 = q * F_DA * (nD * nA / (2 * m) / u * (nC * nB / (2 * m)))
+    amp = (c1 * minkowski_dot(_current(wC, wA), _current(wD, wB))
+           - c2 * minkowski_dot(_current(wD, wA), _current(wC, wB)))
+    if not (cmath.isfinite(amp) and abs(t) < math.inf and abs(u) < math.inf):
+        raise NumericOverflowError(f"Moller amplitude overflows at m={m}")
+    return amp
 
 
 def moller_spin_summed(kin: ProcessKinematics, q: float,
@@ -230,23 +228,21 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
         cross    = -32 ab cd + 16 m^2 (ab + ac + ad + bc + bd + cd) - 32 m^4
         sum      = q^2 [c1^2 direct + c2^2 exchange - 2 c1 c2 cross] / (16 m^4)
 
-    with c1 = F_CA/t and c2 = F_DA/u (see moller_amplitudes).  The dot
+    with c1 = F_CA/t and c2 = F_DA/u (see moller_amplitude).  The dot
     products are taken in units of the largest of ab, |t| and |u|, so no
     product of them overflows where the sum itself is finite.
 
-    Tolerance: relative 1e-13 kappa against the sum of |M|^2 over
-    moller_amplitudes, with kappa = (E_max/m)^2 (m^2/|t| + m^2/|u|) and
+    Tolerance: relative 1e-13 kappa against the sum of |M|^2 over the 16
+    moller_amplitude values, with kappa = (E_max/m)^2 (m^2/|t| + m^2/|u|) and
     E_max the largest leg energy in the working frame; kappa is the
     condition number of the sum in the rounded legs (the float legs are on
     shell and conserve momentum only to the rounding of E_max^2).  Traces
     of the projectors multiplied out numerically round on a larger scale,
     and agree within 1e-13 kappa (E_max/m)^2.
 
-    Raises what moller_amplitudes raises, in the same order: ZeroMassError,
+    Raises what moller_amplitude raises, in the same order: ZeroMassError,
     OffShellError, DegenerateTransferError, then NumericOverflowError where
-    the sum leaves the float range.  It forms no spinor, whose components
-    grow as sqrt(E/m), so it stays finite at some E/m where the amplitude
-    tensor overflows.
+    the sum leaves the float range, which |M|^2 does before |M|.
     """
     m = kin.masses[0]
     t, u = _moller_transfers(kin, strict_paper_mode)

@@ -317,6 +317,20 @@ def test_intermediate_overflow_exits_1(capsys):
         assert "need m >= 0" in capsys.readouterr().err
 
 
+def test_moller_amplitude_finite_at_large_energy_over_mass():
+    # spinor components grow as sqrt(E/m), so a product of four overflows
+    # at E/m = 1e180; the amplitude itself is about -4.7e59
+    res = run("scatter", "moller", "--m", "1e-30", "--energy", "1e150",
+              "--q", "0.5")
+    assert res.returncode == 0 and res.stderr == ""
+    header, row = res.stdout.splitlines()
+    assert header.endswith(",amp_re,amp_im")
+    # the spins cell is "1,1,1,1": the amplitude is the last two fields
+    amp_re, amp_im = map(float, row.split(",")[-2:])
+    assert math.isfinite(amp_re) and math.isfinite(amp_im)
+    assert amp_re == pytest.approx(-4.7098810932419587e59, rel=1e-14)
+
+
 def test_overflow_and_large_x_paths():
     res = run("qnum", "--q", "2", "--n", "1100")
     assert res.returncode == 1 and res.stdout == ""
@@ -341,6 +355,7 @@ NUMPY_FREE_ARGV = (
     ("propagator", "residues", "--q", "0.5", "--kvec", "1,0,0"),
     ("propagator", "position", "--q", "0.5", "--t", "2", "--r", "0.5"),
     ("propagator", "spacelike", "--q", "0.5", "--r-grid", "0.5:2:4"),
+    ("scatter", "moller", "--q", "0.5"),
     ("scatter", "annihilate", "--q", "0.5"),
     ("scatter", "frame-scan", "--q", "0.5"),
 )

@@ -217,6 +217,43 @@ def test_spinor_overflow_is_typed_and_silent():
                         assert got.tobytes() == want[r - 1].tobytes()
 
 
+def with_bad_entry(values, i, bad):
+    out = list(values)
+    out[i] = bad
+    return out
+
+
+def assert_rejects_nonfinite(call, vector, scalars=()):
+    """call(vector, *scalars) raises NonFiniteInputError, with no warning,
+    for a nan and an inf in each component of vector and in each scalar."""
+    cases = [(with_bad_entry(vector, i, bad), *scalars)
+             for i in range(len(vector)) for bad in (np.nan, np.inf)]
+    cases += [(vector, *with_bad_entry(scalars, i, bad))
+              for i in range(len(scalars)) for bad in (np.nan, np.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in cases:
+            with pytest.raises(NonFiniteInputError):
+                call(*args)
+
+
+def test_slash_rejects_nonfinite():
+    assert_rejects_nonfinite(slash, [1.5, 0.2, -0.3, 0.4])
+
+
+def test_transverse_projector_rejects_nonfinite():
+    assert_rejects_nonfinite(transverse_projector, [0.2, -0.3, 0.4])
+
+
+def test_polarization_sum_closed_form_rejects_nonfinite():
+    assert_rejects_nonfinite(polarization_sum_closed_form,
+                             [1.5, 0.2, -0.3, 0.4], (M,))
+
+
+def test_onshell_momentum_rejects_nonfinite():
+    assert_rejects_nonfinite(onshell_momentum, [0.2, -0.3, 0.4], (M,))
+
+
 def test_onshell_check_rejects_nan():
     # nan compares false both ways, and at an infinite p0 or m the scale is
     # infinite too: the check is written so that both fail

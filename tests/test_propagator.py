@@ -419,6 +419,32 @@ def test_position_space_error_covers_the_rounding_of_the_interval():
             assert abs(mp.mpc(pv.value) - ref) <= pv.quad_error, (t, r, m)
 
 
+def test_causal_position_without_a_correct_digit_raises():
+    # at (|t|, r) = (3, 1) the relative bound is about 8 eps m tau, which
+    # reaches 1 at m tau = 1/(8 eps) ~ 5.6e14: below that line the value
+    # and its bound stand (5e-3 relative at m = 1e12), above it no digit
+    # is right and the call raises
+    mp = pytest.importorskip("mpmath")
+    tau = math.sqrt(8.0)
+    line = 1.0 / (8.0 * math.ulp(1.0))
+    for m, bound in ((1e12, 6e-3), (0.99 * line / tau, 1.0)):
+        for t in (3.0, -3.0):
+            pv = prop.causal_position(t, 1.0, m, 1.0)
+            with mp.workdps(30):
+                ref = wightman_reference(t, 1.0, m, mp)
+                ref = ref if t > 0 else mp.conj(ref)
+                assert abs(mp.mpc(pv.value) - ref) <= pv.quad_error, m
+            assert pv.quad_error <= bound * abs(pv.value), m
+    for m in (1.01 * line / tau, 1e15, 1e17):
+        for t in (3.0, -3.0):
+            with pytest.raises(ConvergenceError, match="no correct digit"):
+                prop.causal_position(t, 1.0, m, 1.0)
+    # spacelike at the same m zeta the value has underflowed to an honest 0
+    pv = prop.causal_position(1.0, 3.0, 1e15, 1.0)
+    assert pv.value == 0.0 and pv.quad_error == math.ulp(0.0)
+    assert prop.delta_plus_equal_time(1e-150, 1e300).value == 0.0
+
+
 def test_position_space_branch_joins_on_dense_log_grids():
     # z = m zeta spacelike on [1e-8, 700] and x = m tau timelike on
     # [1e-8, 1e4], log-spaced, plus the floats around each expansion's

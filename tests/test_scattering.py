@@ -154,10 +154,9 @@ def test_moller_rejects_unequal_leg_masses():
     kin = sc.ProcessKinematics(((e, 0.0, 0.0, p1), (e, 0.0, 0.0, -p1)),
                                ((e, p2, 0.0, 0.0), (e, -p2, 0.0, 0.0)),
                                (m1, m1, m2, m2))
-    for f in (sc.moller_spin_summed, sc.moller_amplitudes):
-        with pytest.raises(OffShellError, match="one mass"):
-            f(kin, 0.5)
-    with pytest.raises(OffShellError):
+    with pytest.raises(OffShellError, match="one mass"):
+        sc.moller_spin_summed(kin, 0.5)
+    with pytest.raises(OffShellError, match="one mass"):
         sc.moller_amplitude(kin, (1, 1, 1, 1), 0.5)
 
 
@@ -301,7 +300,50 @@ def test_frame_scan_electron_line():
     assert rows[0][1] == pytest.approx(0.25, abs=1e-12)
 
 
-# -------------------------------------------------- one amplitude tensor
+# ---------------------------------------- the amplitude tensor reference
+
+SPINS = tuple(product((1, 2), repeat=4))
+
+
+def moller_tensor(kin, q, strict_paper_mode=False):
+    """All 16 tree Moller amplitudes at once, M[rA-1, rB-1, rC-1, rD-1]:
+    the spinors of both spins of each leg give the currents
+    J[mu, s_out, s_in], which the metric contracts in pairs."""
+    def current(out, inc):
+        return np.einsum("ai,mij,bj->mab", out.conj() @ dirac._GAMMA[0],
+                         dirac._GAMMA, inc)
+
+    m = kin.masses[0]
+    t_direct, t_exchange = sc._moller_transfers(kin, strict_paper_mode)
+    F_CA, F_DA = sc.photon_correction_pair(kin, q)
+    uA, uB, uC, uD = (dirac._spinors(p, m, "u") for p in kin.legs)
+    metric = np.diag(dirac.METRIC)
+    with np.errstate(all="ignore"):
+        direct = np.einsum("m,mca,mdb->abcd", metric,
+                           current(uC, uA), current(uD, uB))
+        exchange = np.einsum("m,mda,mcb->abcd", metric,
+                             current(uD, uA), current(uC, uB))
+        amps = q * (direct * F_CA / t_direct - exchange * F_DA / t_exchange)
+    if not np.isfinite(amps).all():
+        raise NumericOverflowError(f"Moller amplitudes overflow at m={m}")
+    return amps
+
+
+def amplitude_tolerance(kin, amps):
+    """moller_amplitude's stated tolerance: 1e-14 kappa max |M|, with
+    kappa = E_max^2 / (A.B)."""
+    emax = max(p[0] for p in kin.legs)
+    kappa = emax * emax / minkowski_dot(kin.legs[0], kin.legs[1])
+    return 1e-14 * kappa * float(np.max(np.abs(amps)))
+
+
+def assert_amplitudes_match(kin, q, strict, amps):
+    """Each library amplitude within its stated tolerance of amps."""
+    tol = amplitude_tolerance(kin, amps)
+    for spins in SPINS:
+        got = sc.moller_amplitude(kin, spins, q, strict)
+        assert abs(got - amps[tuple(r - 1 for r in spins)]) <= tol, spins
+
 
 def per_spin_moller(kin, spins, q, strict_paper_mode=False):
     """The amplitude one spin assignment at a time, from four spinors."""
@@ -356,16 +398,15 @@ def moller_cases():
 
 def test_moller_tensor_matches_per_spin_amplitudes():
     for kin, q, strict in moller_cases():
-        amps = sc.moller_amplitudes(kin, q, strict)
+        amps = moller_tensor(kin, q, strict)
         assert amps.shape == (2, 2, 2, 2)
         scale = np.max(np.abs(amps))
         per_spin_total = 0.0
-        for spins in product((1, 2), repeat=4):
+        for spins in SPINS:
             want = per_spin_moller(kin, spins, q, strict)
             per_spin_total += abs(want) ** 2
             assert abs(amps[tuple(r - 1 for r in spins)] - want) <= 1e-12 * scale
-            assert sc.moller_amplitude(kin, spins, q, strict) \
-                == amps[tuple(r - 1 for r in spins)]
+        assert_amplitudes_match(kin, q, strict, amps)
         total = sc.moller_spin_summed(kin, q, strict)
         assert total == pytest.approx(per_spin_total, rel=1e-12)
         assert total == pytest.approx(trace_spin_sum(kin, q, strict), rel=1e-12)
@@ -376,6 +417,9 @@ def test_moller_amplitude_validates_spins():
     for spins in [(0, 1, 1, 1), (1, 1, 1, 3)]:
         with pytest.raises(ValueError):
             sc.moller_amplitude(kin, spins, 0.5)
+    for r in (0, 3):
+        with pytest.raises(ValueError):
+            lorentz.reduced_spinor(kin.legs[0], M, r)
 
 
 def test_boosted_kinematics_match_leg_by_leg_boost():
@@ -409,7 +453,8 @@ def condition_number(kin, strict_paper_mode):
     t = mass2(pC - pA)
     u = mass2((pB if strict_paper_mode else pD) - pA)
     emax = max(p[0] for p in kin.legs)
-    return (emax / m) ** 2 * (m * m / abs(t) + m * m / abs(u)), emax / m
+    # multiplied out so that it is finite where E_max/m squared is not
+    return emax * (emax / abs(t)) + emax * (emax / abs(u)), emax / m
 
 
 def unit(v):
@@ -419,7 +464,9 @@ def unit(v):
 def test_moller_spin_summed_log_grid():
     """E/m - 1 in [1e-3, 1e3], m in [1e-2, 1e2], |beta| up to 1 - 1e-6 and
     theta down to where TRANSFER_GUARD trips; q at the fermionic, trivial
-    and bosonic points, inside and outside [-1, 1]; both modes."""
+    and bosonic points, inside and outside [-1, 1]; both modes.  The 16
+    library amplitudes are each within their stated tolerance of the
+    tensor reference."""
     direction = unit([0.3, -0.5, 0.8])
     evaluated = tripped = 0
     for x, m, speed, theta in product(np.logspace(-3, 3, 4), (1e-2, 1.0, 1e2),
@@ -430,12 +477,15 @@ def test_moller_spin_summed_log_grid():
         for q, strict in product((-1.0, 0.0, 1.0, 0.37, 2.5, -3.0),
                                  (False, True)):
             try:
-                amps = sc.moller_amplitudes(kin, q, strict)
+                amps = moller_tensor(kin, q, strict)
             except DegenerateTransferError:
                 with pytest.raises(DegenerateTransferError):
                     sc.moller_spin_summed(kin, q, strict)
+                with pytest.raises(DegenerateTransferError):
+                    sc.moller_amplitude(kin, (1, 2, 2, 1), q, strict)
                 tripped += 1
                 continue
+            assert_amplitudes_match(kin, q, strict, amps)
             got = sc.moller_spin_summed(kin, q, strict)
             kappa, emax_m = condition_number(kin, strict)
             want = float(np.sum(np.abs(amps) ** 2))
@@ -444,6 +494,84 @@ def test_moller_spin_summed_log_grid():
             assert abs(got - traced) <= 1e-13 * kappa * emax_m ** 2 * want
             evaluated += 1
     assert evaluated > 1000 and tripped > 50
+
+
+def mpmath_moller_amplitudes(kin, q, strict_paper_mode, mp):
+    """The 16 amplitudes {spins: M} at the float legs in 40-digit
+    arithmetic: spinors n (chi_r, sigma.p chi_r/(E+m)) and the currents
+    ubar gamma^mu u from the gamma matrices entry by entry."""
+    with mp.workdps(40):
+        m, q = mp.mpf(kin.masses[0]), mp.mpf(q)
+        legs = [[mp.mpf(x) for x in p] for p in kin.legs]
+        gam = [[[mp.mpc(complex(x)) for x in row] for row in g]
+               for g in dirac._GAMMA]
+        sig = [[[mp.mpc(complex(x)) for x in row] for row in s]
+               for s in dirac._SIGMA]
+
+        def spinor(p, r):
+            chi = (1, 0) if r == 1 else (0, 1)
+            lower = [sum(p[k + 1] * sig[k][i][j] * chi[j]
+                         for k in range(3) for j in range(2)) / (p[0] + m)
+                     for i in range(2)]
+            n = mp.sqrt((p[0] + m) / (2 * m))
+            return [n * x for x in (*chi, *lower)]
+
+        def current(out, inc):
+            bar = [sum(mp.conj(out[i]) * gam[0][i][j] for i in range(4))
+                   for j in range(4)]
+            return [sum(bar[i] * g[i][j] * inc[j]
+                        for i in range(4) for j in range(4)) for g in gam]
+
+        def dot(p, k):
+            return p[0] * k[0] - p[1] * k[1] - p[2] * k[2] - p[3] * k[3]
+
+        def transfer(x, a):
+            d = [xi - ai for xi, ai in zip(x, a)]
+            return dot(d, d)
+
+        def factor(pin, pout):
+            dp = mp.sqrt(sum((a - b) ** 2 for a, b in zip(pin[1:], pout[1:])))
+            return ((1 + q) + (1 - q) * (pin[0] - pout[0]) / dp) / 2
+
+        A, B, C, D = legs
+        u = [{r: spinor(p, r) for r in (1, 2)} for p in legs]
+        t_direct = transfer(C, A)
+        t_exchange = transfer(B if strict_paper_mode else D, A)
+        c1 = q * factor(A, C) / t_direct
+        c2 = q * factor(A, D) / t_exchange
+        J = {(o, i): {(ro, ri): current(u[o][ro], u[i][ri])
+                      for ro in (1, 2) for ri in (1, 2)}
+             for o, i in ((2, 0), (3, 1), (3, 0), (2, 1))}
+        return {(rA, rB, rC, rD): complex(
+            c1 * dot(J[2, 0][rC, rA], J[3, 1][rD, rB])
+            - c2 * dot(J[3, 0][rD, rA], J[2, 1][rC, rB]))
+            for rA, rB, rC, rD in SPINS}
+
+
+def test_moller_amplitude_against_mpmath():
+    """On the log grid's kinematics, each of the 16 amplitudes is within
+    1e-14 kappa |M|_max of M evaluated exactly at the float legs."""
+    mp = pytest.importorskip("mpmath")
+    direction = unit([0.3, -0.5, 0.8])
+    evaluated = 0
+    for i, (x, m, speed, theta) in enumerate(product(
+            np.logspace(-3, 3, 4), (1e-2, 1e2), (0.0, 0.9, 1 - 1e-6),
+            (2.5, 1e-2, 1e-7))):
+        kin = sc.cm_elastic_kinematics(m * (1 + x), theta, m, 0.7)
+        if speed:
+            kin = kin.boosted(sc.Boost(speed * direction))
+        q, strict = ((0.37, False), (-3.0, True), (-1.0, False))[i % 3]
+        try:
+            sc.moller_spin_summed(kin, q, strict)
+        except DegenerateTransferError:
+            continue
+        want = mpmath_moller_amplitudes(kin, q, strict, mp)
+        tol = amplitude_tolerance(kin, np.array(list(want.values())))
+        for spins, value in want.items():
+            got = sc.moller_amplitude(kin, spins, q, strict)
+            assert abs(got - value) <= tol, (kin.legs, q, spins)
+        evaluated += 1
+    assert evaluated >= 50
 
 
 def test_frame_scan_rows_near_light_speed():
@@ -464,8 +592,11 @@ def test_frame_scan_rows_near_light_speed():
 def test_moller_spin_summed_error_parity():
     """At degenerate and extreme inputs the closed form raises what the
     amplitude tensor raises, and nothing untyped; where the tensor's
-    spinors overflow it may instead return a finite sum."""
-    seen = set()
+    spinors overflow it may instead return a finite sum.  The 16 library
+    amplitudes raise what the closed form raises, or NumericOverflowError
+    only where the sum overflows, and up to E/m = 1e180 their |M|^2 sum
+    to it within its stated tolerance."""
+    seen, reach = set(), 0.0
     for m, energy, theta, q, beta in product(
             (0.0, 1e-200, 1e-100, 1e-30, 1.0, 1e100),
             (1.5, 1e30, 1e100, 1e150, 1e200), (0.0, 1.0), (0.5, -3.0),
@@ -478,22 +609,33 @@ def test_moller_spin_summed_error_parity():
             seen.add(("kinematics", type(exc)))
             continue
         try:
-            amps = sc.moller_amplitudes(kin, q)
+            amps = moller_tensor(kin, q)
             with np.errstate(over="ignore"):
                 total = float(np.sum(np.abs(amps) ** 2))
             want = None if np.isfinite(total) else NumericOverflowError
         except QFieldError as exc:
             want = type(exc)
         try:
+            # abs(x) * abs(x): a float ** 2 raises OverflowError
+            library = sum(abs(a) * abs(a) for a in (
+                sc.moller_amplitude(kin, spins, q) for spins in SPINS))
+        except QFieldError as exc:
+            library = type(exc)
+        try:
             got = sc.moller_spin_summed(kin, q)
             assert want in (None, NumericOverflowError) and np.isfinite(got)
+            kappa, emax_m = condition_number(kin, False)
             if want is None:
-                kappa, _ = condition_number(kin, False)
                 assert abs(got - total) <= 1e-13 * kappa * total
+            assert abs(got - library) <= 1e-13 * kappa * got
+            reach = max(reach, emax_m)
         except QFieldError as exc:
             assert type(exc) is want
+            assert library is want or (want is NumericOverflowError
+                                       and library == np.inf)
         seen.add(("moller", want))
     assert seen >= {("kinematics", NumericOverflowError),
                     ("moller", ZeroMassError),
                     ("moller", DegenerateTransferError),
                     ("moller", NumericOverflowError), ("moller", None)}
+    assert reach >= 1e179
