@@ -49,17 +49,24 @@ def _finite_array(x, name: str) -> np.ndarray:
     """x as a float array; NonFiniteInputError where an entry is nan or
     infinite, tested on Python floats so that numpy warns of nothing."""
     x = np.asarray(x, dtype=float)
-    for value in x.tolist():
-        finite(value, name)
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
+        for value in xs:
+            finite(value, name)
     return x
+
+
+def _slash(p) -> np.ndarray:
+    """slash for a p whose components are known to be finite."""
+    p = np.asarray(p)
+    return (p[0] * _GAMMA[0] - p[1] * _GAMMA[1]
+            - p[2] * _GAMMA[2] - p[3] * _GAMMA[3])
 
 
 def slash(p) -> np.ndarray:
     """pslash = gamma^mu p_mu for contravariant components p;
     NonFiniteInputError for a nan or infinite component."""
-    p = _finite_array(p, "component of p")
-    return (p[0] * _GAMMA[0] - p[1] * _GAMMA[1]
-            - p[2] * _GAMMA[2] - p[3] * _GAMMA[3])
+    return _slash(_finite_array(p, "component of p"))
 
 
 def onshell_momentum(pvec, m: float) -> np.ndarray:
@@ -134,7 +141,7 @@ def theta_projector(p, sign: int, m: float) -> np.ndarray:
     _check_mass(m)
     p = np.asarray(p, dtype=float)
     _check_onshell(p.tolist(), m)  # floats: inf - inf is nan, not a warning
-    return (sign * m * np.eye(4) + slash(p)) / (2 * m)
+    return (sign * m * np.eye(4) + _slash(p)) / (2 * m)
 
 
 def spin_sum(p, m: float, kind: str = "u") -> np.ndarray:

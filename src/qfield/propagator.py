@@ -198,7 +198,7 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
     k0, *kvec = p.tolist()
     val, dist = _scalar_factor(k0, omega(kvec, m), -float(q), kvec)
     with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
-        matrix = (m * np.eye(4) + _dirac.slash(p)) / (2.0 * m) * val
+        matrix = (m * np.eye(4) + _dirac._slash(p)) / (2.0 * m) * val
     return PropagatorValue(_finite_matrix(matrix), dist)
 
 

@@ -197,7 +197,8 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     under a boost, where the currents cancel in the contraction.
 
     ValueError for a spin other than 1 or 2, then what moller_spin_summed
-    raises; NumericOverflowError where M, F/t, F/u, t or u overflows.
+    raises; NumericOverflowError where t, u, M or q F/t (q F/u) times the
+    four norms, about q F (E/m)^2/|t|, overflows, even where M is finite.
     """
     for r in spins:
         _check_spin(r)
