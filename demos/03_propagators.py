@@ -41,4 +41,4 @@ print(f"\nq=1 check at k0=0.3: {v1.real:.12f} vs 1/(k^2-m^2) = {1 / k2m2:.12f}")
 sp = propagator.spinor_propagator_momentum(k, m, q)
 ph = propagator.photon_propagator_momentum(k, 0.0, q)
 print(f"spinor propagator trace: {np.trace(sp.value).real:.6f}")
-print(f"photon propagator g00 component: {ph.value[0, 0].real:.6f}")
+print(f"photon propagator g00 component: {ph.value[0][0].real:.6f}")

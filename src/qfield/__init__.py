@@ -13,12 +13,11 @@ Modules:
 
 The first three load with the package.  ``lorentz``, ``dirac``,
 ``propagator`` and ``scattering`` each load on first access to it or to a
-name re-exported from it (PEP 562).  Only ``dirac`` imports numpy at
-module level, and ``propagator`` imports it where it first builds a
-spinor or photon matrix; ``scattering`` never loads it.  So the scalar
-propagator, the residues, position space and the whole scattering layer
-(kinematics, correction factors, frame scans, the Moller amplitudes and
-spin sum) run without it.
+name re-exported from it (PEP 562).  Only ``dirac`` imports numpy;
+``propagator`` and ``scattering`` never load it.  So every propagator
+(the scalar, spinor and photon ones, the residues, position space) and
+the whole scattering layer (kinematics, correction factors, frame scans,
+the Moller amplitudes and spin sum) run without it.
 """
 from importlib import import_module as _import_module
 

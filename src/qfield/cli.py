@@ -7,10 +7,8 @@ byte-reproducible and suitable for golden-file testing.  Exit codes:
 
 Only the q-algebra layers (qcore, fock, wick) load with the CLI; the
 propagator and scattering layers are imported by the commands that use
-them, and numpy only where a matrix is built: `dirac check` and
-`propagator spinor|photon`.  The q-algebra commands, `propagator
-scalar|residues|position|spacelike` and every `scatter` command never
-load numpy.
+them.  numpy loads only with the dirac layer, so only `dirac check`
+loads it; every other command runs without it.
 """
 from __future__ import annotations
 
@@ -222,8 +220,8 @@ def _propagator_rows(args, kind: str):
                 for j in range(4):
                     rows.append([fmt(args.q), fmt(args.m), fmt(k0),
                                  *map(fmt, kvec), f"{i}{j}",
-                                 fmt(pv.value[i, j].real),
-                                 fmt(pv.value[i, j].imag),
+                                 fmt(pv.value[i][j].real),
+                                 fmt(pv.value[i][j].imag),
                                  fmt(pv.onshell_distance)])
     return header, rows
 

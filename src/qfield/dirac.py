@@ -56,25 +56,24 @@ def _finite_array(x, name: str) -> np.ndarray:
     return x
 
 
-def _slash(p) -> np.ndarray:
-    """slash for a p whose components are known to be finite."""
-    p = np.asarray(p)
+def slash(p) -> np.ndarray:
+    """pslash = gamma^mu p_mu for contravariant components p;
+    NonFiniteInputError for a nan or infinite component."""
+    p = _finite_array(p, "component of p")
     return (p[0] * _GAMMA[0] - p[1] * _GAMMA[1]
             - p[2] * _GAMMA[2] - p[3] * _GAMMA[3])
 
 
-def slash(p) -> np.ndarray:
-    """pslash = gamma^mu p_mu for contravariant components p;
-    NonFiniteInputError for a nan or infinite component."""
-    return _slash(_finite_array(p, "component of p"))
-
-
 def onshell_momentum(pvec, m: float) -> np.ndarray:
     """Four-momentum with p0 = +sqrt(|pvec|^2 + m^2), lorentz.omega;
-    NonFiniteInputError for a nan or infinite component or mass."""
+    NonFiniteInputError for a nan or infinite component or mass,
+    NumericOverflowError where p0 overflows."""
     pvec = _finite_array(pvec, "component of pvec")
     finite(m, "m")
-    return np.array([omega(pvec, m), *pvec])
+    p0 = omega(pvec, m)
+    if p0 == math.inf:
+        raise NumericOverflowError(f"p0 overflows at m={m}")
+    return np.array([p0, *pvec])
 
 
 @dataclass
@@ -141,7 +140,7 @@ def theta_projector(p, sign: int, m: float) -> np.ndarray:
     _check_mass(m)
     p = np.asarray(p, dtype=float)
     _check_onshell(p.tolist(), m)  # floats: inf - inf is nan, not a warning
-    return (sign * m * np.eye(4) + _slash(p)) / (2 * m)
+    return (sign * m * np.eye(4) + slash(p)) / (2 * m)
 
 
 def spin_sum(p, m: float, kind: str = "u") -> np.ndarray:
@@ -180,20 +179,28 @@ def polarization_sum(p, m: float) -> np.ndarray:
 
 def polarization_sum_closed_form(p, m: float) -> np.ndarray:
     """-g^{ab} + p^a p^b / m^2: what the explicit basis sums to;
-    NonFiniteInputError for a nan or infinite component or mass."""
+    NonFiniteInputError for a nan or infinite component or mass,
+    NumericOverflowError where p p / m^2 overflows (or m^2 underflows)."""
     _check_mass(m)
     p = _finite_array(p, "component of p")
-    return -METRIC + np.outer(p, p) / (m * m)
+    # the largest entry, tested first on floats so that numpy warns of nothing
+    big, m2 = float(np.max(np.abs(p))), m * m
+    if m2 == 0.0 or not math.isfinite(big * big / m2):
+        raise NumericOverflowError(f"p p / m^2 overflows at m={m}")
+    return -METRIC + np.outer(p, p) / m2
 
 
 def transverse_projector(kvec) -> np.ndarray:
     """Momentum-space transverse projector delta_ij - k_i k_j / k^2;
-    NonFiniteInputError for a nan or infinite component."""
+    NonFiniteInputError for a nan or infinite component.  k is first
+    divided by a power of two near its largest component, an exact
+    scaling, so that k^2 neither overflows nor underflows."""
     kvec = _finite_array(kvec, "component of kvec")
-    k2 = float(kvec @ kvec)
-    if k2 <= 0.0:
+    big = float(np.max(np.abs(kvec)))
+    if big == 0.0:
         raise ZeroVectorError("need |k| > 0")
-    return np.eye(3) - np.outer(kvec, kvec) / k2
+    kvec = np.ldexp(kvec, -math.frexp(big)[1])
+    return np.eye(3) - np.outer(kvec, kvec) / float(kvec @ kvec)
 
 
 def spinor_boost_matrix(beta) -> np.ndarray:

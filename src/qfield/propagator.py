@@ -29,9 +29,9 @@ the exact one at the float inputs for m |zeta| up to ~1e3.  The
 equal-time value, the spacelike q-commutator (1-q) Delta_plus and the
 q-causal propagator all come from it.
 
-numpy (with the dirac layer) is loaded on the first spinor or photon
-matrix, not at import: the scalar propagator, the residues and position
-space never load it.
+The spinor and photon matrices are 4 rows of 4 Python complex numbers,
+each entry rounded as the same formula evaluated in numpy rounds it;
+this module loads neither numpy nor the dirac layer.
 """
 from __future__ import annotations
 
@@ -46,24 +46,18 @@ from .lorentz import _check_mass, omega
 
 POLE_GUARD = 1e-10
 
-# numpy and the dirac layer, bound by _load_numpy where a spinor or photon
-# matrix is first built; nothing else in this module uses them
-_np = _dirac = None
-
-
-def _load_numpy():
-    global _np, _dirac
-    from . import dirac
-    _dirac = dirac
-    import numpy
-    _np = numpy  # last: _np set means _dirac is bound too
+# the upper triangle of the symmetric photon tensor: index pairs, metric
+_UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
+          (2, 3), (3, 3))
+_METRIC_UPPER = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0, 0.0, -1.0)
 
 
 @dataclass
 class PropagatorValue:
     """Propagator evaluation plus diagnostics.
 
-    ``value`` is a complex scalar or a 4x4 complex matrix;
+    ``value`` is a complex scalar or 4 rows of 4 complex (tuples;
+    numpy.array(value) is the matrix);
     ``onshell_distance`` is |k^2 - m^2|; ``quad_error`` is present only
     for position-space evaluations, where it bounds the absolute error.
     """
@@ -102,10 +96,11 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     return val, abs(k2_m2)
 
 
-def _finite_matrix(matrix):
-    if not _np.isfinite(matrix).all():
+def _matrix(rows: tuple, dist: float) -> PropagatorValue:
+    """A 4x4 value; NumericOverflowError where an entry is not finite."""
+    if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise NumericOverflowError("propagator matrix overflows")
-    return matrix
+    return PropagatorValue(rows, dist)
 
 
 def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -187,19 +182,35 @@ def _richardson(f, h0: float) -> float:
 def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
     """Spinor propagator: (m+pslash)/2m times the scalar factor with q -> -q.
 
-    Reduces to (m+pslash)/(2m (p^2-m^2)) at q = -1.
+    Reduces to (m+pslash)/(2m (p^2-m^2)) at q = -1.  The entries of
+    m + pslash (Dirac representation), m +- p0, +-p3, +-(p1 +- i p2) and
+    0, are multiplied by 1/2m and then by the scalar factor D as numpy
+    multiplies them: numpy.array(value) is (m I + dirac.slash(p))/(2m) * D
+    bit for bit, but for the sign of an entry that underflows to zero.
+
+    Tolerance, with N = m + pslash exact at the float inputs and B the
+    scalar factor's bound (scalar_propagator_momentum's, at q -> -q):
+    each entry within (|N_ij|/2m)(B + (3 eps + 2 m ulp(0))|D|)
+    + ulp(0)(1 + |D|) of N_ij D/2m.  The eps terms are the rounding of
+    m +- p0, of 1/2m and of the two products; the ulp(0) ones count where
+    1/2m (m past 2e307) or a product is subnormal.
     """
     finite(q, "q")
     _check_mass(m)
-    if _np is None:
-        _load_numpy()
-    np = _np
-    p = np.asarray(p, dtype=float)
-    k0, *kvec = p.tolist()
-    val, dist = _scalar_factor(k0, omega(kvec, m), -float(q), kvec)
-    with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
-        matrix = (m * np.eye(4) + _dirac._slash(p)) / (2.0 * m) * val
-    return PropagatorValue(_finite_matrix(matrix), dist)
+    m = float(m)
+    p0, *kvec = map(float, p)
+    val, dist = _scalar_factor(p0, omega(kvec, m), -float(q), kvec)
+    p1, p2, p3 = kvec
+    v = complex(val)  # complex * complex: the full product, as in numpy
+    s = 1.0 / (2.0 * m)  # numpy divides a complex by 2m as a product by s
+    # 0.0 +- p: the zero parts of m + pslash are +0.0, as in numpy
+    x, nx, y, ny = [a * s for a in (0.0 + p1, 0.0 - p1, 0.0 + p2, 0.0 - p2)]
+    up, lo, z, nz, o = [complex(a * s) * v
+                        for a in (m + p0, m - p0, 0.0 + p3, 0.0 - p3, 0.0)]
+    return _matrix(((up, o, nz, complex(nx, y) * v),
+                    (o, up, complex(nx, ny) * v, z),
+                    (z, complex(x, ny) * v, lo, o),
+                    (complex(x, y) * v, nz, o, lo)), dist)
 
 
 def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -207,24 +218,34 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     ValueError at m < 0, where omega (in m^2) would mix the two.
 
     The half-sum scalar form is used internally, so q = -1 is evaluable.
+    Each entry is (g_ij - k_i k_j / m^2) D, so numpy.array(value) is
+    (g - outer(k, k) / m^2) * D evaluated in numpy, bit for bit.
+
+    Tolerance, with t = g - k k/m^2 exact at the float inputs, K_ij =
+    |k_i k_j|/m^2 and B the scalar factor's bound (that of
+    scalar_propagator_momentum): each entry within |t_ij| B
+    + |D| (eps |t_ij| + 2 eps K_ij + ulp(0)(1 + K_ij)/m^2) + ulp(0) of
+    t_ij D.  The eps terms are the rounding of k_i k_j, m^2, the quotient,
+    the difference and the product; the ulp(0) ones count where k_i k_j,
+    m^2 (m below 1.5e-154) or the entry is subnormal.
     """
     finite(m, "m")
     finite(q, "q")
     if m < 0.0:
         raise ValueError("need m >= 0")
-    if _np is None:
-        _load_numpy()
-    np = _np
-    k = np.asarray(k, dtype=float)
-    k0, *kvec = k.tolist()
+    m = float(m)
+    k0, *kvec = k = tuple(map(float, k))
     val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
-    with np.errstate(all="ignore"):  # _finite_matrix raises on overflow
-        if m > 0.0:
-            tensor = _dirac.METRIC - np.outer(k, k) / (m * m)
-        else:
-            tensor = _dirac.METRIC
-        matrix = tensor.astype(complex) * val
-    return PropagatorValue(_finite_matrix(matrix), dist)
+    tensor = _METRIC_UPPER
+    if m > 0.0:
+        m2 = m * m
+        if m2 == 0.0:  # k k / m^2 is inf or nan on the whole diagonal
+            raise NumericOverflowError("propagator matrix overflows")
+        tensor = [g - k[i] * k[j] / m2 for g, (i, j) in zip(tensor, _UPPER)]
+    v = complex(val)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = [complex(t) * v for t in tensor]
+    return _matrix(((c0, c1, c2, c3), (c1, c4, c5, c6), (c2, c5, c7, c8),
+                    (c3, c6, c8, c9)), dist)
 
 
 _EPS = math.ulp(1.0)

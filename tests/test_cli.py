@@ -341,8 +341,8 @@ def test_overflow_and_large_x_paths():
     assert res.stdout == "x,q,occupancy\n1000,0.5,0\n"
 
 
-# The q-algebra commands and the float propagator and scattering
-# commands, which need neither numpy nor scipy.
+# The q-algebra commands and every propagator and scattering command,
+# which need neither numpy nor scipy.
 NUMPY_FREE_ARGV = (
     ("qnum", "--q", "1.2", "--n", "5"),
     ("planck", "--q", "0.5", "--x", "1.0"),
@@ -352,6 +352,10 @@ NUMPY_FREE_ARGV = (
     ("wick", "verify", "--max-len", "4", "--q", "0.7"),
     ("propagator", "scalar", "--q", "0.5", "--k0-grid", "2:4:5",
      "--kvec", "0,0,0"),
+    ("propagator", "spinor", "--q", "0.5", "--k0", "0.3",
+     "--kvec", "0.2,0,0.1"),
+    ("propagator", "photon", "--q", "0.5", "--k0", "0.3",
+     "--kvec", "0.2,0,0.1"),
     ("propagator", "residues", "--q", "0.5", "--kvec", "1,0,0"),
     ("propagator", "position", "--q", "0.5", "--t", "2", "--r", "0.5"),
     ("propagator", "spacelike", "--q", "0.5", "--r-grid", "0.5:2:4"),
@@ -362,6 +366,7 @@ NUMPY_FREE_ARGV = (
 # Error paths that exit 1 without loading numpy either.
 NUMPY_FREE_ERROR_ARGV = (
     ("propagator", "scalar", "--q", "0.5", "--k0", "1", "--kvec", "0,0,0"),
+    ("propagator", "photon", "--m=1e-200", "--k0=0.3", "--kvec", "0.2,0,0"),
     ("scatter", "moller", "--q", "0.5", "--beta", "0,0,1.2"),
 )
 
@@ -384,7 +389,7 @@ LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
 
 
 def test_import_leaves_scipy_out():
-    # numpy loads only where a spinor, photon or Moller matrix is built
+    # numpy loads only with the dirac layer
     script = f"""
 import contextlib, io, sys
 import qfield, qfield.cli

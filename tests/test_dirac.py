@@ -254,6 +254,36 @@ def test_onshell_momentum_rejects_nonfinite():
     assert_rejects_nonfinite(onshell_momentum, [0.2, -0.3, 0.4], (M,))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transverse_projector_at_extreme_magnitudes():
+    # k^2 overflowed to inf at |k| = 1e200 (a nan matrix) and underflowed
+    # to 0 at 1e-200 (ZeroVectorError); k is scaled by a power of two first
+    for k in ([1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [-5e-324, 0.0, 0.0]):
+        assert transverse_projector(k).tolist() == np.diag(
+            [0.0, 1.0, 1.0]).tolist()
+    P = transverse_projector([3e200, -4e200, 0.0])
+    want = [[0.64, 0.48, 0.0], [0.48, 0.36, 0.0], [0.0, 0.0, 1.0]]
+    assert np.max(np.abs(P - want)) <= 1e-15
+    # an exact scaling: normal-range outputs are the unscaled formula's bits
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        k = rng.uniform(-3.0, 3.0, 3) * 10.0 ** rng.integers(-50, 50)
+        want = np.eye(3) - np.outer(k, k) / float(k @ k)
+        assert transverse_projector(k).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dirac_overflow_is_typed():
+    # these returned inf entries, after a numpy warning or silently
+    with pytest.raises(NumericOverflowError):
+        polarization_sum_closed_form([1e200, 0.0, 0.0, 1e200], 1.0)
+    with pytest.raises(NumericOverflowError):  # m^2 underflows to 0
+        polarization_sum_closed_form([1.0, 0.0, 0.0, 0.0], 1e-200)
+    with pytest.raises(NumericOverflowError):
+        onshell_momentum([1e200, 0.0, 0.0], 1.0)
+    assert onshell_momentum([1e150, 0.0, 0.0], 1.0)[0] == 1e150
+
+
 def test_onshell_check_rejects_nan():
     # nan compares false both ways, and at an infinite p0 or m the scale is
     # infinite too: the check is written so that both fail

@@ -1,5 +1,6 @@
 import cmath
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.special import k1
 import oscillatory_oracle as oracle
 from qfield import dirac, propagator as prop
 from qfield.errors import (ConvergenceError, NonFiniteInputError, PoleError,
-                           ZeroMassError)
+                           QFieldError, ZeroMassError)
 from qfield.lorentz import mass2
 
 RNG = np.random.default_rng(77)
@@ -195,6 +196,123 @@ def test_photon_rejects_negative_mass():
     for m in (-1.0, -1e-300):
         with pytest.raises(ValueError, match="need m >= 0"):
             prop.photon_propagator_momentum(k, m, 0.5)
+
+
+def numpy_matrix(kind, k, m, q):
+    """The spinor and photon matrices as numpy formulas, the bitwise
+    reference: (m + pslash)/2m and g - k k/m^2 times the scalar factor
+    (at q -> -q for the spinor)."""
+    k = np.asarray(k, dtype=float)
+    if kind == "spinor":
+        val = prop.scalar_propagator_momentum(k, m, -q).value.real
+        return (m * np.eye(4) + dirac.slash(k)) / (2.0 * m) * val
+    val = prop.scalar_propagator_momentum(k, m, q).value.real
+    tensor = dirac.METRIC - np.outer(k, k) / (m * m) if m > 0.0 else dirac.METRIC
+    return tensor.astype(complex) * val
+
+
+def test_matrices_are_the_numpy_formulas_bit_for_bit():
+    # repr shows the sign of a zero: every entry, zeros included, is the
+    # numpy formula's, on a grid with +-0.0 components and m = 0 photons
+    rng = np.random.default_rng(15)
+    compared = 0
+    for _ in range(400):
+        k = [float(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
+             for _ in range(4)]
+        q = float(rng.choice((-1.0, -0.0, 0.0, 1.0, rng.uniform(-2.0, 2.0))))
+        m = float(rng.uniform(0.2, 3.0))
+        for kind, fn, mass in (("spinor", prop.spinor_propagator_momentum, m),
+                               ("photon", prop.photon_propagator_momentum, m),
+                               ("photon", prop.photon_propagator_momentum, 0.0)):
+            try:
+                want = numpy_matrix(kind, k, mass, q)
+            except QFieldError as e:  # a pole, or omega = 0 massless
+                with pytest.raises(type(e)):
+                    fn(k, mass, q)
+                continue
+            got = fn(k, mass, q).value
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert ([[repr(z) for z in row] for row in got]
+                    == [[repr(z) for z in row] for row in want.tolist()]), \
+                (kind, k, mass, q)
+            assert np.array(got).tobytes() == want.tobytes()
+            compared += 1
+    assert compared > 1000
+
+
+def test_matrices_within_stated_tolerance_on_log_grid():
+    # m/|k| from 1e-8 to 1e8 against mpmath at the float inputs: each entry
+    # within its docstring's bound, or a typed error (near a pole)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eps, tiny = math.ulp(1.0), math.ulp(0.0)
+    rng = np.random.default_rng(1508)
+    g = (1, -1, -1, -1)
+    checked = raised = 0
+    for ratio in 10.0 ** np.linspace(-8.0, 8.0, 33):
+        for _ in range(3):
+            kvec = rng.normal(size=3)
+            kvec = kvec / np.linalg.norm(kvec) * 10.0 ** rng.uniform(-2, 2)
+            m = float(ratio * np.linalg.norm(kvec))
+            w = prop.omega(kvec, m)
+            k = [float(w * rng.uniform(-3.0, 3.0)), *map(float, kvec)]
+            q = float(rng.uniform(-2.0, 2.0))
+            K = [mp.mpf(x) for x in k]
+            M = mp.mpf(m)
+            W = mp.sqrt(K[1] ** 2 + K[2] ** 2 + K[3] ** 2 + M ** 2)
+            for kind in ("spinor", "photon"):
+                fn = getattr(prop, f"{kind}_propagator_momentum")
+                try:
+                    got = fn(k, m, q).value
+                except QFieldError:
+                    raised += 1
+                    continue
+                qs = -q if kind == "spinor" else q
+                d, s = K[0] - W, K[0] + W
+                D = ((s - qs * d) / W / (d * s)) / 2
+                size = (1 / abs(d) + abs(qs) / abs(s)) / (2 * W)
+                B = 4 * eps * (1 + W / abs(d) + W / abs(s)) * size
+                if kind == "spinor":
+                    p0, p1, p2, p3 = K
+                    N = [[M + p0, 0, -p3, mp.mpc(-p1, p2)],
+                         [0, M + p0, mp.mpc(-p1, -p2), p3],
+                         [p3, mp.mpc(p1, -p2), M - p0, 0],
+                         [mp.mpc(p1, p2), -p3, 0, M - p0]]
+                    exact = [[n * D / (2 * M) for n in row] for row in N]
+                    tol = [[abs(n) / (2 * M) * (B + (3 * eps + 2 * M * tiny)
+                                                * abs(D))
+                            + tiny * (1 + abs(D)) for n in row] for row in N]
+                else:
+                    t = [[(g[i] if i == j else 0) - K[i] * K[j] / M ** 2
+                          for j in range(4)] for i in range(4)]
+                    kk = [[abs(K[i] * K[j]) / M ** 2 for j in range(4)]
+                          for i in range(4)]
+                    exact = [[x * D for x in row] for row in t]
+                    tol = [[abs(t[i][j]) * B + abs(D) * (
+                                eps * abs(t[i][j]) + 2 * eps * kk[i][j]
+                                + tiny * (1 + kk[i][j]) / M ** 2) + tiny
+                            for j in range(4)] for i in range(4)]
+                for i in range(4):
+                    for j in range(4):
+                        assert abs(got[i][j] - exact[i][j]) <= tol[i][j], \
+                            (kind, k, m, q, i, j)
+                checked += 1
+    assert checked > 150 and raised < checked / 10
+
+
+def test_matrices_leave_numpy_unloaded():
+    script = """
+import sys
+from qfield import propagator
+for m in (0.0, 1.3):
+    propagator.photon_propagator_momentum((0.3, 0.2, 0.0, 0.1), m, 0.5)
+propagator.spinor_propagator_momentum((0.3, 0.2, 0.0, 0.1), 1.3, 0.5)
+assert "numpy" not in sys.modules and "qfield.dirac" not in sys.modules
+print("ok")
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
 
 
 # ------------------------------------------------------- position space
