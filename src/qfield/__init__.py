@@ -13,11 +13,9 @@ Modules:
 
 The first three load with the package.  ``lorentz``, ``dirac``,
 ``propagator`` and ``scattering`` each load on first access to it or to a
-name re-exported from it (PEP 562).  Only ``dirac`` imports numpy;
-``propagator`` and ``scattering`` never load it.  So every propagator
-(the scalar, spinor and photon ones, the residues, position space) and
-the whole scattering layer (kinematics, correction factors, frame scans,
-the Moller amplitudes and spin sum) run without it.
+name re-exported from it (PEP 562).  No module imports numpy: every layer
+computes on Python floats and complex numbers, and the package has no
+runtime dependency.
 """
 from importlib import import_module as _import_module
 

@@ -6,9 +6,8 @@ byte-reproducible and suitable for golden-file testing.  Exit codes:
 0 success, 1 computation error (typed error on stderr), 2 usage error.
 
 Only the q-algebra layers (qcore, fock, wick) load with the CLI; the
-propagator and scattering layers are imported by the commands that use
-them.  numpy loads only with the dirac layer, so only `dirac check`
-loads it; every other command runs without it.
+dirac, propagator and scattering layers are imported by the commands that
+use them.  No command needs numpy.
 """
 from __future__ import annotations
 
@@ -158,40 +157,58 @@ def cmd_wick_verify(args):
     return header, rows
 
 
+# numpy.random.default_rng(12345).uniform(-3, 3, 3), drawn 20 times
+DIRAC_CHECK_PVECS = (
+    (-1.635983865196982, -1.0994499617414828, 1.784192743996405),
+    (1.0575280245058476, -0.6533426963885463, -1.0031164328016928),
+    (0.5898525215231389, -1.8795948863777199, 1.0365362640877276),
+    (2.6508171916196233, -1.510525712222574, 2.693286910999909),
+    (1.0034247186022345, -2.4246123864353275, -0.3489620029931233),
+    (2.318879515965106, 1.1847209992921321, -1.0411628155793273),
+    (1.403568979980399, -1.6791902667270826, -2.510432582746751),
+    (-2.040626393549715, -0.9593988902717685, -0.20884107778769412),
+    (-1.4014738302553742, 1.8946584205488417, -1.840233664263033),
+    (-2.2231855429367986, -2.4500114907303843, 0.5914080819894791),
+    (2.128451426244008, 0.6097274501622785, 2.591930166815901),
+    (1.3486881665521206, 2.1633079043597547, 2.576026809451898),
+    (0.277116054494118, 2.6260377526065417, -0.030072359527054005),
+    (-1.357360905060075, -0.2893277551514357, 0.990233540397182),
+    (-1.0146544171976721, 2.420724040849434, -1.4575549483407941),
+    (-0.9610299743380812, -1.446879608142436, -0.8673211203342839),
+    (-2.9698659976972093, 0.771627264598072, -1.3057037554492903),
+    (-2.5914738630723253, 0.700973863538283, -1.9420420783127794),
+    (-1.1736696766824624, -0.35467913474329205, -2.0987859536237954),
+    (-1.6924268214873899, -0.15400130799873324, -0.14178686951284902),
+)
+
+
 def cmd_dirac_check(args):
-    import numpy as np
     from . import dirac
-    checks = []
-    anti_err = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            acomm = dirac.gamma(mu) @ dirac.gamma(nu) + dirac.gamma(nu) @ dirac.gamma(mu)
-            anti_err = max(anti_err, float(np.max(np.abs(
-                acomm - 2 * dirac.METRIC[mu, nu] * np.eye(4)))))
-    checks.append(("gamma_anticommutators", anti_err, 1e-14))
+    def dist(a, b):  # max |a_ij - b_ij|
+        return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
-    rng = np.random.default_rng(12345)
-    m = 1.0
-    comp_err = pol_err = conj_err = 0.0
-    for _ in range(20):
-        p = dirac.onshell_momentum(rng.uniform(-3, 3, 3), m)
-        comp_err = max(comp_err, float(np.max(np.abs(
-            dirac.spin_sum(p, m, "u") - dirac.theta_projector(p, +1, m)))))
-        pol_err = max(pol_err, float(np.max(np.abs(
-            dirac.polarization_sum(p, m)
-            - dirac.polarization_sum_closed_form(p, m)))))
-        u = dirac.u_spinor(p, 1, m)
-        v = dirac.charge_conjugate_spinor(u)
-        conj_err = max(conj_err, float(np.max(np.abs(
-            (dirac.slash(p) + m * np.eye(4)) @ v.components))))
-    checks.append(("spin_sum_completeness", comp_err, 1e-12))
-    checks.append(("polarization_sum_closed_form", pol_err, 1e-12))
-    checks.append(("charge_conjugation_dirac_eq", conj_err, 1e-10))
-
-    header = ["check", "max_error", "tolerance", "passed"]
+    g = [dirac.gamma(mu) for mu in range(4)]
+    anti = max(abs(sum(a[i][k] * b[k][j] + b[i][k] * a[k][j] for k in range(4))
+                   - 2 * dirac.METRIC[mu][nu] * (i == j))
+               for mu, a in enumerate(g) for nu, b in enumerate(g)
+               for i in range(4) for j in range(4))
+    m, comp, pol, conj = 1.0, 0.0, 0.0, 0.0
+    for p in (dirac.onshell_momentum(k, m) for k in DIRAC_CHECK_PVECS):
+        comp = max(comp, dist(dirac.spin_sum(p, m, "u"),
+                              dirac.theta_projector(p, +1, m)))
+        pol = max(pol, dist(dirac.polarization_sum(p, m),
+                            dirac.polarization_sum_closed_form(p, m)))
+        v = dirac.charge_conjugate_spinor(dirac.u_spinor(p, 1, m)).components
+        conj = max(conj, *(abs(sum((x + m * (i == j)) * c  # (pslash + m) v
+                                   for j, (x, c) in enumerate(zip(row, v))))
+                           for i, row in enumerate(dirac.slash(p))))
     rows = [[name, fmt(err), fmt(tol), str(err <= tol).lower()]
-            for name, err, tol in checks]
-    return header, rows
+            for name, err, tol in (
+                ("gamma_anticommutators", anti, 1e-14),
+                ("spin_sum_completeness", comp, 1e-12),
+                ("polarization_sum_closed_form", pol, 1e-12),
+                ("charge_conjugation_dirac_eq", conj, 1e-10))]
+    return ["check", "max_error", "tolerance", "passed"], rows
 
 
 def _propagator_rows(args, kind: str):

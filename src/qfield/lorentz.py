@@ -4,9 +4,7 @@ rows and the Dirac spinor basis.  Each rule is stated here once; the
 dirac, propagator and scattering layers call it.
 
 Metric signature (+,-,-,-).  A four-vector is any indexable of four
-numbers (a tuple, a list or a numpy array); nothing here needs numpy, so
-the float layers (all of scattering, the scalar propagator) load without
-it.
+numbers (a tuple, a list or a numpy array); nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -35,15 +33,23 @@ def omega(kvec, m: float) -> float:
 
 
 def _check_onshell(p, m: float):
+    """OffShellError unless |p^2 - m^2| <= 1e-10 max(1, m^2, p0^2) and
+    p0 > 0.  Where that test fails, it is repeated on p and m divided by a
+    power of two near their largest modulus, an exact scaling, so that a
+    leg whose p0^2 overflows is still judged."""
     dev = abs(mass2(p) - m * m)
     p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
     scale = max(1.0, abs(m * m), p0 * p0)
     # written so that a nan component or mass, or an infinite scale (where
     # inf <= inf would hold), fails the test too
     if not dev <= ONSHELL_RTOL * scale < math.inf:
-        for x in (*p, m):
-            finite(x, "p and m")
-        raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
+        e = math.frexp(max(map(abs, (*p, m))))[1]
+        q, n = [math.ldexp(x, -e) for x in p], math.ldexp(m, -e)
+        # each of q and n is below 1 in modulus, so the scale is 1
+        if not abs(mass2(q) - n * n) <= ONSHELL_RTOL:
+            for x in (*p, m):
+                finite(x, "p and m")
+            raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
     if p0 <= 0:
         raise OffShellError("p0 must be positive")
 
@@ -75,8 +81,8 @@ def subluminal_beta(beta) -> tuple:
     """(beta as a float 3-tuple, |beta|^2); SuperluminalError if |beta| >= 1."""
     bx, by, bz = map(float, beta)
     b2 = bx * bx + by * by + bz * bz
-    # compare |beta| itself: b2 = 1 - 2^-53 has sqrt 1.0, where arctanh
-    # in spinor_boost_matrix would be infinite
+    # compare |beta| itself, as the error reports it: b2 = 1 - 2^-53 has
+    # sqrt 1.0
     if not math.sqrt(b2) < 1.0:  # so that a nan component fails too
         if math.isnan(b2):  # an infinite component is superluminal
             raise NonFiniteInputError(f"beta = {(bx, by, bz)} must be finite")

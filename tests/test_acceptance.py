@@ -178,7 +178,7 @@ def test_criterion_09_spin_and_polarization_sums():
         worst = max(worst, float(np.max(np.abs(
             su - (m * np.eye(4) + dirac.slash(p)) / (2 * m)))))
         worst = max(worst, float(np.max(np.abs(
-            dirac.polarization_sum(p, m)
+            np.asarray(dirac.polarization_sum(p, m))
             - dirac.polarization_sum_closed_form(p, m)))))
     ok = worst <= 1e-12
     report(9, "spin sum (m + pslash)/2m and polarization completeness",

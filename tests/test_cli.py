@@ -341,8 +341,8 @@ def test_overflow_and_large_x_paths():
     assert res.stdout == "x,q,occupancy\n1000,0.5,0\n"
 
 
-# The q-algebra commands and every propagator and scattering command,
-# which need neither numpy nor scipy.
+# The 16 invocations of acceptance criterion 11, one per command; none
+# needs numpy or scipy.
 NUMPY_FREE_ARGV = (
     ("qnum", "--q", "1.2", "--n", "5"),
     ("planck", "--q", "0.5", "--x", "1.0"),
@@ -350,6 +350,7 @@ NUMPY_FREE_ARGV = (
     ("wick", "normal", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
     ("wick", "expand", "--q", "0.5", "--ops", "a0,a0,a0+,a0+"),
     ("wick", "verify", "--max-len", "4", "--q", "0.7"),
+    ("dirac", "check"),
     ("propagator", "scalar", "--q", "0.5", "--k0-grid", "2:4:5",
      "--kvec", "0,0,0"),
     ("propagator", "spinor", "--q", "0.5", "--k0", "0.3",
@@ -389,11 +390,10 @@ LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
 
 
 def test_import_leaves_scipy_out():
-    # numpy loads only with the dirac layer
     script = f"""
 import contextlib, io, sys
 import qfield, qfield.cli
-import qfield.lorentz, qfield.propagator, qfield.scattering
+import qfield.lorentz, qfield.dirac, qfield.propagator, qfield.scattering
 
 def heavy():
     return [m for m in ("numpy", "scipy") if m in sys.modules]
@@ -412,6 +412,32 @@ print("ok")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True)
     assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
+
+
+def test_cli_runs_with_numpy_blocked():
+    # sys.modules["numpy"] = None makes every numpy import fail: the 16
+    # invocations still exit 0 with the stdout of an ordinary run
+    want = [run(*argv) for argv in NUMPY_FREE_ARGV]
+    assert all(res.returncode == 0 for res in want)
+    script = f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import qfield.cli
+
+out = []
+for argv in {NUMPY_FREE_ARGV!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = qfield.cli.main(list(argv))
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    for argv, (code, stdout), ref in zip(NUMPY_FREE_ARGV, got, want):
+        assert code == 0 and stdout == ref.stdout, argv
 
 
 def test_package_reexports_resolve_to_their_layers():

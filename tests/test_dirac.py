@@ -11,8 +11,8 @@ from qfield.dirac import (METRIC, charge_conjugate_spinor, gamma,
                           theta_projector, transverse_projector, u_spinor,
                           v_spinor)
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
-                           OffShellError, SuperluminalError, ZeroMassError,
-                           ZeroVectorError)
+                           OffShellError, QFieldError, SuperluminalError,
+                           ZeroMassError, ZeroVectorError)
 from qfield.lorentz import mass2
 
 RNG = np.random.default_rng(20240817)
@@ -26,8 +26,9 @@ def random_onshell(scale=10.0):
 def test_gamma_anticommutators():
     for mu in range(4):
         for nu in range(4):
-            acomm = gamma(mu) @ gamma(nu) + gamma(nu) @ gamma(mu)
-            expect = 2.0 * METRIC[mu, nu] * np.eye(4)
+            acomm = (np.asarray(gamma(mu)) @ gamma(nu)
+                     + np.asarray(gamma(nu)) @ gamma(mu))
+            expect = 2.0 * METRIC[mu][nu] * np.eye(4)
             assert np.max(np.abs(acomm - expect)) <= 1e-14
 
 
@@ -46,10 +47,12 @@ def test_dirac_equation_and_normalization():
     for r in (1, 2):
         u = u_spinor(p, r, M)
         assert np.max(np.abs((slash(p) - M * np.eye(4)) @ u.components)) <= 1e-12
-        assert complex(u.bar() @ u.components) == pytest.approx(1.0, abs=1e-12)
+        assert complex(np.asarray(u.bar()) @ u.components) == pytest.approx(
+            1.0, abs=1e-12)
         v = v_spinor(p, r, M)
         assert np.max(np.abs((slash(p) + M * np.eye(4)) @ v.components)) <= 1e-12
-        assert complex(v.bar() @ v.components) == pytest.approx(-1.0, abs=1e-12)
+        assert complex(np.asarray(v.bar()) @ v.components) == pytest.approx(
+            -1.0, abs=1e-12)
 
 
 def test_offshell_rejected():
@@ -66,15 +69,16 @@ def test_rest_frame_spin_sum_diagonal():
 def test_completeness_100_random_momenta():
     for _ in range(100):
         p = random_onshell()
-        assert np.max(np.abs(spin_sum(p, M, "u") - theta_projector(p, +1, M))) <= 1e-12
-        assert np.max(np.abs(spin_sum(p, M, "v") - theta_projector(p, -1, M))) <= 1e-12
+        for kind, sign in (("u", +1), ("v", -1)):
+            assert np.max(np.abs(np.asarray(spin_sum(p, M, kind))
+                                 - theta_projector(p, sign, M))) <= 1e-12
 
 
 def test_theta_projector_algebra():
     p = random_onshell(3.0)
-    plus = theta_projector(p, +1, M)
-    minus = theta_projector(p, -1, M)
-    assert np.max(np.abs(plus + minus - slash(p) / M)) <= 1e-12
+    plus = np.asarray(theta_projector(p, +1, M))
+    minus = np.asarray(theta_projector(p, -1, M))
+    assert np.max(np.abs(plus + minus - np.asarray(slash(p)) / M)) <= 1e-12
     assert np.max(np.abs(plus @ minus)) <= 1e-12
     rest = np.array([M, 0.0, 0.0, 0.0])
     assert np.max(np.abs(theta_projector(rest, +1, M) - np.diag([1, 1, 0, 0]))) <= 1e-14
@@ -89,10 +93,12 @@ def test_charge_conjugation_round_trip():
         v = charge_conjugate_spinor(u)
         assert v.kind == "v"
         assert np.max(np.abs((slash(p) + M * np.eye(4)) @ v.components)) <= 1e-12
-        assert complex(v.bar() @ v.components) == pytest.approx(-1.0, abs=1e-12)
+        assert complex(np.asarray(v.bar()) @ v.components) == pytest.approx(
+            -1.0, abs=1e-12)
         # double application is the identity with C = i gamma^2 gamma^0
         back = charge_conjugate_spinor(v)
-        assert np.max(np.abs(back.components - u.components)) <= 1e-12
+        assert np.max(np.abs(np.subtract(back.components,
+                                         u.components))) <= 1e-12
 
 
 def test_polarization_sum_rest_frame():
@@ -117,7 +123,7 @@ def test_polarization_sum_closed_form_100_momenta():
     # opposite overall sign of the g - pp/m^2 closed form)
     for _ in range(100):
         p = random_onshell()
-        got = polarization_sum(p, M)
+        got = np.asarray(polarization_sum(p, M))
         assert np.max(np.abs(got - polarization_sum_closed_form(p, M))) <= 1e-12
         contraction = np.array([lorentz.minkowski_dot(got[:, i], p) for i in range(4)])
         assert np.max(np.abs(contraction)) <= 1e-10
@@ -129,7 +135,7 @@ def test_transverse_projector():
     P = transverse_projector([0.0, 0.0, 1.0])
     assert np.max(np.abs(P - np.diag([1.0, 1.0, 0.0]))) <= 1e-14
     k = np.array([0.4, -0.3, 1.7])
-    P = transverse_projector(k)
+    P = np.asarray(transverse_projector(k))
     assert np.max(np.abs(P @ P - P)) <= 1e-14
     assert np.max(np.abs(P @ k)) <= 1e-14
     with pytest.raises(ZeroVectorError):
@@ -150,7 +156,7 @@ def test_boost_covariance_of_projector():
     # spinor boost representation
     beta = np.array([0.3, 0.1, -0.2])
     L = np.array(lorentz.boost_rows(beta))
-    S = spinor_boost_matrix(beta)
+    S = np.asarray(spinor_boost_matrix(beta))
     for _ in range(10):
         p = random_onshell(3.0)
         lhs = theta_projector(L @ p, +1, M)
@@ -160,7 +166,7 @@ def test_boost_covariance_of_projector():
 
 def test_spinor_boost_takes_rest_spinor_to_moving():
     beta = np.array([0.0, 0.0, 0.6])
-    S = spinor_boost_matrix(beta)
+    S = np.asarray(spinor_boost_matrix(beta))
     L = np.array(lorentz.boost_rows(beta))
     rest = np.array([M, 0.0, 0.0, 0.0])
     u0 = u_spinor(rest, 1, M)
@@ -172,7 +178,7 @@ def test_spinor_boost_closed_form_matches_expm():
     # cosh(eta/2) + sinh(eta/2) alpha.n against the matrix exponential
     from scipy.linalg import expm
     rng = np.random.default_rng(7)
-    alpha = [gamma(0) @ gamma(i) for i in (1, 2, 3)]
+    alpha = [np.asarray(gamma(0)) @ gamma(i) for i in (1, 2, 3)]
     for _ in range(200):
         nhat = rng.normal(size=3)
         nhat /= np.linalg.norm(nhat)
@@ -187,11 +193,11 @@ def reference_spinors(p, m, kind):
     """The spinor rows as built before the overflow check, for finite ones."""
     p = np.asarray(p, dtype=float)
     E = p[0]
-    sigma_p = sum(p[i + 1] * dirac._SIGMA[i] for i in range(3))
+    sigma_p = sum(p[i + 1] * np.asarray(dirac._SIGMA[i]) for i in range(3))
     norm = np.sqrt((E + m) / (2 * m))
     lower = (sigma_p / (E + m)).T + 0.0
-    return norm * np.hstack((dirac._ID2, lower) if kind == "u"
-                            else (lower, dirac._ID2))
+    one = np.asarray(dirac._ID2)
+    return norm * np.hstack((one, lower) if kind == "u" else (lower, one))
 
 
 def test_spinor_overflow_is_typed_and_silent():
@@ -213,7 +219,7 @@ def test_spinor_overflow_is_typed_and_silent():
                 for kind, make in (("u", u_spinor), ("v", v_spinor)):
                     want = reference_spinors(p, m, kind)
                     for r in (1, 2):
-                        got = make(p, r, m).components
+                        got = np.asarray(make(p, r, m).components)
                         assert got.tobytes() == want[r - 1].tobytes()
 
 
@@ -259,17 +265,19 @@ def test_transverse_projector_at_extreme_magnitudes():
     # k^2 overflowed to inf at |k| = 1e200 (a nan matrix) and underflowed
     # to 0 at 1e-200 (ZeroVectorError); k is scaled by a power of two first
     for k in ([1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [-5e-324, 0.0, 0.0]):
-        assert transverse_projector(k).tolist() == np.diag(
+        assert np.asarray(transverse_projector(k)).tolist() == np.diag(
             [0.0, 1.0, 1.0]).tolist()
-    P = transverse_projector([3e200, -4e200, 0.0])
+    P = np.asarray(transverse_projector([3e200, -4e200, 0.0]))
     want = [[0.64, 0.48, 0.0], [0.48, 0.36, 0.0], [0.0, 0.0, 1.0]]
     assert np.max(np.abs(P - want)) <= 1e-15
     # an exact scaling: normal-range outputs are the unscaled formula's bits
+    # (k^2 summed left to right; numpy's k @ k fuses multiply-adds)
     rng = np.random.default_rng(15)
     for _ in range(200):
         k = rng.uniform(-3.0, 3.0, 3) * 10.0 ** rng.integers(-50, 50)
-        want = np.eye(3) - np.outer(k, k) / float(k @ k)
-        assert transverse_projector(k).tobytes() == want.tobytes()
+        want = np.eye(3) - np.outer(k, k) / (k[0] * k[0] + k[1] * k[1]
+                                            + k[2] * k[2])
+        assert np.asarray(transverse_projector(k)).tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -317,3 +325,87 @@ def test_float_helpers_are_lorentz_objects():
     for name in ("omega", "_check_onshell", "_check_mass", "_check_spin",
                  "subluminal_beta"):
         assert getattr(dirac, name) is getattr(lorentz, name), name
+
+
+def test_c_matrix_is_i_gamma2_gamma0():
+    want = 1j * np.asarray(gamma(2)) @ np.asarray(gamma(0))
+    assert np.asarray(dirac.C_MATRIX).tobytes() == want.tobytes()
+
+
+def test_slash_and_projector_are_the_numpy_formulas_bit_for_bit():
+    # signs of zeros included, on momenta with +-0.0 components
+    g = [np.asarray(gamma(mu)) for mu in range(4)]
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        pvec = [float(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
+                for _ in range(3)]
+        m = float(rng.uniform(0.2, 3.0))
+        p = np.asarray(onshell_momentum(pvec, m))
+        ps = p[0] * g[0] - p[1] * g[1] - p[2] * g[2] - p[3] * g[3]
+        assert np.asarray(slash(p)).tobytes() == ps.tobytes()
+        for sign in (1, -1):
+            want = (sign * m * np.eye(4) + ps) / (2 * m)
+            got = np.asarray(theta_projector(p, sign, m))
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polarization_overflow_is_typed():
+    # m^2 underflows, so the leg passes the on-shell check, and |p|/m
+    # overflows in the longitudinal vector
+    for call in (polarization_vectors, polarization_sum):
+        with pytest.raises(NumericOverflowError):
+            call([1.0, 1.0, 0.0, 0.0], 1e-310)
+
+
+def test_polarization_sum_at_small_momentum():
+    # |p| = 1e-15 is far from rest at m = 1e-20 (E/m = 1e5): the basis is
+    # built from phat, not the rest-frame axes, and sums to about 1e10
+    m = 1e-20
+    p = onshell_momentum([0.0, 0.0, 1e-15], m)
+    want = np.asarray(polarization_sum_closed_form(p, m))
+    got = polarization_sum(p, m)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_onshell_check_where_p0_squared_overflows():
+    # p0^2 overflows, so p^2 - m^2 is nan; the test is repeated on p / 2^e
+    lorentz._check_onshell((1e155, 1e155, 0.0, 0.0), 1.0)
+    with pytest.raises(OffShellError):
+        lorentz._check_onshell((1e155, 0.5e155, 0.0, 0.0), 1.0)
+    with pytest.raises(NonFiniteInputError):
+        lorentz._check_onshell((1e155, np.nan, 0.0, 0.0), 1.0)
+
+
+def test_spinor_boost_matrix_against_mpmath_log_grid():
+    # |beta| log-spaced from 1e-15 up and 1 - |beta| from 1e-15 up, along
+    # four directions: each part within (g^2 + 4) eps of its modulus +
+    # ulp(0), g = 1/sqrt(1 - beta^2) at the float beta, or a typed error
+    mp = pytest.importorskip("mpmath")
+    eps, tiny = 2.0 ** -52, 2.0 ** -1074
+    sizes = [10.0 ** -k for k in np.linspace(15.0, 0.3, 40)]
+    sizes += [1.0 - 10.0 ** -k for k in np.linspace(0.3, 15.0, 40)]
+    directions = [(0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1 / 3, 2 / 3, -2 / 3),
+                  (-0.2672612419124244, 0.5345224838248488,
+                   0.8017837257372732)]
+    with mp.workdps(40):
+        for n in directions:
+            for size in sizes:
+                beta = [size * x for x in n]
+                try:
+                    S = spinor_boost_matrix(beta)
+                except QFieldError:
+                    continue
+                b = [mp.mpf(x) for x in beta]
+                g = 1 / mp.sqrt(1 - (b[0] ** 2 + b[1] ** 2 + b[2] ** 2))
+                c = mp.sqrt((g + 1) / 2)
+                x, y, z = (v * g / mp.sqrt(2 * (g + 1)) for v in b)
+                want = [[c, 0, z, mp.mpc(x, -y)], [0, c, mp.mpc(x, y), -z],
+                        [z, mp.mpc(x, -y), c, 0], [mp.mpc(x, y), -z, 0, c]]
+                tol = (float(g * g) + 4) * eps
+                for got_row, want_row in zip(S, want):
+                    for got, w in zip(got_row, want_row):
+                        w = mp.mpc(w)
+                        for part, exact in ((got.real, w.real),
+                                            (got.imag, w.imag)):
+                            assert abs(part - exact) <= tol * abs(exact) + tiny

@@ -18,7 +18,7 @@ def generic_kinematics():
 
 def current_matrix_element(out, inc, mu):
     """Spinor bilinear ubar_out gamma^mu u_in, one component at a time."""
-    return complex(out.bar() @ dirac.gamma(mu) @ inc.components)
+    return complex(np.asarray(out.bar()) @ dirac.gamma(mu) @ inc.components)
 
 
 def current_four_vector(out, inc):
@@ -166,7 +166,7 @@ def test_current_matrix_element_basics():
     j0 = current_matrix_element(u, u, 0)
     assert j0.imag == pytest.approx(0.0, abs=1e-12)
     assert j0.real > 0
-    udag_u = complex(u.components.conj() @ u.components)
+    udag_u = complex(np.conj(u.components) @ u.components)
     assert j0 == pytest.approx(udag_u, abs=1e-12)
 
 
@@ -310,13 +310,13 @@ def moller_tensor(kin, q, strict_paper_mode=False):
     the spinors of both spins of each leg give the currents
     J[mu, s_out, s_in], which the metric contracts in pairs."""
     def current(out, inc):
-        return np.einsum("ai,mij,bj->mab", out.conj() @ dirac._GAMMA[0],
-                         dirac._GAMMA, inc)
+        gam = np.asarray(dirac._GAMMA)
+        return np.einsum("ai,mij,bj->mab", out.conj() @ gam[0], gam, inc)
 
     m = kin.masses[0]
     t_direct, t_exchange = sc._moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = sc.photon_correction_pair(kin, q)
-    uA, uB, uC, uD = (dirac._spinors(p, m, "u") for p in kin.legs)
+    uA, uB, uC, uD = (np.asarray(dirac._spinors(p, m, "u")) for p in kin.legs)
     metric = np.diag(dirac.METRIC)
     with np.errstate(all="ignore"):
         direct = np.einsum("m,mca,mdb->abcd", metric,
