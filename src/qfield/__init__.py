@@ -11,34 +11,34 @@ Modules:
     scattering  Moller / annihilation correction factors and frame scans
     cli         command-line front end (CSV output, golden files)
 
-The first three load with the package.  ``lorentz``, ``dirac``,
-``propagator`` and ``scattering`` each load on first access to it or to a
-name re-exported from it (PEP 562).  No module imports numpy: every layer
-computes on Python floats and complex numbers, and the package has no
-runtime dependency.
+Only ``errors`` loads with the package.  Every other layer loads on first
+access to it or to a name re-exported from it (PEP 562), so a cold CLI
+call loads only the layers its command uses.  No module imports numpy:
+every layer computes on Python floats and complex numbers, and the
+package has no runtime dependency.
 """
 from importlib import import_module as _import_module
 
-from . import qcore, fock, wick, errors
-from .qcore import basic_number, q_occupancy
-from .fock import a, a_dag, b, b_dag, vev, StateVector
-from .wick import normal_order, wick_expand, wick_vev, verify_wick, q_time_order
+from . import errors
 
-_LAZY_LAYERS = ("lorentz", "dirac", "propagator", "scattering")
-_LAZY_NAMES = dict.fromkeys(
-    ("scalar_propagator_momentum", "spinor_propagator_momentum",
-     "photon_propagator_momentum", "pole_residues", "delta_plus_equal_time",
-     "spacelike_q_commutator", "causal_position"), "propagator")
-_LAZY_NAMES.update(dict.fromkeys(
-    ("Boost", "ProcessKinematics", "correction_factor",
-     "moller_amplitude", "annihilation_correction_pair", "frame_scan"),
-    "scattering"))
+_LAZY_LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
+                "scattering")
+# each re-exported name with the layer that defines it
+_LAZY_NAMES = {name: layer for layer, names in (
+    ("qcore", ("basic_number", "q_occupancy")),
+    ("fock", ("a", "a_dag", "b", "b_dag", "vev", "StateVector")),
+    ("wick", ("normal_order", "wick_expand", "wick_vev", "verify_wick",
+              "q_time_order")),
+    ("propagator", ("scalar_propagator_momentum",
+                    "spinor_propagator_momentum",
+                    "photon_propagator_momentum", "pole_residues",
+                    "delta_plus_equal_time", "spacelike_q_commutator",
+                    "causal_position")),
+    ("scattering", ("Boost", "ProcessKinematics", "correction_factor",
+                    "moller_amplitude", "annihilation_correction_pair",
+                    "frame_scan"))) for name in names}
 
-__all__ = ["qcore", "fock", "wick", "errors", *_LAZY_LAYERS,
-           "basic_number", "q_occupancy",
-           "a", "a_dag", "b", "b_dag", "vev", "StateVector",
-           "normal_order", "wick_expand", "wick_vev", "verify_wick",
-           "q_time_order", *_LAZY_NAMES]
+__all__ = ["errors", *_LAZY_LAYERS, *_LAZY_NAMES]
 
 __version__ = "0.1.0"
 

@@ -5,9 +5,9 @@ significant digits, complex values as re/im column pairs) so runs are
 byte-reproducible and suitable for golden-file testing.  Exit codes:
 0 success, 1 computation error (typed error on stderr), 2 usage error.
 
-Only the q-algebra layers (qcore, fock, wick) load with the CLI; the
-dirac, propagator and scattering layers are imported by the commands that
-use them.  No command needs numpy.
+No library layer loads with the CLI: each command imports the layers it
+uses, so a qnum or planck call loads only qcore, and the fock and wick
+layers load only for fock and wick commands.  No command needs numpy.
 """
 from __future__ import annotations
 
@@ -16,11 +16,12 @@ import os
 import sys
 from itertools import zip_longest
 
-from . import fock, wick
 from .errors import QFieldError, finite
-from .qcore import basic_number, q_occupancy
 
 DEFAULT_GOLDEN_DIR = "golden"
+# fock.DEFAULT_N_MAX, spelled out so that building the parser does not
+# import the fock layer (a test pins the two together)
+DEFAULT_N_MAX = 16
 # scattering.PHOTON_LINE and scattering.ELECTRON_LINE, spelled out so that
 # building the parser does not import the scattering layer (a test pins
 # the two together)
@@ -33,6 +34,7 @@ def fmt(x) -> str:
 
 def parse_ops(text: str):
     """Parse operator tokens like 'a0,a0+' or 'a+ b1' into LadderOps."""
+    from . import fock
     ops = []
     for tok in text.replace(",", " ").split():
         dagger = tok.endswith("+")
@@ -91,18 +93,21 @@ def parse_grid(text: str) -> list:
 # ---------------------------------------------------------------- commands
 
 def cmd_qnum(args):
+    from .qcore import basic_number
     header = ["q", "n", "basic_number"]
     rows = [[fmt(args.q), str(args.n), fmt(basic_number(args.q, args.n))]]
     return header, rows
 
 
 def cmd_planck(args):
+    from .qcore import q_occupancy
     header = ["x", "q", "occupancy"]
     rows = [[fmt(args.x), fmt(args.q), fmt(q_occupancy(args.x, args.q))]]
     return header, rows
 
 
 def cmd_fock_vev(args):
+    from . import fock
     ops = parse_ops(args.ops)
     val = fock.vev(ops, args.q, args.n_max)
     header = ["ops", "q", "vev_re", "vev_im"]
@@ -111,6 +116,7 @@ def cmd_fock_vev(args):
 
 
 def cmd_wick_normal(args):
+    from . import wick
     ops = parse_ops(args.ops)
     nf = wick.normal_order(ops, args.q)
     header = ["term", "coeff_re", "coeff_im", "q_power"]
@@ -125,6 +131,7 @@ def cmd_wick_normal(args):
 
 
 def cmd_wick_expand(args):
+    from . import wick
     ops = parse_ops(args.ops)
     diagrams = wick.wick_expand(ops, args.q)
     header = ["pairs", "unpaired", "crossings", "coeff_re", "coeff_im"]
@@ -139,6 +146,7 @@ def cmd_wick_expand(args):
 
 
 def cmd_wick_verify(args):
+    from . import fock, wick
     # the sweep visits 2^(N+1) - 2 strings, so it keeps the enumerators' cap
     if args.max_len > wick.MAX_STRING_LEN:
         raise ValueError(f"string length {wick.MAX_STRING_LEN + 1} exceeds "
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_q(p)
     p.add_argument("--ops", required=True,
                    help="operator tokens, e.g. 'a0,a0+' (rightmost acts first)")
-    p.add_argument("--n-max", type=int, default=fock.DEFAULT_N_MAX)
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_fock_vev)
 
     pw = sub.add_parser("wick", help="q-Wick machinery")

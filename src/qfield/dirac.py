@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NumericOverflowError, ZeroVectorError, finite
-from .lorentz import (_check_mass, _check_onshell, _check_spin, omega,
-                      reduced_spinor, subluminal_beta)
+from .lorentz import (MIN_NORMAL, _check_mass, _check_onshell, _check_spin,
+                      omega, reduced_spinor, subluminal_beta)
 
 METRIC = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
           (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
@@ -68,12 +67,31 @@ def onshell_momentum(pvec, m: float) -> tuple:
     return _finite_rows([(omega(pvec, finite(m, "m")), *pvec)], "p0", m)[0]
 
 
-@dataclass
 class DiracSpinor:
-    components: tuple
-    momentum: tuple
-    r: int
-    kind: str  # "u" or "v"
+    """An on-shell spinor: ``components`` (4 complex), the leg ``momentum``
+    (4 floats), the spin ``r`` and ``kind`` "u" or "v".  Compared by value,
+    unhashable."""
+
+    __slots__ = ("components", "momentum", "r", "kind")
+    __hash__ = None
+
+    def __init__(self, components: tuple, momentum: tuple, r: int,
+                 kind: str):
+        self.components = components
+        self.momentum = momentum
+        self.r = r
+        self.kind = kind
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.components, self.momentum, self.r, self.kind)
+                == (other.components, other.momentum, other.r, other.kind))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(components={self.components!r}, "
+                f"momentum={self.momentum!r}, r={self.r!r}, "
+                f"kind={self.kind!r})")
 
     def bar(self) -> tuple:
         """Dirac adjoint ubar = u^dagger gamma^0, exact (zero parts +0.0)."""
@@ -89,9 +107,11 @@ def _spinors(p, m: float, kind: str) -> tuple:
     leg = tuple(map(float, p))
     _check_onshell(leg, m)
     ratio = (leg[0] + m) / (2 * m)
-    if not math.isfinite(ratio):
-        raise NumericOverflowError(
-            f"spinor norm overflows at E={leg[0]}, m={m}")
+    if not math.isfinite(ratio):  # E + m or 2m overflows: halve both
+        ratio = (leg[0] * 0.5 + m * 0.5) / m
+        if not math.isfinite(ratio):
+            raise NumericOverflowError(
+                f"spinor norm overflows at E={leg[0]}, m={m}")
     n = complex(math.sqrt(ratio))
     k = 0 if kind == "u" else 2  # v swaps the halves
     # + 0j turns a -0.0 part into 0.0
@@ -125,16 +145,23 @@ def charge_conjugate_spinor(s: DiracSpinor) -> DiracSpinor:
 def theta_projector(p, sign: int, m: float) -> tuple:
     """Energy projector (+-m + pslash)/2m; equals the u/v spin sums.  Each
     part within 1.5 eps of its modulus + ulp(0); NumericOverflowError where
-    +-m + p0 or 1/2m overflows."""
+    1/2m overflows."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_mass(m)
     _check_onshell(p, m)
     d, s = sign * m, 0.5 / m  # numpy: (d + 0j) I + pslash, divided as complex
+    rows = slash(p)
+    if s < MIN_NORMAL or float(p[0]) + m == math.inf:
+        # s is subnormal or m + p0 overflows: take 1/8 of each term,
+        # exactly, and 8 s as 4/m, a normal float at every finite m
+        d, s = d * 0.125, 4.0 / m
+        rows = [[complex(z.real * 0.125, z.imag * 0.125) for z in row]
+                for row in rows]
     return _finite_rows(tuple(tuple(
         complex((x + y * 0.0) * s, (y - x * 0.0) * s) for x, y in
         ((d * (i == j) + z.real, 0.0 + z.imag) for j, z in enumerate(row)))
-        for i, row in enumerate(slash(p))), "projector", m)
+        for i, row in enumerate(rows)), "projector", m)
 
 
 def spin_sum(p, m: float, kind: str = "u") -> tuple:

@@ -14,6 +14,7 @@ from .errors import (NonFiniteInputError, OffShellError, SuperluminalError,
                      ZeroMassError, finite)
 
 ONSHELL_RTOL = 1e-10
+MIN_NORMAL = 2.0 ** -1022  # below it a float is subnormal and loses bits
 
 
 def minkowski_dot(p, k) -> float:
@@ -36,20 +37,23 @@ def _check_onshell(p, m: float):
     """OffShellError unless |p^2 - m^2| <= 1e-10 max(1, m^2, p0^2) and
     p0 > 0.  Where that test fails, it is repeated on p and m divided by a
     power of two near their largest modulus, an exact scaling, so that a
-    leg whose p0^2 overflows is still judged."""
-    dev = abs(mass2(p) - m * m)
+    leg whose p0^2 overflows is still judged; where p^2 - m^2 overflows
+    too, the error reports the scaled deviation times its power of two."""
+    dev = mass2(p) - m * m
     p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
     scale = max(1.0, abs(m * m), p0 * p0)
     # written so that a nan component or mass, or an infinite scale (where
     # inf <= inf would hold), fails the test too
-    if not dev <= ONSHELL_RTOL * scale < math.inf:
+    if not abs(dev) <= ONSHELL_RTOL * scale < math.inf:
         e = math.frexp(max(map(abs, (*p, m))))[1]
         q, n = [math.ldexp(x, -e) for x in p], math.ldexp(m, -e)
         # each of q and n is below 1 in modulus, so the scale is 1
-        if not abs(mass2(q) - n * n) <= ONSHELL_RTOL:
+        scaled = mass2(q) - n * n
+        if not abs(scaled) <= ONSHELL_RTOL:
             for x in (*p, m):
                 finite(x, "p and m")
-            raise OffShellError(f"p^2 - m^2 = {mass2(p) - m * m} for m = {m}")
+            judged = dev if math.isfinite(dev) else f"{scaled} * 2**{2 * e}"
+            raise OffShellError(f"p^2 - m^2 = {judged} for m = {m}")
     if p0 <= 0:
         raise OffShellError("p0 must be positive")
 
@@ -71,6 +75,9 @@ def reduced_spinor(p, m: float, r: int) -> tuple:
     in modulus (v_r swaps the halves); ValueError for r other than 1, 2."""
     p0, p1, p2, p3 = p
     s = 1.0 / (p0 + m)  # a product by s, as numpy divides a complex by E+m
+    if s < MIN_NORMAL:  # E + m nears or passes overflow, so s loses bits:
+        h = p0 * 0.5 + m * 0.5  # divide by (E + m)/2, then halve
+        p1, p2, p3, s = p1 / h, p2 / h, p3 / h, 0.5
     if r == 1:
         return 1.0, 0.0, p3 * s, complex(p1, p2) * s
     _check_spin(r)

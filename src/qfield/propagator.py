@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
@@ -52,7 +51,6 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
 _METRIC_UPPER = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0, 0.0, -1.0)
 
 
-@dataclass
 class PropagatorValue:
     """Propagator evaluation plus diagnostics.
 
@@ -60,11 +58,28 @@ class PropagatorValue:
     numpy.array(value) is the matrix);
     ``onshell_distance`` is |k^2 - m^2|; ``quad_error`` is present only
     for position-space evaluations, where it bounds the absolute error.
+    Compared by value, unhashable.
     """
 
-    value: object
-    onshell_distance: float
-    quad_error: float | None = None
+    __slots__ = ("value", "onshell_distance", "quad_error")
+    __hash__ = None
+
+    def __init__(self, value, onshell_distance: float,
+                 quad_error: float | None = None):
+        self.value = value
+        self.onshell_distance = onshell_distance
+        self.quad_error = quad_error
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.value, self.onshell_distance, self.quad_error)
+                == (other.value, other.onshell_distance, other.quad_error))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(value={self.value!r}, "
+                f"onshell_distance={self.onshell_distance!r}, "
+                f"quad_error={self.quad_error!r})")
 
 
 def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:

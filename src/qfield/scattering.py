@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, finite)
@@ -35,16 +34,25 @@ ELECTRON_LINE = "electron_line"
 TRANSFER_GUARD = 1e-12
 
 
-@dataclass
 class Boost:
     """A Lorentz boost with velocity ``beta`` (a float 3-tuple once built);
-    ``rows`` holds its 4x4 matrix as float 4-tuples (lorentz.boost_rows)."""
+    ``rows`` holds its 4x4 matrix as float 4-tuples (lorentz.boost_rows).
+    Compared by ``beta``, unhashable."""
 
-    beta: tuple
+    __slots__ = ("beta", "rows")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.rows = boost_rows(self.beta)
-        self.beta = tuple(map(float, self.beta))
+    def __init__(self, beta):
+        self.rows = boost_rows(beta)
+        self.beta = tuple(map(float, beta))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.beta == other.beta
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(beta={self.beta!r})"
 
     def apply(self, p) -> tuple:
         """The boosted four-vector, as a float 4-tuple; NonFiniteInputError

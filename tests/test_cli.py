@@ -371,6 +371,28 @@ NUMPY_FREE_ERROR_ARGV = (
     ("scatter", "moller", "--q", "0.5", "--beta", "0,0,1.2"),
 )
 
+# The qfield layers each command loads besides the package, cli and
+# errors: a cold call loads only the layers its command uses.
+COMMAND_LAYERS = {
+    "qnum": {"qcore"}, "planck": {"qcore"},
+    "fock": {"qcore", "fock"}, "wick": {"qcore", "fock", "wick"},
+    "dirac": {"lorentz", "dirac"},
+    "propagator": {"lorentz", "propagator", "_bessel_tables"},
+    "scatter": {"lorentz", "scattering"}, "--help": set(),
+}
+LOADED_BY_MAIN = """
+import contextlib, io, sys
+import qfield.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = qfield.cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(code, *sorted(m for m in sys.modules
+                    if m.startswith("qfield") or m == "dataclasses"))
+"""
+
 # Every name the package re-exports, with the module that defines it.
 REEXPORTS = {
     "qcore": ("basic_number", "q_occupancy"),
@@ -412,6 +434,30 @@ print("ok")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True)
     assert res.returncode == 0 and res.stdout == "ok\n", res.stderr
+
+
+def test_cold_calls_load_only_their_layers():
+    # modules accumulate within one process, so each call gets a fresh
+    # interpreter: the qfield layers it loads are its command's, and
+    # dataclasses loads with the fock layer only
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, qfield; print(*sorted(m for m in "
+         "sys.modules if m.startswith('qfield')))"],
+        capture_output=True, text=True)
+    assert res.stdout.split() == ["qfield", "qfield.errors"], res.stderr
+    base = {"qfield", "qfield.cli", "qfield.errors"}
+    calls = ([(argv, 0) for argv in (*NUMPY_FREE_ARGV, ("--help",))]
+             + [(argv, 1) for argv in NUMPY_FREE_ERROR_ARGV])
+    for argv, want_code in calls:
+        res = subprocess.run([sys.executable, "-c", LOADED_BY_MAIN, *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        code, *modules = res.stdout.split()
+        layers = COMMAND_LAYERS[argv[0]]
+        want = base | {f"qfield.{layer}" for layer in layers}
+        if "fock" in layers:
+            want.add("dataclasses")
+        assert (int(code), set(modules)) == (want_code, want), argv
 
 
 def test_cli_runs_with_numpy_blocked():
@@ -469,6 +515,14 @@ def test_flavor_choices_match_scattering(capsys):
     assert capsys.readouterr().err.endswith(
         "argument --flavor: invalid choice: 'bogus' "
         "(choose from 'photon_line', 'electron_line')\n")
+
+
+def test_n_max_default_matches_fock():
+    # spelled out in cli so that building the parser loads no fock layer
+    from qfield import cli, fock
+    assert cli.DEFAULT_N_MAX == fock.DEFAULT_N_MAX
+    args = cli.build_parser().parse_args(["fock", "vev", "--ops", "a0"])
+    assert args.n_max == fock.DEFAULT_N_MAX
 
 
 def test_parse_grid_is_linspace_bit_for_bit():

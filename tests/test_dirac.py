@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +42,30 @@ def test_gamma_traceless():
 def test_gamma_bad_index():
     with pytest.raises(ValueError):
         gamma(4)
+
+
+def test_dirac_spinor_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it)
+    comps, p = (1 + 0j, 0j, 0.5j, -0.25 + 0j), (1.0, 0.0, 0.0, 0.5)
+    s = dirac.DiracSpinor(comps, p, 1, "u")
+    assert (s.components, s.momentum, s.r, s.kind) == (comps, p, 1, "u")
+    kw = dirac.DiracSpinor(components=comps, momentum=p, r=2, kind="v")
+    assert kw == dirac.DiracSpinor(comps, p, 2, "v")
+    assert not kw != dirac.DiracSpinor(comps, p, 2, "v")
+    assert kw != s and s != dirac.DiracSpinor(comps, p, 1, "v")
+    assert (s == (comps, p, 1, "u")) is False
+    assert s.__eq__((comps, p, 1, "u")) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(s)
+    assert repr(s) == ("DiracSpinor(components=((1+0j), 0j, 0.5j, "
+                       "(-0.25+0j)), momentum=(1.0, 0.0, 0.0, 0.5), r=1, "
+                       "kind='u')")
+    assert repr(kw) == ("DiracSpinor(components=((1+0j), 0j, 0.5j, "
+                        "(-0.25+0j)), momentum=(1.0, 0.0, 0.0, 0.5), r=2, "
+                        "kind='v')")
+    assert u_spinor((1.0, 0.0, 0.0, 0.0), 1, 1.0) == dirac.DiracSpinor(
+        (1 + 0j, 0j, 0j, 0j), (1.0, 0.0, 0.0, 0.0), 1, "u")
 
 
 def test_dirac_equation_and_normalization():
@@ -223,6 +249,64 @@ def test_spinor_overflow_is_typed_and_silent():
                         assert got.tobytes() == want[r - 1].tobytes()
 
 
+def test_spinors_and_projectors_near_e_plus_m_overflow():
+    # where E + m (or 2m) overflows, or 1/(E + m) or 1/2m is subnormal,
+    # the reduced spinor, the norm n^2 = (E+m)/2m and the projectors are
+    # still ordinary floats: each within its stated tolerance of mpmath at
+    # the float legs (the spinor basis within 1.5 eps)
+    mp = pytest.importorskip("mpmath")
+    eps, tiny = 2.0 ** -52, 2.0 ** -1074
+    legs = [((math.hypot(1e308, 1e307), 0.0, 0.0, 1e307), 1e308),
+            ((1e308, 0.0, 0.0, 0.0), 1e308),
+            ((math.hypot(1e308, 3e307, 4e307), 3e307, -4e307, 0.0), 1e308),
+            ((math.hypot(5e307, 1.6e308), 0.0, 0.0, 1.6e308), 5e307)]
+    # and legs with E + m between 2^1022, where 1/(E + m) turns subnormal,
+    # and overflow, m from 5% to 50% of it
+    rng = np.random.default_rng(308)
+    with mp.workdps(40):
+        for total in rng.uniform(4.6e307, 1.79e308, 96).tolist():
+            m = total * rng.uniform(0.05, 0.5)
+            pmag = mp.sqrt(mp.mpf(total - m) ** 2 - mp.mpf(m) ** 2)
+            d = rng.normal(size=3)
+            pvec = [float(pmag * x) for x in (d / np.linalg.norm(d)).tolist()]
+            p0 = float(mp.sqrt(sum(mp.mpf(x) ** 2 for x in (*pvec, m))))
+            legs.append(((p0, *pvec), m))
+
+    def close(got, want, tol):
+        want = mp.mpc(want)
+        for part, exact in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(part - exact) <= tol * abs(want) + tiny, (got, want)
+
+    with warnings.catch_warnings(), mp.workdps(40):
+        warnings.simplefilter("error")
+        for p, m in legs:
+            P, M_ = [mp.mpf(x) for x in p], mp.mpf(m)
+            s = 1 / (P[0] + M_)
+            n = mp.sqrt((P[0] + M_) / (2 * M_))
+            want = {1: (1, 0, P[3] * s, mp.mpc(P[1], P[2]) * s),
+                    2: (0, 1, mp.mpc(P[1], -P[2]) * s, -P[3] * s)}
+            for r in (1, 2):
+                for got, w in zip(lorentz.reduced_spinor(p, m, r), want[r]):
+                    close(complex(got), w, 1.5 * eps)
+                for got, w in zip(u_spinor(p, r, m).components, want[r]):
+                    close(got, n * w, 3 * eps)
+                v = v_spinor(p, r, m).components
+                for got, w in zip(v[2:] + v[:2], want[r]):
+                    close(got, n * w, 3 * eps)
+            slash_p = [[mp.mpc(x) for x in row] for row in slash(p)]
+            for sign in (1, -1):
+                got = theta_projector(p, sign, m)
+                for i in range(4):
+                    for j in range(4):
+                        w = (sign * M_ * (i == j) + slash_p[i][j]) / (2 * M_)
+                        close(got[i][j], w, 1.5 * eps)
+    assert np.asarray(u_spinor((1e308, 0.0, 0.0, 0.0), 1, 1e308).components
+                      ).tolist() == [1, 0, 0, 0]
+    # where n^2 itself overflows the error stays
+    with pytest.raises(NumericOverflowError, match="spinor norm overflows"):
+        u_spinor((1e300, 0.0, 0.0, 1e300), 1, 1e-10)
+
+
 def with_bad_entry(values, i, bad):
     out = list(values)
     out[i] = bad
@@ -371,8 +455,21 @@ def test_polarization_sum_at_small_momentum():
 def test_onshell_check_where_p0_squared_overflows():
     # p0^2 overflows, so p^2 - m^2 is nan; the test is repeated on p / 2^e
     lorentz._check_onshell((1e155, 1e155, 0.0, 0.0), 1.0)
-    with pytest.raises(OffShellError):
+    with pytest.raises(OffShellError) as info:
         lorentz._check_onshell((1e155, 0.5e155, 0.0, 0.0), 1.0)
+    # the message holds the deviation judged, as a finite scaled value
+    # times a power of two
+    mp = pytest.importorskip("mpmath")
+    text = str(info.value)
+    scaled, power = re.fullmatch(r"p\^2 - m\^2 = (\S+) \* 2\*\*(\d+) "
+                                 r"for m = 1\.0", text).groups()
+    assert math.isfinite(float(scaled)), text
+    want = mp.mpf(1e155) ** 2 - mp.mpf(0.5e155) ** 2 - 1
+    assert abs(mp.ldexp(float(scaled), int(power)) / want - 1) <= 1e-15
+    # a deviation that is finite keeps its plain text
+    with pytest.raises(OffShellError,
+                       match=r"^p\^2 - m\^2 = 2\.0 for m = 1\.0$"):
+        lorentz._check_onshell((2.0, 1.0, 0.0, 0.0), 1.0)
     with pytest.raises(NonFiniteInputError):
         lorentz._check_onshell((1e155, np.nan, 0.0, 0.0), 1.0)
 

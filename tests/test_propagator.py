@@ -24,6 +24,29 @@ def random_offshell_k(min_dist=0.1):
             return k
 
 
+def test_propagator_value_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it)
+    pv = prop.PropagatorValue(0.25 - 1j, 0.5)
+    assert (pv.value, pv.onshell_distance, pv.quad_error) == (0.25 - 1j, 0.5,
+                                                              None)
+    matrix = ((1j, 0j), (0j, -1j))
+    kw = prop.PropagatorValue(value=matrix, onshell_distance=2.0,
+                              quad_error=1e-3)
+    assert kw == prop.PropagatorValue(matrix, 2.0, 1e-3)
+    assert not kw != prop.PropagatorValue(matrix, 2.0, 1e-3)
+    assert kw != prop.PropagatorValue(matrix, 2.0)
+    assert pv != prop.PropagatorValue(0.25 - 1j, 0.5, 0.0)
+    assert (pv == (0.25 - 1j, 0.5, None)) is False
+    assert pv.__eq__((0.25 - 1j, 0.5, None)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(pv)
+    assert repr(pv) == ("PropagatorValue(value=(0.25-1j), "
+                        "onshell_distance=0.5, quad_error=None)")
+    assert repr(kw) == ("PropagatorValue(value=((1j, 0j), (0j, (-0-1j))), "
+                        "onshell_distance=2.0, quad_error=0.001)")
+
+
 def test_scalar_q1_reduction():
     for _ in range(50):
         k = random_offshell_k()

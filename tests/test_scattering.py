@@ -71,6 +71,23 @@ def test_boost_composition_along_axis():
     assert np.allclose(two_step, one_step, atol=1e-12)
 
 
+def test_boost_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it); rows are the lorentz boost of beta
+    b = sc.Boost([0.5, 0, -0.25])
+    assert b.beta == (0.5, 0.0, -0.25) and type(b.beta[1]) is float
+    assert b.rows == lorentz.boost_rows((0.5, 0.0, -0.25))
+    assert sc.Boost(beta=(0.5, 0.0, -0.25)) == b
+    assert not sc.Boost([0.5, 0.0, -0.25]) != b
+    assert sc.Boost([0.5, 0.0, 0.25]) != b
+    assert (b == (0.5, 0.0, -0.25)) is False
+    assert b.__eq__((0.5, 0.0, -0.25)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(b)
+    assert repr(b) == "Boost(beta=(0.5, 0.0, -0.25))"
+    assert repr(sc.Boost(beta=(0, 0.5, 0))) == "Boost(beta=(0.0, 0.5, 0.0))"
+
+
 def test_kinematics_validation():
     kin = generic_kinematics()
     for p, m in zip(kin.legs, kin.masses):
