@@ -12,10 +12,17 @@ minimal consistent multimode convention and is what makes the brute-force
 vacuum expectation values here a well-defined oracle for the Wick engine.
 
 Charge conjugation swaps the two species with a unit phase epsilon.
+
+``ModeLabel`` and ``LadderOp`` are named tuples, validated on
+construction, so the dicts keyed on them hash and compare in C.  As
+tuples they compare equal to a plain tuple of their fields
+(``ModeLabel(PARTICLE, 0) == (PARTICLE, 0)``), and both are ordered
+field by field.  ``StateVector`` is a mutable record: compared by
+value, unhashable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import NegativeNormError, finite
@@ -36,28 +43,34 @@ PRUNE_TOL = 1e-15
 NEGATIVE_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True, order=True)
-class ModeLabel:
+class ModeLabel(namedtuple("ModeLabel", "species mode")):
     """Discrete stand-in for the continuum (momentum, spin) label."""
 
-    species: str
-    mode: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.species not in (PARTICLE, ANTIPARTICLE):
-            raise ValueError(f"unknown species {self.species!r}")
-        if self.mode < 0:
+    def __new__(cls, species: str, mode: int = 0):
+        if species not in (PARTICLE, ANTIPARTICLE):
+            raise ValueError(f"unknown species {species!r}")
+        if mode < 0:
             raise ValueError("mode index must be nonnegative")
+        return tuple.__new__(cls, (species, mode))
+
+    @classmethod
+    def _make(cls, iterable):  # validated, and so is _replace
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LadderOp:
-    kind: str
-    label: ModeLabel
+class LadderOp(namedtuple("LadderOp", "kind label")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (ANNIHILATE, CREATE):
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __new__(cls, kind: str, label: ModeLabel):
+        if kind not in (ANNIHILATE, CREATE):
+            raise ValueError(f"unknown kind {kind!r}")
+        return tuple.__new__(cls, (kind, label))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def is_creator(self) -> bool:
@@ -107,16 +120,30 @@ def _state_set(state: FockState, label: ModeLabel, n: int) -> FockState:
 VACUUM: FockState = ()
 
 
-@dataclass
 class StateVector:
     """Complex linear combination of Fock basis states.
 
     ``overflowed`` flags that some creation chain hit the truncation and
     the affected component was dropped (mapped to the zero vector).
+    Each vector gets its own ``terms`` dict unless one is passed.
     """
 
-    terms: dict = field(default_factory=dict)
-    overflowed: bool = False
+    __slots__ = ("terms", "overflowed")
+    __hash__ = None
+
+    def __init__(self, terms: dict | None = None, overflowed: bool = False):
+        self.terms = {} if terms is None else terms
+        self.overflowed = overflowed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.terms, self.overflowed)
+                == (other.terms, other.overflowed))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(terms={self.terms!r}, "
+                f"overflowed={self.overflowed!r})")
 
     @classmethod
     def vacuum(cls) -> "StateVector":

@@ -38,7 +38,6 @@ vacuum expectation value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import fock
@@ -91,17 +90,30 @@ class QPoly:
         return " + ".join(f"{c}*q^{e}" for e, c in sorted(self.coeffs.items()))
 
 
-@dataclass
 class NormalForm:
     """Sum of normal-ordered strings with polynomial-in-q coefficients.
 
     ``terms`` maps each normal-ordered string (creators all left of
     annihilators) to its coefficient; ``q`` is the working value the
-    evaluated ``coefficient`` numbers refer to.
+    evaluated ``coefficient`` numbers refer to.  Compared by value,
+    unhashable.
     """
 
-    terms: Dict[OperatorString, QPoly]
-    q: float
+    __slots__ = ("terms", "q")
+    __hash__ = None
+
+    def __init__(self, terms: Dict[OperatorString, QPoly], q: float):
+        self.terms = terms
+        self.q = q
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.q) == (other.terms, other.q)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(terms={self.terms!r}, "
+                f"q={self.q!r})")
 
     def coefficient(self, ops: OperatorString) -> complex:
         poly = self.terms.get(tuple(ops))
@@ -192,7 +204,6 @@ def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
     return tuple(codes), decode
 
 
-@dataclass
 class PairingDiagram:
     """One term of the pairing expansion.
 
@@ -202,13 +213,35 @@ class PairingDiagram:
     transpositions that cost a q); ``pair_value`` is the product
     of the individual pairings (1 for annihilator-before-creator, 0 for
     the reversed order); ``coefficient`` = q^crossings * pair_value.
+    Compared by value, unhashable.
     """
 
-    pairs: Tuple[Tuple[int, int], ...]
-    unpaired: Tuple[int, ...]
-    crossings: int
-    pair_value: float
-    coefficient: complex
+    __slots__ = ("pairs", "unpaired", "crossings", "pair_value",
+                 "coefficient")
+    __hash__ = None
+
+    def __init__(self, pairs: Tuple[Tuple[int, int], ...],
+                 unpaired: Tuple[int, ...], crossings: int,
+                 pair_value: float, coefficient: complex):
+        self.pairs = pairs
+        self.unpaired = unpaired
+        self.crossings = crossings
+        self.pair_value = pair_value
+        self.coefficient = coefficient
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.pairs, self.unpaired, self.crossings, self.pair_value,
+                 self.coefficient)
+                == (other.pairs, other.unpaired, other.crossings,
+                    other.pair_value, other.coefficient))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(pairs={self.pairs!r}, "
+                f"unpaired={self.unpaired!r}, crossings={self.crossings!r}, "
+                f"pair_value={self.pair_value!r}, "
+                f"coefficient={self.coefficient!r})")
 
     @property
     def is_full(self) -> bool:
@@ -296,12 +329,29 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
     return value
 
 
-@dataclass
 class WickReport:
-    ops: OperatorString
-    q: float
-    wick_vev: complex
-    fock_vev: complex
+    """``wick_vev`` against the ``fock_vev`` oracle for one string ``ops``
+    at ``q``.  Compared by value, unhashable."""
+
+    __slots__ = ("ops", "q", "wick_vev", "fock_vev")
+    __hash__ = None
+
+    def __init__(self, ops: OperatorString, q: float, wick_vev: complex,
+                 fock_vev: complex):
+        self.ops = ops
+        self.q = q
+        self.wick_vev = wick_vev
+        self.fock_vev = fock_vev
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ops, self.q, self.wick_vev, self.fock_vev)
+                == (other.ops, other.q, other.wick_vev, other.fock_vev))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(ops={self.ops!r}, q={self.q!r}, "
+                f"wick_vev={self.wick_vev!r}, fock_vev={self.fock_vev!r})")
 
     @property
     def abs_diff(self) -> float:

@@ -390,7 +390,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     except SystemExit as exc:  # --help
         code = exc.code
 print(code, *sorted(m for m in sys.modules
-                    if m.startswith("qfield") or m == "dataclasses"))
+                    if m.startswith("qfield")
+                    or m in ("dataclasses", "inspect")))
 """
 
 # Every name the package re-exports, with the module that defines it.
@@ -438,8 +439,8 @@ print("ok")
 
 def test_cold_calls_load_only_their_layers():
     # modules accumulate within one process, so each call gets a fresh
-    # interpreter: the qfield layers it loads are its command's, and
-    # dataclasses loads with the fock layer only
+    # interpreter: the qfield layers it loads are its command's, and no
+    # call loads dataclasses or inspect
     res = subprocess.run(
         [sys.executable, "-c", "import sys, qfield; print(*sorted(m for m in "
          "sys.modules if m.startswith('qfield')))"],
@@ -455,8 +456,6 @@ def test_cold_calls_load_only_their_layers():
         code, *modules = res.stdout.split()
         layers = COMMAND_LAYERS[argv[0]]
         want = base | {f"qfield.{layer}" for layer in layers}
-        if "fock" in layers:
-            want.add("dataclasses")
         assert (int(code), set(modules)) == (want_code, want), argv
 
 

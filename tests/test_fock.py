@@ -18,6 +18,107 @@ def number_state(n, mode=0, species=fock.PARTICLE):
     return StateVector({state: 1.0 + 0.0j})
 
 
+def test_mode_label_is_a_value_record():
+    # construction, ==, hash, repr and ordering of the old dataclass
+    # (repr text recorded from it)
+    lab = fock.ModeLabel(fock.PARTICLE, 3)
+    assert (lab.species, lab.mode) == (fock.PARTICLE, 3)
+    assert fock.ModeLabel(species=fock.ANTIPARTICLE, mode=2).mode == 2
+    assert fock.ModeLabel(fock.ANTIPARTICLE).mode == 0
+    assert lab == fock.ModeLabel(fock.PARTICLE, 3)
+    assert lab != fock.ModeLabel(fock.PARTICLE, 2)
+    assert lab != fock.ModeLabel(fock.ANTIPARTICLE, 3)
+    assert hash(lab) == hash(fock.ModeLabel(fock.PARTICLE, 3))
+    assert len({lab, fock.ModeLabel(fock.PARTICLE, 3)}) == 1
+    for bad in ({"species": "quark"}, {"species": fock.PARTICLE, "mode": -1}):
+        with pytest.raises(ValueError):
+            fock.ModeLabel(**bad)
+    with pytest.raises(ValueError):  # _replace validates too
+        lab._replace(mode=-1)
+    with pytest.raises(AttributeError):
+        lab.mode = 4
+    assert repr(lab) == "ModeLabel(species='particle', mode=3)"
+    assert (repr(fock.ModeLabel(fock.ANTIPARTICLE))
+            == "ModeLabel(species='antiparticle', mode=0)")
+    labels = [fock.ModeLabel(fock.PARTICLE, 2),
+              fock.ModeLabel(fock.ANTIPARTICLE, 5),
+              fock.ModeLabel(fock.PARTICLE, 0)]
+    assert sorted(labels) == [labels[1], labels[2], labels[0]]
+    assert fock.ModeLabel(fock.PARTICLE, 0) < fock.ModeLabel(fock.PARTICLE, 1)
+
+
+def test_fock_states_sort_by_label():
+    # a basis state lists its labels in order, whatever order they are set
+    state = fock.VACUUM
+    for species, mode in ((fock.PARTICLE, 2), (fock.ANTIPARTICLE, 1),
+                          (fock.PARTICLE, 0)):
+        state = fock._state_set(state, fock.ModeLabel(species, mode), 1)
+    assert [lab for lab, _ in state] == [
+        fock.ModeLabel(fock.ANTIPARTICLE, 1), fock.ModeLabel(fock.PARTICLE, 0),
+        fock.ModeLabel(fock.PARTICLE, 2)]
+    v = apply_string([b_dag(1), a_dag(2), a_dag(0)], StateVector.vacuum(), 0.5)
+    assert list(v.terms) == [state]
+
+
+def test_ladder_op_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it)
+    lab = fock.ModeLabel(fock.PARTICLE, 2)
+    op = fock.LadderOp(fock.CREATE, lab)
+    assert (op.kind, op.label, op.is_creator) == (fock.CREATE, lab, True)
+    kw = fock.LadderOp(kind=fock.ANNIHILATE, label=lab)
+    assert not kw.is_creator
+    assert op == a_dag(2) and kw == a(2)
+    assert op != kw and op != b_dag(2) and op != a_dag(1)
+    assert hash(op) == hash(a_dag(2))
+    assert len({op, a_dag(2), kw}) == 2
+    with pytest.raises(ValueError):
+        fock.LadderOp("destroy", lab)
+    with pytest.raises(ValueError):
+        op._replace(kind="destroy")
+    with pytest.raises(AttributeError):
+        op.kind = fock.ANNIHILATE
+    assert [repr(x) for x in (a(0), a_dag(2), b(1), b_dag(4))] == [
+        "a0", "a2+", "b1", "b4+"]
+    assert repr((a(0), a_dag(0))) == "(a0, a0+)"
+
+
+def test_labels_and_operators_equal_tuples_of_their_fields():
+    # the one change from the dataclasses: as named tuples both compare
+    # (and hash) equal to a plain tuple of their fields, and LadderOp is
+    # ordered, by kind and then label
+    lab = fock.ModeLabel(fock.PARTICLE, 1)
+    assert lab == (fock.PARTICLE, 1) and hash(lab) == hash((fock.PARTICLE, 1))
+    op = a_dag(1)
+    assert op == (fock.CREATE, (fock.PARTICLE, 1))
+    assert hash(op) == hash((fock.CREATE, (fock.PARTICLE, 1)))
+    assert sorted([a_dag(1), a(2), a(0)]) == [a(0), a(2), a_dag(1)]
+    assert a(1) < a_dag(0)  # "annihilate" < "create"
+
+
+def test_state_vector_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it); no two vectors share a default terms dict
+    v, w = StateVector(), StateVector()
+    assert (v.terms, v.overflowed) == ({}, False)
+    v.terms[fock.VACUUM] = 1.0
+    assert w.terms == {} and StateVector().terms == {}
+    kw = StateVector(terms={fock.VACUUM: 1j}, overflowed=True)
+    assert kw == StateVector({fock.VACUUM: 1j}, True)
+    assert not kw != StateVector({fock.VACUUM: 1j}, True)
+    assert kw != StateVector({fock.VACUUM: 1j}) and v != w
+    assert StateVector.vacuum() == StateVector({fock.VACUUM: 1.0 + 0.0j})
+    assert (kw == ({fock.VACUUM: 1j}, True)) is False
+    assert kw.__eq__(({fock.VACUUM: 1j}, True)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(w)
+    assert repr(w) == "StateVector(terms={}, overflowed=False)"
+    assert (repr(apply_string([a_dag(0), a_dag(1)], StateVector.vacuum(), 0.5))
+            == "StateVector(terms={((ModeLabel(species='particle', mode=0), "
+               "1), (ModeLabel(species='particle', mode=1), 1)): (1+0j)}, "
+               "overflowed=False)")
+
+
 def test_ladder_examples():
     q = 0.7
     v = apply_ladder(a_dag(), StateVector.vacuum(), q)

@@ -23,8 +23,36 @@ def test_basic_number_examples():
 
 
 def test_basic_number_limit_branch():
-    # within the explicit unity window the continuous limit is returned
-    assert basic_number(1.0 + 1e-13, 7) == 7.0
+    # next to q = 1 the value is (q^7 - 1)/(q - 1), not the limit 7
+    mp = pytest.importorskip("mpmath")
+    q = 1.0 + 1e-13
+    with mp.workdps(50):
+        want = (mp.mpf(q) ** 7 - 1) / (mp.mpf(q) - 1)
+    assert abs(basic_number(q, 7) - want) <= 4 * sys.float_info.epsilon * want
+
+
+def test_basic_number_within_its_stated_tolerance():
+    # a log grid in |q -+ 1| from 1e-15 to 1 on both sides of +1 and -1,
+    # n up to 1e6; the old unity window was 5e-8 off at 1 + 1e-13, n = 1e6
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    tol = 4 * sys.float_info.epsilon
+    for _ in range(20000):
+        q = (rng.choice((-1.0, 1.0))
+             + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, 0.0))
+        n = int(10.0 ** rng.uniform(0.0, 6.0))
+        with mp.workdps(50):
+            want = (mp.mpf(q) ** n - 1) / (mp.mpf(q) - 1)
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(NumericOverflowError):
+                basic_number(q, n)
+            continue
+        assert abs(basic_number(q, n) - want) <= tol * abs(want), (q, n)
+    # zeros are +0.0
+    for q in (-1.0, 0.0, 0.5, -1.0 - 1e-15):
+        assert math.copysign(1.0, basic_number(q, 0)) == 1.0
+    for n in (0, 2, 10):
+        assert math.copysign(1.0, basic_number(-1.0, n)) == 1.0
 
 
 def test_basic_number_negative_n_rejected():

@@ -213,6 +213,60 @@ def test_qpoly_basics():
     assert repr(p) == "1*q^0 + 1*q^2" and repr(QPoly()) == "0"
 
 
+def test_normal_form_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it)
+    terms = {(): q_power(0), (a_dag(0), a(0)): q_power(1)}
+    nf = wick.NormalForm(terms, 0.5)
+    assert (nf.terms, nf.q) == (terms, 0.5)
+    kw = wick.NormalForm(terms=dict(terms), q=0.5)
+    assert kw == nf == normal_order((a(0), a_dag(0)), 0.5)
+    assert not kw != nf
+    assert nf != wick.NormalForm(terms, 0.25) and nf != wick.NormalForm({}, 0.5)
+    assert nf.__eq__((terms, 0.5)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(nf)
+    assert repr(nf) == "NormalForm(terms={(): 1*q^0, (a0+, a0): 1*q^1}, q=0.5)"
+
+
+def test_pairing_diagram_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it)
+    d = PairingDiagram(((0, 2), (1, 3)), (), 1, 1.0, 0.5)
+    assert (d.pairs, d.unpaired, d.crossings, d.pair_value, d.coefficient,
+            d.is_full) == (((0, 2), (1, 3)), (), 1, 1.0, 0.5, True)
+    kw = PairingDiagram(pairs=((0, 2),), unpaired=(1, 3), crossings=0,
+                        pair_value=1.0, coefficient=1.0)
+    assert not kw.is_full
+    assert kw == PairingDiagram(((0, 2),), (1, 3), 0, 1.0, 1.0)
+    assert not kw != PairingDiagram(((0, 2),), (1, 3), 0, 1.0, 1.0)
+    assert d != kw and d != PairingDiagram(((0, 2), (1, 3)), (), 1, 1.0, 0.25)
+    assert d in wick_expand((a(0), a(0), a_dag(0), a_dag(0)), 0.5)
+    assert d.__eq__((((0, 2), (1, 3)), (), 1, 1.0, 0.5)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(d)
+    assert repr(d) == ("PairingDiagram(pairs=((0, 2), (1, 3)), unpaired=(), "
+                       "crossings=1, pair_value=1.0, coefficient=0.5)")
+
+
+def test_wick_report_is_a_value_record():
+    # construction, ==, hash and repr of the old dataclass (repr text
+    # recorded from it)
+    ops = (a(0), a_dag(0))
+    rep = wick.WickReport(ops, 0.5, 1.0, 1 + 0j)
+    assert (rep.ops, rep.q, rep.wick_vev, rep.fock_vev) == (ops, 0.5, 1.0, 1)
+    assert rep.passed and rep.abs_diff == 0.0
+    kw = wick.WickReport(ops=ops, q=0.5, wick_vev=1.0, fock_vev=1 + 0j)
+    assert kw == rep == verify_wick(ops, 0.5)
+    assert not kw != rep
+    assert rep != wick.WickReport(ops, 0.5, 1.0, 0.5 + 0j)
+    assert rep.__eq__((ops, 0.5, 1.0, 1 + 0j)) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(rep)
+    assert repr(rep) == ("WickReport(ops=(a0, a0+), q=0.5, wick_vev=1.0, "
+                         "fock_vev=(1+0j))")
+
+
 def test_normal_order_two_ops():
     q = 0.7
     nf = normal_order((a(0), a_dag(0)), q)
