@@ -7,12 +7,11 @@ complex numbers).  Tolerances: eps = 2^-52, ulp(0) = 2^-1074, against
 exact arithmetic at the float inputs."""
 from __future__ import annotations
 
-import cmath
 import math
 
-from .errors import NumericOverflowError, ZeroVectorError, finite
+from .errors import NumericOverflowError, Record, ZeroVectorError, finite
 from .lorentz import (MIN_NORMAL, _check_mass, _check_onshell, _check_spin,
-                      omega, reduced_spinor, subluminal_beta)
+                      _finite_rows, omega, reduced_spinor, subluminal_beta)
 
 METRIC = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
           (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
@@ -45,13 +44,6 @@ def gamma(mu: int) -> tuple:
     return _GAMMA[mu]
 
 
-def _finite_rows(rows, what: str, m: float):
-    """rows; NumericOverflowError where an entry is not finite."""
-    if not all(cmath.isfinite(x) for row in rows for x in row):
-        raise NumericOverflowError(f"{what} overflows at m={m}")
-    return rows
-
-
 def slash(p) -> tuple:
     """pslash = p0 G0 - p1 G1 - p2 G2 - p3 G3 with complex products, as
     numpy forms it, exact; NonFiniteInputError for a nan or infinite p_mu."""
@@ -67,13 +59,11 @@ def onshell_momentum(pvec, m: float) -> tuple:
     return _finite_rows([(omega(pvec, finite(m, "m")), *pvec)], "p0", m)[0]
 
 
-class DiracSpinor:
+class DiracSpinor(Record):
     """An on-shell spinor: ``components`` (4 complex), the leg ``momentum``
-    (4 floats), the spin ``r`` and ``kind`` "u" or "v".  Compared by value,
-    unhashable."""
+    (4 floats), the spin ``r`` and ``kind`` "u" or "v"."""
 
-    __slots__ = ("components", "momentum", "r", "kind")
-    __hash__ = None
+    __slots__ = _fields = ("components", "momentum", "r", "kind")
 
     def __init__(self, components: tuple, momentum: tuple, r: int,
                  kind: str):
@@ -81,17 +71,6 @@ class DiracSpinor:
         self.momentum = momentum
         self.r = r
         self.kind = kind
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.components, self.momentum, self.r, self.kind)
-                == (other.components, other.momentum, other.r, other.kind))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(components={self.components!r}, "
-                f"momentum={self.momentum!r}, r={self.r!r}, "
-                f"kind={self.kind!r})")
 
     def bar(self) -> tuple:
         """Dirac adjoint ubar = u^dagger gamma^0, exact (zero parts +0.0)."""

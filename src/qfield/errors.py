@@ -1,7 +1,8 @@
-"""Typed exceptions shared across the package.
+"""Shared across the package: typed exceptions, ``finite`` and the
+result-record base.
 
-Every divergence or invalid input maps to one of these; no operation
-returns a silent NaN.
+Every divergence or invalid input maps to one of the exceptions; no
+operation returns a silent NaN.
 """
 import math
 
@@ -65,3 +66,23 @@ def finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise NonFiniteInputError(f"{name} must be finite, got {value}")
     return value
+
+
+class Record:
+    """Base of the result records: a subclass names its value in ``_fields``
+    and keeps its own ``__init__``.  Records of one class compare as the
+    tuples of their ``_fields`` (so an identical item, nan too, is equal),
+    print as ``Name(field=value, ...)`` and are unhashable."""
+
+    __slots__ = _fields = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, f) for f in self._fields)
+                == tuple(getattr(other, f) for f in self._fields))
+
+    def __repr__(self):
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({values})"

@@ -17,15 +17,16 @@ Charge conjugation swaps the two species with a unit phase epsilon.
 construction, so the dicts keyed on them hash and compare in C.  As
 tuples they compare equal to a plain tuple of their fields
 (``ModeLabel(PARTICLE, 0) == (PARTICLE, 0)``), and both are ordered
-field by field.  ``StateVector`` is a mutable record: compared by
-value, unhashable.
+field by field.  ``StateVector`` is a mutable ``errors.Record``:
+compared by value, unhashable.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 from typing import Iterable, Sequence
 
-from .errors import NegativeNormError, finite
+from .errors import NegativeNormError, Record, finite
 from .qcore import basic_number
 
 PARTICLE = "particle"
@@ -51,8 +52,12 @@ class ModeLabel(namedtuple("ModeLabel", "species mode")):
     def __new__(cls, species: str, mode: int = 0):
         if species not in (PARTICLE, ANTIPARTICLE):
             raise ValueError(f"unknown species {species!r}")
+        try:
+            mode = index(mode)
+        except TypeError:  # 1.5 or nan: as invalid as a negative index
+            mode = -1
         if mode < 0:
-            raise ValueError("mode index must be nonnegative")
+            raise ValueError("mode index must be a nonnegative integer")
         return tuple.__new__(cls, (species, mode))
 
     @classmethod
@@ -120,7 +125,7 @@ def _state_set(state: FockState, label: ModeLabel, n: int) -> FockState:
 VACUUM: FockState = ()
 
 
-class StateVector:
+class StateVector(Record):
     """Complex linear combination of Fock basis states.
 
     ``overflowed`` flags that some creation chain hit the truncation and
@@ -128,22 +133,11 @@ class StateVector:
     Each vector gets its own ``terms`` dict unless one is passed.
     """
 
-    __slots__ = ("terms", "overflowed")
-    __hash__ = None
+    __slots__ = _fields = ("terms", "overflowed")
 
     def __init__(self, terms: dict | None = None, overflowed: bool = False):
         self.terms = {} if terms is None else terms
         self.overflowed = overflowed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.terms, self.overflowed)
-                == (other.terms, other.overflowed))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(terms={self.terms!r}, "
-                f"overflowed={self.overflowed!r})")
 
     @classmethod
     def vacuum(cls) -> "StateVector":
@@ -253,5 +247,7 @@ def charge_conjugate_string(ops: Iterable[LadderOp], epsilon: complex = 1.0):
 
 
 def _check_phase(epsilon: complex):
-    if abs(abs(complex(epsilon)) - 1.0) > 1e-12:
-        raise ValueError(f"|epsilon| must be 1, got {abs(complex(epsilon))}")
+    modulus = abs(complex(epsilon))
+    if not abs(modulus - 1.0) <= 1e-12:  # so that a nan phase fails too
+        finite(modulus, "|epsilon|")
+        raise ValueError(f"|epsilon| must be 1, got {modulus}")

@@ -1,17 +1,18 @@
 """Four-vector arithmetic on Python floats: Minkowski products, the
-on-shell energy omega, the on-shell, mass and spin checks, Lorentz boost
-rows and the Dirac spinor basis.  Each rule is stated here once; the
-dirac, propagator and scattering layers call it.
+on-shell energy omega, the on-shell, mass, spin and finite-matrix checks,
+Lorentz boost rows and the Dirac spinor basis.  Each rule is stated here
+once; the dirac, propagator and scattering layers call it.
 
 Metric signature (+,-,-,-).  A four-vector is any indexable of four
 numbers (a tuple, a list or a numpy array); nothing here needs numpy.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
-from .errors import (NonFiniteInputError, OffShellError, SuperluminalError,
-                     ZeroMassError, finite)
+from .errors import (NonFiniteInputError, NumericOverflowError, OffShellError,
+                     SuperluminalError, ZeroMassError, finite)
 
 ONSHELL_RTOL = 1e-10
 MIN_NORMAL = 2.0 ** -1022  # below it a float is subnormal and loses bits
@@ -56,6 +57,14 @@ def _check_onshell(p, m: float):
             raise OffShellError(f"p^2 - m^2 = {judged} for m = {m}")
     if p0 <= 0:
         raise OffShellError("p0 must be positive")
+
+
+def _finite_rows(rows, what: str, m: float):
+    """rows, a sequence of tuples; NumericOverflowError where an entry is
+    not finite."""
+    if not all(map(cmath.isfinite, sum(rows, ()))):
+        raise NumericOverflowError(f"{what} overflows at m={m}")
+    return rows
 
 
 def _check_spin(r: int):

@@ -40,8 +40,8 @@ import math
 
 from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
-                     ZeroMassError, finite)
-from .lorentz import _check_mass, omega
+                     Record, ZeroMassError, finite)
+from .lorentz import _check_mass, _finite_rows, omega
 
 POLE_GUARD = 1e-10
 
@@ -51,35 +51,22 @@ _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
 _METRIC_UPPER = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0, 0.0, -1.0)
 
 
-class PropagatorValue:
+class PropagatorValue(Record):
     """Propagator evaluation plus diagnostics.
 
     ``value`` is a complex scalar or 4 rows of 4 complex (tuples;
     numpy.array(value) is the matrix);
     ``onshell_distance`` is |k^2 - m^2|; ``quad_error`` is present only
     for position-space evaluations, where it bounds the absolute error.
-    Compared by value, unhashable.
     """
 
-    __slots__ = ("value", "onshell_distance", "quad_error")
-    __hash__ = None
+    __slots__ = _fields = ("value", "onshell_distance", "quad_error")
 
     def __init__(self, value, onshell_distance: float,
                  quad_error: float | None = None):
         self.value = value
         self.onshell_distance = onshell_distance
         self.quad_error = quad_error
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.value, self.onshell_distance, self.quad_error)
-                == (other.value, other.onshell_distance, other.quad_error))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(value={self.value!r}, "
-                f"onshell_distance={self.onshell_distance!r}, "
-                f"quad_error={self.quad_error!r})")
 
 
 def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
@@ -109,13 +96,6 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
         raise NumericOverflowError(
             f"propagator overflows at k0={k0}, omega={w}, q={q}")
     return val, abs(k2_m2)
-
-
-def _matrix(rows: tuple, dist: float) -> PropagatorValue:
-    """A 4x4 value; NumericOverflowError where an entry is not finite."""
-    if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
-        raise NumericOverflowError("propagator matrix overflows")
-    return PropagatorValue(rows, dist)
 
 
 def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -222,10 +202,9 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
     x, nx, y, ny = [a * s for a in (0.0 + p1, 0.0 - p1, 0.0 + p2, 0.0 - p2)]
     up, lo, z, nz, o = [complex(a * s) * v
                         for a in (m + p0, m - p0, 0.0 + p3, 0.0 - p3, 0.0)]
-    return _matrix(((up, o, nz, complex(nx, y) * v),
-                    (o, up, complex(nx, ny) * v, z),
-                    (z, complex(x, ny) * v, lo, o),
-                    (complex(x, y) * v, nz, o, lo)), dist)
+    rows = ((up, o, nz, complex(nx, y) * v), (o, up, complex(nx, ny) * v, z),
+            (z, complex(x, ny) * v, lo, o), (complex(x, y) * v, nz, o, lo))
+    return PropagatorValue(_finite_rows(rows, "propagator matrix", m), dist)
 
 
 def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -255,12 +234,13 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     if m > 0.0:
         m2 = m * m
         if m2 == 0.0:  # k k / m^2 is inf or nan on the whole diagonal
-            raise NumericOverflowError("propagator matrix overflows")
+            raise NumericOverflowError(f"propagator matrix overflows at m={m}")
         tensor = [g - k[i] * k[j] / m2 for g, (i, j) in zip(tensor, _UPPER)]
     v = complex(val)
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = [complex(t) * v for t in tensor]
-    return _matrix(((c0, c1, c2, c3), (c1, c4, c5, c6), (c2, c5, c7, c8),
-                    (c3, c6, c8, c9)), dist)
+    rows = ((c0, c1, c2, c3), (c1, c4, c5, c6), (c2, c5, c7, c8),
+            (c3, c6, c8, c9))
+    return PropagatorValue(_finite_rows(rows, "propagator matrix", m), dist)
 
 
 _EPS = math.ulp(1.0)

@@ -24,7 +24,7 @@ import cmath
 import math
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
-                     OffShellError, finite)
+                     OffShellError, Record, finite)
 from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell, _check_spin,
                       boost_rows, mass2, minkowski_dot, reduced_spinor)
 
@@ -34,25 +34,17 @@ ELECTRON_LINE = "electron_line"
 TRANSFER_GUARD = 1e-12
 
 
-class Boost:
+class Boost(Record):
     """A Lorentz boost with velocity ``beta`` (a float 3-tuple once built);
     ``rows`` holds its 4x4 matrix as float 4-tuples (lorentz.boost_rows).
-    Compared by ``beta``, unhashable."""
+    Compared and printed by ``beta`` alone."""
 
     __slots__ = ("beta", "rows")
-    __hash__ = None
+    _fields = ("beta",)
 
     def __init__(self, beta):
         self.rows = boost_rows(beta)
         self.beta = tuple(map(float, beta))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.beta == other.beta
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(beta={self.beta!r})"
 
     def apply(self, p) -> tuple:
         """The boosted four-vector, as a float 4-tuple; NonFiniteInputError

@@ -33,7 +33,8 @@ along three paths:
   reference for the path product.
 
 ``verify_wick`` checks the path product against the brute-force Fock
-vacuum expectation value.
+vacuum expectation value.  Like that oracle, every path raises
+``NonFiniteInputError`` for a nan or infinite q.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from . import fock
-from .errors import EqualTimeError, NegativeNormError, NumericOverflowError
+from .errors import (EqualTimeError, NegativeNormError, NumericOverflowError,
+                     Record, finite)
 from .fock import LadderOp, ModeLabel
 from .qcore import basic_number
 
@@ -90,30 +92,19 @@ class QPoly:
         return " + ".join(f"{c}*q^{e}" for e, c in sorted(self.coeffs.items()))
 
 
-class NormalForm:
+class NormalForm(Record):
     """Sum of normal-ordered strings with polynomial-in-q coefficients.
 
     ``terms`` maps each normal-ordered string (creators all left of
     annihilators) to its coefficient; ``q`` is the working value the
-    evaluated ``coefficient`` numbers refer to.  Compared by value,
-    unhashable.
+    evaluated ``coefficient`` numbers refer to.
     """
 
-    __slots__ = ("terms", "q")
-    __hash__ = None
+    __slots__ = _fields = ("terms", "q")
 
     def __init__(self, terms: Dict[OperatorString, QPoly], q: float):
         self.terms = terms
         self.q = q
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.q) == (other.terms, other.q)
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(terms={self.terms!r}, "
-                f"q={self.q!r})")
 
     def coefficient(self, ops: OperatorString) -> complex:
         poly = self.terms.get(tuple(ops))
@@ -142,6 +133,7 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     q = -1 the algebra has negative norms: there the string raises
     ``NegativeNormError`` exactly where ``wick_vev`` and ``fock.vev`` do.
     """
+    finite(q, "q")
     ops = _capped(ops)
     if q < -1.0:
         wick_vev(ops, q)  # for its NegativeNormError; the value is unused
@@ -204,7 +196,7 @@ def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
     return tuple(codes), decode
 
 
-class PairingDiagram:
+class PairingDiagram(Record):
     """One term of the pairing expansion.
 
     ``pairs`` holds (i, j) index pairs with i < j joining two operators
@@ -213,12 +205,10 @@ class PairingDiagram:
     transpositions that cost a q); ``pair_value`` is the product
     of the individual pairings (1 for annihilator-before-creator, 0 for
     the reversed order); ``coefficient`` = q^crossings * pair_value.
-    Compared by value, unhashable.
     """
 
-    __slots__ = ("pairs", "unpaired", "crossings", "pair_value",
-                 "coefficient")
-    __hash__ = None
+    __slots__ = _fields = ("pairs", "unpaired", "crossings", "pair_value",
+                           "coefficient")
 
     def __init__(self, pairs: Tuple[Tuple[int, int], ...],
                  unpaired: Tuple[int, ...], crossings: int,
@@ -228,20 +218,6 @@ class PairingDiagram:
         self.crossings = crossings
         self.pair_value = pair_value
         self.coefficient = coefficient
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.pairs, self.unpaired, self.crossings, self.pair_value,
-                 self.coefficient)
-                == (other.pairs, other.unpaired, other.crossings,
-                    other.pair_value, other.coefficient))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(pairs={self.pairs!r}, "
-                f"unpaired={self.unpaired!r}, crossings={self.crossings!r}, "
-                f"pair_value={self.pair_value!r}, "
-                f"coefficient={self.coefficient!r})")
 
     @property
     def is_full(self) -> bool:
@@ -253,6 +229,7 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
 
     Deterministic lexicographic diagram order.
     """
+    finite(q, "q")
     ops = _capped(ops)
     codes, _ = _encode(ops)
     diagrams: List[PairingDiagram] = []
@@ -294,13 +271,15 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
     sum of full-contraction diagrams from ``wick_expand`` and takes time
     linear in the length, so no length cap applies.
 
-    Raises ``NegativeNormError`` exactly where ``fock.vev`` does: when a
+    Raises ``NonFiniteInputError`` for a nan or infinite q, and
+    ``NegativeNormError`` exactly where ``fock.vev`` does: when a
     creator takes a label to a height h with <h>_q below
     -fock.NEGATIVE_NORM_TOL before the value is known to be zero.  A
     weight in [-tol, 0] gives 0, as the oracle's clamped norm does, and
     so does an annihilator at height 0 or a height left above 0.  Raises
     ``NumericOverflowError`` where a weight or the product overflows.
     """
+    finite(q, "q")
     height: Dict[ModeLabel, int] = {}
     weights = [0.0]  # weights[h] = <h>_q, checked when first reached
     value = 1.0
@@ -329,12 +308,11 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
     return value
 
 
-class WickReport:
+class WickReport(Record):
     """``wick_vev`` against the ``fock_vev`` oracle for one string ``ops``
-    at ``q``.  Compared by value, unhashable."""
+    at ``q``."""
 
-    __slots__ = ("ops", "q", "wick_vev", "fock_vev")
-    __hash__ = None
+    __slots__ = _fields = ("ops", "q", "wick_vev", "fock_vev")
 
     def __init__(self, ops: OperatorString, q: float, wick_vev: complex,
                  fock_vev: complex):
@@ -342,16 +320,6 @@ class WickReport:
         self.q = q
         self.wick_vev = wick_vev
         self.fock_vev = fock_vev
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ops, self.q, self.wick_vev, self.fock_vev)
-                == (other.ops, other.q, other.wick_vev, other.fock_vev))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(ops={self.ops!r}, q={self.q!r}, "
-                f"wick_vev={self.wick_vev!r}, fock_vev={self.fock_vev!r})")
 
     @property
     def abs_diff(self) -> float:
@@ -374,8 +342,12 @@ def q_time_order(f1: Sequence[LadderOp], f2: Sequence[LadderOp],
     """Order two field factors by time with factor q on the swapped branch.
 
     Returns (factor, ordered string).  q = -1 recovers the usual
-    fermionic T-product; equal times are undefined.
+    fermionic T-product; equal times are undefined, and a nan or infinite
+    time or q raises ``NonFiniteInputError``.
     """
+    finite(t1, "t1")
+    finite(t2, "t2")
+    finite(q, "q")
     if t1 == t2:
         raise EqualTimeError(f"t1 == t2 == {t1}")
     f1, f2 = tuple(f1), tuple(f2)

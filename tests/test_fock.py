@@ -47,6 +47,18 @@ def test_mode_label_is_a_value_record():
     assert fock.ModeLabel(fock.PARTICLE, 0) < fock.ModeLabel(fock.PARTICLE, 1)
 
 
+def test_mode_label_rejects_non_integer_modes():
+    # the same ValueError as a negative mode; integer types are taken
+    # through operator.index
+    for mode in (1.5, math.nan, math.inf, "1", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            fock.ModeLabel(fock.PARTICLE, mode)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        fock.ModeLabel(fock.PARTICLE, -1)
+    for mode in (2, True):
+        assert fock.ModeLabel(fock.PARTICLE, mode).mode == int(mode)
+
+
 def test_fock_states_sort_by_label():
     # a basis state lists its labels in order, whatever order they are set
     state = fock.VACUUM
@@ -236,6 +248,19 @@ def test_charge_conjugation_operator_relabeling():
 def test_charge_conjugation_bad_phase():
     with pytest.raises(ValueError):
         charge_conjugate_op(a(), 2.0)
+
+
+def test_charge_conjugation_non_finite_phase():
+    # a nan |epsilon| used to pass the unit-modulus check and give nan phases
+    v = apply_string([a_dag(0), b_dag(1)], StateVector.vacuum(), 0.5)
+    for eps in (math.nan, complex(math.nan, 0.0), complex(0.0, math.inf),
+                -math.inf):
+        with pytest.raises(NonFiniteInputError):
+            charge_conjugate_op(a(), eps)
+        with pytest.raises(NonFiniteInputError):
+            charge_conjugate_string([a(), a_dag(1)], eps)
+        with pytest.raises(NonFiniteInputError):
+            charge_conjugate_state(v, eps)
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

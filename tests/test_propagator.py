@@ -9,8 +9,9 @@ from scipy.special import k1
 
 import oscillatory_oracle as oracle
 from qfield import dirac, propagator as prop
-from qfield.errors import (ConvergenceError, NonFiniteInputError, PoleError,
-                           QFieldError, ZeroMassError)
+from qfield.errors import (ConvergenceError, NonFiniteInputError,
+                           NumericOverflowError, PoleError, QFieldError,
+                           ZeroMassError)
 from qfield.lorentz import mass2
 
 RNG = np.random.default_rng(77)
@@ -45,6 +46,29 @@ def test_propagator_value_is_a_value_record():
                         "onshell_distance=0.5, quad_error=None)")
     assert repr(kw) == ("PropagatorValue(value=((1j, 0j), (0j, (-0-1j))), "
                         "onshell_distance=2.0, quad_error=0.001)")
+
+
+def test_propagator_value_compares_identical_items_as_equal():
+    # a record compares the tuples of its fields, and tuple == takes an
+    # identical item as equal: a position-space value, whose
+    # onshell_distance is nan, equals itself
+    pv = prop.delta_plus_equal_time(1.0, 1.0)
+    assert math.isnan(pv.onshell_distance)
+    assert pv == pv and not pv != pv
+    nan = float("nan")
+    assert prop.PropagatorValue(0.5, nan) == prop.PropagatorValue(0.5, nan)
+    assert prop.PropagatorValue(0.5, nan, 1e-16) != prop.PropagatorValue(
+        0.5, nan, 2e-16)
+
+
+def test_matrix_overflow_names_the_mass():
+    # the spinor and photon matrices share lorentz._finite_rows
+    cases = ((prop.spinor_propagator_momentum, (10.0, 1.0, 0.0, 0.0), 1e-308),
+             (prop.photon_propagator_momentum, (2.0, 1.0, 0.0, 0.0), 1e-160))
+    for fn, k, m in cases:
+        with pytest.raises(NumericOverflowError,
+                           match=f"propagator matrix overflows at m={m}"):
+            fn(k, m, 0.5)
 
 
 def test_scalar_q1_reduction():

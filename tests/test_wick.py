@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from qfield import fock, wick
-from qfield.errors import EqualTimeError, NegativeNormError, NumericOverflowError
+from qfield.errors import (EqualTimeError, NegativeNormError,
+                           NonFiniteInputError, NumericOverflowError)
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
 from qfield.wick import (PairingDiagram, QPoly, normal_order, q_time_order,
                          verify_wick, wick_expand, wick_vev)
@@ -511,6 +513,28 @@ def test_q_time_order_branches():
     assert factor == -1.0
     with pytest.raises(EqualTimeError):
         q_time_order(f1, f2, 1.0, 1.0, 0.5)
+
+
+STRING, F1, F2 = (a(0), a(0), a_dag(0), a_dag(0)), (a(0),), (a_dag(0),)
+NON_FINITE_CALLS = {
+    "normal_order": lambda x: normal_order(STRING, x),
+    "wick_expand": lambda x: wick_expand(STRING, x),
+    "wick_vev": lambda x: wick_vev(STRING, x),
+    "wick_vev_empty": lambda x: wick_vev((), x),
+    "wick_vev_unpaired": lambda x: wick_vev(F1, x),
+    "q_time_order_t1": lambda x: q_time_order(F1, F2, x, 1.0, 0.5),
+    "q_time_order_t2": lambda x: q_time_order(F1, F2, 1.0, x, 0.5),
+    "q_time_order_q": lambda x: q_time_order(F1, F2, 1.0, 2.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(),
+                         ids=NON_FINITE_CALLS.keys())
+def test_non_finite_q_or_time_raises(call, bad):
+    # as fock.vev does, rather than a nan, inf or q-independent value
+    with pytest.raises(NonFiniteInputError):
+        call(bad)
 
 
 @pytest.mark.parametrize("q", Q_VALUES)
