@@ -9,7 +9,8 @@ Modules:
     dirac       gamma matrices, spinors, projectors, the spinor boost
     propagator  q-causal propagators in momentum and position space
     scattering  Moller / annihilation correction factors and frame scans
-    cli         command-line front end (CSV output, golden files)
+    cli         command-line front end (CSV output)
+    golden      the CLI's golden files, loaded only by --golden calls
 
 Only ``errors`` loads with the package.  Every other layer loads on first
 access to it or to a name re-exported from it (PEP 562), so a cold CLI

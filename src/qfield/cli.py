@@ -5,20 +5,21 @@ significant digits, complex values as re/im column pairs) so runs are
 byte-reproducible and suitable for golden-file testing.  Exit codes:
 0 success, 1 computation error (typed error on stderr), 2 usage error.
 
-No library layer loads with the CLI: each command imports the layers it
-uses, so a qnum or planck call loads only qcore, and the fock and wick
-layers load only for fock and wick commands.  No command needs numpy.
+A call builds only its command's parser: the parser is read off the
+COMMANDS table, and each command's sub-parser adds its options or
+subcommands only when argparse parses into it.  Golden-file support lives
+in qfield.golden, which only a --golden call loads.  No library layer loads
+with the CLI: each command imports the layers it uses, so a qnum or planck
+call loads only qcore, and the fock and wick layers load only for fock and
+wick commands.  No command needs numpy.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from itertools import zip_longest
 
 from .errors import QFieldError, finite
 
-DEFAULT_GOLDEN_DIR = "golden"
 # fock.DEFAULT_N_MAX, spelled out so that building the parser does not
 # import the fock layer (a test pins the two together)
 DEFAULT_N_MAX = 16
@@ -165,65 +166,18 @@ def cmd_wick_verify(args):
     return header, rows
 
 
-# numpy.random.default_rng(12345).uniform(-3, 3, 3), drawn 20 times
-DIRAC_CHECK_PVECS = (
-    (-1.635983865196982, -1.0994499617414828, 1.784192743996405),
-    (1.0575280245058476, -0.6533426963885463, -1.0031164328016928),
-    (0.5898525215231389, -1.8795948863777199, 1.0365362640877276),
-    (2.6508171916196233, -1.510525712222574, 2.693286910999909),
-    (1.0034247186022345, -2.4246123864353275, -0.3489620029931233),
-    (2.318879515965106, 1.1847209992921321, -1.0411628155793273),
-    (1.403568979980399, -1.6791902667270826, -2.510432582746751),
-    (-2.040626393549715, -0.9593988902717685, -0.20884107778769412),
-    (-1.4014738302553742, 1.8946584205488417, -1.840233664263033),
-    (-2.2231855429367986, -2.4500114907303843, 0.5914080819894791),
-    (2.128451426244008, 0.6097274501622785, 2.591930166815901),
-    (1.3486881665521206, 2.1633079043597547, 2.576026809451898),
-    (0.277116054494118, 2.6260377526065417, -0.030072359527054005),
-    (-1.357360905060075, -0.2893277551514357, 0.990233540397182),
-    (-1.0146544171976721, 2.420724040849434, -1.4575549483407941),
-    (-0.9610299743380812, -1.446879608142436, -0.8673211203342839),
-    (-2.9698659976972093, 0.771627264598072, -1.3057037554492903),
-    (-2.5914738630723253, 0.700973863538283, -1.9420420783127794),
-    (-1.1736696766824624, -0.35467913474329205, -2.0987859536237954),
-    (-1.6924268214873899, -0.15400130799873324, -0.14178686951284902),
-)
-
-
 def cmd_dirac_check(args):
-    from . import dirac
-    def dist(a, b):  # max |a_ij - b_ij|
-        return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-    g = [dirac.gamma(mu) for mu in range(4)]
-    anti = max(abs(sum(a[i][k] * b[k][j] + b[i][k] * a[k][j] for k in range(4))
-                   - 2 * dirac.METRIC[mu][nu] * (i == j))
-               for mu, a in enumerate(g) for nu, b in enumerate(g)
-               for i in range(4) for j in range(4))
-    m, comp, pol, conj = 1.0, 0.0, 0.0, 0.0
-    for p in (dirac.onshell_momentum(k, m) for k in DIRAC_CHECK_PVECS):
-        comp = max(comp, dist(dirac.spin_sum(p, m, "u"),
-                              dirac.theta_projector(p, +1, m)))
-        pol = max(pol, dist(dirac.polarization_sum(p, m),
-                            dirac.polarization_sum_closed_form(p, m)))
-        v = dirac.charge_conjugate_spinor(dirac.u_spinor(p, 1, m)).components
-        conj = max(conj, *(abs(sum((x + m * (i == j)) * c  # (pslash + m) v
-                                   for j, (x, c) in enumerate(zip(row, v))))
-                           for i, row in enumerate(dirac.slash(p))))
+    from .dirac import identity_checks
     rows = [[name, fmt(err), fmt(tol), str(err <= tol).lower()]
-            for name, err, tol in (
-                ("gamma_anticommutators", anti, 1e-14),
-                ("spin_sum_completeness", comp, 1e-12),
-                ("polarization_sum_closed_form", pol, 1e-12),
-                ("charge_conjugation_dirac_eq", conj, 1e-10))]
+            for name, err, tol in identity_checks()]
     return ["check", "max_error", "tolerance", "passed"], rows
 
 
-def _propagator_rows(args, kind: str):
+def cmd_propagator_momentum(args):
     from . import propagator
+    kind = args.subcommand  # scalar, spinor or photon
     kvec = parse_vec3(args.kvec)
-    k0_values = parse_grid(args.k0_grid) if getattr(args, "k0_grid", None) \
-        else [args.k0]
+    k0_values = parse_grid(args.k0_grid) if args.k0_grid else [args.k0]
     header = ["q", "m", "k0", "kx", "ky", "kz"]
     if kind == "scalar":
         header += ["value_re", "value_im", "onshell_distance"]
@@ -325,6 +279,100 @@ def cmd_scatter_frame_scan(args):
 
 # ------------------------------------------------------------------ driver
 
+def _q(default=1.0):
+    return "--q", {"type": float, "default": default}
+
+
+_Q = _q()
+_M = "--m", {"type": float, "default": 1.0}
+_OPS = "--ops", {"required": True}
+_KINEMATICS = (_M, ("--energy", {"type": float, "default": 2.0}),
+               ("--theta", {"type": float, "default": 1.0}))
+_MOMENTUM = (_Q, _M, ("--k0", {"type": float, "default": 0.0}),
+             ("--kvec", {"default": "1,0,0"}),
+             ("--k0-grid", {"help": "lo:hi:count sweep over k0"}))
+
+# Each command maps to its help and either its handler and options, as
+# (flag, add_argument keywords) pairs, or a table of its subcommands.  A
+# help of None leaves the command out of its group's help listing.
+COMMANDS = {
+    "qnum": ("basic number <n>_q", cmd_qnum,
+             (_Q, ("--n", {"type": int, "required": True}))),
+    "planck": ("deformed occupancy 1/(e^x - q)", cmd_planck,
+               (_Q, ("--x", {"type": float, "required": True}))),
+    "fock": ("Fock-space operations", {
+        "vev": ("brute-force vacuum expectation value", cmd_fock_vev, (
+            _Q, ("--ops", {"required": True, "help": "operator tokens, e.g. "
+                             "'a0,a0+' (rightmost acts first)"}),
+            ("--n-max", {"type": int, "default": DEFAULT_N_MAX})))}),
+    "wick": ("q-Wick machinery", {
+        "normal": ("normal-order an operator string", cmd_wick_normal,
+                   (_Q, _OPS)),
+        "expand": ("pairing-diagram expansion", cmd_wick_expand,
+                   (_Q, _OPS)),
+        "verify": ("sweep strings against the Fock oracle", cmd_wick_verify,
+                   (_q(0.7), ("--max-len", {"type": int, "default": 6})))}),
+    "dirac": ("Dirac algebra self-checks", {
+        "check": ("run the identity battery", cmd_dirac_check, ())}),
+    "propagator": ("propagator evaluations", {
+        "scalar": (None, cmd_propagator_momentum, _MOMENTUM),
+        "spinor": (None, cmd_propagator_momentum, _MOMENTUM),
+        "photon": (None, cmd_propagator_momentum, _MOMENTUM),
+        "residues": (None, cmd_propagator_residues,
+                     (_Q, _M, ("--kvec", {"default": "0,0,0"}))),
+        "position": (None, cmd_propagator_position, (
+            _Q, _M, ("--t", {"type": float, "required": True}),
+            ("--r", {"type": float, "required": True}))),
+        "spacelike": (None, cmd_propagator_spacelike, (
+            _q(0.5), _M, ("--r", {"type": float, "default": 1.0}),
+            ("--r-grid", {"help": "lo:hi:count sweep over r"})))}),
+    "scatter": ("QED scattering probes", {
+        "moller": (None, cmd_scatter_moller, (
+            _Q, *_KINEMATICS, ("--spins", {"default": "1,1,1,1"}),
+            ("--beta", {"help": "boost CM kinematics by this velocity"}),
+            ("--strict-paper-mode", {"action": "store_true"}))),
+        "annihilate": (None, cmd_scatter_annihilate,
+                       (_Q, *_KINEMATICS, ("--beta", {}))),
+        "frame-scan": (None, cmd_scatter_frame_scan, (
+            _q(0.5), *_KINEMATICS,
+            ("--betas", {"default": "0,0,0;0,0,0.25;0,0,0.5",
+                         "help": "semicolon-separated boost velocities"}),
+            ("--flavor", {"choices": FLAVORS, "default": FLAVORS[0]})))}),
+}
+
+
+class _LazyParser(argparse.ArgumentParser):
+    """The parser of one COMMANDS entry.  It adds its options, or registers
+    its subcommands, the first time argparse parses into it, which argparse
+    does through parse_known_args; so a call builds only the parsers on its
+    own path, and --help and usage errors still come from argparse."""
+
+    def __init__(self, *args, entry=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._entry = entry
+
+    def parse_known_args(self, args=None, namespace=None):
+        entry, self._entry = self._entry, ()
+        if len(entry) == 1:  # a table of subcommands
+            _add_commands(self, entry[0], "subcommand")
+        elif entry:  # a handler and its options
+            handler, options = entry
+            for flag, kwargs in options:
+                self.add_argument(flag, **kwargs)
+            self.set_defaults(func=handler)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_commands(parser, table, dest: str):
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                parser_class=_LazyParser)
+    for name, (help_text, *entry) in table.items():
+        if help_text is None:
+            sub.add_parser(name, entry=entry)
+        else:
+            sub.add_parser(name, help=help_text, entry=entry)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfield",
@@ -333,106 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write output to FILE instead of stdout")
     parser.add_argument("--golden", choices=("write", "check"),
                         help="persist or verify a golden file for this run")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_q(p, default=1.0):
-        p.add_argument("--q", type=float, default=default)
-
-    p = sub.add_parser("qnum", help="basic number <n>_q")
-    add_q(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_qnum)
-
-    p = sub.add_parser("planck", help="deformed occupancy 1/(e^x - q)")
-    add_q(p)
-    p.add_argument("--x", type=float, required=True)
-    p.set_defaults(func=cmd_planck)
-
-    pf = sub.add_parser("fock", help="Fock-space operations")
-    fsub = pf.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("vev", help="brute-force vacuum expectation value")
-    add_q(p)
-    p.add_argument("--ops", required=True,
-                   help="operator tokens, e.g. 'a0,a0+' (rightmost acts first)")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p.set_defaults(func=cmd_fock_vev)
-
-    pw = sub.add_parser("wick", help="q-Wick machinery")
-    wsub = pw.add_subparsers(dest="subcommand", required=True)
-    p = wsub.add_parser("normal", help="normal-order an operator string")
-    add_q(p)
-    p.add_argument("--ops", required=True)
-    p.set_defaults(func=cmd_wick_normal)
-    p = wsub.add_parser("expand", help="pairing-diagram expansion")
-    add_q(p)
-    p.add_argument("--ops", required=True)
-    p.set_defaults(func=cmd_wick_expand)
-    p = wsub.add_parser("verify", help="sweep strings against the Fock oracle")
-    add_q(p, default=0.7)
-    p.add_argument("--max-len", type=int, default=6)
-    p.set_defaults(func=cmd_wick_verify)
-
-    pd = sub.add_parser("dirac", help="Dirac algebra self-checks")
-    dsub = pd.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("check", help="run the identity battery")
-    p.set_defaults(func=cmd_dirac_check)
-
-    pp = sub.add_parser("propagator", help="propagator evaluations")
-    psub = pp.add_subparsers(dest="subcommand", required=True)
-    for kind in ("scalar", "spinor", "photon"):
-        p = psub.add_parser(kind)
-        add_q(p)
-        p.add_argument("--m", type=float, default=1.0)
-        p.add_argument("--k0", type=float, default=0.0)
-        p.add_argument("--kvec", default="1,0,0")
-        p.add_argument("--k0-grid", help="lo:hi:count sweep over k0")
-        p.set_defaults(func=lambda a, kind=kind: _propagator_rows(a, kind))
-    p = psub.add_parser("residues")
-    add_q(p)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--kvec", default="0,0,0")
-    p.set_defaults(func=cmd_propagator_residues)
-    p = psub.add_parser("position")
-    add_q(p)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.set_defaults(func=cmd_propagator_position)
-    p = psub.add_parser("spacelike")
-    add_q(p, default=0.5)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--r-grid", help="lo:hi:count sweep over r")
-    p.set_defaults(func=cmd_propagator_spacelike)
-
-    ps = sub.add_parser("scatter", help="QED scattering probes")
-    ssub = ps.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("moller")
-    add_q(p)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--energy", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--spins", default="1,1,1,1")
-    p.add_argument("--beta", help="boost CM kinematics by this velocity")
-    p.add_argument("--strict-paper-mode", action="store_true")
-    p.set_defaults(func=cmd_scatter_moller)
-    p = ssub.add_parser("annihilate")
-    add_q(p)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--energy", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--beta")
-    p.set_defaults(func=cmd_scatter_annihilate)
-    p = ssub.add_parser("frame-scan")
-    add_q(p, default=0.5)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--energy", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--betas", default="0,0,0;0,0,0.25;0,0,0.5",
-                   help="semicolon-separated boost velocities")
-    p.add_argument("--flavor", choices=FLAVORS, default=FLAVORS[0])
-    p.set_defaults(func=cmd_scatter_frame_scan)
-
+    _add_commands(parser, COMMANDS, "command")
     return parser
 
 
@@ -444,61 +393,6 @@ def render(header, rows, fmt_kind: str) -> str:
     lines = [",".join(header)]
     lines += [",".join(row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _cells(text: str, fmt_kind: str) -> list:
-    """The rows of a rendered table, header first, as lists of cells."""
-    if fmt_kind == "json":
-        import json
-        try:
-            objs = json.loads(text)
-            return [list(objs[0])] + [[str(v) for v in o.values()]
-                                      for o in objs]
-        except (ValueError, LookupError, TypeError, AttributeError):
-            return []
-    return [line.split(",") for line in text.splitlines()]
-
-
-def first_difference(golden: str, text: str, fmt_kind: str) -> str:
-    """Where this run's table first differs from the golden one: the row
-    (the header is row 0), the column, both cells and, when both parse as
-    numbers, the delta; "" when the two agree cell by cell."""
-    new = _cells(text, fmt_kind)
-    header = new[0] if new else []
-    rows = zip_longest(_cells(golden, fmt_kind), new, fillvalue=())
-    for r, (old_row, new_row) in enumerate(rows):
-        for c, (was, got) in enumerate(zip_longest(old_row, new_row)):
-            if was != got:
-                column = header[c] if c < len(header) else f"#{c + 1}"
-                where = (f" at row {r}, column {column}: golden {was!r}, "
-                         f"got {got!r}")
-                try:
-                    return f"{where}, delta {fmt(float(got) - float(was))}"
-                except (TypeError, ValueError):
-                    return where
-    return ""
-
-
-def golden_path(argv, command: str) -> str:
-    """Golden file of an invocation: <root>/<command>/<digest>.csv."""
-    import hashlib
-    root = os.environ.get("QFIELD_GOLDEN_DIR", DEFAULT_GOLDEN_DIR)
-    # key on the invocation minus the --golden flag itself, so `write` and
-    # `check` runs of the same command resolve to the same file
-    keyed = []
-    skip = False
-    for a in argv:
-        if skip:
-            skip = False
-            continue
-        if a == "--golden":
-            skip = True
-            continue
-        if a.startswith("--golden="):
-            continue
-        keyed.append(a)
-    digest = hashlib.sha256(" ".join(keyed).encode()).hexdigest()[:16]
-    return os.path.join(root, command, f"{digest}.csv")
 
 
 def main(argv=None) -> int:
@@ -525,22 +419,9 @@ def _emit(text: str, argv, args) -> int:
     """Write or check the golden file, then write the table to --out or
     stdout; the exit code."""
     if args.golden:
-        path = golden_path(argv, args.command)
-        if args.golden == "write":
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as fh:
-                fh.write(text)
-        else:
-            if not os.path.exists(path):
-                print(f"error: no golden file at {path}", file=sys.stderr)
-                return 1
-            with open(path) as fh:
-                golden = fh.read()
-            if golden != text:
-                print(f"error: output differs from golden {path}"
-                      + first_difference(golden, text, args.format),
-                      file=sys.stderr)
-                return 1
+        from .golden import write_or_check
+        if write_or_check(text, argv, args):
+            return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -229,3 +229,56 @@ def spinor_boost_matrix(beta) -> tuple:
             (0j, c, complex(x, y), complex(nz)),
             (complex(z), complex(x, ny), c, 0j),
             (complex(x, y), complex(nz), 0j, c))
+
+
+# numpy.random.default_rng(12345).uniform(-3, 3, 3), drawn 20 times
+IDENTITY_PVECS = (
+    (-1.635983865196982, -1.0994499617414828, 1.784192743996405),
+    (1.0575280245058476, -0.6533426963885463, -1.0031164328016928),
+    (0.5898525215231389, -1.8795948863777199, 1.0365362640877276),
+    (2.6508171916196233, -1.510525712222574, 2.693286910999909),
+    (1.0034247186022345, -2.4246123864353275, -0.3489620029931233),
+    (2.318879515965106, 1.1847209992921321, -1.0411628155793273),
+    (1.403568979980399, -1.6791902667270826, -2.510432582746751),
+    (-2.040626393549715, -0.9593988902717685, -0.20884107778769412),
+    (-1.4014738302553742, 1.8946584205488417, -1.840233664263033),
+    (-2.2231855429367986, -2.4500114907303843, 0.5914080819894791),
+    (2.128451426244008, 0.6097274501622785, 2.591930166815901),
+    (1.3486881665521206, 2.1633079043597547, 2.576026809451898),
+    (0.277116054494118, 2.6260377526065417, -0.030072359527054005),
+    (-1.357360905060075, -0.2893277551514357, 0.990233540397182),
+    (-1.0146544171976721, 2.420724040849434, -1.4575549483407941),
+    (-0.9610299743380812, -1.446879608142436, -0.8673211203342839),
+    (-2.9698659976972093, 0.771627264598072, -1.3057037554492903),
+    (-2.5914738630723253, 0.700973863538283, -1.9420420783127794),
+    (-1.1736696766824624, -0.35467913474329205, -2.0987859536237954),
+    (-1.6924268214873899, -0.15400130799873324, -0.14178686951284902),
+)
+
+
+def identity_checks() -> list:
+    """The identity battery at m = 1 over IDENTITY_PVECS, as
+    (name, max_error, tolerance) triples: the anticommutators
+    {G^mu, G^nu} = 2 g^mu nu, the completeness sum_r u ubar = (pslash + m)/2m,
+    polarization_sum against its closed form, and the Dirac equation
+    (pslash + m) v = 0 for v the charge conjugate of u."""
+    def dist(a, b):  # max |a_ij - b_ij|
+        return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+    anti = max(abs(sum(a[i][k] * b[k][j] + b[i][k] * a[k][j] for k in range(4))
+                   - 2 * METRIC[mu][nu] * (i == j))
+               for mu, a in enumerate(_GAMMA) for nu, b in enumerate(_GAMMA)
+               for i in range(4) for j in range(4))
+    m, comp, pol, conj = 1.0, 0.0, 0.0, 0.0
+    for p in (onshell_momentum(k, m) for k in IDENTITY_PVECS):
+        comp = max(comp, dist(spin_sum(p, m, "u"), theta_projector(p, +1, m)))
+        pol = max(pol, dist(polarization_sum(p, m),
+                            polarization_sum_closed_form(p, m)))
+        v = charge_conjugate_spinor(u_spinor(p, 1, m)).components
+        conj = max(conj, *(abs(sum((x + m * (i == j)) * c  # (pslash + m) v
+                                   for j, (x, c) in enumerate(zip(row, v))))
+                           for i, row in enumerate(slash(p))))
+    return [("gamma_anticommutators", anti, 1e-14),
+            ("spin_sum_completeness", comp, 1e-12),
+            ("polarization_sum_closed_form", pol, 1e-12),
+            ("charge_conjugation_dirac_eq", conj, 1e-10)]

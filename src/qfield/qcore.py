@@ -8,6 +8,7 @@ formed as expm1(n log|q|), not by cancelling q^n against 1.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from .errors import NumericOverflowError, OccupancyPoleError, finite
 
@@ -24,11 +25,20 @@ def basic_number(q: float, n: int) -> float:
     At q = 1 returns n, the continuous limit.  Satisfies
     <n+1> - q*<n> = 1 and <0> = 0 (never -0.0).
 
+    n is taken through operator.index: a numpy integer is accepted, and
+    a non-integer n raises ValueError as a negative one does.
+
     Tolerance: the relative error is within 4 eps.  Where q^n > 0 and
     n ||q| - 1| <= 1, q^n - 1 is formed as expm1(n log1p(|q| - 1)), with
     no cancellation as |q| -> 1.  Elsewhere q ** n, within an ulp, is
     above 2, below 1/e or negative, so q^n - 1 loses at most a bit.
     """
+    if type(n) is not int:  # the library's exact ints skip this
+        try:
+            n = index(n)
+        except TypeError:  # 1.5, nan, inf, "1" or None
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}") \
+                from None
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if q == 1.0:

@@ -221,7 +221,8 @@ def test_golden_mismatch_names_first_cell(tmp_path, monkeypatch, capsys):
 
 def test_golden_path_keys_on_the_subcommand(tmp_path, monkeypatch, capsys):
     import hashlib
-    from qfield.cli import golden_path, main
+    from qfield.cli import main
+    from qfield.golden import golden_path
     golden = tmp_path / "golden"
     monkeypatch.setenv("QFIELD_GOLDEN_DIR", str(golden))
     # subcommand first: the path it always had
@@ -522,6 +523,63 @@ def test_n_max_default_matches_fock():
     assert cli.DEFAULT_N_MAX == fock.DEFAULT_N_MAX
     args = cli.build_parser().parse_args(["fock", "vev", "--ops", "a0"])
     assert args.n_max == fock.DEFAULT_N_MAX
+
+
+def _command_paths(table, path=()):
+    """(path, entry) of every group and leaf of a COMMANDS table."""
+    for name, (_, *entry) in table.items():
+        yield (*path, name), entry
+        if len(entry) == 1:
+            yield from _command_paths(entry[0], (*path, name))
+
+
+def test_parser_builds_only_the_command_it_parses():
+    from qfield import cli
+    parser = cli.build_parser()
+    parser.parse_args(["qnum", "--n", "1"])
+    commands = next(a for a in parser._actions if a.dest == "command")
+    built = {name for name, sub in commands.choices.items()
+             if [a.dest for a in sub._actions] != ["help"]}
+    assert built == {"qnum"}
+
+
+def test_every_command_level_parses_its_help(capsys):
+    # each group lists its subcommands and each leaf its options, so every
+    # lazily built level was filled before argparse printed its help
+    from qfield import cli
+    levels = [((), [cli.COMMANDS]), *_command_paths(cli.COMMANDS)]
+    assert len(levels) == 1 + 7 + 14  # top, commands, subcommands
+    for path, entry in levels:
+        with pytest.raises(SystemExit) as info:
+            cli.main([*path, "--help"])
+        assert info.value.code == 0, path
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(("usage: qfield", *path, "[-h]"))), \
+            path
+        if len(entry) == 1:
+            assert "{" + ",".join(entry[0]) + "}" in out, path
+        else:
+            assert all(flag in out for flag, _ in entry[1]), path
+
+
+def test_lazy_levels_keep_argparse_errors(capsys):
+    from qfield import cli
+    with pytest.raises(SystemExit) as info:
+        cli.main(["wick"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "qfield wick: error: the following arguments are required: "
+        "subcommand\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["propagator", "scalr"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qfield propagator [-h]")
+    assert "argument subcommand: invalid choice: 'scalr'" in err
+    # an abbreviated global option still resolves
+    assert cli.main(["--form", "json", "qnum", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"q": "1", "n": "2", "basic_number": "2"}]
 
 
 def test_parse_grid_is_linspace_bit_for_bit():

@@ -34,6 +34,16 @@ def test_gamma_anticommutators():
             assert np.max(np.abs(acomm - expect)) <= 1e-14
 
 
+def test_identity_checks_within_their_tolerances():
+    # the battery behind `qfield dirac check`
+    checks = dirac.identity_checks()
+    assert [name for name, _, _ in checks] == [
+        "gamma_anticommutators", "spin_sum_completeness",
+        "polarization_sum_closed_form", "charge_conjugation_dirac_eq"]
+    for name, err, tol in checks:
+        assert 0.0 <= err <= tol, name
+
+
 def test_gamma_traceless():
     for mu in range(4):
         assert abs(np.trace(gamma(mu))) <= 1e-14

@@ -60,6 +60,17 @@ def test_basic_number_negative_n_rejected():
         basic_number(0.5, -1)
 
 
+def test_basic_number_rejects_non_integer_n():
+    # these returned nan or inf at q = 1 and raised NumericOverflowError or
+    # TypeError elsewhere; n goes through operator.index, as ModeLabel's does
+    for q in (1.0, 0.5, -0.5):
+        for n in (math.nan, math.inf, 1.5, "1", None):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                basic_number(q, n)
+    for q in (1.0, 0.5, -0.5, 2.0):
+        assert basic_number(q, np.int64(7)) == basic_number(q, 7)
+
+
 @given(st.sampled_from(Q_VALUES), st.integers(min_value=0, max_value=20))
 def test_recursion_identity(q, n):
     # <n+1> - q <n> = 1: the identity behind the Fock representation
