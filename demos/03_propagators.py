@@ -22,7 +22,7 @@ print("\n   k0      rational        partial fractions")
 for k0 in (0.0, 0.5, 2.0, -2.0):
     k = np.array([k0, *kvec])
     a = propagator.scalar_propagator_momentum(k, m, q).value
-    b = propagator.scalar_propagator_partial_fractions(k, m, q).value
+    b = (1 / (k0 - w) - q / (k0 + w)) / (2 * w)
     print(f" {k0:5.1f}  {a.real:13.6f}  {b.real:13.6f}")
 
 # extract the residues numerically and compare with the closed form

@@ -6,7 +6,7 @@ Modules:
     wick        q-Wick normal ordering and pairing expansion + oracle harness
     lorentz     float four-vectors: Minkowski products, omega, checks, boost
                 rows, the Dirac spinor basis
-    dirac       gamma matrices, spinors, projectors, the spinor boost
+    dirac       gamma matrices, spinors, projectors, polarization vectors
     propagator  q-causal propagators in momentum and position space
     scattering  Moller / annihilation correction factors and frame scans
     cli         command-line front end (CSV output)

@@ -1,6 +1,6 @@
 """4x4 Dirac algebra on Python floats and complex numbers, metric (+,-,-,-):
 gamma matrices (Dirac representation), spinors (ubar u = 1, vbar v = -1),
-projectors and the spinor boost.  A matrix is a tuple of row tuples; its
+projectors and polarization vectors.  A matrix is a tuple of row tuples; its
 numpy.array has the bits, signs of zeros too, of the same formula in numpy,
 but where numpy fuses multiply-adds (3-vector lengths, products of two
 complex numbers).  Tolerances: eps = 2^-52, ulp(0) = 2^-1074, against
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericOverflowError, Record, ZeroVectorError, finite
+from .errors import NumericOverflowError, Record, finite
 from .lorentz import (MIN_NORMAL, _check_mass, _check_onshell, _check_spin,
-                      _finite_rows, omega, reduced_spinor, subluminal_beta)
+                      _finite_rows, omega, reduced_spinor)
 
 METRIC = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
           (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
@@ -198,37 +198,6 @@ def polarization_sum_closed_form(p, m: float) -> tuple:
     m2 = math.ldexp(m, -e) * math.ldexp(m, -e)
     return _finite_rows(tuple(tuple(-g + a * b / m2 for g, b in zip(row, p))
                               for row, a in zip(METRIC, p)), "p p / m^2", m)
-
-
-def transverse_projector(kvec) -> tuple:
-    """delta_ij - k_i k_j / k^2 within 3.5 eps; NonFiniteInputError for a
-    nan or infinite component.  k is first divided by 2^e ~ max |k_i|, an
-    exact scaling, so that k^2 neither overflows nor underflows."""
-    k = [finite(float(x), "component of kvec") for x in kvec]
-    big = max(map(abs, k))
-    if big == 0.0:
-        raise ZeroVectorError("need |k| > 0")
-    kx, ky, kz = k = [math.ldexp(x, -math.frexp(big)[1]) for x in k]
-    kk = kx * kx + ky * ky + kz * kz
-    return tuple(tuple((i == j) - a * b / kk for j, b in enumerate(k))
-                 for i, a in enumerate(k))
-
-
-def spinor_boost_matrix(beta) -> tuple:
-    """Spinor boost S = cosh(eta/2) + sinh(eta/2) alpha.n, S^-1 gamma^mu S =
-    L^mu_nu gamma^nu, from cosh(eta/2) = sqrt((g+1)/2), sinh(eta/2) n = g beta
-    / sqrt(2(g+1)), g = 1/sqrt(1 - beta^2).  Each part within (g^2 + 4) eps
-    of its modulus + ulp(0): rounding beta^2 moves 1 - beta^2 by g^2 eps."""
-    (bx, by, bz), b2 = subluminal_beta(beta)
-    g = 1.0 / math.sqrt(1.0 - b2)
-    c = complex(math.sqrt(0.5 * (g + 1.0)))
-    k = g / math.sqrt(2.0 * (g + 1.0))
-    x, y, z = k * bx, k * by, k * bz
-    ny, nz = 0.0 - y, 0.0 - z  # +0.0 at 0: S(0) is the identity
-    return ((c, 0j, complex(z), complex(x, ny)),
-            (0j, c, complex(x, y), complex(nz)),
-            (complex(z), complex(x, ny), c, 0j),
-            (complex(x, y), complex(nz), 0j, c))
 
 
 # numpy.random.default_rng(12345).uniform(-3, 3, 3), drawn 20 times

@@ -39,10 +39,6 @@ class ZeroMassError(QFieldError):
     """Operation requires m > 0."""
 
 
-class ZeroVectorError(QFieldError):
-    """Operation requires a nonzero spatial vector."""
-
-
 class PoleError(QFieldError):
     """Momentum-space propagator evaluated inside the pole guard band."""
 

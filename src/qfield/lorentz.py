@@ -93,8 +93,14 @@ def reduced_spinor(p, m: float, r: int) -> tuple:
     return 0.0, 1.0, complex(p1, -p2) * s, -p3 * s
 
 
-def subluminal_beta(beta) -> tuple:
-    """(beta as a float 3-tuple, |beta|^2); SuperluminalError if |beta| >= 1."""
+def boost_rows(beta) -> tuple:
+    """Rows of the Lorentz boost with velocity beta, as float 4-tuples:
+
+        L00 = gamma,  L0i = Li0 = gamma beta_i,
+        Lij = delta_ij + (gamma - 1) beta_i beta_j / beta^2,
+
+    which takes (m, 0) to (gamma m, gamma m beta).  SuperluminalError if
+    |beta| >= 1, NonFiniteInputError for a nan component."""
     bx, by, bz = map(float, beta)
     b2 = bx * bx + by * by + bz * bz
     # compare |beta| itself, as the error reports it: b2 = 1 - 2^-53 has
@@ -103,21 +109,9 @@ def subluminal_beta(beta) -> tuple:
         if math.isnan(b2):  # an infinite component is superluminal
             raise NonFiniteInputError(f"beta = {(bx, by, bz)} must be finite")
         raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
-    return (bx, by, bz), b2
-
-
-def boost_rows(beta) -> tuple:
-    """Rows of the Lorentz boost with velocity beta, as float 4-tuples:
-
-        L00 = gamma,  L0i = Li0 = gamma beta_i,
-        Lij = delta_ij + (gamma - 1) beta_i beta_j / beta^2,
-
-    which takes (m, 0) to (gamma m, gamma m beta)."""
-    beta, b2 = subluminal_beta(beta)
     if b2 == 0.0:
         return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    bx, by, bz = beta
     g = 1.0 / math.sqrt(1.0 - b2)
     k = (g - 1.0) / b2
     return ((g, g * bx, g * by, g * bz),

@@ -56,13 +56,13 @@ class PropagatorValue(Record):
 
     ``value`` is a complex scalar or 4 rows of 4 complex (tuples;
     numpy.array(value) is the matrix);
-    ``onshell_distance`` is |k^2 - m^2|; ``quad_error`` is present only
-    for position-space evaluations, where it bounds the absolute error.
+    ``onshell_distance`` (|k^2 - m^2|) is set only in momentum space, and
+    ``quad_error`` (a bound on the absolute error) only in position space.
     """
 
     __slots__ = _fields = ("value", "onshell_distance", "quad_error")
 
-    def __init__(self, value, onshell_distance: float,
+    def __init__(self, value, onshell_distance: float | None,
                  quad_error: float | None = None):
         self.value = value
         self.onshell_distance = onshell_distance
@@ -102,8 +102,8 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     """Momentum-space q-causal scalar propagator; 1/(k^2-m^2) at q=1.
 
     Tolerance, with S = (1/2w)[1/|k0 - w| + |q|/|k0 + w|] the size of the
-    partial-fraction terms: within 8 eps S of
-    scalar_propagator_partial_fractions at the same w, and within
+    partial-fraction terms: within 8 eps S of the float formula
+    (1/(k0 - w) - q/(k0 + w)) / (2w) at the same w, and within
     4 eps (1 + w/|k0 - w| + w/|k0 + w|) S of the exact value at the float
     inputs, the w terms being the rounding of w.  Near k0 = w, S is |D| to
     first order, so that is relative 6 eps (1 + w/|k0 - w|).
@@ -113,18 +113,6 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     k0, *kvec = map(float, k)
     val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
     return PropagatorValue(complex(val), dist)
-
-
-def scalar_propagator_partial_fractions(k, m: float, q: float) -> PropagatorValue:
-    """Same propagator via (1/2w)[1/(k0-w) - q/(k0+w)] (consistency form)."""
-    k0, *kvec = map(float, k)
-    q = float(q)
-    w = omega(kvec, m)
-    d, s = k0 - w, k0 + w
-    if abs(d) * 2 * w <= POLE_GUARD or abs(s) * 2 * w <= POLE_GUARD:
-        raise PoleError("evaluation inside guard band")
-    val = (1.0 / d - q / s) / (2.0 * w)
-    return PropagatorValue(complex(val), abs(d * s))
 
 
 def pole_residues(kvec, m: float, q: float) -> tuple:
@@ -369,7 +357,7 @@ def _position_value(value, err: float) -> PropagatorValue:
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise NumericOverflowError(
             f"position-space value {value} (error {err}) overflows")
-    return PropagatorValue(value, float("nan"), err)
+    return PropagatorValue(value, None, err)
 
 
 def delta_plus_equal_time(r: float, m: float) -> PropagatorValue:

@@ -73,7 +73,13 @@ class QPoly:
     def __call__(self, q: float) -> complex:
         # Sorted exponents: the value does not depend on the order in
         # which the coefficients were accumulated.
-        return sum(c * q ** e for e, c in sorted(self.coeffs.items()))
+        try:
+            value = sum(c * q ** e for e, c in sorted(self.coeffs.items()))
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # a float q ** e past the range raises
+            pass
+        raise NumericOverflowError(f"a coefficient overflows at q={q}")
 
     def pure_power(self) -> int | None:
         """The exponent if this is a single power of q with unit weight."""
@@ -227,7 +233,8 @@ class PairingDiagram(Record):
 def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
     """Enumerate all pairing diagrams (including no pairings).
 
-    Deterministic lexicographic diagram order.
+    Deterministic lexicographic diagram order.  NumericOverflowError where
+    a weight q^crossings overflows.
     """
     finite(q, "q")
     ops = _capped(ops)
@@ -258,7 +265,10 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
             recurse(tuple(k for k in rest if k != j), pairs + ((i, j),),
                     free, crossings + new, value)
 
-    recurse(tuple(range(len(ops))), (), (), 0, 1.0)
+    try:
+        recurse(tuple(range(len(ops))), (), (), 0, 1.0)
+    except OverflowError:  # q ** crossings past the float range
+        raise NumericOverflowError(f"q^crossings overflows at q={q}") from None
     diagrams.sort(key=lambda d: d.pairs)
     return diagrams
 

@@ -150,7 +150,7 @@ def test_criterion_07_quadrature_vs_closed_form():
         want = m * k1(m * r) / (4 * np.pi ** 2 * r)
         worst = max(worst, abs(got - want) / abs(want))
     ok = worst <= 1e-6
-    report(7, "exp-sinh quadrature vs Bessel K1 closed form", ok,
+    report(7, "z K1(z) series expansions vs Bessel K1 closed form", ok,
            f"max rel error {worst:.2e}")
 
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 import subprocess
 import sys
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import k1
 
-import oscillatory_oracle as oracle
 from qfield import dirac, propagator as prop
 from qfield.errors import (ConvergenceError, NonFiniteInputError,
                            NumericOverflowError, PoleError, QFieldError,
@@ -50,10 +48,10 @@ def test_propagator_value_is_a_value_record():
 
 def test_propagator_value_compares_identical_items_as_equal():
     # a record compares the tuples of its fields, and tuple == takes an
-    # identical item as equal: a position-space value, whose
-    # onshell_distance is nan, equals itself
+    # identical item as equal; a position-space value has no on-shell
+    # distance (None), so two calls give equal values
     pv = prop.delta_plus_equal_time(1.0, 1.0)
-    assert math.isnan(pv.onshell_distance)
+    assert pv == prop.delta_plus_equal_time(1.0, 1.0)
     assert pv == pv and not pv != pv
     nan = float("nan")
     assert prop.PropagatorValue(0.5, nan) == prop.PropagatorValue(0.5, nan)
@@ -98,7 +96,9 @@ def test_partial_fraction_consistency():
         for _ in range(40):
             k = random_offshell_k()
             v1 = prop.scalar_propagator_momentum(k, 1.0, q).value
-            v2 = prop.scalar_propagator_partial_fractions(k, 1.0, q).value
+            k0, *kvec = map(float, k)
+            w = prop.omega(kvec, 1.0)
+            v2 = (1.0 / (k0 - w) - q / (k0 + w)) / (2.0 * w)
             assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_near_pole_accuracy_both_poles():
         got = prop.scalar_propagator_momentum(k, m, q).value
         d, s = k0 - w, k0 + w
         size = (1 / abs(d) + abs(q) / abs(s)) / (2 * w)
-        pf = prop.scalar_propagator_partial_fractions(k, m, q).value
+        pf = (1.0 / d - q / s) / (2.0 * w)
         assert abs(got - pf) <= 8 * eps * size, (k, m, q)
         W = mp.sqrt(sum(mp.mpf(x) ** 2 for x in kvec) + mp.mpf(m) ** 2)
         exact = (1 / (mp.mpf(k0) - W) - q / (mp.mpf(k0) + W)) / (2 * W)
@@ -367,7 +367,7 @@ print("ok")
 
 def test_bessel_closed_form_validated_by_independent_quadrature():
     # re-derive the closed form m K1(m r)/(4 pi^2 r) with mpmath.quadosc,
-    # which shares no code with the panel+epsilon engine
+    # which shares no code with the library's z K1(z) expansions
     mp = pytest.importorskip("mpmath")
     for r, m in [(0.7, 1.0), (2.0, 0.5)]:
         f = lambda p: p * mp.sin(p * r) / mp.sqrt(p * p + m * m)
@@ -551,25 +551,27 @@ def whole_domain_grid():
 
 
 def test_position_space_whole_domain_against_bessel_closed_forms():
+    # each point's reference once, checked at q on both sides of -1 and 1
     mp = pytest.importorskip("mpmath")
-    q = 0.35
+    qs = (0.35, -1.3, 1.9)
     points = 0
     for t, r, m in whole_domain_grid():
         with mp.workdps(30):
             want = wightman_reference(t, r, m, mp)
             if t == 0.0:
-                got = [(prop.delta_plus_equal_time(r, m), want),
-                       (prop.spacelike_q_commutator(r, m, q), (1 - q) * want)]
+                got = [(prop.delta_plus_equal_time(r, m), want)]
+                got += [(prop.spacelike_q_commutator(r, m, q), (1 - q) * want)
+                        for q in qs]
             else:
-                want = want if t > 0 else q * mp.conj(want)
-                got = [(prop.causal_position(t, r, m, q), want)]
+                got = [(prop.causal_position(t, r, m, q),
+                        want if t > 0 else q * mp.conj(want)) for q in qs]
             for pv, ref in got:
                 true_err = abs(mp.mpc(pv.value) - ref)
                 assert true_err <= pv.quad_error, (t, r, m, pv, complex(ref))
                 if abs(ref) >= sys.float_info.min:
                     assert true_err <= 1e-12 * abs(ref), (t, r, m, pv)
                 points += 1
-    assert points > 600
+    assert points > 1900
 
 
 def test_position_space_error_covers_the_rounding_of_the_interval():
@@ -655,254 +657,3 @@ def test_expansion_tables_match_their_generator():
     assert sorted(want) == sorted(n for n in vars(tab) if n.isupper())
     for name, value in want.items():
         assert getattr(tab, name) == pytest.approx(value, rel=1e-12, abs=0), name
-
-
-def exp_sinh_rule() -> tuple:
-    """Nodes u and weights (2 x nodes) of the exp-sinh trapezoid rule
-
-        Int_0^inf e^{-u} u^{1/2} g(u) du ~ sum_i w_i g(u_i),
-        u = exp(pi/2 sinh tau),  tau in [-5, 4] at step 1/16.
-
-    Row 0 holds the weights at step 1/16, row 1 those of the rule at step
-    1/8: every other node, at doubled weight.  Nodes whose weight
-    underflows to 0 are dropped.
-    """
-    step = 1.0 / 16.0
-    tau = np.arange(-80, 65) * step
-    u = np.exp(0.5 * np.pi * np.sinh(tau))
-    w = step * 0.5 * np.pi * np.cosh(tau) * u * np.sqrt(u) * np.exp(-u)
-    coarse = np.where(np.arange(tau.size) % 2 == 0, 2.0 * w, 0.0)
-    keep = w > 0.0
-    return u[keep], np.stack([w, coarse])[:, keep]
-
-
-def exp_sinh_wightman(t, r, m) -> tuple:
-    """(W, error) at |t| for m > 0 off the light cone, by an independent
-    route: DLMF 10.32.8,
-
-        z K1(z) = e^{-z} Int_0^inf e^{-u} u^{1/2} (u + 2z)^{1/2} du,
-
-    summed by the exp-sinh rule; the error is the distance between the
-    sums at steps 1/16 and 1/8 plus the rounding of z and of the final
-    exponential, plus one subnormal unit."""
-    nodes, weights = exp_sinh_rule()
-    ta = abs(t)
-    zeta2 = (r - ta) * (r + ta)
-    den = 4.0 * math.pi ** 2 * zeta2
-    z = m * cmath.sqrt(zeta2)  # +i tau inside the cone: t - i0
-    fine, coarse = np.dot(weights, np.sqrt(nodes + 2.0 * z)).tolist()
-    lead = cmath.log(fine / den) - z
-    value = cmath.exp(lead)
-    eps = math.ulp(1.0)
-    rounding = 4.0 * eps * (2.0 + 2.0 * abs(z) + abs(lead))
-    return value, (abs(value) * (abs(fine - coarse) / abs(fine) + rounding)
-                   + math.ulp(0.0))
-
-
-def test_position_space_matches_exp_sinh_quadrature():
-    # the library's expansions against the quadrature they replaced, over
-    # the whole-domain grid
-    for t, r, m in whole_domain_grid():
-        if m == 0.0:
-            continue
-        pv = (prop.causal_position(t, r, m, 1.0) if t
-              else prop.delta_plus_equal_time(r, m))
-        value, err = exp_sinh_wightman(t, r, m)
-        want = value if t >= 0 else value.conjugate()
-        assert abs(pv.value - want) <= pv.quad_error + err, (t, r, m)
-
-
-def test_position_space_matches_oscillatory_oracle_in_its_window():
-    # The oracle is right for m r <= 6 and m |r - |t|| >= 0.3, where it
-    # stops once its error is 1e-8 of max(1, |integral|): the two agree
-    # within the sum of their error bounds.
-    def agree(new, old):
-        assert abs(new.value - old.value) <= new.quad_error + old.quad_error
-
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = rng.uniform(0.3, 2.0)
-        r = rng.uniform(0.05, 6.0) / m
-        agree(prop.delta_plus_equal_time(r, m),
-              oracle.delta_plus_equal_time(r, m))
-    for timelike in (False, True):
-        for _ in range(20):
-            m = rng.uniform(0.3, 2.0)
-            near = rng.uniform(0.2, 3.0) / m
-            gap = rng.uniform(0.3, 3.0) / m
-            t, r = (near + gap, near) if timelike else (near, near + gap)
-            t *= rng.choice((-1.0, 1.0))
-            q = rng.uniform(-1.5, 2.0)
-            agree(prop.causal_position(t, r, m, q),
-                  oracle.causal_position(t, r, m, q))
-
-
-# ------------------------------------- batched panels, incremental table
-#
-# The reference below is the panel-by-panel loop with a full rebuild of
-# Wynn's epsilon table at each checkpoint, which the oracle's batched
-# panels and incremental table replace; they must give identical floats.
-
-BATCHED = oracle.oscillatory_integral
-
-
-def reference_wynn_epsilon(partial_sums) -> tuple:
-    s = list(partial_sums)
-    n = len(s)
-    if n < 3:
-        return s[-1], float("inf")
-    eps_prev = [0.0] * (n + 1)
-    eps_curr = list(s)
-    best = s[-1]
-    err = abs(s[-1] - s[-2])
-    col = 0
-    while len(eps_curr) >= 2:
-        nxt = []
-        for i in range(len(eps_curr) - 1):
-            diff = eps_curr[i + 1] - eps_curr[i]
-            if abs(diff) < 1e-300:
-                if col % 2 == 0:
-                    return eps_curr[i], 0.0
-                nxt = []
-                break
-            nxt.append(eps_prev[i + 1] + 1.0 / diff)
-        if not nxt:
-            break
-        eps_prev, eps_curr = eps_curr, nxt
-        col += 1
-        if col % 2 == 0 and len(eps_curr) >= 2:
-            cand_err = abs(eps_curr[-1] - eps_curr[-2])
-            if cand_err < err:
-                best, err = eps_curr[-1], cand_err
-    return best, err
-
-
-def reference_oscillatory_integral(f, period, rel_tol=1e-8, max_panels=500,
-                                   min_panels=12):
-    sums = []
-    total = 0.0
-    err = float("inf")
-    for n in range(max_panels):
-        lo, hi = n * period, (n + 1) * period
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total = total + half * np.sum(oracle._GAUSS_W
-                                      * f(mid + half * oracle._GAUSS_X))
-        sums.append(total)
-        if n + 1 >= min_panels and (n % 4 == 0):
-            best, err = reference_wynn_epsilon(sums)
-            if err <= rel_tol * max(1.0, abs(best)):
-                return best, err
-    raise ConvergenceError(
-        f"tail not stabilized after {max_panels} panels (err ~ {err})")
-
-
-def evaluate(monkeypatch, integrator, fn, *args):
-    """fn(*args) with ``integrator`` as the quadrature: (value,
-    quad_error, integrand nodes evaluated)."""
-    nodes = []
-
-    def counted(f, period, rel_tol=1e-8, **kw):
-        def g(x):
-            nodes.append(np.size(x))
-            return f(x)
-        return integrator(g, period, rel_tol, **kw)
-
-    monkeypatch.setattr(oracle, "oscillatory_integral", counted)
-    pv = fn(*args)
-    return pv.value, pv.quad_error, sum(nodes)
-
-
-def quadrature_grid():
-    rng = np.random.default_rng(2024)
-    for _ in range(40):
-        m = rng.uniform(0.5, 2.0)
-        yield oracle.delta_plus_equal_time, (rng.uniform(0.05, 6.4) / m, m)
-    for sign in (1.0, -1.0):
-        for timelike in (False, True):
-            for _ in range(12):
-                m = rng.uniform(0.5, 2.0)
-                near = rng.uniform(0.2, 5.0) / m
-                gap = rng.uniform(0.3, 3.0) / m
-                t, r = (near + gap, near) if timelike else (near, near + gap)
-                yield oracle.causal_position, (sign * t, r, m,
-                                             rng.uniform(-1.5, 2.0))
-
-
-def test_batched_quadrature_identical_to_panel_loop(monkeypatch):
-    for fn, args in quadrature_grid():
-        got = evaluate(monkeypatch, BATCHED, fn, *args)
-        want = evaluate(monkeypatch, reference_oscillatory_integral, fn, *args)
-        assert got == want, (fn.__name__, args)
-
-
-def test_batched_quadrature_same_failure():
-    # a divergent integrand fails at the same checkpoint with the same err
-    messages = []
-    for integrator in (BATCHED, reference_oscillatory_integral):
-        with pytest.raises(ConvergenceError) as info:
-            integrator(lambda x: x, 1.0, max_panels=60)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert "60 panels" in messages[0]
-
-
-def test_batched_quadrature_checkpoints_follow_min_panels():
-    def f(p):
-        return p * np.sin(p * 1.3) / np.sqrt(p * p + 0.25)
-
-    for min_panels in (0, 1, 3, 12, 14, 21):
-        for rel_tol in (1e-8, 1e-13):
-            kw = dict(rel_tol=rel_tol, min_panels=min_panels)
-            assert BATCHED(f, np.pi / 1.3, **kw) \
-                == reference_oscillatory_integral(f, np.pi / 1.3, **kw)
-
-
-def test_zero_integrand_stops_exactly():
-    # a constant sequence of partial sums is its own limit, error 0
-    assert BATCHED(np.zeros_like, 1.0) == (0.0, 0.0)
-
-
-def wynn_sequences():
-    rng = np.random.default_rng(5)
-    k = np.arange(1, 31)
-    yield np.cumsum((-1.0) ** k / k)                  # alternating, slow
-    yield np.cumsum((-0.7) ** k * rng.uniform(0.5, 1.5, k.size))
-    yield np.cumsum(np.exp(1j * k) / k)               # complex
-    yield np.cumsum(rng.normal(size=30) + 1j * rng.normal(size=30))
-    yield 1.0 - 0.5 ** k        # column 2 exactly constant (even)
-    yield np.arange(30.0)       # column 1 exactly constant (odd)
-    yield np.concatenate([np.cumsum((-0.5) ** k[:8]), np.full(22, 0.25)])
-    yield np.concatenate([np.arange(6.0), 5.0 + np.cumsum(
-        (-0.5) ** k[:24])])     # tiny column 1 early, then a live tail
-    yield np.full(30, 2.5)      # constant from the start
-
-
-def test_incremental_wynn_table_matches_full_rebuild():
-    for seq in wynn_sequences():
-        for values in (seq, seq.tolist()):
-            table = oracle._WynnTable()
-            for n, s in enumerate(values, 1):
-                table.push(s)
-                got = table.estimate()
-                want = reference_wynn_epsilon(values[:n])
-                assert got == want, (seq, n)
-
-
-def wynn_estimate(values):
-    table = oracle._WynnTable()
-    for s in values:
-        table.push(s)
-    return table.estimate()
-
-
-def test_wynn_constant_sequence_early_return():
-    # the first tiny difference is in column 0: its first entry, error 0
-    assert wynn_estimate((1.0, 0.5, 0.5, 0.75, 0.625)) == (0.5, 0.0)
-    # tiny but nonzero: the entry before the difference is returned
-    assert wynn_estimate((1.0, 2.0, 0.0, 5e-301, 3.0)) == (0.0, 0.0)
-
-
-def test_wynn_estimate_needs_strictly_smaller_error():
-    # column 2's candidate ties the last step's error (3.0) and is not taken
-    assert wynn_estimate((0.0, 1.0, 4.0, 1.0)) == (1.0, 3.0)
-    assert reference_wynn_epsilon((0.0, 1.0, 4.0, 1.0)) == (1.0, 3.0)

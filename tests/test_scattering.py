@@ -45,7 +45,7 @@ def test_boost_superluminal():
 
 def test_boost_rejects_nan_velocity():
     # nan compares false both ways: the check is written so that it fails
-    for build in (sc.Boost, lorentz.boost_rows, dirac.spinor_boost_matrix):
+    for build in (sc.Boost, lorentz.boost_rows):
         with pytest.raises(NonFiniteInputError):
             build([np.nan, 0.0, 0.0])
 
@@ -456,7 +456,7 @@ def test_photon_correction_pair_is_frame_scan_row():
 
 def test_superluminal_check_shared():
     for beta in ([0.0, 0.6, 0.8], [1.2, 0.0, 0.0]):
-        for build in (sc.Boost, lorentz.boost_rows, dirac.spinor_boost_matrix):
+        for build in (sc.Boost, lorentz.boost_rows):
             with pytest.raises(SuperluminalError):
                 build(beta)
 

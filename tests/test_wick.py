@@ -215,6 +215,16 @@ def test_qpoly_basics():
     assert repr(p) == "1*q^0 + 1*q^2" and repr(QPoly()) == "0"
 
 
+def test_qpoly_overflow_is_typed():
+    # q ** 3 raises OverflowError at q = 1e300; at q = 1e154, q ** 2 is
+    # finite and 3 q ** 2 is inf
+    for q, coeffs in ((1e300, {0: 1, 3: 1}), (1e154, {0: 1, 2: 3}),
+                      (-1e154, {1: 1, 2: 3})):
+        with pytest.raises(NumericOverflowError, match="overflows at q="):
+            QPoly(coeffs)(q)
+    assert QPoly({0: 1, 2: 3})(1e153) == 1 + 3 * 1e153 ** 2
+
+
 def test_normal_form_is_a_value_record():
     # construction, ==, hash and repr of the old dataclass (repr text
     # recorded from it)
