@@ -37,8 +37,6 @@ CREATE = "create"
 
 DEFAULT_N_MAX = 16
 
-PRUNE_TOL = 1e-15
-
 # <n>_q may come out at tiny negative values through rounding; anything
 # below this is a genuinely imaginary ladder coefficient.
 NEGATIVE_NORM_TOL = 1e-12
@@ -144,7 +142,10 @@ class StateVector(Record):
         return cls({VACUUM: 1.0 + 0.0j})
 
     def prune(self) -> "StateVector":
-        self.terms = {s: c for s, c in self.terms.items() if abs(c) >= PRUNE_TOL}
+        """Drop the exact zeros only: a ladder operator maps a basis state
+        to one basis state, so the vector cannot grow, and a tiny amplitude
+        such as (1 + q)^2 near q = -1 is as exact as a large one."""
+        self.terms = {s: c for s, c in self.terms.items() if c}
         return self
 
     def amplitude(self, state: FockState) -> complex:

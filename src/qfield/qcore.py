@@ -58,7 +58,14 @@ def basic_number(q: float, n: int) -> float:
     # can overflow where q^n does not; a non-finite q gives nan or inf.
     if not math.isfinite(value):
         finite(q, "q")
-        raise NumericOverflowError(f"<n>_q overflows at q={q}, n={n}")
+        # q^n is past the range but the value may not be: form it as
+        # q^(n-1) (1 - q^-n)/(1 - 1/q), with 1 - 1/q as (q - 1)/q
+        try:
+            value = q ** (n - 1) * (1.0 - q ** -n) / ((q - 1.0) / q)
+        except OverflowError:
+            pass
+        if not math.isfinite(value):
+            raise NumericOverflowError(f"<n>_q overflows at q={q}, n={n}")
     return value + 0.0  # <0>, and <even n> at q = -1, can come out -0.0
 
 

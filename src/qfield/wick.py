@@ -11,11 +11,11 @@ along three paths:
   form of the suffix read so far, merged by normal-ordered string.  An
   annihilator prepended to a form moves through its creators with the
   recurrence a adag^j = q^j adag^j a + [j]_q adag^(j-1) (for one label
-  the coefficients are q-rook numbers, Varvak 2005), so one label costs
-  polynomial time in the length.  Coefficients are exact
-  integer-coefficient polynomials in q, packed into one Python int
-  during the sweep, so the q = +-1 statistics reductions are exact
-  integer checks, not float comparisons.
+  the coefficients are q-rook numbers, Varvak 2005), so a run of like
+  creators costs one update and one label polynomial time in the length.
+  Coefficients are exact integer-coefficient polynomials in q, packed in
+  32-bit fields of one Python int during the sweep, so the q = +-1
+  statistics reductions are exact integer checks, not float comparisons.
 * Path product (``wick_vev``): read right to left, the string is a
   lattice path per label.  A creator steps its label's height up; an
   annihilator steps it down from height h and contributes the level
@@ -39,12 +39,13 @@ vacuum expectation value.  Like that oracle, every path raises
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, List, Sequence, Tuple
 
 from . import fock
 from .errors import (EqualTimeError, NegativeNormError, NumericOverflowError,
                      Record, finite)
-from .fock import LadderOp, ModeLabel
+from .fock import CREATE, LadderOp, ModeLabel
 from .qcore import basic_number
 
 OperatorString = Tuple[LadderOp, ...]
@@ -53,6 +54,10 @@ OperatorString = Tuple[LadderOp, ...]
 # accept: their output can grow exponentially with the length.  wick_vev
 # and fock.vev are linear in it and take any length.
 MAX_STRING_LEN = 12
+
+# _RUN[r] = [r]_q = 1 + q + ... + q^(r-1) packed as in normal_order: its
+# value (q^r - 1)/(q - 1) at q = 2^32.
+_RUN = [((1 << 32 * r) - 1) // 0xFFFFFFFF for r in range(MAX_STRING_LEN + 1)]
 
 
 def _capped(ops: Sequence[LadderOp]) -> OperatorString:
@@ -130,9 +135,10 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     creator prefixes it.  Prepending an annihilator of label x moves it
     through the creators: it contracts with the t-th x-creator (from the
     left, t = 0, 1, ...) at factor q^t, or passes all k of them at factor
-    q^k; creators of other labels commute at factor 1.  No redex
-    (annihilator, creator) overlaps another, so every rewriting order
-    reaches this normal form.
+    q^k; the contractions with a run of r x-creators from the t-th give
+    one string, at q^t [r]_q.  Creators of other labels commute at factor
+    1.  No redex (annihilator, creator) overlaps another, so every
+    rewriting order reaches this normal form.
 
     The terms are integer polynomials in q; ``q`` is only the working
     value that the returned ``NormalForm`` evaluates them at.  Below
@@ -143,12 +149,11 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     ops = _capped(ops)
     if q < -1.0:
         wick_vev(ops, q)  # for its NegativeNormError; the value is unused
-    # Coefficients are packed into one int, the coefficient of q^e in
-    # bits [e * width, (e + 1) * width): multiplying by q^t is a shift and
-    # adding is +.  Each coefficient of a suffix's form counts contraction
-    # patterns of that suffix, at most T(n) <= n! of them (T(n) the
-    # number of involutions), so a field never carries into the next.
-    width = math.factorial(len(ops)).bit_length() + 1
+    # Coefficients are packed into one int, the coefficient of q^e in the
+    # 32-bit field e: multiplying by q^t is a shift and adding is +.  Each
+    # coefficient of a suffix's form counts contraction patterns of that
+    # suffix, at most T(n) <= n! < 2^32 of them for n <= MAX_STRING_LEN
+    # (T(n) the number of involutions), so no field carries into the next.
     codes, decode = _encode(ops)
     forms: Dict[Tuple[tuple, tuple], int] = {((), ()): 1}
     # Creators read since the last annihilator wait in ``front``, which
@@ -160,29 +165,36 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
             continue
         partner = code | 1
         prepended: Dict[Tuple[tuple, tuple], int] = {}
+        get = prepended.get
         for (creators, annihilators), v in forms.items():
             creators = front + creators
-            shift = 0
-            for i, c in enumerate(creators):
-                if c == partner:
-                    key = (creators[:i] + creators[i + 1:], annihilators)
-                    prepended[key] = prepended.get(key, 0) + (v << shift)
-                    shift += width
+            k = creators.count(partner)
+            t = j = 0
+            while t < k:  # the run [i, j) of x-creators: q^t [j - i]_q
+                i = creators.index(partner, j)
+                j = i + 1
+                while j - i < k - t and creators[j] == partner:
+                    j += 1
+                key = (creators[:i] + creators[i + 1:], annihilators)
+                prepended[key] = get(key, 0) + (v << 32 * t) * _RUN[j - i]
+                t += j - i
             key = (creators, (code,) + annihilators)
-            prepended[key] = prepended.get(key, 0) + (v << shift)
+            prepended[key] = get(key, 0) + (v << 32 * k)
         forms = prepended
         front = ()
-    mask = (1 << width) - 1
+    # The fields are unpacked in C; the zeros are skipped here, so each
+    # QPoly is built without the filter of its __init__.
     terms = {}
+    new, lookup = object.__new__, decode.__getitem__
     for (creators, annihilators), v in forms.items():
-        coeffs = {}
-        e = 0
-        while v:
-            coeffs[e] = v & mask
-            v >>= width
-            e += 1
-        string = front + creators + annihilators
-        terms[tuple(map(decode.__getitem__, string))] = QPoly(coeffs)
+        fields = memoryview(v.to_bytes(4 * ((v.bit_length() + 31) // 32),
+                                       sys.byteorder)).cast("I")
+        poly = new(QPoly)
+        poly.coeffs = coeffs = {}
+        for e, c in enumerate(fields):
+            if c:
+                coeffs[e] = c
+        terms[tuple(map(lookup, front + creators + annihilators))] = poly
     return NormalForm(terms, q)
 
 
@@ -196,7 +208,8 @@ def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
     decode: Dict[int, LadderOp] = {}
     codes = []
     for op in ops:
-        code = 2 * labels.setdefault(op.label, len(labels)) + op.is_creator
+        kind, label = op
+        code = 2 * labels.setdefault(label, len(labels)) + (kind == CREATE)
         decode[code] = op
         codes.append(code)
     return tuple(codes), decode
@@ -293,9 +306,9 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
     height: Dict[ModeLabel, int] = {}
     weights = [0.0]  # weights[h] = <h>_q, checked when first reached
     value = 1.0
-    for op in reversed(tuple(ops)):
-        h = height.get(op.label, 0)
-        if op.is_creator:
+    for kind, label in reversed(tuple(ops)):
+        h = height.get(label, 0)
+        if kind == CREATE:
             h += 1
             if h == len(weights):
                 w = basic_number(q, h)
@@ -304,12 +317,12 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
                 if w <= 0.0:  # the oracle clamps this norm to zero
                     return 0.0
                 weights.append(w)
-            height[op.label] = h
+            height[label] = h
         elif h == 0:
             return 0.0
         else:
             value *= weights[h]
-            height[op.label] = h - 1
+            height[label] = h - 1
     if any(height.values()):
         return 0.0
     # Every weight is > 0, so a product that reached inf stays inf.

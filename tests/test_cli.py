@@ -345,6 +345,12 @@ def test_overflow_and_large_x_paths():
     res = run("planck", "--q", "0.5", "--x", "1000")
     assert res.returncode == 0
     assert res.stdout == "x,q,occupancy\n1000,0.5,0\n"
+    # q^2 overflows, <2>_q = 1 + q does not
+    res = run("qnum", "--q", "1e300", "--n", "2")
+    assert res.returncode == 0 and res.stderr == ""
+    header, row = res.stdout.splitlines()
+    assert header == "q,n,basic_number"
+    assert float(row.split(",")[-1]) == pytest.approx(1e300, rel=1e-15)
 
 
 # The 16 invocations of acceptance criterion 11, one per command; none

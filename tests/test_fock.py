@@ -8,6 +8,7 @@ from qfield.fock import (StateVector, a, a_dag, b, b_dag, apply_ladder,
                          apply_string, charge_conjugate_op,
                          charge_conjugate_state, charge_conjugate_string, vev)
 from qfield.qcore import basic_number
+from qfield.wick import wick_vev
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
@@ -284,9 +285,17 @@ def test_charge_conjugation_state_involution():
         assert w.terms[s] == pytest.approx(v.terms[s], abs=1e-12)
 
 
-def test_prune_drops_tiny_amplitudes():
-    v = StateVector({fock.VACUUM: 1e-16}).prune()
-    assert v.terms == {}
+def test_prune_drops_only_exact_zeros():
+    state = fock._state_set(fock.VACUUM, fock.ModeLabel(fock.PARTICLE), 1)
+    v = StateVector({fock.VACUUM: 1e-16, state: 0j}).prune()
+    assert v.terms == {fock.VACUUM: 1e-16}
+    # (1 + q)^2 = 8.3e-25 near q = -1: a tolerance of 1e-15 on the
+    # amplitudes pruned it to 0j
+    ops = [a(0), a(0), a_dag(0), a_dag(0), a(1), a(1), a_dag(1), a_dag(1)]
+    q = -1.0 + 2.0 ** -40
+    want = wick_vev(ops, q)
+    assert want == pytest.approx((1.0 + q) ** 2, rel=1e-12)
+    assert vev(ops, q) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

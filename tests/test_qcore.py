@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
                            OccupancyPoleError)
-from qfield.fock import a, a_dag
+from qfield.fock import a, a_dag, vev
 from qfield.qcore import basic_number, q_occupancy
 from qfield.wick import wick_vev
 
@@ -53,6 +53,34 @@ def test_basic_number_within_its_stated_tolerance():
         assert math.copysign(1.0, basic_number(q, 0)) == 1.0
     for n in (0, 2, 10):
         assert math.copysign(1.0, basic_number(-1.0, n)) == 1.0
+
+
+def test_basic_number_past_the_overflow_of_q_to_the_n():
+    # q^n overflows but <n>_q = (q^n - 1)/(q - 1) does not: log|q| is
+    # drawn between log(max)/n and log(max)/(n - 1), both signs of q
+    mp = pytest.importorskip("mpmath")
+    assert basic_number(1e100, 4) == pytest.approx(1e300, rel=1e-15)
+    assert basic_number(1e300, 2) == pytest.approx(1e300, rel=1e-15)
+    rng = random.Random(23)
+    tol = 4 * sys.float_info.epsilon
+    log_max = math.log(sys.float_info.max)
+    checked = 0
+    for _ in range(2000):
+        n = rng.choice((2, 3, 5, rng.randint(2, 60), rng.randint(60, 10 ** 6)))
+        q = rng.choice((-1.0, 1.0)) * math.exp(
+            rng.uniform(log_max / n, log_max / (n - 1)))
+        with mp.workdps(50):
+            want = (mp.mpf(q) ** n - 1) / (mp.mpf(q) - 1)
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(NumericOverflowError):
+                basic_number(q, n)
+            continue
+        assert abs(basic_number(q, n) - want) <= tol * abs(want), (q, n)
+        checked += 1
+    assert checked > 1000
+    ops = (a(), a(), a_dag(), a_dag())
+    assert wick_vev(ops, 1e300) == pytest.approx(1e300, rel=1e-15)
+    assert vev(ops, 1e300) == pytest.approx(1e300, rel=1e-15)
 
 
 def test_basic_number_negative_n_rejected():

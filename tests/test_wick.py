@@ -354,6 +354,17 @@ def test_normal_order_matches_heap_rewriter():
         assert normal_order(ops, 0.5).terms == heap_normal_order(ops), ops
 
 
+def test_normal_order_merges_only_unbroken_runs():
+    # An a0 contracts with a run of like creators in one update; here the
+    # creators of two other labels split the runs of a0+.  Every string up
+    # to length 8 (87,381 of them).
+    assert math.factorial(wick.MAX_STRING_LEN) < 2 ** 32  # no field carries
+    choices = (a(0), a_dag(0), a_dag(1), b_dag(0))
+    for length in range(9):
+        for ops in product(choices, repeat=length):
+            assert normal_order(ops, 0.5).terms == heap_normal_order(ops), ops
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_normal_order_closed_form(n):
     # a^n adag^n = sum_k q^((n-k)^2) [n, k]_q^2 [k]_q! adag^(n-k) a^(n-k);
