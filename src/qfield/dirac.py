@@ -11,7 +11,7 @@ import math
 
 from .errors import NumericOverflowError, Record, finite
 from .lorentz import (MIN_NORMAL, _check_mass, _check_onshell, _check_spin,
-                      _finite_rows, omega, reduced_spinor)
+                      _finite_rows, _reduced_spinor, omega)
 
 METRIC = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
           (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
@@ -79,7 +79,7 @@ class DiracSpinor(Record):
 
 
 def _spinors(p, m: float, kind: str) -> tuple:
-    """Rows r - 1: n = sqrt((E+m)/2m) times lorentz.reduced_spinor (halves
+    """Rows r - 1: n = sqrt((E+m)/2m) times lorentz._reduced_spinor (halves
     swapped for v); NumericOverflowError where n^2 overflows."""
     m = float(m)
     _check_mass(m)
@@ -95,7 +95,7 @@ def _spinors(p, m: float, kind: str) -> tuple:
     k = 0 if kind == "u" else 2  # v swaps the halves
     # + 0j turns a -0.0 part into 0.0
     return tuple(tuple(n * (complex(x) + 0j) for x in w[k:] + w[:k])
-                 for w in (reduced_spinor(leg, m, r) for r in (1, 2)))
+                 for w in (_reduced_spinor(leg, m, r) for r in (1, 2)))
 
 
 def u_spinor(p, r: int, m: float) -> DiracSpinor:

@@ -40,7 +40,7 @@ class ZeroMassError(QFieldError):
 
 
 class PoleError(QFieldError):
-    """Momentum-space propagator evaluated inside the pole guard band."""
+    """Momentum-space propagator evaluated at k0 = +-omega, a pole."""
 
 
 class ConvergenceError(QFieldError):
@@ -54,7 +54,7 @@ class SuperluminalError(QFieldError):
 
 
 class DegenerateTransferError(QFieldError):
-    """Vanishing momentum transfer in a scattering correction factor."""
+    """A momentum transfer (|dpvec|, or Moller's t or u) exactly zero."""
 
 
 def finite(value: float, name: str) -> float:

@@ -35,22 +35,22 @@ def omega(kvec, m: float) -> float:
 
 
 def _check_onshell(p, m: float):
-    """OffShellError unless |p^2 - m^2| <= 1e-10 max(1, m^2, p0^2) and
-    p0 > 0.  Where that test fails, it is repeated on p and m divided by a
-    power of two near their largest modulus, an exact scaling, so that a
-    leg whose p0^2 overflows is still judged; where p^2 - m^2 overflows
-    too, the error reports the scaled deviation times its power of two."""
+    """OffShellError unless |p^2 - m^2| <= 1e-10 max(m^2, p0^2) and p0 > 0.
+    Where that scale is not a normal float, or the test fails, it is
+    repeated on p and m divided by a power of two near their largest
+    modulus, an exact scaling, so that a leg whose squares under- or
+    overflow is still judged; where p^2 - m^2 overflows too, the error
+    reports the scaled deviation times its power of two."""
     dev = mass2(p) - m * m
     p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
-    scale = max(1.0, abs(m * m), p0 * p0)
-    # written so that a nan component or mass, or an infinite scale (where
-    # inf <= inf would hold), fails the test too
-    if not abs(dev) <= ONSHELL_RTOL * scale < math.inf:
+    scale = max(m * m, p0 * p0)
+    # so that nan or inf fails too (q and n below are under 1 in modulus)
+    if not (MIN_NORMAL <= scale < math.inf
+            and abs(dev) <= ONSHELL_RTOL * scale):
         e = math.frexp(max(map(abs, (*p, m))))[1]
         q, n = [math.ldexp(x, -e) for x in p], math.ldexp(m, -e)
-        # each of q and n is below 1 in modulus, so the scale is 1
         scaled = mass2(q) - n * n
-        if not abs(scaled) <= ONSHELL_RTOL:
+        if not abs(scaled) <= ONSHELL_RTOL * max(n * n, q[0] * q[0]) < 1.0:
             for x in (*p, m):
                 finite(x, "p and m")
             judged = dev if math.isfinite(dev) else f"{scaled} * 2**{2 * e}"
@@ -78,10 +78,18 @@ def _check_mass(m: float):
         raise ZeroMassError(f"need m > 0, got {m}")
 
 
-def reduced_spinor(p, m: float, r: int) -> tuple:
-    """u_r(p)/sqrt((E+m)/2m) in the Dirac representation, (chi_r, s sigma.p
-    chi_r), s = 1/(E+m), chi_1 = (1, 0), chi_2 = (0, 1), entries at most 1
-    in modulus (v_r swaps the halves); ValueError for r other than 1, 2."""
+def _check_nonnegative_mass(m: float) -> float:
+    """m; NonFiniteInputError for nan or inf, ValueError below 0."""
+    if not 0.0 <= m < math.inf:  # so that a nan mass fails too
+        finite(m, "m")
+        raise ValueError("need m >= 0")
+    return m
+
+
+def _reduced_spinor(p, m: float, r: int) -> tuple:
+    """u_r(p)/sqrt((E+m)/2m) of an on-shell leg: (chi_r, s sigma.p chi_r),
+    s = 1/(E+m), chi_1 = (1, 0), chi_2 = (0, 1) (Dirac basis), entries at
+    most 1 in modulus (v_r swaps the halves); ValueError unless r is 1, 2."""
     p0, p1, p2, p3 = p
     s = 1.0 / (p0 + m)  # a product by s, as numpy divides a complex by E+m
     if s < MIN_NORMAL:  # E + m nears or passes overflow, so s loses bits:

@@ -41,9 +41,7 @@ import math
 from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
                      Record, ZeroMassError, finite)
-from .lorentz import _check_mass, _finite_rows, omega
-
-POLE_GUARD = 1e-10
+from .lorentz import _check_mass, _check_nonnegative_mass, _finite_rows, omega
 
 # the upper triangle of the symmetric photon tensor: index pairs, metric
 _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
@@ -77,18 +75,18 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
 
     the half-sum form with the distance to the pole and the numerator both
     taken from k0 -+ w, each rounded once, so that no digit cancels near
-    either pole (tolerance: scalar_propagator_momentum).  kvec serves only
-    to name a non-finite input.
+    either pole (tolerance: scalar_propagator_momentum).  PoleError only at
+    k0 = +-w exactly; kvec serves only to name a non-finite input.
     """
     d, s = k0 - w, k0 + w
+    if d == 0.0 or s == 0.0:
+        raise PoleError(f"k0 = {k0} is a pole, +-omega = +-{w}")
     k2_m2 = d * s
-    if abs(k2_m2) <= POLE_GUARD:
-        raise PoleError(f"|k^2 - m^2| = {abs(k2_m2)} inside guard band")
-    # Python floats: an overflow gives inf and a zero omega an exception,
-    # where numpy scalars would warn before the typed error below
+    # Python floats: an overflow gives inf, and a zero omega or k^2 - m^2
+    # (underflowed) an exception, where numpy scalars would warn
     try:
         val = 0.5 * ((s - q * d) / w) / k2_m2
-    except ZeroDivisionError:  # omega = 0: no finite value
+    except ZeroDivisionError:  # no finite value
         val = math.inf
     if not (math.isfinite(val) and math.isfinite(k2_m2)):
         for x in (k0, *kvec):  # a non-finite input, else an overflow
@@ -106,9 +104,10 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     (1/(k0 - w) - q/(k0 + w)) / (2w) at the same w, and within
     4 eps (1 + w/|k0 - w| + w/|k0 + w|) S of the exact value at the float
     inputs, the w terms being the rounding of w.  Near k0 = w, S is |D| to
-    first order, so that is relative 6 eps (1 + w/|k0 - w|).
+    first order, so that is relative 6 eps (1 + w/|k0 - w|).  PoleError
+    only at k0 = +-w exactly; ValueError at m < 0.
     """
-    finite(m, "m")
+    _check_nonnegative_mass(m)
     finite(q, "q")
     k0, *kvec = map(float, k)
     val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
@@ -123,31 +122,29 @@ def pole_residues(kvec, m: float, q: float) -> tuple:
     residue is q-independent.
 
     Tolerance: each residue within 1e-14 of 1/2w relative (|q|/2w for the
-    second), for w from 1e-3 up.  The steps scale with w, but the pole
-    guard band |k^2 - m^2| <= POLE_GUARD does not: below w ~ 1e-3 the
-    smallest step falls inside it, and the call raises PoleError naming w.
+    second) wherever it is normal: the steps are taken at w/2^n in [1, 2),
+    and the residues divided by 2^n, exactly.  ValueError at m < 0,
+    ZeroMassError at w = 0, NumericOverflowError where a residue overflows.
     """
-    finite(m, "m")
+    _check_nonnegative_mass(m)
     finite(q, "q")
     kvec = tuple(map(float, kvec))
     q = float(q)
     w = omega(kvec, m)
     if w <= 0.0:
         raise ZeroMassError("need omega > 0")
+    unit = math.ldexp(1.0, math.frexp(w)[1] - 1)  # w / unit is in [1, 2)
+    v = w / unit
 
     def near(pole):
         # (k0 - pole) of the rounded k0, so D's pole cancels exactly
         def f(h):
             k0 = pole + h
-            return (k0 - pole) * _scalar_factor(k0, w, q, kvec)[0]
+            return (k0 - pole) * _scalar_factor(k0, v, q, kvec)[0]
         return f
 
-    h0 = 1e-3 * w
-    try:
-        residues = (_richardson(near(w), h0), _richardson(near(-w), h0))
-    except PoleError:
-        raise PoleError(f"Richardson steps inside the pole guard band at "
-                        f"omega={w}") from None
+    residues = (_richardson(near(v), 1e-3 * v) / unit,
+                _richardson(near(-v), 1e-3 * v) / unit)
     if not all(map(math.isfinite, residues)):
         raise NumericOverflowError(f"pole residues overflow at m={m}, q={q}")
     return residues
@@ -211,11 +208,8 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     the difference and the product; the ulp(0) ones count where k_i k_j,
     m^2 (m below 1.5e-154) or the entry is subnormal.
     """
-    finite(m, "m")
+    m = float(_check_nonnegative_mass(m))
     finite(q, "q")
-    if m < 0.0:
-        raise ValueError("need m >= 0")
-    m = float(m)
     k0, *kvec = k = tuple(map(float, k))
     val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
     tensor = _METRIC_UPPER
@@ -322,13 +316,24 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     the Hankel function (DLMF 10.18).  The error is each expansion's bound
     (its truncation and the rounding of its evaluation), plus the rounding
     of z (W is about |z| times as sensitive to it) and of the final
-    exponential, plus one subnormal unit.  NumericOverflowError where
-    zeta^2, m zeta or W leaves the float range; ConvergenceError at a
+    exponential, plus one subnormal unit.  ConvergenceError first, at a
     timelike point where the relative bound reaches 1 (m tau past about
-    5.6e14), where W has no correct digit.
+    5.6e14, tau^2 finite or not), where W has no correct digit; then
+    NumericOverflowError where zeta^2, m zeta or W leaves the float range.
     """
     ta = abs(t)
     zeta2 = (r - ta) * (r + ta)  # a product keeps the digits near the cone
+    z = m * math.sqrt(abs(zeta2))
+    if z == math.inf:  # m zeta, or only zeta^2, overflows: try the roots
+        z = m * (math.sqrt(abs(r - ta)) * math.sqrt(r + ta))
+        if z == math.inf and zeta2 > 0.0:
+            raise NumericOverflowError(
+                f"m zeta overflows at t={t}, r={r}, m={m}")
+    rounding = 4.0 * _EPS * (2.0 + 2.0 * z)
+    if zeta2 < 0.0 and _tab.HANKEL_CHEB_RTOL + rounding >= 1.0:
+        raise ConvergenceError(
+            f"no correct digit at m tau = {z} (t={t}, r={r}, m={m}): the "
+            f"rounding of tau moves the phase m tau by a radian")
     den = _FOUR_PI2 * zeta2
     if not 0.0 < abs(den) < math.inf:
         raise NumericOverflowError(
@@ -337,17 +342,7 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     if m == 0.0:
         value = 1.0 / den
         return value, 4.0 * _EPS * abs(value) + _UNDERFLOW
-    z = m * math.sqrt(abs(zeta2))
-    if z == math.inf:
-        raise NumericOverflowError(
-            f"m zeta overflows at t={t}, r={r}, m={m}")
     value, rtol = (_spacelike if zeta2 > 0.0 else _timelike)(z, den)
-    rounding = 4.0 * _EPS * (2.0 + 2.0 * z)
-    if zeta2 < 0.0 and rtol + rounding >= 1.0:
-        # spacelike, e^-z has underflowed long before
-        raise ConvergenceError(
-            f"no correct digit at m tau = {z} (t={t}, r={r}, m={m}): the "
-            f"rounding of tau moves the phase m tau by a radian")
     return value, abs(value) * (rtol + rounding) + _UNDERFLOW
 
 
@@ -365,11 +360,9 @@ def delta_plus_equal_time(r: float, m: float) -> PropagatorValue:
     integral (1/(4 pi^2 r)) Int_0^inf dp p sin(p r) / omega(p); the
     massless limit is 1/(4 pi^2 r^2)."""
     finite(r, "r")
-    finite(m, "m")
+    _check_nonnegative_mass(m)
     if r <= 0.0:
         raise ValueError("need r > 0")
-    if m < 0.0:
-        raise ValueError("need m >= 0")
     return _position_value(*_wightman(0.0, r, m))
 
 
@@ -395,18 +388,17 @@ def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
     which depends on the invariant interval only: I = m K1(m zeta) /
     (4 pi^2 zeta), zeta = sqrt(r^2 - t^2) with t -> t - i0.  For t < 0 it
     is q * conj(I(|t|, r)).  Requires r > 0 and r != |t|.
-    ConvergenceError on the light cone, and inside it where m tau passes
-    about 5.6e14 and the value has no correct digit (see _wightman).
+    ConvergenceError on the light cone r == |t|, and inside it where m tau
+    passes about 5.6e14 and the value has no correct digit (see _wightman).
     """
-    for value, name in ((t, "t"), (r, "r"), (m, "m"), (q, "q")):
+    for value, name in ((t, "t"), (r, "r"), (q, "q")):
         finite(value, name)
+    _check_nonnegative_mass(m)
     if t == 0.0:
         raise ValueError("need t != 0 (use delta_plus_equal_time)")
     if r <= 0.0:
         raise ValueError("light-cone/axis evaluation unsupported (need r > 0)")
-    if m < 0.0:
-        raise ValueError("need m >= 0")
-    if abs(r - abs(t)) < 1e-12:
+    if r == abs(t):
         raise ConvergenceError("evaluation on the light cone r = |t|")
     value, err = _wightman(t, r, m)
     if t < 0:

@@ -49,13 +49,13 @@ def basic_number(q: float, n: int) -> float:
     if n >= 2 and n * abs(x) <= 1.0 and (q > 0.0 or n % 2 == 0):
         num = math.expm1(n * math.log1p(x))
     else:
+        q = float(q)  # a numpy q would warn where a float overflows
         try:
             num = q ** n - 1.0
         except OverflowError:
             num = math.inf
     value = num / (q - 1.0)
-    # numpy scalars overflow to inf where floats raise, and the division
-    # can overflow where q^n does not; a non-finite q gives nan or inf.
+    # inf or nan where the quotient overflows or q is not finite
     if not math.isfinite(value):
         finite(q, "q")
         # q^n is past the range but the value may not be: form it as

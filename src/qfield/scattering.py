@@ -16,7 +16,7 @@ makes the factors frame dependent for q != 1.
 All of it is Python-float arithmetic on 4-tuples (``lorentz``); numpy and
 ``dirac`` are never loaded.  The spin-summed Moller |M|^2 is the Dirac
 trace closed form in the legs' six dot products; one spin assignment's
-amplitude contracts currents of the spinor basis lorentz.reduced_spinor.
+amplitude contracts currents of the spinor basis lorentz._reduced_spinor.
 """
 from __future__ import annotations
 
@@ -25,13 +25,12 @@ import math
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, Record, finite)
-from .lorentz import (ONSHELL_RTOL, _check_mass, _check_onshell, _check_spin,
-                      boost_rows, mass2, minkowski_dot, reduced_spinor)
+from .lorentz import (ONSHELL_RTOL, _check_mass, _check_nonnegative_mass,
+                      _check_onshell, _check_spin, _reduced_spinor, boost_rows,
+                      mass2, minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
-
-TRANSFER_GUARD = 1e-12
 
 
 class Boost(Record):
@@ -64,8 +63,8 @@ class ProcessKinematics:
     """2 -> 2 kinematics with per-leg masses, validated on construction.
 
     ``legs`` holds the four-momenta A, B (in) and C, D (out) as float
-    4-tuples, each on shell (lorentz._check_onshell).
-    """
+    4-tuples, each on shell (lorentz._check_onshell), conserving
+    four-momentum within 1e-10 of the larger incoming energy."""
 
     def __init__(self, incoming, outgoing, masses):
         self.legs = tuple(tuple(map(float, p)) for p in (*incoming, *outgoing))
@@ -74,7 +73,7 @@ class ProcessKinematics:
             _check_onshell(p, m)
         a, b, c, d = self.legs
         total = [(ai + bi) - (ci + di) for ai, bi, ci, di in zip(a, b, c, d)]
-        if max(map(abs, total)) > ONSHELL_RTOL * max(1.0, a[0]):
+        if max(map(abs, total)) > ONSHELL_RTOL * max(a[0], b[0]):
             raise OffShellError(f"4-momentum not conserved: {total}")
 
     def boosted(self, b: Boost) -> "ProcessKinematics":
@@ -84,9 +83,7 @@ class ProcessKinematics:
 
 def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
     """(|p| of a leg of mass m and energy E, unit vector at theta, phi)."""
-    if m < 0.0:
-        raise ValueError("need m >= 0")
-    if energy <= m:
+    if energy <= _check_nonnegative_mass(m):
         raise ValueError("need E > m")
     try:
         pmag = math.sqrt(energy ** 2 - m ** 2)
@@ -123,10 +120,13 @@ def cm_annihilation_kinematics(energy: float, theta: float, m: float,
 def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
                       q: float, flavor: str) -> float:
     """q-dependent multiplicative factor on an internal line (see module
-    doc); NonFiniteInputError for a non-finite input, NumericOverflowError
-    where the factor overflows."""
+    doc), within 2 eps (|1 + q| + |1 - q| |r|) of it at the float inputs
+    where |dpvec| is normal, r = (E_in - E_out)/|dpvec| (1 -+ q on the
+    electron line); DegenerateTransferError only at |dpvec| = 0,
+    NonFiniteInputError for a non-finite input, NumericOverflowError where
+    the factor overflows."""
     dp = math.hypot(*(a - b for a, b in zip(pvec_in, pvec_out)))
-    if dp <= TRANSFER_GUARD:
+    if dp == 0.0:
         raise DegenerateTransferError("vanishing 3-momentum transfer")
     ratio = (E_in - E_out) / dp
     if flavor == PHOTON_LINE:
@@ -158,7 +158,7 @@ def _moller_transfers(kin: ProcessKinematics,
     mode, after the checks the spinors make: ZeroMassError, OffShellError
     where the legs' masses differ (ProcessKinematics checked each leg on
     shell at its own mass), then DegenerateTransferError where t or u is
-    within TRANSFER_GUARD."""
+    exactly 0, the only transfer with no amplitude."""
     m = kin.masses[0]
     _check_mass(m)
     if any(mi != m for mi in kin.masses):
@@ -166,13 +166,13 @@ def _moller_transfers(kin: ProcessKinematics,
     pA, pB, pC, pD = kin.legs
     t = mass2([c - a for c, a in zip(pC, pA)])
     u = mass2([x - a for x, a in zip(pB if strict_paper_mode else pD, pA)])
-    if abs(t) <= TRANSFER_GUARD or abs(u) <= TRANSFER_GUARD:
+    if t == 0.0 or u == 0.0:
         raise DegenerateTransferError("vanishing squared 4-momentum transfer")
     return t, u
 
 
 def _current(out, inc) -> tuple:
-    """ubar_out gamma^mu u_in of two lorentz.reduced_spinor 4-tuples."""
+    """ubar_out gamma^mu u_in of two lorentz._reduced_spinor 4-tuples."""
     a0, a1, b0, b1 = (x.conjugate() for x in out)
     c0, c1, d0, d1 = inc
     return (a0 * c0 + a1 * c1 + b0 * d0 + b1 * d1,
@@ -189,7 +189,7 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
 
     with J_CA = ubar_C gamma^mu u_A (ubar u = 1), t = (C - A)^2 and u =
     (D - A)^2, or (B - A)^2 in ``strict_paper_mode``.  The currents use
-    lorentz.reduced_spinor; the norms sqrt(E+m)/sqrt(2m) go into F/t, F/u.
+    lorentz._reduced_spinor; the norms sqrt(E+m)/sqrt(2m) go into F/t, F/u.
 
     Tolerance: 1e-14 kappa max|M| against M exactly at the float legs,
     max|M| over the 16 spin assignments, kappa = E_max^2/(A.B) with E_max
@@ -205,7 +205,7 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     m = kin.masses[0]
     t, u = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = photon_correction_pair(kin, q)
-    wA, wB, wC, wD = (reduced_spinor(p, m, r) for p, r in zip(kin.legs, spins))
+    wA, wB, wC, wD = map(_reduced_spinor, kin.legs, (m,) * 4, spins)
     nA, nB, nC, nD = (math.sqrt(p[0] + m) for p in kin.legs)
     # n_out n_in / 2m >= 1: a partial product overflows only where c does
     c1 = q * F_CA * (nC * nA / (2 * m) / t * (nD * nB / (2 * m)))

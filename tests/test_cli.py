@@ -143,6 +143,73 @@ def test_onshell_propagator_exits_1():
     assert "PoleError" in res.stderr
 
 
+def test_exact_pole_exits_1_with_one_line(capsys):
+    # k0 = omega = m exactly: no value exists
+    from qfield.cli import main
+    for argv in (["propagator", "scalar", "--q", "0.5", "--k0", "1",
+                  "--kvec", "0,0,0"],
+                 ["scatter", "moller", "--q", "0.5", "--theta", "0"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(("error: PoleError:",
+                               "error: DegenerateTransferError:")), err
+
+
+def cli_row(capsys, *argv) -> dict:
+    """The one CSV row of an in-process call that exits 0, its cells keyed
+    from the right (Moller's spins cell holds commas)."""
+    from qfield.cli import main
+    assert main(list(argv)) == 0, argv
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, row = out.splitlines()
+    return dict(zip(header.split(",")[::-1], row.split(",")[::-1]))
+
+
+# The four inputs below unit scale that absolute guard bands (constants
+# with a unit) once refused: each is an ordinary value.
+
+def test_scalar_propagator_near_a_small_mass(capsys):
+    mp = pytest.importorskip("mpmath")
+    row = cli_row(capsys, "propagator", "scalar", "--q", "0.5", "--m", "3e-6",
+                  "--k0", "1e-6", "--kvec", "0,0,0")
+    with mp.workdps(40):
+        k0, w = mp.mpf(1e-6), mp.mpf(3e-6)
+        want = (1 / (k0 - w) - mp.mpf(0.5) / (k0 + w)) / (2 * w)
+    assert float(row["value_re"]) == pytest.approx(-1.0417e11, rel=1e-4)
+    assert abs(float(row["value_re"]) - want) <= 1e-14 * abs(want)
+
+
+def test_pole_residues_at_a_small_mass(capsys):
+    row = cli_row(capsys, "propagator", "residues", "--q", "0.5", "--m",
+                  "1e-4", "--kvec", "0,0,0")
+    assert float(row["residue_plus"]) == pytest.approx(5000.0, rel=1e-14)
+    assert float(row["residue_minus"]) == pytest.approx(-2500.0, rel=1e-14)
+
+
+def test_moller_amplitude_at_a_small_mass(capsys):
+    # the amplitude has mass dimension -2: the m = 1, E = 2 value over m^2
+    row = cli_row(capsys, "scatter", "moller", "--q", "0.5", "--m", "1e-7",
+                  "--energy", "2e-7", "--theta", "1")
+    want = -0.60013946872003321 / (1e-7) ** 2
+    assert float(row["amp_re"]) == pytest.approx(want, rel=1e-12)
+
+
+def test_position_ten_times_inside_a_small_cone(capsys):
+    mp = pytest.importorskip("mpmath")
+    row = cli_row(capsys, "propagator", "position", "--q", "0.5", "--t",
+                  "1e-13", "--r", "1e-14")
+    got = complex(float(row["value_re"]), float(row["value_im"]))
+    assert got.real == pytest.approx(-2.5586e24, rel=1e-4)
+    assert got.imag == pytest.approx(0.0199, rel=1e-2)
+    with mp.workdps(40):
+        t, r = mp.mpf(1e-13), mp.mpf(1e-14)
+        tau = mp.sqrt((t - r) * (t + r))
+        want = 1j * mp.hankel2(1, tau) / (8 * mp.pi * tau)
+        assert abs(mp.mpc(got) - want) <= float(row["quad_error"])
+
+
 def test_golden_write_then_check(tmp_path):
     env = {"QFIELD_GOLDEN_DIR": str(tmp_path)}
     argv = ("--golden", "write", "scatter", "frame-scan", "--q", "0.5")
@@ -313,10 +380,14 @@ def test_intermediate_overflow_exits_1(capsys):
             assert err.startswith("error: NumericOverflowError:"), argv
             assert len(err.splitlines()) == 1, argv
     # a negative mass gave nan kinematics, or (omega takes m^2) the
-    # massless photon tensor times the massive scalar factor; it is now a
-    # usage error
+    # massless photon tensor times the massive scalar factor, or the m = 1
+    # scalar factor and residues; it is now a usage error
     for argv in (["scatter", "frame-scan", "--m=-1", "--energy=-0.5"],
-                 ["propagator", "photon", "--m=-1", "--k0=0.3"]):
+                 ["propagator", "photon", "--m=-1", "--k0=0.3"],
+                 ["propagator", "scalar", "--m=-1"],
+                 ["propagator", "residues", "--m=-1"],
+                 ["propagator", "position", "--m=-1", "--t=2", "--r=0.5"],
+                 ["propagator", "spacelike", "--m=-1"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2

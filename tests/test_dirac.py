@@ -278,7 +278,7 @@ def test_spinors_and_projectors_near_e_plus_m_overflow():
             want = {1: (1, 0, P[3] * s, mp.mpc(P[1], P[2]) * s),
                     2: (0, 1, mp.mpc(P[1], -P[2]) * s, -P[3] * s)}
             for r in (1, 2):
-                for got, w in zip(lorentz.reduced_spinor(p, m, r), want[r]):
+                for got, w in zip(lorentz._reduced_spinor(p, m, r), want[r]):
                     close(complex(got), w, 1.5 * eps)
                 for got, w in zip(u_spinor(p, r, m).components, want[r]):
                     close(got, n * w, 3 * eps)

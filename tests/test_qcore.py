@@ -83,6 +83,22 @@ def test_basic_number_past_the_overflow_of_q_to_the_n():
     assert vev(ops, 1e300) == pytest.approx(1e300, rel=1e-15)
 
 
+def test_basic_number_of_a_numpy_q_warns_nowhere():
+    # numpy float64 ** overflows to inf with a RuntimeWarning, where a
+    # Python float raises; the values, and the typed error, are the float
+    # ones, with warnings as errors
+    import warnings
+    cases = ((1e100, 4), (1e300, 2), (-1e100, 3), (-2.0, 3), (0.5, 7),
+             (1.0 - 2.0 ** -30, 5), (1.5, 1700))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, n in cases:
+            assert basic_number(np.float64(q), n) == basic_number(q, n)
+        for q, n in ((1e300, 3), (1.5, 1749), (1.5, 1750)):
+            with pytest.raises(NumericOverflowError):
+                basic_number(np.float64(q), n)
+
+
 def test_basic_number_negative_n_rejected():
     with pytest.raises(ValueError):
         basic_number(0.5, -1)
