@@ -23,10 +23,6 @@ def minkowski_dot(p, k) -> float:
     return p[0] * k[0] - p[1] * k[1] - p[2] * k[2] - p[3] * k[3]
 
 
-def mass2(p) -> float:
-    return minkowski_dot(p, p)
-
-
 def omega(kvec, m: float) -> float:
     """sqrt(|kvec|^2 + m^2), summed left to right on Python floats."""
     kx, ky, kz = map(float, kvec)
@@ -41,15 +37,16 @@ def _check_onshell(p, m: float):
     modulus, an exact scaling, so that a leg whose squares under- or
     overflow is still judged; where p^2 - m^2 overflows too, the error
     reports the scaled deviation times its power of two."""
-    dev = mass2(p) - m * m
-    p0 = float(p[0])  # p0 * p0 is inf, not an exception, where it overflows
-    scale = max(m * m, p0 * p0)
+    p0, p1, p2, p3 = p
+    dev = p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3 - m * m
+    p0 = float(p0)  # p0 * p0 is inf, not an exception, where it overflows
+    scale = p0 * p0 if p0 * p0 > m * m else m * m  # max(m^2, p0^2)
     # so that nan or inf fails too (q and n below are under 1 in modulus)
     if not (MIN_NORMAL <= scale < math.inf
             and abs(dev) <= ONSHELL_RTOL * scale):
         e = math.frexp(max(map(abs, (*p, m))))[1]
         q, n = [math.ldexp(x, -e) for x in p], math.ldexp(m, -e)
-        scaled = mass2(q) - n * n
+        scaled = minkowski_dot(q, q) - n * n
         if not abs(scaled) <= ONSHELL_RTOL * max(n * n, q[0] * q[0]) < 1.0:
             for x in (*p, m):
                 finite(x, "p and m")

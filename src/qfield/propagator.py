@@ -75,8 +75,10 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
 
     the half-sum form with the distance to the pole and the numerator both
     taken from k0 -+ w, each rounded once, so that no digit cancels near
-    either pole (tolerance: scalar_propagator_momentum).  PoleError only at
-    k0 = +-w exactly; kvec serves only to name a non-finite input.
+    either pole (tolerance: scalar_propagator_momentum).  At w = 0 that
+    form is 0/0 at q = 1, where D = 1/k0^2, returned within 2 eps, and
+    has no finite value at any other q.  PoleError only at k0 = +-w
+    exactly; kvec serves only to name a non-finite input.
     """
     d, s = k0 - w, k0 + w
     if d == 0.0 or s == 0.0:
@@ -86,8 +88,8 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     # (underflowed) an exception, where numpy scalars would warn
     try:
         val = 0.5 * ((s - q * d) / w) / k2_m2
-    except ZeroDivisionError:  # no finite value
-        val = math.inf
+    except ZeroDivisionError:  # no finite value, but at w = 0 and q = 1
+        val = (1.0 / k0) / k0 if w == 0.0 and q == 1.0 else math.inf
     if not (math.isfinite(val) and math.isfinite(k2_m2)):
         for x in (k0, *kvec):  # a non-finite input, else an overflow
             finite(x, "component of k")
@@ -104,8 +106,10 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     (1/(k0 - w) - q/(k0 + w)) / (2w) at the same w, and within
     4 eps (1 + w/|k0 - w| + w/|k0 + w|) S of the exact value at the float
     inputs, the w terms being the rounding of w.  Near k0 = w, S is |D| to
-    first order, so that is relative 6 eps (1 + w/|k0 - w|).  PoleError
-    only at k0 = +-w exactly; ValueError at m < 0.
+    first order, so that is relative 6 eps (1 + w/|k0 - w|).  At w = 0 the
+    value exists only at q = 1, D = 1/k0^2 within 2 eps; elsewhere there
+    NumericOverflowError.  PoleError only at k0 = +-w exactly; ValueError
+    at m < 0.
     """
     _check_nonnegative_mass(m)
     finite(q, "q")

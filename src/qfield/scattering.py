@@ -27,7 +27,7 @@ from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, Record, finite)
 from .lorentz import (ONSHELL_RTOL, _check_mass, _check_nonnegative_mass,
                       _check_onshell, _check_spin, _reduced_spinor, boost_rows,
-                      mass2, minkowski_dot)
+                      minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -42,16 +42,20 @@ class Boost(Record):
     _fields = ("beta",)
 
     def __init__(self, beta):
-        self.rows = boost_rows(beta)
         self.beta = tuple(map(float, beta))
+        self.rows = boost_rows(self.beta)
 
     def apply(self, p) -> tuple:
         """The boosted four-vector, as a float 4-tuple; NonFiniteInputError
         for a non-finite component of p, NumericOverflowError where a
         boosted component overflows."""
         p0, p1, p2, p3 = p
-        out = tuple([r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3
-                     for r0, r1, r2, r3 in self.rows])
+        ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
+         (d0, d1, d2, d3)) = self.rows
+        out = (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3,
+               b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3,
+               c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3,
+               d0 * p0 + d1 * p1 + d2 * p2 + d3 * p3)
         if not all(map(math.isfinite, out)):
             for x in p:
                 finite(x, "component of p")
@@ -67,18 +71,28 @@ class ProcessKinematics:
     four-momentum within 1e-10 of the larger incoming energy."""
 
     def __init__(self, incoming, outgoing, masses):
-        self.legs = tuple(tuple(map(float, p)) for p in (*incoming, *outgoing))
-        self.masses = tuple(masses)
-        for p, m in zip(self.legs, self.masses):
+        self._validate(tuple(tuple(map(float, p))
+                             for p in (*incoming, *outgoing)), tuple(masses))
+
+    def _validate(self, legs: tuple, masses: tuple) -> "ProcessKinematics":
+        """self, with these float 4-tuple legs checked (see the class doc)."""
+        self.legs, self.masses = legs, masses
+        for p, m in zip(legs, masses):
             _check_onshell(p, m)
-        a, b, c, d = self.legs
-        total = [(ai + bi) - (ci + di) for ai, bi, ci, di in zip(a, b, c, d)]
-        if max(map(abs, total)) > ONSHELL_RTOL * max(a[0], b[0]):
+        ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
+         (d0, d1, d2, d3)) = legs
+        total = [(a0 + b0) - (c0 + d0), (a1 + b1) - (c1 + d1),
+                 (a2 + b2) - (c2 + d2), (a3 + b3) - (c3 + d3)]
+        if max(map(abs, total)) > ONSHELL_RTOL * (b0 if b0 > a0 else a0):
             raise OffShellError(f"4-momentum not conserved: {total}")
+        return self
 
     def boosted(self, b: Boost) -> "ProcessKinematics":
-        legs = [b.apply(p) for p in self.legs]
-        return ProcessKinematics(legs[:2], legs[2:], self.masses)
+        """The legs boosted by b (Boost.apply: NumericOverflowError where a
+        component overflows), then checked as on construction: OffShellError
+        where a leg is off shell or four-momentum is not conserved."""
+        return ProcessKinematics.__new__(ProcessKinematics)._validate(
+            tuple(map(b.apply, self.legs)), self.masses)
 
 
 def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
@@ -125,7 +139,9 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
     electron line); DegenerateTransferError only at |dpvec| = 0,
     NonFiniteInputError for a non-finite input, NumericOverflowError where
     the factor overflows."""
-    dp = math.hypot(*(a - b for a, b in zip(pvec_in, pvec_out)))
+    a1, a2, a3 = pvec_in
+    b1, b2, b3 = pvec_out
+    dp = math.hypot(a1 - b1, a2 - b2, a3 - b3)
     if dp == 0.0:
         raise DegenerateTransferError("vanishing 3-momentum transfer")
     ratio = (E_in - E_out) / dp
@@ -163,9 +179,12 @@ def _moller_transfers(kin: ProcessKinematics,
     _check_mass(m)
     if any(mi != m for mi in kin.masses):
         raise OffShellError(f"Moller legs need one mass, got {kin.masses}")
-    pA, pB, pC, pD = kin.legs
-    t = mass2([c - a for c, a in zip(pC, pA)])
-    u = mass2([x - a for x, a in zip(pB if strict_paper_mode else pD, pA)])
+    (a0, a1, a2, a3), pB, (c0, c1, c2, c3), pD = kin.legs
+    x0, x1, x2, x3 = pB if strict_paper_mode else pD
+    t0, t1, t2, t3 = c0 - a0, c1 - a1, c2 - a2, c3 - a3
+    u0, u1, u2, u3 = x0 - a0, x1 - a1, x2 - a2, x3 - a3
+    t = t0 * t0 - t1 * t1 - t2 * t2 - t3 * t3
+    u = u0 * u0 - u1 * u1 - u2 * u2 - u3 * u3
     if t == 0.0 or u == 0.0:
         raise DegenerateTransferError("vanishing squared 4-momentum transfer")
     return t, u
@@ -249,11 +268,14 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
     t, u = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = photon_correction_pair(kin, q)
     a, b, c, d = kin.legs
-    scale = max(minkowski_dot(a, b), abs(t), abs(u))  # >= |t| > 0
+    ab = minkowski_dot(a, b)
+    scale = max(ab, abs(t), abs(u))  # >= |t| > 0
     if not math.isfinite(scale):
         raise NumericOverflowError(f"Moller dot products overflow at m={m}")
-    ab, ac, ad, bc, bd, cd = (minkowski_dot(x, y) / scale for x, y in (
-        (a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
+    ab, ac, ad = (ab / scale, minkowski_dot(a, c) / scale,
+                  minkowski_dot(a, d) / scale)
+    bc, bd, cd = (minkowski_dot(b, c) / scale, minkowski_dot(b, d) / scale,
+                  minkowski_dot(c, d) / scale)
     mm = m * m / scale
     # direct/32, exchange/32 and cross/16 over scale^2
     direct = cd * ab + bc * ad - mm * (ac + bd) + 2.0 * mm * mm
@@ -285,6 +307,10 @@ def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
 
     Rows (beta, F1, F2) in input order: (F_CA, F_DA) for the photon
     line, the two annihilation factors for the electron line.
+
+    ValueError for an unknown flavor, before any boost; then, boost by
+    boost, what ProcessKinematics.boosted raises and what
+    correction_factor raises, in that order.
     """
     pairs = {PHOTON_LINE: photon_correction_pair,
              ELECTRON_LINE: annihilation_correction_pair}

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +11,17 @@ from qfield import dirac, propagator as prop
 from qfield.errors import (ConvergenceError, NonFiniteInputError,
                            NumericOverflowError, PoleError, QFieldError,
                            ZeroMassError)
-from qfield.lorentz import mass2
+from qfield.lorentz import minkowski_dot
 
 RNG = np.random.default_rng(77)
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+EPS = math.ulp(1.0)
 
 
 def random_offshell_k(min_dist=0.1):
     while True:
         k = RNG.uniform(-3.0, 3.0, 4)
-        if abs(mass2(k) - 1.0) > min_dist:
+        if abs(minkowski_dot(k, k) - 1.0) > min_dist:
             return k
 
 
@@ -73,7 +75,8 @@ def test_scalar_q1_reduction():
     for _ in range(50):
         k = random_offshell_k()
         pv = prop.scalar_propagator_momentum(k, 1.0, 1.0)
-        assert pv.value == pytest.approx(1.0 / (mass2(k) - 1.0), abs=1e-12)
+        assert pv.value == pytest.approx(1.0 / (minkowski_dot(k, k) - 1.0),
+                                         abs=1e-12)
 
 
 def test_scalar_reference_point():
@@ -88,7 +91,8 @@ def test_scalar_q_minus1():
     k = np.array([0.7, 0.2, -0.4, 1.1])
     w = prop.omega(k[1:], 1.0)
     pv = prop.scalar_propagator_momentum(k, 1.0, -1.0)
-    assert pv.value == pytest.approx((k[0] / w) / (mass2(k) - 1.0), abs=1e-13)
+    assert pv.value == pytest.approx((k[0] / w) / (minkowski_dot(k, k) - 1.0),
+                                     abs=1e-13)
 
 
 def test_partial_fraction_consistency():
@@ -188,13 +192,14 @@ def test_spinor_reduction_and_structure():
     m = 1.0
     p = random_offshell_k()
     pv = prop.spinor_propagator_momentum(p, m, -1.0)
-    expect = (m * np.eye(4) + dirac.slash(p)) / (2 * m * (mass2(p) - m * m))
+    expect = ((m * np.eye(4) + dirac.slash(p))
+              / (2 * m * (minkowski_dot(p, p) - m * m)))
     assert np.max(np.abs(pv.value - expect)) <= 1e-12
     # p0 = 0 kills the second term of the scalar factor
     p0 = np.array([0.0, 1.2, 0.3, -0.4])
     q = 0.6
     pv = prop.spinor_propagator_momentum(p0, m, q)
-    scalar = (1 - q) / (2 * (mass2(p0) - m * m))
+    scalar = (1 - q) / (2 * (minkowski_dot(p0, p0) - m * m))
     expect = (m * np.eye(4) + dirac.slash(p0)) / (2 * m) * scalar
     assert np.max(np.abs(pv.value - expect)) <= 1e-13
     # trace kills pslash
@@ -206,7 +211,7 @@ def test_spinor_reduction_and_structure():
 def test_photon_q1_reduction():
     k = random_offshell_k()
     pv = prop.photon_propagator_momentum(k, 0.0, 1.0)
-    expect = METRIC / mass2(k)
+    expect = METRIC / minkowski_dot(k, k)
     assert np.max(np.abs(pv.value - expect)) <= 1e-12
 
 
@@ -214,7 +219,7 @@ def test_photon_q_minus1_evaluable():
     k = np.array([0.5, 1.0, 0.0, 0.0])
     w = prop.omega(k[1:], 0.0)
     pv = prop.photon_propagator_momentum(k, 0.0, -1.0)
-    expect = METRIC * (k[0] / w) / mass2(k)
+    expect = METRIC * (k[0] / w) / minkowski_dot(k, k)
     assert np.max(np.abs(pv.value - expect)) <= 1e-12
 
 
@@ -222,13 +227,34 @@ def test_massive_photon_projector_contraction():
     # unit-normalized contraction khat.T.khat = (1 - k^2/m^2) * scalar
     m, q = 1.0, 0.7
     k = np.array([0.3, 0.8, -0.2, 0.5])
-    k2 = mass2(k)
+    k2 = minkowski_dot(k, k)
     pv = prop.photon_propagator_momentum(k, m, q)
     scalar = prop.scalar_propagator_momentum(k, m, q).value
     k_lower = METRIC @ k
     contraction = k_lower @ pv.value @ k_lower / k2
     assert contraction == pytest.approx((1 - k2 / m ** 2) * scalar, abs=1e-12)
 
+
+
+def test_massless_factor_at_zero_omega():
+    """At m = 0 and kvec = 0 (omega = 0) the half-sum form is 0/0 at q = 1,
+    where D = 1/k0^2 within 2 eps, for the scalar and the massless photon
+    (whose 00 entry is D); at any other q no finite value exists."""
+    for k0 in [s * 3.0 ** e for e in range(-320, 321, 7) for s in (1, -1)]:
+        want = 1 / Fraction(k0) ** 2
+        for call in (prop.scalar_propagator_momentum,
+                     prop.photon_propagator_momentum):
+            value = call((k0, 0.0, 0.0, 0.0), 0.0, 1.0).value
+            d = complex(value if call is prop.scalar_propagator_momentum
+                        else value[0][0])
+            assert d.imag == 0.0
+            assert abs(Fraction(d.real) - want) <= 2 * EPS * want, k0
+            for q in (0.5, -1.0, 0.0, 2.0, 1e300):
+                with pytest.raises(NumericOverflowError):
+                    call((k0, 0.0, 0.0, 0.0), 0.0, q)
+    # 1/k0^2 itself overflows
+    with pytest.raises(NumericOverflowError):
+        prop.scalar_propagator_momentum((1e-170, 0.0, 0.0, 0.0), 0.0, 1.0)
 
 def test_photon_rejects_negative_mass():
     # omega takes m^2, so at m < 0 the massless tensor g would meet the

@@ -7,7 +7,7 @@ from qfield import dirac, lorentz, scattering as sc
 from qfield.errors import (DegenerateTransferError, NonFiniteInputError,
                            NumericOverflowError, OffShellError, QFieldError,
                            SuperluminalError, ZeroMassError)
-from qfield.lorentz import mass2, minkowski_dot
+from qfield.lorentz import minkowski_dot
 
 M = 1.0
 
@@ -35,7 +35,9 @@ def test_boost_examples():
     assert boosted[3] == pytest.approx(g * M * beta, rel=1e-12)
     q = (2.0, 0.3, -0.7, 1.1)
     b = sc.Boost([0.2, -0.4, 0.1])
-    assert mass2(b.apply(q)) == pytest.approx(mass2(q), abs=1e-12)
+    bq = b.apply(q)
+    assert minkowski_dot(bq, bq) == pytest.approx(minkowski_dot(q, q),
+                                                  abs=1e-12)
 
 
 def test_boost_superluminal():
@@ -91,7 +93,7 @@ def test_boost_is_a_value_record():
 def test_kinematics_validation():
     kin = generic_kinematics()
     for p, m in zip(kin.legs, kin.masses):
-        assert abs(mass2(p) - m * m) <= 1e-10 * max(1.0, p[0] ** 2)
+        assert abs(minkowski_dot(p, p) - m * m) <= 1e-10 * max(1.0, p[0] ** 2)
     with pytest.raises(OffShellError):
         sc.ProcessKinematics(
             (np.array([2.0, 0, 0, 0.5]), np.array([2.0, 0, 0, -0.5])),
@@ -221,7 +223,8 @@ def textbook_moller(kin, spins):
                            current_four_vector(uD, uB))
     exchange = minkowski_dot(current_four_vector(uD, uA),
                              current_four_vector(uC, uB))
-    return direct / mass2(pC - pA) - exchange / mass2(pD - pA)
+    t, u = pC - pA, pD - pA
+    return direct / minkowski_dot(t, t) - exchange / minkowski_dot(u, u)
 
 
 def test_moller_q1_is_textbook_direct_minus_exchange():
@@ -368,8 +371,8 @@ def per_spin_moller(kin, spins, q, strict_paper_mode=False):
     m = kin.masses[0]
     uA, uB, uC, uD = (dirac.u_spinor(p, r, m)
                       for p, r in zip((pA, pB, pC, pD), spins))
-    t_direct = mass2(pC - pA)
-    t_exchange = mass2(pB - pA if strict_paper_mode else pD - pA)
+    dC, dX = pC - pA, (pB if strict_paper_mode else pD) - pA
+    t_direct, t_exchange = minkowski_dot(dC, dC), minkowski_dot(dX, dX)
     F_CA = sc.correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, sc.PHOTON_LINE)
     F_DA = sc.correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, sc.PHOTON_LINE)
     direct = minkowski_dot(current_four_vector(uC, uA),
@@ -394,8 +397,8 @@ def trace_spin_sum(kin, q, strict_paper_mode=False):
     exchange = np.sum(tr2(d, a, g) * tr2(c, b, low)).real
     # Tr[c g^mu a g^nu d g_mu b g_nu]
     cross = np.einsum("uij,vjk,ukl,vli->", c @ g @ a, g @ d, low @ b, low).real
-    t = mass2(pC - pA)
-    u = mass2(pB - pA if strict_paper_mode else pD - pA)
+    dC, dX = pC - pA, (pB if strict_paper_mode else pD) - pA
+    t, u = minkowski_dot(dC, dC), minkowski_dot(dX, dX)
     f1, f2 = sc.photon_correction_pair(kin, q)
     c1, c2 = q * f1 / t, q * f2 / u
     return c1 * c1 * direct + c2 * c2 * exchange - 2.0 * c1 * c2 * cross
@@ -447,6 +450,46 @@ def test_boosted_kinematics_match_leg_by_leg_boost():
         assert got == b.apply(p)
 
 
+
+def test_boosted_validates_as_the_constructor():
+    """kin.boosted(b) equals ProcessKinematics built from the legs that
+    b.apply gives, in legs and masses, or both raise the same error with
+    the same message: m from 1e-300 to 1e300, E/m up to 1e12 and |beta| up
+    to 1 - 1e-16, elastic and annihilation."""
+    def outcome(build):
+        try:
+            kin = build()
+        except QFieldError as exc:
+            return type(exc), str(exc)
+        return kin.legs, kin.masses
+
+    def rebuilt(kin, b):
+        legs = [b.apply(p) for p in kin.legs]
+        return sc.ProcessKinematics(legs[:2], legs[2:], kin.masses)
+
+    seen = set()
+    for m, ratio, theta, make in product(
+            [10.0 ** e for e in range(-300, 301, 50)],
+            (1 + 1e-9, 1.5, 1e4, 1e12),
+            (1.0, 1e-5), (sc.cm_elastic_kinematics,
+                          sc.cm_annihilation_kinematics)):
+        # at unit mass, then in units where the mass is m
+        at_unit = make(ratio, theta, 1.0)
+        legs = [[x * m for x in p] for p in at_unit.legs]
+        try:
+            kin = sc.ProcessKinematics(legs[:2], legs[2:],
+                                       [x * m for x in at_unit.masses])
+        except QFieldError:
+            continue
+        for speed, v in product((0.0, 0.6, 1 - 1e-8, 1 - 1e-16),
+                                ([0, 0, 1], [1, 0, 0], [-0.3, 0.6, -0.7])):
+            b = sc.Boost(speed * unit(v))
+            got = outcome(lambda: kin.boosted(b))
+            assert got == outcome(lambda: rebuilt(kin, b)), (m, ratio, b)
+            seen.add(got[0] if isinstance(got[0], type) else "value")
+    assert seen == {"value", NumericOverflowError, OffShellError}
+
+
 def test_photon_correction_pair_is_frame_scan_row():
     kin = sc.cm_elastic_kinematics(2.0, 1.0, M)
     b = sc.Boost([0.1, 0.0, 0.4])
@@ -467,8 +510,8 @@ def condition_number(kin, strict_paper_mode):
     """kappa of moller_spin_summed's docstring: (E_max/m)^2 (m^2/|t| + m^2/|u|)."""
     pA, pB, pC, pD = map(np.array, kin.legs)
     m = kin.masses[0]
-    t = mass2(pC - pA)
-    u = mass2((pB if strict_paper_mode else pD) - pA)
+    dC, dX = pC - pA, (pB if strict_paper_mode else pD) - pA
+    t, u = minkowski_dot(dC, dC), minkowski_dot(dX, dX)
     emax = max(p[0] for p in kin.legs)
     # multiplied out so that it is finite where E_max/m squared is not
     return emax * (emax / abs(t)) + emax * (emax / abs(u)), emax / m
