@@ -22,11 +22,12 @@ compared by value, unhashable.
 """
 from __future__ import annotations
 
+import cmath
 from collections import namedtuple
 from operator import index
 from typing import Iterable, Sequence
 
-from .errors import NegativeNormError, Record, finite
+from .errors import NegativeNormError, NumericOverflowError, Record, finite
 from .qcore import basic_number
 
 PARTICLE = "particle"
@@ -36,10 +37,6 @@ ANNIHILATE = "annihilate"
 CREATE = "create"
 
 DEFAULT_N_MAX = 16
-
-# <n>_q may come out at tiny negative values through rounding; anything
-# below this is a genuinely imaginary ladder coefficient.
-NEGATIVE_NORM_TOL = 1e-12
 
 
 class ModeLabel(namedtuple("ModeLabel", "species mode")):
@@ -154,7 +151,9 @@ class StateVector(Record):
 
 def apply_ladder(op: LadderOp, v: StateVector, q: float,
                  n_max: int = DEFAULT_N_MAX) -> StateVector:
-    """Apply one ladder operator to a state vector (linear, exact)."""
+    """Apply one ladder operator to a state vector (linear, exact, one to
+    one on basis states).  NegativeNormError where <level>_q < 0: at the
+    even levels below q = -1, as basic_number's sign is exact."""
     out: dict = {}
     overflowed = v.overflowed
     up = op.is_creator
@@ -169,10 +168,10 @@ def apply_ladder(op: LadderOp, v: StateVector, q: float,
             overflowed = True
             continue
         coeff2 = basic_number(q, level)
-        if coeff2 < -NEGATIVE_NORM_TOL:
+        if coeff2 < 0.0:
             raise NegativeNormError(f"<{level}>_q = {coeff2} < 0 at q={q}")
         new = _state_set(state, op.label, level if up else level - 1)
-        out[new] = out.get(new, 0.0 + 0.0j) + max(coeff2, 0.0) ** 0.5 * amp
+        out[new] = coeff2 ** 0.5 * amp
     return StateVector(out, overflowed).prune()
 
 
@@ -191,14 +190,16 @@ def vev(ops: Sequence[LadderOp], q: float,
     The oracle for the Wick engine: exact up to floating point once
     n_max exceeds half the string length.  Each ladder operator maps a
     basis state to one basis state, so the cost is linear in the length
-    and no length cap applies.
+    and no length cap applies.  NumericOverflowError if it is not finite.
     """
     finite(q, "q")
     ops = list(ops)
     if n_max < -(-len(ops) // 2):
         raise ValueError("n_max too small for exact evaluation")
-    result = apply_string(ops, StateVector.vacuum(), q, n_max)
-    return result.amplitude(VACUUM)
+    value = apply_string(ops, StateVector.vacuum(), q, n_max).amplitude(VACUUM)
+    if cmath.isfinite(value):
+        return value
+    raise NumericOverflowError(f"the vacuum amplitude overflows at q={q}")
 
 
 def charge_conjugate_op(op: LadderOp, epsilon: complex = 1.0):

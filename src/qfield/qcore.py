@@ -12,9 +12,6 @@ from operator import index
 
 from .errors import NumericOverflowError, OccupancyPoleError, finite
 
-# Pole guard for the occupancy denominator e^x - q.
-OCCUPANCY_GUARD = 1e-300
-
 # Below x = -ln 2, e^x < |e^x - 1|, so e^x - q rounds less than expm1.
 _LN2 = math.log(2.0)
 
@@ -74,7 +71,8 @@ def q_occupancy(x: float, q: float) -> float:
 
     q = 1 reduces to Bose-Einstein, q = -1 to Fermi-Dirac, q = 0 to
     the Boltzmann factor e^(-x).  Where e^x overflows, the same value is
-    e^(-x)/(1 - q e^(-x)).
+    e^(-x)/(1 - q e^(-x)).  OccupancyPoleError where e^x - q is exactly 0,
+    NumericOverflowError where 1/(e^x - q) overflows.
 
     Tolerance: the relative error is within 3 eps S/|e^x - q|.  For
     x >= -ln 2, e^x - q is formed as expm1(x) + (1 - q) and
@@ -93,6 +91,9 @@ def q_occupancy(x: float, q: float) -> float:
     except OverflowError:
         small = math.exp(-x)
         return small / (1.0 - q * small)
-    if abs(denom) < OCCUPANCY_GUARD:
+    if not denom:
         raise OccupancyPoleError(f"e^x == q at x={x}, q={q}")
-    return 1.0 / denom
+    value = 1.0 / denom
+    if math.isinf(value):
+        raise NumericOverflowError(f"1/(e^x - q) overflows at x={x}, q={q}")
+    return value

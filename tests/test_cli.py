@@ -136,6 +136,19 @@ def test_computation_error_exits_1():
     assert res.stdout == ""
 
 
+def test_q_algebra_refuses_only_where_no_value_exists(capsys):
+    # x = 1e-301 was refused as a pole: 1/(e^x - 1) = 1e301 is a float
+    from qfield.cli import main
+    assert main(["planck", "--q", "1", "--x", "1e-301"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert float(row.split(",")[-1]) == pytest.approx(1e301, rel=1e-15)
+    # just below q = -1, <2>_q < 0: the sweep printed passed=true
+    assert main(["wick", "verify", "--max-len", "4",
+                 "--q", "-1.0000000000001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NegativeNormError:")
+
+
 def test_onshell_propagator_exits_1():
     res = run("propagator", "scalar", "--q", "1", "--m", "1",
               "--k0", "1", "--kvec", "0,0,0")
@@ -370,6 +383,12 @@ def test_intermediate_overflow_exits_1(capsys):
         ("wick", "normal", "--q=1e300",
          "--ops=a0,a0+,a0,a0,a0,a0,a0,a0+,a0+,a0+,a0+,a0+"),
         ("wick", "expand", "--q=1e300", "--ops=a0,a0,a0,a0,a0+,a0+,a0+,a0+"),
+        # the Fock amplitude overflowed: it printed nan,nan (inf,nan at
+        # q = 1e155) and exited 0
+        ("fock", "vev", "--q=1e300", "--ops=a0,a0,a0+,a0,a0+,a0+"),
+        ("fock", "vev", "--q=1e155", "--ops=a0,a0,a0+,a0,a0+,a0+"),
+        # 1/(e^x - q) past the float range
+        ("planck", "--q=1", "--x=1e-310"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

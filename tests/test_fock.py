@@ -3,7 +3,8 @@ import math
 import pytest
 
 from qfield import fock
-from qfield.errors import NegativeNormError, NonFiniteInputError
+from qfield.errors import (NegativeNormError, NonFiniteInputError,
+                           NumericOverflowError)
 from qfield.fock import (StateVector, a, a_dag, b, b_dag, apply_ladder,
                          apply_string, charge_conjugate_op,
                          charge_conjugate_state, charge_conjugate_string, vev)
@@ -156,9 +157,29 @@ def test_truncation_overflow_flag():
 
 
 def test_negative_norm_error():
-    # q < -1 makes <2>_q = 1 + q < 0
-    with pytest.raises(NegativeNormError):
-        apply_ladder(a_dag(), number_state(1), -1.5)
+    # q < -1 makes <2>_q = 1 + q < 0, however close q is to -1: the sign
+    # of basic_number is exact
+    for q in (-1.5, -1.0 - 1e-13, -1.0 - 2.0 ** -52):
+        with pytest.raises(NegativeNormError):
+            apply_ladder(a_dag(), number_state(1), q)
+    # at q = -1, <2>_q = 0: the state drops out
+    assert apply_ladder(a_dag(), number_state(1), -1.0).terms == {}
+
+
+def test_vev_overflow_is_typed():
+    # the amplitude overflows to inf + nan j (inf * 0 in the imaginary
+    # part), or to nan + nan j; wick_vev raises on the same string
+    ops = [a(), a(), a_dag(), a(), a_dag(), a_dag()]
+    for q in (1e155, 1e300):
+        with pytest.raises(NumericOverflowError):
+            vev(ops, q)
+        with pytest.raises(NumericOverflowError):
+            wick_vev(ops, q)
+    # an amplitude that overflows on a state that then drops out leaves
+    # an exact 0: three labels at level 2 give (1e150)^3, then a3 finds
+    # its mode empty
+    ops = [a(3)] + [op for mode in range(3) for op in (a_dag(mode),) * 2]
+    assert vev(ops, 1e300) == 0.0 and wick_vev(ops, 1e300) == 0.0
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

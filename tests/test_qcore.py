@@ -179,6 +179,23 @@ def test_occupancy_pole():
         q_occupancy(0.0, 1.0)
 
 
+def test_occupancy_refused_only_at_the_pole_or_past_the_range():
+    # 1/(e^x - 1) ~ 1/x - 1/2 near x = 0: ordinary floats down to the
+    # reciprocal of the largest one, within the stated 3 eps S/|e^x - q|
+    # (S = |e^x - 1| here, so 3 eps)
+    mp = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    for x in (1e-301, 2e-300, 1e-250, 6e-309):
+        with mp.workdps(40):
+            want = 1 / mp.expm1(mp.mpf(x))
+        assert abs(q_occupancy(x, 1.0) - want) <= 3 * eps * want, x
+    for x in (1e-310, 5e-324):
+        with pytest.raises(NumericOverflowError):
+            q_occupancy(x, 1.0)
+    with pytest.raises(OccupancyPoleError):
+        q_occupancy(-0.0, 1.0)
+
+
 def test_basic_number_overflow_is_typed():
     assert basic_number(2.0, 1000) == 2.0 ** 1000 - 1.0
     # (1.5, 1750): q^n is finite, the division by q - 1 overflows;

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import numpy as np
@@ -104,6 +105,24 @@ def test_kinematics_validation():
     for bad in ((np.inf, 0.0, 0.0, 0.5), (-np.inf, 0.0, 0.0, 0.5)):
         with pytest.raises(NonFiniteInputError):
             sc.ProcessKinematics((bad, rest), (rest, rest), (M, M, M, M))
+
+
+def test_conservation_judged_where_an_energy_sum_overflows():
+    # a0 + b0 and c0 + d0 overflow: inf - inf is nan, which must fail
+    big, less = (1.7e308, 0.0, 0.0, 0.0), (1e308, 0.0, 0.0, 0.0)
+    with pytest.raises(OffShellError, match="not conserved"):
+        sc.ProcessKinematics((big, big), (big, less),
+                             (1.7e308, 1.7e308, 1.7e308, 1e308))
+    kin = sc.ProcessKinematics((big, big), (big, big), (1.7e308,) * 4)
+    assert kin.legs == (big,) * 4
+    # only the incoming sum overflows (a tie rounded up to 2^1024), and
+    # the legs conserve to 2^970, far within 1e-10 of 2^1023
+    top = sys.float_info.max
+    a, b = (top / 2, 0.0, 0.0, 0.0), (2.0 ** 1023, 0.0, 0.0, 0.0)
+    c, d = (top, 0.0, 0.0, 0.0), (1e-300, 0.0, 0.0, 0.0)
+    kin = sc.ProcessKinematics((a, b), (c, d), (top / 2, 2.0 ** 1023, top,
+                                                1e-300))
+    assert kin.legs == (a, b, c, d)
 
 
 def test_correction_factor_photon_q1():

@@ -10,10 +10,11 @@ import pytest
 
 from qfield import fock, wick
 from qfield.errors import (EqualTimeError, NegativeNormError,
-                           NonFiniteInputError, NumericOverflowError)
+                           NonFiniteInputError, NumericOverflowError,
+                           QFieldError)
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
-from qfield.wick import (PairingDiagram, QPoly, normal_order, q_time_order,
-                         verify_wick, wick_expand, wick_vev)
+from qfield.wick import (PairingDiagram, QPoly, WickReport, normal_order,
+                         q_time_order, verify_wick, wick_expand, wick_vev)
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
@@ -520,6 +521,67 @@ def test_pauli_blocking_at_minus_one():
     rep = verify_wick((a(0), a(0), a_dag(0), a_dag(0)), -1.0)
     assert rep.fock_vev == pytest.approx(0.0, abs=1e-12)
     assert rep.wick_vev == pytest.approx(0.0, abs=1e-12)
+
+
+def test_negative_norms_refused_by_all_three_engines_up_to_minus_one():
+    # <2>_q = 1 + q < 0 for every float q < -1, down to the last one
+    ops = (a(0), a(0), a_dag(0), a_dag(0))
+    for k in range(1, 53):
+        q = -1.0 - 2.0 ** -k
+        for engine in (vev, wick_vev, normal_order, verify_wick):
+            with pytest.raises(NegativeNormError):
+                engine(ops, q)
+    # at q = -1 itself <2>_q = 0: Pauli blocking, an exact 0 in all three
+    assert vev(ops, -1.0) == 0.0 and wick_vev(ops, -1.0) == 0.0
+    assert normal_order(ops, -1.0).vacuum_projection() == 0.0
+
+
+def test_wick_report_has_no_absolute_floor():
+    # both engines are exactly 0 on the same strings, so a value against
+    # an exact 0, however small, is a failure
+    ops = (a(0), a(0), a_dag(0), a_dag(0))
+    q = -1.0 + 2.0 ** -40
+    assert not WickReport(ops, q, 0.0, 8.27e-25).passed
+    assert not WickReport(ops, q, 8.27e-25, 0.0).passed
+    assert WickReport(ops, q, 0.0, 0.0).passed
+    rep = verify_wick(ops, q)
+    assert rep.passed and rep.fock_vev == pytest.approx(2.0 ** -40, rel=1e-15)
+
+
+# -1 approached from below to the last float, -1 itself, far below it,
+# ordinary q, and large q where weights and products overflow
+Q_EDGES = ([-1.0 - 2.0 ** -k for k in range(1, 53)]
+           + [-1.0, -1e300, 0.3, 1.2, 2.0, 1e155, 1e300])
+
+
+def outcome(engine, ops, q):
+    """engine(ops, q), or the type of the QFieldError it raises."""
+    try:
+        return engine(ops, q)
+    except QFieldError as exc:
+        return type(exc)
+
+
+def test_three_engines_agree_at_and_below_minus_one():
+    strings = [ops for n in range(7) for ops in all_single_mode_strings(n)]
+    strings += [ops for n in range(1, 6) for ops in all_two_mode_strings(n)]
+    rng = random.Random(25)
+    for _ in range(150):
+        choices = (a(0), a_dag(0), a(1), a_dag(1))[:rng.choice((2, 4))]
+        strings.append(tuple(rng.choice(choices)
+                             for _ in range(rng.randint(7, 12))))
+    for ops in strings:
+        # the normal form's terms do not depend on q, only its value does
+        terms = normal_order(ops, 0.3).terms
+        for q in Q_EDGES:
+            want = outcome(vev, ops, q)
+            got = outcome(wick_vev, ops, q)
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want, (ops, q, got, want)
+                continue
+            assert abs(got - want) <= 1e-12 * abs(want), (ops, q, got, want)
+            nf = wick.NormalForm(terms, q).vacuum_projection()
+            assert abs(nf - want) <= 1e-12 * abs(want), (ops, q, nf, want)
 
 
 def test_q_time_order_branches():
