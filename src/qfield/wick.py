@@ -13,9 +13,9 @@ along three paths:
   recurrence a adag^j = q^j adag^j a + [j]_q adag^(j-1) (for one label
   the coefficients are q-rook numbers, Varvak 2005), so a run of like
   creators costs one update and one label polynomial time in the length.
-  Coefficients are exact integer-coefficient polynomials in q, packed in
-  32-bit fields of one Python int during the sweep, so the q = +-1
-  statistics reductions are exact integer checks, not float comparisons.
+  Coefficients are integer polynomials in q, packed in 32-bit fields of
+  one Python int during the sweep and unpacked to a ``QPoly``, a tuple of
+  ints, whose value at a float q is the exact sum rounded once.
 * Path product (``wick_vev``): read right to left, the string is a
   lattice path per label.  A creator steps its label's height up; an
   annihilator steps it down from height h and contributes the level
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import fock
 from .errors import (EqualTimeError, NegativeNormError, NumericOverflowError,
@@ -68,39 +68,41 @@ def _capped(ops: Sequence[LadderOp]) -> OperatorString:
 
 
 class QPoly:
-    """Polynomial in q with numeric coefficients, keyed by exponent."""
+    """Polynomial in q with integer coefficients: ``coeffs[e]`` is the
+    coefficient of q^e, and the last one is nonzero."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[int, complex] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
+    def __init__(self, coeffs: Iterable[int] = ()):
+        self.coeffs = tuple(coeffs)
 
-    def __call__(self, q: float) -> complex:
-        # Sorted exponents: the value does not depend on the order in
-        # which the coefficients were accumulated.
+    def __call__(self, q: float) -> float:
+        """The value at q, correctly rounded: with q = n / 2^s exactly, it
+        is N / 2^(s(D+1)) for the integer N = sum_e c_e n^e 2^(s(D+1-e)),
+        D the degree, and CPython rounds an int / int division correctly."""
+        n, d = float(finite(q, "q")).as_integer_ratio()  # d = 2^s
+        s = d.bit_length() - 1
+        numerator = 0
+        for k, c in enumerate(reversed(self.coeffs), 1):  # Horner
+            numerator = numerator * n + (c << s * k)
         try:
-            value = sum(c * q ** e for e, c in sorted(self.coeffs.items()))
-            if math.isfinite(value):
-                return value
-        except OverflowError:  # a float q ** e past the range raises
-            pass
-        raise NumericOverflowError(f"a coefficient overflows at q={q}")
+            return numerator / (1 << s * len(self.coeffs))
+        except OverflowError:
+            raise NumericOverflowError(
+                f"a coefficient overflows at q={q}") from None
 
     def pure_power(self) -> int | None:
         """The exponent if this is a single power of q with unit weight."""
-        if len(self.coeffs) == 1:
-            (e, c), = self.coeffs.items()
-            if c == 1:
-                return e
+        if self.coeffs[-1:] == (1,) and not any(self.coeffs[:-1]):
+            return len(self.coeffs) - 1
         return None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*q^{e}" for e, c in sorted(self.coeffs.items()))
+        return " + ".join(f"{c}*q^{e}" for e, c in enumerate(self.coeffs)
+                          if c) or "0"
 
 
 class NormalForm(Record):
@@ -117,11 +119,11 @@ class NormalForm(Record):
         self.terms = terms
         self.q = q
 
-    def coefficient(self, ops: OperatorString) -> complex:
+    def coefficient(self, ops: OperatorString) -> float:
         poly = self.terms.get(tuple(ops))
         return poly(self.q) if poly is not None else 0.0
 
-    def vacuum_projection(self) -> complex:
+    def vacuum_projection(self) -> float:
         """Amplitude of the identity term: the string's VEV."""
         return self.coefficient(())
 
@@ -140,8 +142,8 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     1.  No redex (annihilator, creator) overlaps another, so every
     rewriting order reaches this normal form.
 
-    The terms are integer polynomials in q; ``q`` is only the working
-    value that the returned ``NormalForm`` evaluates them at.  Below
+    The terms are exact integer polynomials in q; the returned
+    ``NormalForm`` rounds each once at the working value ``q``.  Below
     q = -1 the algebra has negative norms: there the string raises
     ``NegativeNormError`` exactly where ``wick_vev`` and ``fock.vev`` do.
     """
@@ -182,19 +184,12 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
             prepended[key] = get(key, 0) + (v << 32 * k)
         forms = prepended
         front = ()
-    # The fields are unpacked in C; the zeros are skipped here, so each
-    # QPoly is built without the filter of its __init__.
-    terms = {}
-    new, lookup = object.__new__, decode.__getitem__
-    for (creators, annihilators), v in forms.items():
-        fields = memoryview(v.to_bytes(4 * ((v.bit_length() + 31) // 32),
-                                       sys.byteorder)).cast("I")
-        poly = new(QPoly)
-        poly.coeffs = coeffs = {}
-        for e, c in enumerate(fields):
-            if c:
-                coeffs[e] = c
-        terms[tuple(map(lookup, front + creators + annihilators))] = poly
+    # The fields are unpacked in C; the top one holds the top bit of v.
+    lookup = decode.__getitem__
+    terms = {tuple(map(lookup, front + creators + annihilators)):
+             QPoly(memoryview(v.to_bytes(4 * ((v.bit_length() + 31) // 32),
+                                         sys.byteorder)).cast("I"))
+             for (creators, annihilators), v in forms.items()}
     return NormalForm(terms, q)
 
 

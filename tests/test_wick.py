@@ -39,20 +39,26 @@ def all_two_mode_strings(length):
     yield from product(choices, repeat=length)
 
 
+def from_dict(by_exponent):
+    """The QPoly whose coefficient of q^e is by_exponent.get(e, 0)."""
+    degree = max((e for e, c in by_exponent.items() if c), default=-1)
+    return QPoly(by_exponent.get(e, 0) for e in range(degree + 1))
+
+
 def q_power(p):
-    return QPoly({p: 1})
+    return QPoly((0,) * p + (1,))
 
 
 def shift(poly, p=1):
     """poly times q^p."""
-    return QPoly({e + p: c for e, c in poly.coeffs.items()})
+    return QPoly((0,) * p + poly.coeffs)
 
 
 def add(x, y):
-    out = dict(x.coeffs)
-    for e, c in y.coeffs.items():
+    out = dict(enumerate(x.coeffs))
+    for e, c in enumerate(y.coeffs):
         out[e] = out.get(e, 0) + c
-    return QPoly(out)
+    return from_dict(out)
 
 
 def reference_normal_order(ops):
@@ -126,7 +132,7 @@ def heap_normal_order(ops):
             feed(contracted, inversions(contracted), poly)
         else:
             feed(swapped, -neg_inv - 1, poly)
-    return {tuple(decode[c] for c in s): QPoly(p) for s, p in done.items()}
+    return {tuple(decode[c] for c in s): from_dict(p) for s, p in done.items()}
 
 
 def reference_wick_expand(ops, q):
@@ -211,6 +217,8 @@ def q_binomial(n, k):
 def test_qpoly_basics():
     p = add(shift(q_power(0), 2), q_power(0))
     assert p(2.0) == 5.0
+    # any real q is taken at its float value (whose denominator is 2^s)
+    assert p(2) == 5.0 and p(Fraction(1, 3)) == p(1 / 3)
     assert p.pure_power() is None
     assert q_power(3).pure_power() == 3
     assert repr(p) == "1*q^0 + 1*q^2" and repr(QPoly()) == "0"
@@ -222,8 +230,43 @@ def test_qpoly_overflow_is_typed():
     for q, coeffs in ((1e300, {0: 1, 3: 1}), (1e154, {0: 1, 2: 3}),
                       (-1e154, {1: 1, 2: 3})):
         with pytest.raises(NumericOverflowError, match="overflows at q="):
-            QPoly(coeffs)(q)
-    assert QPoly({0: 1, 2: 3})(1e153) == 1 + 3 * 1e153 ** 2
+            from_dict(coeffs)(q)
+    assert from_dict({0: 1, 2: 3})(1e153) == 1 + 3 * 1e153 ** 2
+
+
+def test_qpoly_values_are_correctly_rounded():
+    # Every coefficient of the normal form of a two-label string up to
+    # length 6, and of a seeded sample of longer strings, at q offset
+    # toward -1, 0 and 1 from both sides and at extreme q; the reference
+    # is the exact rational sum, rounded once.
+    rng = random.Random(26)
+    strings = [ops for n in range(7) for ops in all_two_mode_strings(n)]
+    strings += rng.sample([ops for n in (7, 8)
+                           for ops in all_two_mode_strings(n)], 300)
+    strings += rng.sample([ops for n in (10, 12)
+                           for ops in all_single_mode_strings(n)], 100)
+    polys = {repr(p): p for ops in strings
+             for p in normal_order(ops, 0.5).terms.values()}
+    q_grid = {c + m * 2.0 ** -k for c in (-1.0, 0.0, 1.0)
+              for m in (0.7, -0.7, 0.9137, -0.9137)
+              for k in (3, 10, 20, 30, 40, 52)}
+    q_grid |= {0.0, -0.0, 1.0, -1.0, -1e300, -3.7, -0.7, 0.3, 1.2, 1e150,
+               1e300}
+    for poly in polys.values():
+        coeffs = poly.coeffs
+        assert type(coeffs) is tuple and coeffs[-1] != 0, poly
+        assert all(type(c) is int for c in coeffs), poly
+        for q in q_grid:
+            exact, x = Fraction(0), Fraction(q)
+            for c in reversed(coeffs):
+                exact = exact * x + c
+            try:
+                want = float(exact)
+            except OverflowError:
+                with pytest.raises(NumericOverflowError):
+                    poly(q)
+                continue
+            assert poly(q) == want, (poly, q)
 
 
 def test_normal_form_is_a_value_record():
@@ -377,7 +420,7 @@ def test_normal_order_closed_form(n):
             poly = poly_mul(poly, q_binomial(n, k))
         for j in range(1, k + 1):
             poly = poly_mul(poly, q_integer(j))
-        want[(a_dag(0),) * (n - k) + (a(0),) * (n - k)] = QPoly(dict(enumerate(poly)))
+        want[(a_dag(0),) * (n - k) + (a(0),) * (n - k)] = QPoly(poly)
     assert normal_order((a(0),) * n + (a_dag(0),) * n, 0.5).terms == want
 
 
@@ -385,7 +428,7 @@ def test_normal_order_coefficients_are_integers():
     for length in range(9):
         for ops in all_single_mode_strings(length):
             for poly in normal_order(ops, 0.5).terms.values():
-                assert all(type(c) is int for c in poly.coeffs.values()), ops
+                assert all(type(c) is int for c in poly.coeffs), ops
 
 
 def test_wick_vev_matches_diagram_sum():
@@ -548,9 +591,12 @@ def test_wick_report_has_no_absolute_floor():
     assert rep.passed and rep.fock_vev == pytest.approx(2.0 ** -40, rel=1e-15)
 
 
-# -1 approached from below to the last float, -1 itself, far below it,
-# ordinary q, and large q where weights and products overflow
+# -1 approached from below to the last float, -1 itself, -1 approached
+# from above, far below it, ordinary q, and large q where weights and
+# products overflow
 Q_EDGES = ([-1.0 - 2.0 ** -k for k in range(1, 53)]
+           + [-1.0 + m * 2.0 ** -k for m in (0.7, 0.9137)
+              for k in (3, 10, 20, 30, 40, 52)]
            + [-1.0, -1e300, 0.3, 1.2, 2.0, 1e155, 1e300])
 
 
@@ -605,6 +651,9 @@ NON_FINITE_CALLS = {
     "wick_vev": lambda x: wick_vev(STRING, x),
     "wick_vev_empty": lambda x: wick_vev((), x),
     "wick_vev_unpaired": lambda x: wick_vev(F1, x),
+    "qpoly_call": lambda x: QPoly((1,))(x),
+    "normal_form_value": lambda x: wick.NormalForm(
+        normal_order(STRING, 0.5).terms, x).vacuum_projection(),
     "q_time_order_t1": lambda x: q_time_order(F1, F2, x, 1.0, 0.5),
     "q_time_order_t2": lambda x: q_time_order(F1, F2, 1.0, x, 0.5),
     "q_time_order_q": lambda x: q_time_order(F1, F2, 1.0, 2.0, x),
