@@ -28,8 +28,7 @@ _LAZY_LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
 _LAZY_NAMES = {name: layer for layer, names in (
     ("qcore", ("basic_number", "q_occupancy")),
     ("fock", ("a", "a_dag", "b", "b_dag", "vev", "StateVector")),
-    ("wick", ("normal_order", "wick_expand", "wick_vev", "verify_wick",
-              "q_time_order")),
+    ("wick", ("normal_order", "wick_expand", "wick_vev", "verify_wick")),
     ("propagator", ("scalar_propagator_momentum",
                     "spinor_propagator_momentum",
                     "photon_propagator_momentum", "pole_residues",

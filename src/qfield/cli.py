@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand emits a CSV table (header always present, floats at 17
-significant digits, complex values as re/im column pairs) so runs are
-byte-reproducible and suitable for golden-file testing.  Exit codes:
-0 success, 1 computation error (typed error on stderr), 2 usage error.
+significant digits, a real value in one column and a complex one as a
+re/im column pair) so runs are byte-reproducible and suitable for
+golden-file testing.  Exit codes: 0 success, 1 computation error (typed
+error on stderr), 2 usage error.
 
 A call builds only its command's parser: the parser is read off the
 COMMANDS table, and each command's sub-parser adds its options or
@@ -36,16 +37,15 @@ def fmt(x) -> str:
 def parse_ops(text: str):
     """Parse operator tokens like 'a0,a0+' or 'a+ b1' into LadderOps."""
     from . import fock
+    make = {"a": (fock.a, fock.a_dag), "b": (fock.b, fock.b_dag)}
     ops = []
     for tok in text.replace(",", " ").split():
         dagger = tok.endswith("+")
         body = tok[:-1] if dagger else tok
-        if not body or body[0] not in "ab":
+        if not body or body[0] not in make:
             raise ValueError(f"bad operator token {tok!r}")
         mode = int(body[1:]) if len(body) > 1 else 0
-        species = fock.PARTICLE if body[0] == "a" else fock.ANTIPARTICLE
-        kind = fock.CREATE if dagger else fock.ANNIHILATE
-        ops.append(fock.LadderOp(kind, fock.ModeLabel(species, mode)))
+        ops.append(make[body[0]][dagger](mode))
     return tuple(ops)
 
 
@@ -120,13 +120,12 @@ def cmd_wick_normal(args):
     from . import wick
     ops = parse_ops(args.ops)
     nf = wick.normal_order(ops, args.q)
-    header = ["term", "coeff_re", "coeff_im", "q_power"]
+    header = ["term", "coeff", "q_power"]
     rows = []
     for term in sorted(nf.terms, key=lambda t: (len(t), repr(t))):
         poly = nf.terms[term]
-        c = poly(args.q)
         p = poly.pure_power()
-        rows.append([ops_repr(term) or "1", fmt(c.real), fmt(c.imag),
+        rows.append([ops_repr(term) or "1", fmt(poly(args.q)),
                      "" if p is None else str(p)])
     return header, rows
 
@@ -135,14 +134,12 @@ def cmd_wick_expand(args):
     from . import wick
     ops = parse_ops(args.ops)
     diagrams = wick.wick_expand(ops, args.q)
-    header = ["pairs", "unpaired", "crossings", "coeff_re", "coeff_im"]
+    header = ["pairs", "unpaired", "crossings", "coeff"]
     rows = []
     for d in diagrams:
         rows.append(["|".join(f"{i}-{j}" for i, j in d.pairs) or "-",
                      "|".join(str(i) for i in d.unpaired) or "-",
-                     str(d.crossings),
-                     fmt(complex(d.coefficient).real),
-                     fmt(complex(d.coefficient).imag)])
+                     str(d.crossings), fmt(d.coefficient)])
     return header, rows
 
 

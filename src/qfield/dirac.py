@@ -32,11 +32,6 @@ _SIGMA = (((0j, 1 + 0j), (1 + 0j, 0j)), ((0j, -1j), (1j, 0j)),
 _GAMMA = (_blocks(_ID2, _ZERO2, _ZERO2, _neg(_ID2)),
           *(_blocks(_ZERO2, s, _neg(s), _ZERO2) for s in _SIGMA))
 
-# Charge conjugation matrix, C = i gamma^2 gamma^0.
-C_MATRIX = ((0j, 0j, 0j, -1 + 0j), (0j, 0j, 1 + 0j, 0j),
-            (0j, -1 + 0j, 0j, 0j), (1 + 0j, 0j, 0j, 0j))
-
-
 def gamma(mu: int) -> tuple:
     """Dirac-representation gamma matrix, mu in 0..3 (exact)."""
     if mu not in (0, 1, 2, 3):
@@ -106,16 +101,10 @@ def u_spinor(p, r: int, m: float) -> DiracSpinor:
     return DiracSpinor(_spinors(p, m, "u")[r - 1], p, r, "u")
 
 
-def v_spinor(p, r: int, m: float) -> DiracSpinor:
-    """Negative-energy on-shell spinor, vbar v = -1; u_spinor's tolerance."""
-    _check_spin(r)
-    p = tuple(map(float, p))
-    return DiracSpinor(_spinors(p, m, "v")[r - 1], p, r, "v")
-
-
 def charge_conjugate_spinor(s: DiracSpinor) -> DiracSpinor:
-    """Map u -> v (and v -> u) via C (gamma^0)^T conj, exact, so a double
-    application returns the spinor: C (gamma^0)^T is a signed permutation."""
+    """Map u -> v (and v -> u) via C (gamma^0)^T conj, C = i gamma^2 gamma^0,
+    exact, so a double application returns the spinor: C (gamma^0)^T is a
+    signed permutation.  The result keeps the spin label ``r`` of ``s``."""
     c0, c1, c2, c3 = (x.conjugate() for x in s.components)
     return DiracSpinor((c3 + 0j, 0j - c2, 0j - c1, c0 + 0j), s.momentum,
                        s.r, "v" if s.kind == "u" else "u")

@@ -27,10 +27,6 @@ class NegativeNormError(QFieldError):
     """A ladder coefficient sqrt(<n>_q) would be imaginary (<n>_q < 0)."""
 
 
-class EqualTimeError(QFieldError):
-    """q-time ordering is undefined at exactly equal times."""
-
-
 class OffShellError(QFieldError):
     """A four-momentum that must satisfy p^2 = m^2 does not."""
 

@@ -43,8 +43,7 @@ import sys
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import fock
-from .errors import (EqualTimeError, NegativeNormError, NumericOverflowError,
-                     Record, finite)
+from .errors import NegativeNormError, NumericOverflowError, Record, finite
 from .fock import CREATE, LadderOp, ModeLabel
 from .qcore import basic_number
 
@@ -226,7 +225,7 @@ class PairingDiagram(Record):
 
     def __init__(self, pairs: Tuple[Tuple[int, int], ...],
                  unpaired: Tuple[int, ...], crossings: int,
-                 pair_value: float, coefficient: complex):
+                 pair_value: float, coefficient: float):
         self.pairs = pairs
         self.unpaired = unpaired
         self.crossings = crossings
@@ -281,7 +280,7 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
     return diagrams
 
 
-def wick_vev(ops: Sequence[LadderOp], q: float) -> complex:
+def wick_vev(ops: Sequence[LadderOp], q: float) -> float:
     """VEV as the product of level weights along the string's path.
 
     One right-to-left sweep keeps a height per label; an annihilator at
@@ -331,7 +330,7 @@ class WickReport(Record):
 
     __slots__ = _fields = ("ops", "q", "wick_vev", "fock_vev")
 
-    def __init__(self, ops: OperatorString, q: float, wick_vev: complex,
+    def __init__(self, ops: OperatorString, q: float, wick_vev: float,
                  fock_vev: complex):
         self.ops = ops
         self.q = q
@@ -353,21 +352,3 @@ def verify_wick(ops: Sequence[LadderOp], q: float,
     ops = tuple(ops)
     return WickReport(ops, q, wick_vev(ops, q), fock.vev(ops, q, n_max))
 
-
-def q_time_order(f1: Sequence[LadderOp], f2: Sequence[LadderOp],
-                 t1: float, t2: float, q: float):
-    """Order two field factors by time with factor q on the swapped branch.
-
-    Returns (factor, ordered string).  q = -1 recovers the usual
-    fermionic T-product; equal times are undefined, and a nan or infinite
-    time or q raises ``NonFiniteInputError``.
-    """
-    finite(t1, "t1")
-    finite(t2, "t2")
-    finite(q, "q")
-    if t1 == t2:
-        raise EqualTimeError(f"t1 == t2 == {t1}")
-    f1, f2 = tuple(f1), tuple(f2)
-    if t1 > t2:
-        return 1.0, f1 + f2
-    return q, f2 + f1

@@ -84,6 +84,27 @@ def test_fock_vev_matches_library():
     assert float(row[2]) == pytest.approx(1.5, abs=1e-12)
 
 
+def test_wick_tables_print_one_real_coefficient_column(capsys):
+    # normal-form and diagram coefficients are real, so each table has one
+    # coeff column, the in-process value at 17 digits
+    from qfield import wick
+    from qfield.cli import fmt, main, parse_ops
+    text, q = "a0,b1,a0,a0+,b1+,a0+", -0.7
+    ops = parse_ops(text)
+    assert main(["wick", "normal", "--q", str(q), "--ops", text]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "term,coeff,q_power"
+    nf = wick.normal_order(ops, q)
+    terms = sorted(nf.terms, key=lambda t: (len(t), repr(t)))
+    assert [row.split(",")[1] for row in rows] == [
+        fmt(nf.coefficient(t)) for t in terms]
+    assert main(["wick", "expand", "--q", str(q), "--ops", text]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "pairs,unpaired,crossings,coeff"
+    assert [row.split(",")[3] for row in rows] == [
+        fmt(d.coefficient) for d in wick.wick_expand(ops, q)]
+
+
 def test_dirac_check_all_pass():
     res = run("dirac", "check")
     assert res.returncode == 0
@@ -500,8 +521,7 @@ print(code, *sorted(m for m in sys.modules
 REEXPORTS = {
     "qcore": ("basic_number", "q_occupancy"),
     "fock": ("a", "a_dag", "b", "b_dag", "vev", "StateVector"),
-    "wick": ("normal_order", "wick_expand", "wick_vev", "verify_wick",
-             "q_time_order"),
+    "wick": ("normal_order", "wick_expand", "wick_vev", "verify_wick"),
     "propagator": ("scalar_propagator_momentum", "spinor_propagator_momentum",
                    "photon_propagator_momentum", "pole_residues",
                    "delta_plus_equal_time", "spacelike_q_commutator",
@@ -605,6 +625,27 @@ def test_package_reexports_resolve_to_their_layers():
     assert frame_scan is scattering.frame_scan
     with pytest.raises(AttributeError):
         qfield.no_such_name
+
+
+def test_every_reexported_name_has_a_library_caller():
+    # each name the package re-exports is loaded, as a name or as an
+    # attribute, somewhere in the library outside its own definition
+    import ast
+    import pathlib
+
+    import qfield
+    used = set()
+    for path in pathlib.Path(qfield.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(getattr(sub, "ctx", None), ast.Load):
+                    name = getattr(sub, "id", getattr(sub, "attr", None))
+                    if name != own:
+                        used.add(name)
+    assert sorted(set(qfield._LAZY_NAMES) - used) == []
 
 
 def test_flavor_choices_match_scattering(capsys):

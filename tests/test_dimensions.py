@@ -281,8 +281,9 @@ for p, m in ((LEG, 1.0), (FAST, 0.5), (REST, 1.0), (OFF, 3.0),
     for r in (1, 2):
         CASES += [("u_spinor", 0, spinor_of(dirac.u_spinor), (p, m, r),
                    (1, 1, 0), None),
-                  ("v_spinor", 0, spinor_of(dirac.v_spinor), (p, m, r),
-                   (1, 1, 0), None)]
+                  ("charge_conjugate_spinor", 0,
+                   spinor_of(lambda *a: dirac.charge_conjugate_spinor(
+                       dirac.u_spinor(*a))), (p, m, r), (1, 1, 0), None)]
     for name, fn, extra in (("theta_projector", projector, (1,)),
                             ("theta_projector", projector, (-1,)),
                             ("spin_sum", spin_sum, ("u",)),

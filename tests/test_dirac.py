@@ -9,8 +9,7 @@ from qfield import dirac, lorentz
 from qfield.dirac import (METRIC, charge_conjugate_spinor, gamma,
                           onshell_momentum, polarization_sum,
                           polarization_sum_closed_form, polarization_vectors,
-                          slash, spin_sum, theta_projector, u_spinor,
-                          v_spinor)
+                          slash, spin_sum, theta_projector, u_spinor)
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
                            OffShellError, SuperluminalError, ZeroMassError)
 from qfield.lorentz import minkowski_dot
@@ -83,7 +82,7 @@ def test_dirac_equation_and_normalization():
         assert np.max(np.abs((slash(p) - M * np.eye(4)) @ u.components)) <= 1e-12
         assert complex(np.asarray(u.bar()) @ u.components) == pytest.approx(
             1.0, abs=1e-12)
-        v = v_spinor(p, r, M)
+        v = charge_conjugate_spinor(u)
         assert np.max(np.abs((slash(p) + M * np.eye(4)) @ v.components)) <= 1e-12
         assert complex(np.asarray(v.bar()) @ v.components) == pytest.approx(
             -1.0, abs=1e-12)
@@ -227,7 +226,8 @@ def test_spinor_overflow_is_typed_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p, m in cases:
-            for call in (lambda: u_spinor(p, 1, m), lambda: v_spinor(p, 2, m),
+            for call in (lambda: u_spinor(p, 1, m),
+                         lambda: charge_conjugate_spinor(u_spinor(p, 1, m)),
                          lambda: spin_sum(p, m, "u"),
                          lambda: spin_sum(p, m, "v")):
                 with pytest.raises(NumericOverflowError):
@@ -236,11 +236,16 @@ def test_spinor_overflow_is_typed_and_silent():
         for m in (1e-3, 1.0, 7.5):
             for _ in range(50):
                 p = onshell_momentum(RNG.uniform(-20, 20, 3) * m, m)
-                for kind, make in (("u", u_spinor), ("v", v_spinor)):
-                    want = reference_spinors(p, m, kind)
-                    for r in (1, 2):
-                        got = np.asarray(make(p, r, m).components)
-                        assert got.tobytes() == want[r - 1].tobytes()
+                want_u, want_v = (reference_spinors(p, m, kind)
+                                  for kind in ("u", "v"))
+                for r in (1, 2):
+                    u = u_spinor(p, r, m)
+                    assert np.asarray(u.components).tobytes() == \
+                        want_u[r - 1].tobytes()
+                    # C u_1 = v_2 and C u_2 = -v_1, signs of zeros too
+                    v = np.asarray(charge_conjugate_spinor(u).components)
+                    assert (v if r == 1 else 0 - v).tobytes() == \
+                        want_v[2 - r].tobytes()
 
 
 def test_spinors_and_projectors_near_e_plus_m_overflow():
@@ -284,9 +289,10 @@ def test_spinors_and_projectors_near_e_plus_m_overflow():
                     close(complex(got), w, 1.5 * eps)
                 for got, w in zip(u_spinor(p, r, m).components, want[r]):
                     close(got, n * w, 3 * eps)
-                v = v_spinor(p, r, m).components
+                # v_r = (-1)^r C u_(3-r), its halves swapped from u_r's
+                v = charge_conjugate_spinor(u_spinor(p, 3 - r, m)).components
                 for got, w in zip(v[2:] + v[:2], want[r]):
-                    close(got, n * w, 3 * eps)
+                    close(got, (-1) ** r * n * w, 3 * eps)
             slash_p = [[mp.mpc(x) for x in row] for row in slash(p)]
             for sign in (1, -1):
                 got = theta_projector(p, sign, m)
@@ -358,7 +364,8 @@ def test_onshell_check_rejects_nan():
                 for call in (lambda: theta_projector(leg, 1, m),
                              lambda: polarization_vectors(leg, m),
                              lambda: u_spinor(leg, 1, m),
-                             lambda: v_spinor(leg, 2, m),
+                             lambda: charge_conjugate_spinor(
+                                 u_spinor(leg, 1, m)),
                              lambda: spin_sum(leg, m, "u"),
                              lambda: spin_sum(leg, m, "v")):
                     with pytest.raises(NonFiniteInputError):
@@ -381,8 +388,19 @@ def test_float_helpers_are_lorentz_objects():
 
 
 def test_c_matrix_is_i_gamma2_gamma0():
-    want = 1j * np.asarray(gamma(2)) @ np.asarray(gamma(0))
-    assert np.asarray(dirac.C_MATRIX).tobytes() == want.tobytes()
+    # charge_conjugate_spinor hard-codes C (gamma^0)^T conj as a signed
+    # permutation; over u spinors and their conjugates it is that product
+    c = 1j * np.asarray(gamma(2)) @ np.asarray(gamma(0))
+    c_g0t = c @ np.asarray(gamma(0)).T
+    rng = np.random.default_rng(2)
+    for _ in range(500):
+        m = float(rng.uniform(0.2, 3.0))
+        p = onshell_momentum(rng.uniform(-5.0, 5.0, 3) * m, m)
+        for r in (1, 2):
+            u = u_spinor(p, r, m)
+            for s in (u, charge_conjugate_spinor(u)):
+                got = np.asarray(charge_conjugate_spinor(s).components)
+                assert (got == c_g0t @ np.conj(s.components)).all(), s
 
 
 def test_slash_and_projector_are_the_numpy_formulas_bit_for_bit():

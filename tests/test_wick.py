@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
@@ -9,12 +10,11 @@ import numpy as np
 import pytest
 
 from qfield import fock, wick
-from qfield.errors import (EqualTimeError, NegativeNormError,
-                           NonFiniteInputError, NumericOverflowError,
-                           QFieldError)
+from qfield.errors import (NegativeNormError, NonFiniteInputError,
+                           NumericOverflowError, QFieldError)
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
 from qfield.wick import (PairingDiagram, QPoly, WickReport, normal_order,
-                         q_time_order, verify_wick, wick_expand, wick_vev)
+                         verify_wick, wick_expand, wick_vev)
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
@@ -630,21 +630,7 @@ def test_three_engines_agree_at_and_below_minus_one():
             assert abs(nf - want) <= 1e-12 * abs(want), (ops, q, nf, want)
 
 
-def test_q_time_order_branches():
-    f1 = (a(0),)
-    f2 = (a_dag(0),)
-    factor, ordered = q_time_order(f1, f2, 2.0, 1.0, 0.5)
-    assert factor == 1.0 and ordered == f1 + f2
-    factor, ordered = q_time_order(f1, f2, 1.0, 2.0, 0.5)
-    assert factor == 0.5 and ordered == f2 + f1
-    # q = -1 is the usual fermionic T-product sign
-    factor, _ = q_time_order(f1, f2, 1.0, 2.0, -1.0)
-    assert factor == -1.0
-    with pytest.raises(EqualTimeError):
-        q_time_order(f1, f2, 1.0, 1.0, 0.5)
-
-
-STRING, F1, F2 = (a(0), a(0), a_dag(0), a_dag(0)), (a(0),), (a_dag(0),)
+STRING, F1 = (a(0), a(0), a_dag(0), a_dag(0)), (a(0),)
 NON_FINITE_CALLS = {
     "normal_order": lambda x: normal_order(STRING, x),
     "wick_expand": lambda x: wick_expand(STRING, x),
@@ -654,9 +640,6 @@ NON_FINITE_CALLS = {
     "qpoly_call": lambda x: QPoly((1,))(x),
     "normal_form_value": lambda x: wick.NormalForm(
         normal_order(STRING, 0.5).terms, x).vacuum_projection(),
-    "q_time_order_t1": lambda x: q_time_order(F1, F2, x, 1.0, 0.5),
-    "q_time_order_t2": lambda x: q_time_order(F1, F2, 1.0, x, 0.5),
-    "q_time_order_q": lambda x: q_time_order(F1, F2, 1.0, 2.0, x),
 }
 
 
@@ -667,19 +650,6 @@ def test_non_finite_q_or_time_raises(call, bad):
     # as fock.vev does, rather than a nan, inf or q-independent value
     with pytest.raises(NonFiniteInputError):
         call(bad)
-
-
-@pytest.mark.parametrize("q", Q_VALUES)
-def test_q_time_order_half_sum_identity(q):
-    # T_q(AB) = (1/2)[{A,B}_q + eps(t-t') (A,B)_q] checked at VEV level
-    A, B = (a(0),), (a_dag(0),)
-    for t1, t2 in ((2.0, 1.0), (1.0, 2.0)):
-        factor, ordered = q_time_order(A, B, t1, t2, q)
-        lhs = factor * vev(ordered, q)
-        eps = 1.0 if t1 > t2 else -1.0
-        anti = vev(A + B, q) + q * vev(B + A, q)
-        comm = vev(A + B, q) - q * vev(B + A, q)
-        assert lhs == pytest.approx(0.5 * (anti + eps * comm), abs=1e-12)
 
 
 def test_deterministic_diagram_order():
@@ -700,3 +670,32 @@ def test_wick_vev_product_overflow_is_typed():
     ops = (a(0),) * 300 + (a_dag(0),) * 300
     with pytest.raises(NumericOverflowError):
         wick_vev(ops, 2.0)
+
+
+def test_wick_vev_of_long_strings_is_the_q_factorial():
+    # a^n adag^n has the VEV [n]_q! = prod_k [k]_q, [k]_q = 1 + ... + q^(k-1):
+    # the reference for strings past fock.vev's 2 n_max operators, taken
+    # as a running mpmath product at 200 bits
+    mp = pytest.importorskip("mpmath")
+    eps, ns = 2.0 ** -52, (1, 2, 5, 17, 33, 100, 500, 1000, 3000, 10 ** 4)
+    for q in (-1.0, -0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999999, 1.0, 1.0001,
+              1.01, 2.0):
+        with mp.workprec(200):
+            power, basic, exact = mp.mpf(1), mp.mpf(0), mp.mpf(1)
+            for k in range(1, ns[-1] + 1):
+                basic += power
+                power *= q
+                exact *= basic
+                if k not in ns:
+                    continue
+                ops = (a(0),) * k + (a_dag(0),) * k
+                if abs(exact) > sys.float_info.max:
+                    with pytest.raises(NumericOverflowError):
+                        wick_vev(ops, q)
+                    continue
+                got = wick_vev(ops, q)
+                if abs(exact) >= sys.float_info.min:
+                    assert abs(got - exact) <= 4 * k * eps * abs(exact), (
+                        k, q, got, exact)
+                else:  # 0, or so far below the float range that it rounds to 0
+                    assert got == float(exact), (k, q, got, exact)
