@@ -5,7 +5,7 @@ q-Wick expansion versus the brute-force Fock oracle
 Normal ordering a string of q-deformed ladder operators generates
 contraction terms weighted by q raised to the number of same-mode pair
 crossings.  Everything here is cross-checked against an independent
-oracle: literally applying the operators to the truncated Fock vacuum.
+oracle: literally applying the operators to the Fock vacuum.
 """
 from qfield import fock, wick
 

@@ -2,7 +2,7 @@
 
 Modules:
     qcore       basic q-numbers and deformed occupancy statistics
-    fock        truncated q-Fock space, ladder operators, brute-force VEVs
+    fock        q-Fock space, ladder operators, brute-force VEVs
     wick        q-Wick normal ordering and pairing expansion + oracle harness
     lorentz     float four-vectors: Minkowski products, omega, checks, boost
                 rows, the Dirac spinor basis

@@ -21,9 +21,6 @@ import sys
 
 from .errors import QFieldError, finite
 
-# fock.DEFAULT_N_MAX, spelled out so that building the parser does not
-# import the fock layer (a test pins the two together)
-DEFAULT_N_MAX = 16
 # scattering.PHOTON_LINE and scattering.ELECTRON_LINE, spelled out so that
 # building the parser does not import the scattering layer (a test pins
 # the two together)
@@ -110,7 +107,7 @@ def cmd_planck(args):
 def cmd_fock_vev(args):
     from . import fock
     ops = parse_ops(args.ops)
-    val = fock.vev(ops, args.q, args.n_max)
+    val = fock.vev(ops, args.q)
     header = ["ops", "q", "vev_re", "vev_im"]
     rows = [[ops_repr(ops), fmt(args.q), fmt(val.real), fmt(val.imag)]]
     return header, rows
@@ -282,7 +279,8 @@ def _q(default=1.0):
 
 _Q = _q()
 _M = "--m", {"type": float, "default": 1.0}
-_OPS = "--ops", {"required": True}
+_OPS = "--ops", {"required": True, "help": "operator tokens, e.g. 'a0,a0+' "
+                 "(rightmost acts first)"}
 _KINEMATICS = (_M, ("--energy", {"type": float, "default": 2.0}),
                ("--theta", {"type": float, "default": 1.0}))
 _MOMENTUM = (_Q, _M, ("--k0", {"type": float, "default": 0.0}),
@@ -298,10 +296,8 @@ COMMANDS = {
     "planck": ("deformed occupancy 1/(e^x - q)", cmd_planck,
                (_Q, ("--x", {"type": float, "required": True}))),
     "fock": ("Fock-space operations", {
-        "vev": ("brute-force vacuum expectation value", cmd_fock_vev, (
-            _Q, ("--ops", {"required": True, "help": "operator tokens, e.g. "
-                             "'a0,a0+' (rightmost acts first)"}),
-            ("--n-max", {"type": int, "default": DEFAULT_N_MAX})))}),
+        "vev": ("brute-force vacuum expectation value", cmd_fock_vev,
+                (_Q, _OPS))}),
     "wick": ("q-Wick machinery", {
         "normal": ("normal-order an operator string", cmd_wick_normal,
                    (_Q, _OPS)),

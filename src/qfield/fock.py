@@ -1,4 +1,4 @@
-"""Truncated q-deformed Fock space with exact ladder-operator action.
+"""q-deformed Fock space with exact ladder-operator action.
 
 Two species (particle ``a``, antiparticle ``b``), a small set of discrete
 modes standing in for the continuum (momentum, spin) label, and the
@@ -35,8 +35,6 @@ ANTIPARTICLE = "antiparticle"
 
 ANNIHILATE = "annihilate"
 CREATE = "create"
-
-DEFAULT_N_MAX = 16
 
 
 class ModeLabel(namedtuple("ModeLabel", "species mode")):
@@ -123,16 +121,13 @@ VACUUM: FockState = ()
 class StateVector(Record):
     """Complex linear combination of Fock basis states.
 
-    ``overflowed`` flags that some creation chain hit the truncation and
-    the affected component was dropped (mapped to the zero vector).
     Each vector gets its own ``terms`` dict unless one is passed.
     """
 
-    __slots__ = _fields = ("terms", "overflowed")
+    __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms: dict | None = None, overflowed: bool = False):
+    def __init__(self, terms: dict | None = None):
         self.terms = {} if terms is None else terms
-        self.overflowed = overflowed
 
     @classmethod
     def vacuum(cls) -> "StateVector":
@@ -149,13 +144,11 @@ class StateVector(Record):
         return self.terms.get(state, 0.0 + 0.0j)
 
 
-def apply_ladder(op: LadderOp, v: StateVector, q: float,
-                 n_max: int = DEFAULT_N_MAX) -> StateVector:
+def apply_ladder(op: LadderOp, v: StateVector, q: float) -> StateVector:
     """Apply one ladder operator to a state vector (linear, exact, one to
     one on basis states).  NegativeNormError where <level>_q < 0: at the
     even levels below q = -1, as basic_number's sign is exact."""
     out: dict = {}
-    overflowed = v.overflowed
     up = op.is_creator
     for state, amp in v.terms.items():
         n = _state_get(state, op.label)
@@ -164,39 +157,32 @@ def apply_ladder(op: LadderOp, v: StateVector, q: float,
         level = n + 1 if up else n
         if level == 0:
             continue
-        if up and level > n_max:
-            overflowed = True
-            continue
         coeff2 = basic_number(q, level)
         if coeff2 < 0.0:
             raise NegativeNormError(f"<{level}>_q = {coeff2} < 0 at q={q}")
         new = _state_set(state, op.label, level if up else level - 1)
         out[new] = coeff2 ** 0.5 * amp
-    return StateVector(out, overflowed).prune()
+    return StateVector(out).prune()
 
 
-def apply_string(ops: Sequence[LadderOp], v: StateVector, q: float,
-                 n_max: int = DEFAULT_N_MAX) -> StateVector:
+def apply_string(ops: Sequence[LadderOp], v: StateVector,
+                 q: float) -> StateVector:
     """Apply a product of ladder operators, rightmost factor first."""
     for op in reversed(list(ops)):
-        v = apply_ladder(op, v, q, n_max)
+        v = apply_ladder(op, v, q)
     return v
 
 
-def vev(ops: Sequence[LadderOp], q: float,
-        n_max: int = DEFAULT_N_MAX) -> complex:
+def vev(ops: Sequence[LadderOp], q: float) -> complex:
     """Brute-force vacuum expectation value of an operator product.
 
-    The oracle for the Wick engine: exact up to floating point once
-    n_max exceeds half the string length.  Each ladder operator maps a
-    basis state to one basis state, so the cost is linear in the length
-    and no length cap applies.  NumericOverflowError if it is not finite.
+    The oracle for the Wick engine, exact up to floating point at every
+    length.  Each ladder operator maps a basis state to one basis state,
+    so the cost is linear in the length.  NumericOverflowError if it is
+    not finite.
     """
     finite(q, "q")
-    ops = list(ops)
-    if n_max < -(-len(ops) // 2):
-        raise ValueError("n_max too small for exact evaluation")
-    value = apply_string(ops, StateVector.vacuum(), q, n_max).amplitude(VACUUM)
+    value = apply_string(ops, StateVector.vacuum(), q).amplitude(VACUUM)
     if cmath.isfinite(value):
         return value
     raise NumericOverflowError(f"the vacuum amplitude overflows at q={q}")
@@ -234,7 +220,7 @@ def charge_conjugate_state(v: StateVector, epsilon: complex = 1.0) -> StateVecto
                        lab.mode), occ)
             for lab, occ in state))
         out[swapped] = out.get(swapped, 0.0 + 0.0j) + phase * amp
-    return StateVector(out, v.overflowed).prune()
+    return StateVector(out).prune()
 
 
 def charge_conjugate_string(ops: Iterable[LadderOp], epsilon: complex = 1.0):

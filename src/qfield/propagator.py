@@ -352,7 +352,7 @@ def _wightman(t: float, r: float, m: float) -> tuple:
 
 def _position_value(value, err: float) -> PropagatorValue:
     """A position-space value, which has no on-shell distance;
-    NumericOverflowError where the value or its error overflowed."""
+    NumericOverflowError where the value or its error overflows."""
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise NumericOverflowError(
             f"position-space value {value} (error {err}) overflows")

@@ -346,9 +346,8 @@ class WickReport(Record):
         return self.abs_diff <= 1e-9 * abs(self.fock_vev)
 
 
-def verify_wick(ops: Sequence[LadderOp], q: float,
-                n_max: int = fock.DEFAULT_N_MAX) -> WickReport:
+def verify_wick(ops: Sequence[LadderOp], q: float) -> WickReport:
     """Compare the path-product VEV against the Fock-space oracle."""
     ops = tuple(ops)
-    return WickReport(ops, q, wick_vev(ops, q), fock.vev(ops, q, n_max))
+    return WickReport(ops, q, wick_vev(ops, q), fock.vev(ops, q))
 

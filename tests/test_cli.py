@@ -389,7 +389,7 @@ def test_nonfinite_inputs_exit_1(capsys):
 
 
 def test_intermediate_overflow_exits_1(capsys):
-    # finite inputs whose results overflowed: these printed nan or inf, or
+    # finite inputs whose results overflow: these printed nan or inf, or
     # (the CM kinematics' energy ** 2, q ** e in a normal-form coefficient,
     # q ** crossings in a diagram weight) died with a raw OverflowError
     from qfield.cli import main
@@ -404,7 +404,7 @@ def test_intermediate_overflow_exits_1(capsys):
         ("wick", "normal", "--q=1e300",
          "--ops=a0,a0+,a0,a0,a0,a0,a0,a0+,a0+,a0+,a0+,a0+"),
         ("wick", "expand", "--q=1e300", "--ops=a0,a0,a0,a0,a0+,a0+,a0+,a0+"),
-        # the Fock amplitude overflowed: it printed nan,nan (inf,nan at
+        # the Fock amplitude overflows: it printed nan,nan (inf,nan at
         # q = 1e155) and exited 0
         ("fock", "vev", "--q=1e300", "--ops=a0,a0,a0+,a0,a0+,a0+"),
         ("fock", "vev", "--q=1e155", "--ops=a0,a0,a0+,a0,a0+,a0+"),
@@ -663,14 +663,6 @@ def test_flavor_choices_match_scattering(capsys):
                                "photon_line, electron_line")), err
 
 
-def test_n_max_default_matches_fock():
-    # spelled out in cli so that building the parser loads no fock layer
-    from qfield import cli, fock
-    assert cli.DEFAULT_N_MAX == fock.DEFAULT_N_MAX
-    args = cli.build_parser().parse_args(["fock", "vev", "--ops", "a0"])
-    assert args.n_max == fock.DEFAULT_N_MAX
-
-
 def _command_paths(table, path=()):
     """(path, entry) of every group and leaf of a COMMANDS table."""
     for name, (_, *entry) in table.items():
@@ -786,7 +778,7 @@ _KINEMATICS = {"q": _NUMBER, "m": _NUMBER, "energy": _NUMBER,
 _GRAMMAR = {
     ("qnum",): {"q": _NUMBER, "n": _COUNT},
     ("planck",): {"q": _NUMBER, "x": _NUMBER},
-    ("fock", "vev"): {"q": _NUMBER, "ops": _OPS, "n-max": _COUNT},
+    ("fock", "vev"): {"q": _NUMBER, "ops": _OPS},
     ("wick", "normal"): {"q": _NUMBER, "ops": _OPS},
     ("wick", "expand"): {"q": _NUMBER, "ops": _OPS},
     ("wick", "verify"): {"q": _NUMBER, "max-len": _COUNT},

@@ -6,10 +6,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
 
-import numpy as np
 import pytest
 
-from qfield import fock, wick
+from qfield import wick
 from qfield.errors import (NegativeNormError, NonFiniteInputError,
                            NumericOverflowError, QFieldError)
 from qfield.fock import StateVector, a, a_dag, b, b_dag, apply_string, vev
@@ -175,17 +174,14 @@ def reference_wick_expand(ops, q):
     return diagrams
 
 
-def apply_normal_form(nf, v, n_max=fock.DEFAULT_N_MAX):
+def apply_normal_form(nf, v):
     """Evaluate a normal form on a state, term by term."""
     out = {}
-    overflow = v.overflowed
     for ops, poly in nf.terms.items():
         c = poly(nf.q)
-        w = apply_string(ops, v, nf.q, n_max)
-        overflow = overflow or w.overflowed
-        for state, amp in w.terms.items():
+        for state, amp in apply_string(ops, v, nf.q).terms.items():
             out[state] = out.get(state, 0.0 + 0.0j) + c * amp
-    return StateVector(out, overflow).prune()
+    return StateVector(out).prune()
 
 
 def poly_mul(x, y):
@@ -452,8 +448,7 @@ def test_fock_vev_takes_any_length():
     ops = (a(0),) * 20 + (a_dag(0),) * 20
     exact = prod(Fraction(2 ** j - 1, 2 ** (j - 1)) for j in range(1, 21))
     assert wick_vev(ops, 0.5) == pytest.approx(exact, rel=1e-12)
-    assert vev(ops, 0.5, n_max=20) == pytest.approx(wick_vev(ops, 0.5),
-                                                    rel=1e-12)
+    assert vev(ops, 0.5) == pytest.approx(wick_vev(ops, 0.5), rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [-1.5, -2.0])
@@ -630,6 +625,75 @@ def test_three_engines_agree_at_and_below_minus_one():
             assert abs(nf - want) <= 1e-12 * abs(want), (ops, q, nf, want)
 
 
+def reaches_height(ops, label, height):
+    """Whether label reaches height in the right-to-left walk before an
+    annihilator meets an empty label (which ends it at 0)."""
+    heights = {}
+    for op in reversed(ops):
+        h = heights.get(op.label, 0) + (1 if op.is_creator else -1)
+        if h < 0:
+            return False
+        if op.label == label and h >= height:
+            return True
+        heights[op.label] = h
+    return False
+
+
+def dyck_string(rng, length, label):
+    """A random string of one label, of even length, whose walk returns to
+    the vacuum: its VEV is not 0."""
+    ops, h = [], 0
+    for left in range(length, 0, -1):  # built right to left
+        up = h == 0 or (h < left and rng.random() < 0.5)
+        h += 1 if up else -1
+        ops.append(a_dag(label) if up else a(label))
+    return ops[::-1]
+
+
+def test_fock_and_wick_agree_past_height_16_and_32_operators():
+    # the oracle has no cap on height or length: it and wick_vev give the
+    # same value or raise the same typed error where a label passes height
+    # 16 within 32 operators (a VEV of 0, or a weight that overflows on the
+    # way) ...
+    rng = random.Random(28)
+    cases = []
+    while len(cases) < 120:
+        tokens = [op for m in range(rng.randint(1, 3))
+                  for op in (a(m), a_dag(m))]
+        block = [a_dag(0)] * rng.randint(17, 28)
+        right = [rng.choice(tokens)
+                 for _ in range(rng.randint(0, 32 - len(block)))]
+        left = [rng.choice(tokens)
+                for _ in range(rng.randint(0, 32 - len(block) - len(right)))]
+        ops = tuple(left + block + right)
+        if reaches_height(ops, a(0).label, 17):
+            cases += [(ops, q) for q in (0.5, 2.0, 1e10, 1e20, 1e155, 1e300)]
+    # ... and on strings of 33-200 operators on one and on two labels: most
+    # with a VEV that is not 0, some with one operator changed or dropped
+    for _ in range(40):
+        length = 2 * rng.randint(17, 100)
+        if rng.random() < 0.5:
+            ops = dyck_string(rng, length, 0)
+        else:  # two labels, interleaved at random
+            other = dyck_string(rng, 2 * rng.randint(1, length // 2 - 1), 1)
+            main = iter(dyck_string(rng, length - len(other), 0))
+            at, other = set(rng.sample(range(length), len(other))), iter(other)
+            ops = [next(other if i in at else main) for i in range(length)]
+        if rng.random() < 0.25:
+            ops[rng.randrange(length)] = rng.choice((a(0), a_dag(0), a(1)))
+        if rng.random() < 0.25:
+            del ops[rng.randrange(length)]
+        cases += [(tuple(ops), q) for q in (-2.0, -1.0, -0.999, -0.5, 0.0, 0.5,
+                                            0.9, 1.0, 1.2, 2.0, 1e10, 1e20)]
+    for ops, q in cases:
+        want = outcome(vev, ops, q)
+        got = outcome(wick_vev, ops, q)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, (ops, q, got, want)
+        else:
+            assert abs(got - want) <= 1e-9 * abs(want), (ops, q, got, want)
+
+
 STRING, F1 = (a(0), a(0), a_dag(0), a_dag(0)), (a(0),)
 NON_FINITE_CALLS = {
     "normal_order": lambda x: normal_order(STRING, x),
@@ -673,9 +737,11 @@ def test_wick_vev_product_overflow_is_typed():
 
 
 def test_wick_vev_of_long_strings_is_the_q_factorial():
-    # a^n adag^n has the VEV [n]_q! = prod_k [k]_q, [k]_q = 1 + ... + q^(k-1):
-    # the reference for strings past fock.vev's 2 n_max operators, taken
-    # as a running mpmath product at 200 bits
+    # a^n adag^n has the VEV [n]_q! = prod_k [k]_q, [k]_q = 1 + ... + q^(k-1),
+    # taken as a running mpmath product at 200 bits.  fock.vev forms it
+    # with, per operator, one basic_number (within 4 eps, halved by the
+    # root), one square root (eps) and one product (eps/2): 2n operators
+    # at u = 3.5 eps each give (1 + u)^2n - 1 <= 2nu (1 + 2nu)
     mp = pytest.importorskip("mpmath")
     eps, ns = 2.0 ** -52, (1, 2, 5, 17, 33, 100, 500, 1000, 3000, 10 ** 4)
     for q in (-1.0, -0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999999, 1.0, 1.0001,
@@ -696,6 +762,10 @@ def test_wick_vev_of_long_strings_is_the_q_factorial():
                 got = wick_vev(ops, q)
                 if abs(exact) >= sys.float_info.min:
                     assert abs(got - exact) <= 4 * k * eps * abs(exact), (
+                        k, q, got, exact)
+                    err = 2 * k * 3.5 * eps
+                    got = vev(ops, q)
+                    assert abs(got - exact) <= err * (1 + err) * abs(exact), (
                         k, q, got, exact)
                 else:  # 0, or so far below the float range that it rounds to 0
                     assert got == float(exact), (k, q, got, exact)
