@@ -2,7 +2,8 @@
 
 Modules:
     qcore       basic q-numbers and deformed occupancy statistics
-    fock        q-Fock space, ladder operators, brute-force VEVs
+    fock        q-Fock space: ladder operators walking one basis state,
+                brute-force VEVs
     wick        q-Wick normal ordering and pairing expansion + oracle harness
     lorentz     float four-vectors: Minkowski products, omega, checks, boost
                 rows, the Dirac spinor basis
@@ -27,7 +28,7 @@ _LAZY_LAYERS = ("qcore", "fock", "wick", "lorentz", "dirac", "propagator",
 # each re-exported name with the layer that defines it
 _LAZY_NAMES = {name: layer for layer, names in (
     ("qcore", ("basic_number", "q_occupancy")),
-    ("fock", ("a", "a_dag", "b", "b_dag", "vev", "StateVector")),
+    ("fock", ("a", "a_dag", "b", "b_dag", "vev")),
     ("wick", ("normal_order", "wick_expand", "wick_vev", "verify_wick")),
     ("propagator", ("scalar_propagator_momentum",
                     "spinor_propagator_momentum",

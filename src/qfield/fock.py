@@ -17,17 +17,16 @@ Charge conjugation swaps the two species with a unit phase epsilon.
 construction, so the dicts keyed on them hash and compare in C.  As
 tuples they compare equal to a plain tuple of their fields
 (``ModeLabel(PARTICLE, 0) == (PARTICLE, 0)``), and both are ordered
-field by field.  ``StateVector`` is a mutable ``errors.Record``:
-compared by value, unhashable.
+field by field.
 """
 from __future__ import annotations
 
-import cmath
+import math
 from collections import namedtuple
 from operator import index
 from typing import Iterable, Sequence
 
-from .errors import NegativeNormError, NumericOverflowError, Record, finite
+from .errors import NegativeNormError, NumericOverflowError, finite
 from .qcore import basic_number
 
 PARTICLE = "particle"
@@ -96,95 +95,55 @@ def b_dag(mode: int = 0) -> LadderOp:
     return LadderOp(CREATE, ModeLabel(ANTIPARTICLE, mode))
 
 
-# A basis state is a sorted tuple of ((species, mode) label, occupation>0).
-FockState = tuple
+def apply_string(ops: Sequence[LadderOp], occupations: dict,
+                 q: float) -> tuple[dict, float] | None:
+    """Apply a product of ladder operators, rightmost factor first, to a
+    basis state: a dict from label to occupation, ``{}`` the vacuum.
 
-
-def _state_get(state: FockState, label: ModeLabel) -> int:
-    for lab, n in state:
-        if lab == label:
-            return n
-    return 0
-
-
-def _state_set(state: FockState, label: ModeLabel, n: int) -> FockState:
-    items = [(lab, occ) for lab, occ in state if lab != label]
-    if n > 0:
-        items.append((label, n))
-    items.sort()
-    return tuple(items)
-
-
-VACUUM: FockState = ()
-
-
-class StateVector(Record):
-    """Complex linear combination of Fock basis states.
-
-    Each vector gets its own ``terms`` dict unless one is passed.
+    Returns the one image (occupations, amplitude), a new dict with no
+    zero entry and a float, or None for the zero vector: where an
+    annihilator meets an empty label or the amplitude is an exact 0 (a
+    tiny one, such as (1 + q)^2 near q = -1, is as exact as a large one).
+    The step between occupations level - 1 and level has weight
+    sqrt(<level>_q) either way, inf where <level>_q overflows, and raises
+    NegativeNormError where <level>_q < 0 (the even levels below q = -1).
     """
-
-    __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def vacuum(cls) -> "StateVector":
-        return cls({VACUUM: 1.0 + 0.0j})
-
-    def prune(self) -> "StateVector":
-        """Drop the exact zeros only: a ladder operator maps a basis state
-        to one basis state, so the vector cannot grow, and a tiny amplitude
-        such as (1 + q)^2 near q = -1 is as exact as a large one."""
-        self.terms = {s: c for s, c in self.terms.items() if c}
-        return self
-
-    def amplitude(self, state: FockState) -> complex:
-        return self.terms.get(state, 0.0 + 0.0j)
-
-
-def apply_ladder(op: LadderOp, v: StateVector, q: float) -> StateVector:
-    """Apply one ladder operator to a state vector (linear, exact, one to
-    one on basis states).  NegativeNormError where <level>_q < 0: at the
-    even levels below q = -1, as basic_number's sign is exact."""
-    out: dict = {}
-    up = op.is_creator
-    for state, amp in v.terms.items():
-        n = _state_get(state, op.label)
-        # the step between occupations level - 1 and level has weight
-        # sqrt(<level>_q) in either direction
-        level = n + 1 if up else n
+    occupations = dict(occupations)
+    amplitude = 1.0
+    for kind, label in reversed(tuple(ops)):
+        n = occupations.pop(label, 0)
+        level = n + 1 if kind == CREATE else n
         if level == 0:
-            continue
-        coeff2 = basic_number(q, level)
+            return None
+        try:
+            coeff2 = basic_number(q, level)
+        except NumericOverflowError:
+            coeff2 = math.inf
         if coeff2 < 0.0:
             raise NegativeNormError(f"<{level}>_q = {coeff2} < 0 at q={q}")
-        new = _state_set(state, op.label, level if up else level - 1)
-        out[new] = coeff2 ** 0.5 * amp
-    return StateVector(out).prune()
-
-
-def apply_string(ops: Sequence[LadderOp], v: StateVector,
-                 q: float) -> StateVector:
-    """Apply a product of ladder operators, rightmost factor first."""
-    for op in reversed(list(ops)):
-        v = apply_ladder(op, v, q)
-    return v
+        amplitude *= coeff2 ** 0.5
+        if not amplitude:
+            return None
+        n = level if kind == CREATE else level - 1
+        if n:
+            occupations[label] = n
+    return occupations, amplitude
 
 
 def vev(ops: Sequence[LadderOp], q: float) -> complex:
     """Brute-force vacuum expectation value of an operator product.
 
     The oracle for the Wick engine, exact up to floating point at every
-    length.  Each ladder operator maps a basis state to one basis state,
-    so the cost is linear in the length.  NumericOverflowError if it is
-    not finite.
+    length: the amplitude of the vacuum's image if that image is the
+    vacuum, else 0.  The cost is linear in the length.
+    NumericOverflowError if it is not finite.
     """
     finite(q, "q")
-    value = apply_string(ops, StateVector.vacuum(), q).amplitude(VACUUM)
-    if cmath.isfinite(value):
-        return value
+    image = apply_string(ops, {}, q)
+    if image is None or image[0]:
+        return 0j
+    if math.isfinite(image[1]):
+        return complex(image[1])
     raise NumericOverflowError(f"the vacuum amplitude overflows at q={q}")
 
 
@@ -201,26 +160,6 @@ def charge_conjugate_op(op: LadderOp, epsilon: complex = 1.0):
     else:
         phase = epsilon if op.is_creator else epsilon.conjugate()
     return phase, new
-
-
-def charge_conjugate_state(v: StateVector, epsilon: complex = 1.0) -> StateVector:
-    """Conjugate a state: swap species occupations and apply phases.
-
-    A basis state built from n particle creators and m antiparticle
-    creators picks up (eps*)^n * eps^m.  The vacuum is invariant.
-    """
-    _check_phase(epsilon)
-    out: dict = {}
-    for state, amp in v.terms.items():
-        n_part = sum(occ for lab, occ in state if lab.species == PARTICLE)
-        n_anti = sum(occ for lab, occ in state if lab.species == ANTIPARTICLE)
-        phase = (epsilon.conjugate() ** n_part) * (epsilon ** n_anti)
-        swapped = tuple(sorted(
-            (ModeLabel(ANTIPARTICLE if lab.species == PARTICLE else PARTICLE,
-                       lab.mode), occ)
-            for lab, occ in state))
-        out[swapped] = out.get(swapped, 0.0 + 0.0j) + phase * amp
-    return StateVector(out).prune()
 
 
 def charge_conjugate_string(ops: Iterable[LadderOp], epsilon: complex = 1.0):

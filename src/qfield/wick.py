@@ -292,8 +292,10 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> float:
     ``NegativeNormError`` exactly where ``fock.vev`` does: where a creator
     takes a label to an even height h below q = -1, <h>_q < 0, before the
     value is known to be zero.  At q = -1 that weight is 0 and gives 0, as
-    does an annihilator at height 0 or a height left above 0.  Raises
-    ``NumericOverflowError`` where a weight or the product overflows.
+    does an annihilator at height 0 or a height left above 0, even where a
+    weight on the way overflows: such a weight is taken as inf, and it
+    enters the product only where an annihilator closes its height.
+    Raises ``NumericOverflowError`` where the product overflows.
     """
     finite(q, "q")
     height: Dict[ModeLabel, int] = {}
@@ -304,7 +306,10 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> float:
         if kind == CREATE:
             h += 1
             if h == len(weights):
-                w = basic_number(q, h)
+                try:
+                    w = basic_number(q, h)
+                except NumericOverflowError:
+                    w = math.inf  # multiplied in only if h is closed again
                 if w < 0.0:
                     raise NegativeNormError(f"<{h}>_q = {w} < 0 at q={q}")
                 if w == 0.0:

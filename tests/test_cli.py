@@ -520,7 +520,7 @@ print(code, *sorted(m for m in sys.modules
 # Every name the package re-exports, with the module that defines it.
 REEXPORTS = {
     "qcore": ("basic_number", "q_occupancy"),
-    "fock": ("a", "a_dag", "b", "b_dag", "vev", "StateVector"),
+    "fock": ("a", "a_dag", "b", "b_dag", "vev"),
     "wick": ("normal_order", "wick_expand", "wick_vev", "verify_wick"),
     "propagator": ("scalar_propagator_momentum", "spinor_propagator_momentum",
                    "photon_propagator_momentum", "pole_residues",
