@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QFieldError, finite
+from .errors import NumericOverflowError, QFieldError, finite
 
 # scattering.PHOTON_LINE and scattering.ELECTRON_LINE, spelled out so that
 # building the parser does not import the scattering layer (a test pins
@@ -177,18 +177,21 @@ def cmd_propagator_momentum(args):
         header += ["value_re", "value_im", "onshell_distance"]
     else:
         header += ["component", "value_re", "value_im", "onshell_distance"]
+    fn = {"scalar": propagator.scalar_propagator_momentum,
+          "spinor": propagator.spinor_propagator_momentum,
+          "photon": propagator.photon_propagator_momentum}[kind]
     rows = []
     for k0 in k0_values:
-        k = (k0, *kvec)
+        pv = fn((k0, *kvec), args.m, args.q)
+        # the value can be in range where its |k^2 - m^2| column is not
+        if pv.onshell_distance == float("inf"):
+            raise NumericOverflowError(
+                f"onshell_distance |k^2 - m^2| overflows at k0={k0}")
         if kind == "scalar":
-            pv = propagator.scalar_propagator_momentum(k, args.m, args.q)
             rows.append([fmt(args.q), fmt(args.m), fmt(k0), *map(fmt, kvec),
                          fmt(pv.value.real), fmt(pv.value.imag),
                          fmt(pv.onshell_distance)])
         else:
-            fn = (propagator.spinor_propagator_momentum if kind == "spinor"
-                  else propagator.photon_propagator_momentum)
-            pv = fn(k, args.m, args.q)
             for i in range(4):
                 for j in range(4):
                     rows.append([fmt(args.q), fmt(args.m), fmt(k0),

@@ -54,7 +54,8 @@ class PropagatorValue(Record):
 
     ``value`` is a complex scalar or 4 rows of 4 complex (tuples;
     numpy.array(value) is the matrix);
-    ``onshell_distance`` (|k^2 - m^2|) is set only in momentum space, and
+    ``onshell_distance`` (|k^2 - m^2|, inf where only it overflows) is set
+    only in momentum space, and
     ``quad_error`` (a bound on the absolute error) only in position space.
     """
 
@@ -77,8 +78,10 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     taken from k0 -+ w, each rounded once, so that no digit cancels near
     either pole (tolerance: scalar_propagator_momentum).  At w = 0 that
     form is 0/0 at q = 1, where D = 1/k0^2, returned within 2 eps, and
-    has no finite value at any other q.  PoleError only at k0 = +-w
-    exactly; kvec serves only to name a non-finite input.
+    has no finite value at any other q.  Where k^2 - m^2 overflows, D is
+    divided by k0 - w and by k0 + w in turn, and the distance is inf.
+    PoleError only at k0 = +-w exactly; kvec serves only to name a
+    non-finite input.
     """
     d, s = k0 - w, k0 + w
     if d == 0.0 or s == 0.0:
@@ -93,6 +96,10 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     if not (math.isfinite(val) and math.isfinite(k2_m2)):
         for x in (k0, *kvec):  # a non-finite input, else an overflow
             finite(x, "component of k")
+        if math.isinf(k2_m2) and w:  # D may be in range: divide in turn
+            val = 0.5 * ((s - q * d) / w) / d / s
+        if math.isfinite(val):
+            return val, math.inf
         raise NumericOverflowError(
             f"propagator overflows at k0={k0}, omega={w}, q={q}")
     return val, abs(k2_m2)
@@ -104,8 +111,10 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     Tolerance, with S = (1/2w)[1/|k0 - w| + |q|/|k0 + w|] the size of the
     partial-fraction terms: within 8 eps S of the float formula
     (1/(k0 - w) - q/(k0 + w)) / (2w) at the same w, and within
-    4 eps (1 + w/|k0 - w| + w/|k0 + w|) S of the exact value at the float
-    inputs, the w terms being the rounding of w.  Near k0 = w, S is |D| to
+    4 eps (1 + w/|k0 - w| + w/|k0 + w|) S + ulp(0) of the exact value at
+    the float inputs, the w terms being the rounding of w and ulp(0) that
+    of a subnormal D (which the spinor and photon entries scale up where
+    k^2 - m^2 overflows).  Near k0 = w, S is |D| to
     first order, so that is relative 6 eps (1 + w/|k0 - w|).  At w = 0 the
     value exists only at q = 1, D = 1/k0^2 within 2 eps; elsewhere there
     NumericOverflowError.  PoleError only at k0 = +-w exactly; ValueError
@@ -231,6 +240,7 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
 
 _EPS = math.ulp(1.0)
 _UNDERFLOW = math.ulp(0.0)  # the absolute rounding of a subnormal result
+_MIN_NORMAL = 2.0 ** -1022
 _FOUR_PI2 = 4.0 * math.pi ** 2
 _HALF_PI = 0.5 * math.pi
 _THREE_QUARTER_PI = 0.75 * math.pi
@@ -323,7 +333,9 @@ def _wightman(t: float, r: float, m: float) -> tuple:
     exponential, plus one subnormal unit.  ConvergenceError first, at a
     timelike point where the relative bound reaches 1 (m tau past about
     5.6e14, tau^2 finite or not), where W has no correct digit; then
-    NumericOverflowError where zeta^2, m zeta or W leaves the float range.
+    NumericOverflowError where m zeta or W leaves the float range.  Where
+    only zeta^2 leaves the normal range, W comes from t, r and m scaled by
+    powers of 2, unless W, scaled to tiny zeta^2, is subnormal there.
     """
     ta = abs(t)
     zeta2 = (r - ta) * (r + ta)  # a product keeps the digits near the cone
@@ -339,7 +351,23 @@ def _wightman(t: float, r: float, m: float) -> tuple:
             f"no correct digit at m tau = {z} (t={t}, r={r}, m={m}): the "
             f"rounding of tau moves the phase m tau by a radian")
     den = _FOUR_PI2 * zeta2
-    if not 0.0 < abs(den) < math.inf:
+    # a subnormal zeta^2 has lost digits, and W and z with it
+    if not (_MIN_NORMAL <= abs(zeta2) and abs(den) < math.inf):
+        # W has mass dimension 2: W(t, r, m) = 2^-2e W(t 2^-e, r 2^-e,
+        # m 2^e) at the same z, where e takes zeta^2 to within 2^+-1001
+        x = math.frexp(r - ta)[1] + math.frexp(r + ta)[1]
+        e = (x - max(-1000, min(x, 1000))) // 2
+        if e:
+            value, err = _wightman(math.ldexp(ta, -e), math.ldexp(r, -e),
+                                   math.ldexp(m, e))
+            # scaled up (e < 0), a subnormal value has too few digits
+            if e > 0 or abs(value) >= _MIN_NORMAL:
+                # |e| < 600: 2^-e is exact, and so is each product unless
+                # it is subnormal (the added unit) or overflows
+                s = 2.0 ** -e
+                value = value * s * s
+                if cmath.isfinite(value):
+                    return value, err * s * s + _UNDERFLOW
         raise NumericOverflowError(
             f"invariant interval r^2 - t^2 = {zeta2} out of range "
             f"at t={t}, r={r}")

@@ -14,8 +14,9 @@ along three paths:
   the coefficients are q-rook numbers, Varvak 2005), so a run of like
   creators costs one update and one label polynomial time in the length.
   Coefficients are integer polynomials in q, packed in 32-bit fields of
-  one Python int during the sweep and unpacked to a ``QPoly``, a tuple of
-  ints, whose value at a float q is the exact sum rounded once.
+  one Python int during the sweep and unpacked, in one ``struct`` call,
+  to a ``QPoly``, a tuple of ints, whose value at a float q is the exact
+  sum rounded once.
 * Path product (``wick_vev``): read right to left, the string is a
   lattice path per label.  A creator steps its label's height up; an
   annihilator steps it down from height h and contributes the level
@@ -39,7 +40,7 @@ vacuum expectation value.  Like that oracle, every path raises
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import fock
@@ -57,6 +58,12 @@ MAX_STRING_LEN = 12
 # _RUN[r] = [r]_q = 1 + q + ... + q^(r-1) packed as in normal_order: its
 # value (q^r - 1)/(q - 1) at q = 2^32.
 _RUN = [((1 << 32 * r) - 1) // 0xFFFFFFFF for r in range(MAX_STRING_LEN + 1)]
+
+# _UNPACK[n] unpacks the n 32-bit fields of a packed coefficient.  A
+# coefficient's degree counts (annihilator, creator) pairs that an
+# annihilator passed, at most (MAX_STRING_LEN // 2)^2 of them.
+_UNPACK = [struct.Struct(f"<{n}I").unpack
+           for n in range((MAX_STRING_LEN // 2) ** 2 + 2)]
 
 
 def _capped(ops: Sequence[LadderOp]) -> OperatorString:
@@ -170,25 +177,33 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
         for (creators, annihilators), v in forms.items():
             creators = front + creators
             k = creators.count(partner)
-            t = j = 0
-            while t < k:  # the run [i, j) of x-creators: q^t [j - i]_q
-                i = creators.index(partner, j)
-                j = i + 1
-                while j - i < k - t and creators[j] == partner:
-                    j += 1
-                key = (creators[:i] + creators[i + 1:], annihilators)
-                prepended[key] = get(key, 0) + (v << 32 * t) * _RUN[j - i]
-                t += j - i
+            # all creators are x-creators, as in every form of a one-label
+            # string: one run, contracted at [k]_q with no index or scan
+            if k and k == len(creators):
+                key = (creators[1:], annihilators)
+                prepended[key] = get(key, 0) + v * _RUN[k]
+            else:
+                t = j = 0
+                while t < k:  # the run [i, j) of x-creators: q^t [j - i]_q
+                    i = creators.index(partner, j)
+                    j = i + 1
+                    while j - i < k - t and creators[j] == partner:
+                        j += 1
+                    key = (creators[:i] + creators[i + 1:], annihilators)
+                    prepended[key] = (get(key, 0)
+                                      + (v << 32 * t) * _RUN[j - i])
+                    t += j - i
             key = (creators, (code,) + annihilators)
             prepended[key] = get(key, 0) + (v << 32 * k)
         forms = prepended
         front = ()
-    # The fields are unpacked in C; the top one holds the top bit of v.
+    # v fills n = ceil(bits / 32) fields, its top one nonzero; one struct
+    # call unpacks them.
     lookup = decode.__getitem__
     terms = {tuple(map(lookup, front + creators + annihilators)):
-             QPoly(memoryview(v.to_bytes(4 * ((v.bit_length() + 31) // 32),
-                                         sys.byteorder)).cast("I"))
-             for (creators, annihilators), v in forms.items()}
+             QPoly(_UNPACK[n](v.to_bytes(4 * n, "little")))
+             for (creators, annihilators), v in forms.items()
+             for n in ((v.bit_length() + 31) >> 5,)}
     return NormalForm(terms, q)
 
 
@@ -299,7 +314,9 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> float:
     """
     finite(q, "q")
     height: Dict[ModeLabel, int] = {}
-    weights = [0.0]  # weights[h] = <h>_q, checked when first reached
+    # weights[h] = <h>_q, checked when first reached; <1>_q = (q - 1)/(q - 1)
+    # is exactly 1.0 at every q, and neither check fires on it
+    weights = [0.0, 1.0]
     value = 1.0
     for kind, label in reversed(tuple(ops)):
         h = height.get(label, 0)

@@ -52,11 +52,11 @@ def unscale(z, shift: int):
 # each, as the function's docstring states it.
 
 def scalar_bound(k0, kvec, m, q):
-    """scalar_propagator_momentum's 4 eps (1 + w/|d| + w/|s|) S."""
+    """scalar_propagator_momentum's 4 eps (1 + w/|d| + w/|s|) S + ulp(0)."""
     w = omega(kvec, m)
     d, s = abs(k0 - w), abs(k0 + w)
     size = (1.0 / d + abs(q) / s) / (2.0 * w)
-    return 4.0 * EPS * (1.0 + w / d + w / s) * size
+    return 4.0 * EPS * (1.0 + w / d + w / s) * size + TINY
 
 
 def scalar(k, m, q):
@@ -252,6 +252,14 @@ for k, m, q in ((GENERIC, 1.0, 0.5), (NEAR_PLUS, 1.0, 0.5),
     for fn in (scalar, spinor, photon):
         CASES.append((fn.__name__, -2, fn, (k, m, q), (1, 1, 0),
                       momentum_squares))
+# k^2 - m^2 overflows, D = 2.5e-156 does not
+FAR = (1e155, 0.0, 0.0, 0.0)
+CASES += [("scalar", -2, scalar, (FAR, 1.0, 0.5), (1, 1, 0),
+           momentum_squares),
+          ("spinor", -2, spinor, (FAR, 1.0, 0.5), (1, 1, 0),
+           momentum_squares),
+          ("photon", -2, photon, ((1e155, 1.0, 0.0, 0.0), 0.0, 0.5),
+           (1, 1, 0), momentum_squares)]
 CASES += [("scalar", -2, scalar, (GENERIC, -1.0, 0.5), (1, 1, 0),
            momentum_squares),
           ("photon", -2, photon, ((0.5, 1.0, 0.0, 0.0), 0.0, -1.0),
@@ -265,11 +273,16 @@ for t, r, m, q in ((2.0, 0.5, 1.0, 0.5), (0.5, 2.0, 1.0, -0.7),
                    (-1.3, CONE, 1.0, 0.5), (CONE, 1.3, 1.0, 1.5),
                    (-CONE, 1.3, 0.0, 0.5), (1e-13, 1e-14, 1.0, 0.5),
                    (2.0, 0.5, 0.0, 0.5), (1.0, 1.0, 1.0, 0.5),
-                   (1e15, 1.0, 1.0, 0.5)):
+                   (1e15, 1.0, 1.0, 0.5),
+                   # zeta^2 = -1.4e309 overflows, W = -1e-305 + 2.5e-307i
+                   # does not
+                   (-2.0874101e157, 2.0874068e157, 2.1e-143, 0.5)):
     CASES.append(("causal_position", 2,
                   lambda *a: position(prop.causal_position(*a)),
                   (t, r, m, q), (-1, -1, 1, 0), None))
-for r, m in ((0.7, 1.0), (0.7, 0.0), (30.0, 1.0)):
+# zeta^2 = 9e-314 is subnormal: W came out 1.3e-10 relative off, past
+# its bound of 6.5e-13
+for r, m in ((0.7, 1.0), (0.7, 0.0), (30.0, 1.0), (3e-157, 4e157)):
     CASES += [("delta_plus_equal_time", 2,
                lambda *a: position(prop.delta_plus_equal_time(*a)),
                (r, m), (-1, 1), None),

@@ -125,6 +125,12 @@ def test_exact_specializations():
     for n in range(10):
         assert basic_number(1.0, n) == float(n)
         assert basic_number(-1.0, n) == (1 - (-1) ** n) / 2
+    # <1>_q = (q - 1)/(q - 1) is exactly 1 wherever q - 1 is finite and
+    # nonzero; wick_vev takes the first level weight as 1.0 without a call
+    big, tiny = sys.float_info.max, 5e-324
+    for q in (big, -big, 1e300, -1e300, tiny, -tiny, -2.0, -1.0, -0.5, 0.0,
+              0.5, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 2.0):
+        assert basic_number(q, 1) == 1.0, q
 
 
 def test_occupancy_limits():

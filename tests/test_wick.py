@@ -592,12 +592,18 @@ def test_wick_report_has_no_absolute_floor():
 
 
 # -1 approached from below to the last float, -1 itself, -1 approached
-# from above, far below it, ordinary q, and large q where weights and
-# products overflow
+# from above, far below it, ordinary q, large q where weights and products
+# overflow, and 0 and 1 approached from both sides (down to +-5e-324 and
+# 1 +- 2^-52), where <h>_q tends to 1 and to h
 Q_EDGES = ([-1.0 - 2.0 ** -k for k in range(1, 53)]
            + [-1.0 + m * 2.0 ** -k for m in (0.7, 0.9137)
               for k in (3, 10, 20, 30, 40, 52)]
-           + [-1.0, -1e300, 0.3, 1.2, 2.0, 1e155, 1e300])
+           + [-1.0, -1e300, 0.3, 1.2, 2.0, 1e155, 1e300]
+           + [s * m * 2.0 ** -k for s in (1.0, -1.0) for m in (0.7, 0.9137)
+              for k in (3, 10, 20, 30, 40, 52, 200, 1000)]
+           + [1.0 + s * m * 2.0 ** -k for s in (1.0, -1.0)
+              for m in (0.7, 0.9137) for k in (3, 10, 20, 30, 40, 52)]
+           + [0.0, 1.0, 5e-324, -5e-324])
 
 
 def outcome(engine, ops, q):
