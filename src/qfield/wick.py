@@ -7,16 +7,14 @@ Everything follows from the defining relation
 
 along three paths:
 
-* Rewrite (``normal_order``): one right-to-left sweep keeps the normal
-  form of the suffix read so far, merged by normal-ordered string.  An
-  annihilator prepended to a form moves through its creators with the
-  recurrence a adag^j = q^j adag^j a + [j]_q adag^(j-1) (for one label
-  the coefficients are q-rook numbers, Varvak 2005), so a run of like
-  creators costs one update and one label polynomial time in the length.
-  Coefficients are integer polynomials in q, packed in 32-bit fields of
-  one Python int during the sweep and unpacked, in one ``struct`` call,
-  to a ``QPoly``, a tuple of ints, whose value at a float q is the exact
-  sum rounded once.
+* Rewrite (``normal_order``): labels commute at factor 1, so the normal
+  form is the product of each label's own, built in one right-to-left
+  sweep by a adag^j = q^j adag^j a + [j]_q adag^(j-1) (its coefficients
+  are q-rook numbers, Varvak 2005).  Each operator has one key: its
+  creators, then its annihilators, each ordered by ``ModeLabel``.  The
+  coefficients are integer polynomials in q, packed in 32-bit fields of
+  one int while they are built and unpacked to a ``QPoly``, a tuple of
+  ints, whose value at a float q is the exact sum rounded once.
 * Path product (``wick_vev``): read right to left, the string is a
   lattice path per label.  A creator steps its label's height up; an
   annihilator steps it down from height h and contributes the level
@@ -33,9 +31,12 @@ along three paths:
   command prints the diagrams, and the tests use the sum as the
   reference for the path product.
 
-``verify_wick`` checks the path product against the brute-force Fock
-vacuum expectation value.  Like that oracle, every path raises
-``NonFiniteInputError`` for a nan or infinite q.
+``verify_wick`` checks the path product against ``fock.vev``, which walks
+the same heights with the same <h>_q: that checks rounding and the zero
+set, not the algebra.  The independent references are ``normal_order``'s
+polynomials, ``wick_expand``'s diagram sum, and the tests' heap rewriter
+and 200-bit mpmath products.  Every path raises ``NonFiniteInputError``
+for a nan or infinite q.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ OperatorString = Tuple[LadderOp, ...]
 # and fock.vev are linear in it and take any length.
 MAX_STRING_LEN = 12
 
-# _RUN[r] = [r]_q = 1 + q + ... + q^(r-1) packed as in normal_order: its
+# _RUN[r] = [r]_q = 1 + q + ... + q^(r-1) packed as in _label_form: its
 # value (q^r - 1)/(q - 1) at q = 2^32.
 _RUN = [((1 << 32 * r) - 1) // 0xFFFFFFFF for r in range(MAX_STRING_LEN + 1)]
 
@@ -114,9 +115,9 @@ class QPoly:
 class NormalForm(Record):
     """Sum of normal-ordered strings with polynomial-in-q coefficients.
 
-    ``terms`` maps each normal-ordered string (creators all left of
-    annihilators) to its coefficient; ``q`` is the working value the
-    evaluated ``coefficient`` numbers refer to.
+    ``terms`` maps each normal-ordered operator, keyed as ``normal_order``
+    states, to its coefficient; ``q`` is the working value the evaluated
+    ``coefficient`` numbers refer to.
     """
 
     __slots__ = _fields = ("terms", "q")
@@ -125,8 +126,18 @@ class NormalForm(Record):
         self.terms = terms
         self.q = q
 
-    def coefficient(self, ops: OperatorString) -> float:
-        poly = self.terms.get(tuple(ops))
+    def coefficient(self, ops: Sequence[LadderOp]) -> float:
+        """The value at ``q`` of the coefficient of ``ops``, in any order
+        that keeps each label's creators left of its annihilators (labels
+        commute); 0.0 for any other order, as for an operator not here."""
+        annihilated = set()
+        for kind, label in ops:
+            if kind != CREATE:
+                annihilated.add(label)
+            elif label in annihilated:
+                return 0.0
+        key = tuple(sorted(ops, key=lambda op: (op[0] != CREATE, op[1])))
+        poly = self.terms.get(key)
         return poly(self.q) if poly is not None else 0.0
 
     def vacuum_projection(self) -> float:
@@ -137,16 +148,14 @@ class NormalForm(Record):
 def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     """Rewrite an operator product into normal-ordered form.
 
-    One right-to-left sweep keeps the normal form of the suffix read so
-    far: a map from each normal-ordered string (its creators, then its
-    annihilators, each in string order) to its coefficient.  Prepending a
-    creator prefixes it.  Prepending an annihilator of label x moves it
-    through the creators: it contracts with the t-th x-creator (from the
-    left, t = 0, 1, ...) at factor q^t, or passes all k of them at factor
-    q^k; the contractions with a run of r x-creators from the t-th give
-    one string, at q^t [r]_q.  Creators of other labels commute at factor
-    1.  No redex (annihilator, creator) overlaps another, so every
-    rewriting order reaches this normal form.
+    Labels commute, so the form is the product of the normal forms of
+    each label's subsequence.  One right-to-left sweep per label keeps the
+    form of the suffix read so far; a prepended annihilator moves through
+    its c creators by a adag^c = q^c adag^c a + [c]_q adag^(c-1).  No redex
+    (annihilator, creator) overlaps another, so every rewriting order
+    reaches this normal form.  Each operator has one key: its creators,
+    then its annihilators, each ordered by ``ModeLabel``, as the input's
+    own ``LadderOp`` objects.
 
     The terms are exact integer polynomials in q; the returned
     ``NormalForm`` rounds each once at the working value ``q``.  Below
@@ -157,71 +166,55 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     ops = _capped(ops)
     if q < -1.0:
         wick_vev(ops, q)  # for its NegativeNormError; the value is unused
-    # Coefficients are packed into one int, the coefficient of q^e in the
-    # 32-bit field e: multiplying by q^t is a shift and adding is +.  Each
-    # coefficient of a suffix's form counts contraction patterns of that
-    # suffix, at most T(n) <= n! < 2^32 of them for n <= MAX_STRING_LEN
-    # (T(n) the number of involutions), so no field carries into the next.
-    codes, decode = _encode(ops)
-    forms: Dict[Tuple[tuple, tuple], int] = {((), ()): 1}
-    # Creators read since the last annihilator wait in ``front``, which
-    # is prefixed to every form at the next annihilator or at the end.
-    front: tuple = ()
-    for code in reversed(codes):
-        if code & 1:
-            front = (code,) + front
-            continue
-        partner = code | 1
-        prepended: Dict[Tuple[tuple, tuple], int] = {}
-        get = prepended.get
-        for (creators, annihilators), v in forms.items():
-            creators = front + creators
-            k = creators.count(partner)
-            # all creators are x-creators, as in every form of a one-label
-            # string: one run, contracted at [k]_q with no index or scan
-            if k and k == len(creators):
-                key = (creators[1:], annihilators)
-                prepended[key] = get(key, 0) + v * _RUN[k]
-            else:
-                t = j = 0
-                while t < k:  # the run [i, j) of x-creators: q^t [j - i]_q
-                    i = creators.index(partner, j)
-                    j = i + 1
-                    while j - i < k - t and creators[j] == partner:
-                        j += 1
-                    key = (creators[:i] + creators[i + 1:], annihilators)
-                    prepended[key] = (get(key, 0)
-                                      + (v << 32 * t) * _RUN[j - i])
-                    t += j - i
-            key = (creators, (code,) + annihilators)
-            prepended[key] = get(key, 0) + (v << 32 * k)
-        forms = prepended
-        front = ()
+    strings: Dict[ModeLabel, List[LadderOp]] = {}
+    for op in ops:
+        strings.setdefault(op[1], []).append(op)
+    parts = [_label_form(strings[label]) for label in sorted(strings)]
+    terms = parts[0] if parts else [((), (), 1)]
+    for part in parts[1:]:
+        # packed coefficients multiply as ints: each product coefficient
+        # still counts contraction patterns, so no field carries
+        terms = [(c + c2, d + d2, v * v2) for c, d, v in terms
+                 for c2, d2, v2 in part]
     # v fills n = ceil(bits / 32) fields, its top one nonzero; one struct
     # call unpacks them.
-    lookup = decode.__getitem__
-    terms = {tuple(map(lookup, front + creators + annihilators)):
-             QPoly(_UNPACK[n](v.to_bytes(4 * n, "little")))
-             for (creators, annihilators), v in forms.items()
-             for n in ((v.bit_length() + 31) >> 5,)}
-    return NormalForm(terms, q)
+    return NormalForm({c + d: QPoly(_UNPACK[n](v.to_bytes(4 * n, "little")))
+                       for c, d, v in terms
+                       for n in ((v.bit_length() + 31) >> 5,)}, q)
 
 
-def _encode(ops: OperatorString) -> Tuple[tuple, Dict[int, LadderOp]]:
-    """Code each operator as 2 * (label index) + is_creator.
+def _label_form(string: List[LadderOp]) -> List[Tuple[tuple, tuple, int]]:
+    """The normal form of one label's string as (creators, annihilators,
+    packed coefficient) terms, term k the one with k contractions.
 
-    Strings of small ints hash and compare far faster than tuples of
-    ``LadderOp``.  Returns the coded string and the code-to-operator table.
+    A coefficient is packed into one int, the coefficient of q^e in the
+    32-bit field e: multiplying by q^t is a shift and adding is +.  Each
+    counts contraction patterns of the string, at most T(n) <= n! < 2^32
+    for n <= MAX_STRING_LEN (T(n) the number of involutions), so no field
+    carries into the next.
     """
-    labels: Dict[ModeLabel, int] = {}
-    decode: Dict[int, LadderOp] = {}
-    codes = []
-    for op in ops:
-        kind, label = op
-        code = 2 * labels.setdefault(label, len(labels)) + (kind == CREATE)
-        decode[code] = op
-        codes.append(code)
-    return tuple(codes), decode
+    forms = [1]  # forms[k]: term k's coefficient in the suffix read so far
+    creators = 0
+    creator = annihilator = None  # the operators that key the terms
+    for op in reversed(string):
+        if op[0] == CREATE:
+            creator = op
+            creators += 1
+            continue
+        annihilator = op
+        # term k passes its c = creators - k creators at q^c, and term
+        # k - 1 contracts with one of its c + 1 at [c + 1]_q
+        c, u, passed = creators, 0, []
+        for v in forms:
+            passed.append((v << 32 * c) + u * _RUN[c + 1])
+            u = v
+            c -= 1
+        if c >= 0:  # the old last term had a creator left to contract
+            passed.append(u * _RUN[c + 1])
+        forms = passed
+    annihilators = len(string) - creators
+    return [((creator,) * (creators - k), (annihilator,) * (annihilators - k),
+             v) for k, v in enumerate(forms)]
 
 
 class PairingDiagram(Record):
@@ -260,7 +253,11 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
     """
     finite(q, "q")
     ops = _capped(ops)
-    codes, _ = _encode(ops)
+    # each operator as 2 * (label index) + is_creator: small ints compare
+    # far faster than LadderOps
+    labels: Dict[ModeLabel, int] = {}
+    codes = [2 * labels.setdefault(label, len(labels)) + (kind == CREATE)
+             for kind, label in ops]
     diagrams: List[PairingDiagram] = []
 
     def recurse(avail: tuple, pairs: tuple, free: tuple, crossings: int,
@@ -369,7 +366,8 @@ class WickReport(Record):
 
 
 def verify_wick(ops: Sequence[LadderOp], q: float) -> WickReport:
-    """Compare the path-product VEV against the Fock-space oracle."""
+    """Compare the path-product VEV against the Fock-space oracle (not an
+    independent check of the algebra: see the module docstring)."""
     ops = tuple(ops)
     return WickReport(ops, q, wick_vev(ops, q), fock.vev(ops, q))
 

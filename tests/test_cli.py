@@ -105,6 +105,17 @@ def test_wick_tables_print_one_real_coefficient_column(capsys):
         fmt(d.coefficient) for d in wick.wick_expand(ops, q)]
 
 
+def test_wick_normal_prints_one_row_per_operator(capsys):
+    # a0 a0+ a1+ a0+ = 1.5 a0+ a1+ + 0.25 a0+ a0+ a1+ a0 at q = 0.5: the
+    # string reaches a0+ a1+ in two orders, and it is one row
+    from qfield.cli import main
+    assert main(["wick", "normal", "--q", "0.5", "--ops",
+                 "a0,a0+,a1+,a0+"]) == 0
+    assert capsys.readouterr().out == ("term,coeff,q_power\n"
+                                       "a0+ a1+,1.5,\n"
+                                       "a0+ a0+ a1+ a0,0.25,2\n")
+
+
 def test_dirac_check_all_pass():
     res = run("dirac", "check")
     assert res.returncode == 0

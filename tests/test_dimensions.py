@@ -6,8 +6,9 @@ scaling every mass and momentum by 2^k, and every length and time by
 scales a binary float exactly, which makes this a cheap metamorphic test
 (Chen, Cheung and Yiu, "Metamorphic testing", HKUST-CS98-01, 1998): over
 k in [-500, 500] the two calls agree within the function's stated
-tolerance, or raise the same error.  A point is skipped only where the
-scaled result, or a square that omega forms, is not a normal float.
+tolerance, or raise the same error.  A point is skipped only at a k
+where a scaled input leaves the float range, or where the scaled result,
+or a square that omega forms, is not a normal float.
 """
 import math
 import sys
@@ -259,6 +260,9 @@ CASES += [("scalar", -2, scalar, (FAR, 1.0, 0.5), (1, 1, 0),
           ("spinor", -2, spinor, (FAR, 1.0, 0.5), (1, 1, 0),
            momentum_squares),
           ("photon", -2, photon, ((1e155, 1.0, 0.0, 0.0), 0.0, 0.5),
+           (1, 1, 0), momentum_squares),
+          # k0 = 1e300 leaves the float range from k = 28 on
+          ("scalar", -2, scalar, ((1e300, 0.0, 0.0, 0.0), 1.0, 0.5),
            (1, 1, 0), momentum_squares)]
 CASES += [("scalar", -2, scalar, (GENERIC, -1.0, 0.5), (1, 1, 0),
            momentum_squares),
@@ -352,7 +356,10 @@ def mismatch(name, d, fn, args, dims, squares) -> str | None:
     """The first k at which the scaled call breaks the scaling law."""
     base = attempt(fn, args)
     for k in KS:
-        scaled = [scale(a, e * k) for a, e in zip(args, dims)]
+        try:
+            scaled = [scale(a, e * k) for a, e in zip(args, dims)]
+        except OverflowError:  # ldexp past the largest float
+            continue
         if squares and not all(x == 0.0 or normal(x * x)
                                for x in squares(*scaled)):
             continue

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import math
 import random
@@ -11,7 +12,7 @@ import pytest
 from qfield import wick
 from qfield.errors import (NegativeNormError, NonFiniteInputError,
                            NumericOverflowError, QFieldError)
-from qfield.fock import a, a_dag, b, b_dag, apply_string, vev
+from qfield.fock import CREATE, a, a_dag, b, b_dag, apply_string, vev
 from qfield.wick import (PairingDiagram, QPoly, WickReport, normal_order,
                          verify_wick, wick_expand, wick_vev)
 
@@ -40,8 +41,12 @@ def all_two_mode_strings(length):
 
 def from_dict(by_exponent):
     """The QPoly whose coefficient of q^e is by_exponent.get(e, 0)."""
-    degree = max((e for e, c in by_exponent.items() if c), default=-1)
-    return QPoly(by_exponent.get(e, 0) for e in range(degree + 1))
+    coeffs = [0] * (max(by_exponent, default=-1) + 1)
+    for e, c in by_exponent.items():
+        coeffs[e] = c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return QPoly(coeffs)
 
 
 def q_power(p):
@@ -82,6 +87,22 @@ def reference_normal_order(ops):
     return {s: p for s, p in done.items() if p.coeffs}
 
 
+@functools.lru_cache(maxsize=None)
+def canonical_key(ops):
+    """An operator's one key: its creators, then its annihilators, each
+    ordered by label."""
+    return tuple(sorted(ops, key=lambda op: (op.kind != CREATE, op.label)))
+
+
+def canonical(terms):
+    """terms summed per operator, each under its canonical_key."""
+    out = {}
+    for ops, poly in terms.items():
+        key = canonical_key(ops)
+        out[key] = add(out[key], poly) if key in out else poly
+    return out
+
+
 def heap_normal_order(ops):
     """Rewriting with merged strings, popped from a heap in decreasing
     (length, inversion count) order so each is expanded once, after all
@@ -106,13 +127,14 @@ def heap_normal_order(ops):
     pending, done, heap = {}, {}, []
 
     def feed(string, n_inv, poly):
-        if n_inv == 0:
-            target = done.setdefault(string, {})
-        elif string in pending:
-            target = pending[string]
-        else:
-            target = pending[string] = {}
-            heapq.heappush(heap, (-len(string), -n_inv, string))
+        # every poly is fed once, so a new entry takes it as it is
+        target = pending if n_inv else done
+        if string not in target:
+            target[string] = poly
+            if n_inv:
+                heapq.heappush(heap, (-len(string), -n_inv, string))
+            return
+        target = target[string]
         for e, c in poly.items():
             target[e] = target.get(e, 0) + c
 
@@ -121,8 +143,9 @@ def heap_normal_order(ops):
     while heap:
         _, neg_inv, string = heapq.heappop(heap)
         poly = pending.pop(string)
-        i = next(i for i in range(len(string) - 1)
-                 if not string[i] & 1 and string[i + 1] & 1)
+        for i in range(len(string) - 1):  # the leftmost redex
+            if not string[i] & 1 and string[i + 1] & 1:
+                break
         left, right = string[i], string[i + 1]
         swapped = string[:i] + (right, left) + string[i + 2:]
         if left >> 1 == right >> 1:
@@ -131,7 +154,8 @@ def heap_normal_order(ops):
             feed(contracted, inversions(contracted), poly)
         else:
             feed(swapped, -neg_inv - 1, poly)
-    return {tuple(decode[c] for c in s): from_dict(p) for s, p in done.items()}
+    return {tuple(map(decode.__getitem__, s)): from_dict(p)
+            for s, p in done.items()}
 
 
 def reference_wick_expand(ops, q):
@@ -384,7 +408,8 @@ def test_normal_order_matches_reference_rewriter():
     strings += [ops for length in range(1, 6)
                 for ops in all_two_mode_strings(length)]
     for ops in strings:
-        assert normal_order(ops, 0.5).terms == reference_normal_order(ops), ops
+        assert normal_order(ops, 0.5).terms == canonical(
+            reference_normal_order(ops)), ops
 
 
 def test_normal_order_matches_heap_rewriter():
@@ -396,18 +421,45 @@ def test_normal_order_matches_heap_rewriter():
     strings += [tuple(rng.choice(choices) for _ in range(rng.randint(7, 12)))
                 for _ in range(500)]
     for ops in strings:
-        assert normal_order(ops, 0.5).terms == heap_normal_order(ops), ops
+        assert normal_order(ops, 0.5).terms == canonical(
+            heap_normal_order(ops)), ops
 
 
-def test_normal_order_merges_only_unbroken_runs():
-    # An a0 contracts with a run of like creators in one update; here the
-    # creators of two other labels split the runs of a0+.  Every string up
-    # to length 8 (87,381 of them).
+def test_normal_order_has_one_key_per_operator():
+    # Labels commute, so an operator may be written in many orders: each
+    # has one key, in canonical order, holding the whole of its
+    # coefficient.  Every string over two labels up to length 8 (87,381).
+    # Swapping the labels maps a string's rewriting onto its mirror's step
+    # for step, so the heap rewriter runs on the strings that start with
+    # label 0, and its result, relabeled, stands for their mirrors'.
     assert math.factorial(wick.MAX_STRING_LEN) < 2 ** 32  # no field carries
-    choices = (a(0), a_dag(0), a_dag(1), b_dag(0))
-    for length in range(9):
-        for ops in product(choices, repeat=length):
-            assert normal_order(ops, 0.5).terms == heap_normal_order(ops), ops
+    choices = (a(0), a_dag(0), a(1), a_dag(1))
+    swap = dict(zip(choices, (a(1), a_dag(1), a(0), a_dag(0)))).__getitem__
+    assert normal_order((), 0.5).terms == heap_normal_order(()) == {
+        (): QPoly((1,))}
+    for length in range(1, 9):
+        for rest in product(choices, repeat=length - 1):
+            for ops in ((a(0),) + rest, (a_dag(0),) + rest):
+                terms = heap_normal_order(ops)
+                mirrored = {tuple(map(swap, key)): poly
+                            for key, poly in terms.items()}
+                for s, t in ((ops, terms), (tuple(map(swap, ops)), mirrored)):
+                    assert normal_order(s, 0.5).terms == canonical(t), s
+
+
+def test_coefficient_takes_any_order_of_a_normal_ordered_operator():
+    # a0 a0+ a1+ a0+ = 1.5 a0+ a1+ + 0.25 a0+ a0+ a1+ a0 at q = 0.5
+    nf = normal_order((a(0), a_dag(0), a_dag(1), a_dag(0)), 0.5)
+    assert nf.terms == {(a_dag(0), a_dag(1)): QPoly((1, 1)),
+                        (a_dag(0), a_dag(0), a_dag(1), a(0)): q_power(2)}
+    assert nf.coefficient((a_dag(0), a_dag(1))) == 1.5
+    assert nf.coefficient((a_dag(1), a_dag(0))) == 1.5
+    assert nf.coefficient((a_dag(0), a_dag(0), a(0), a_dag(1))) == 0.25
+    assert nf.coefficient((a_dag(1), a_dag(0), a_dag(0), a(0))) == 0.25
+    # a0 left of an a0+ is not normal-ordered, whatever stands between
+    assert nf.coefficient((a_dag(0), a(0), a_dag(1), a_dag(0))) == 0.0
+    assert nf.coefficient((a_dag(0), a(0), a_dag(0), a_dag(1))) == 0.0
+    assert nf.coefficient((a_dag(1),)) == 0.0
 
 
 @pytest.mark.parametrize("n", range(7))
