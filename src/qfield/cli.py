@@ -108,8 +108,8 @@ def cmd_fock_vev(args):
     from . import fock
     ops = parse_ops(args.ops)
     val = fock.vev(ops, args.q)
-    header = ["ops", "q", "vev_re", "vev_im"]
-    rows = [[ops_repr(ops), fmt(args.q), fmt(val.real), fmt(val.imag)]]
+    header = ["ops", "q", "vev"]
+    rows = [[ops_repr(ops), fmt(args.q), fmt(val)]]
     return header, rows
 
 
@@ -299,7 +299,7 @@ COMMANDS = {
     "planck": ("deformed occupancy 1/(e^x - q)", cmd_planck,
                (_Q, ("--x", {"type": float, "required": True}))),
     "fock": ("Fock-space operations", {
-        "vev": ("brute-force vacuum expectation value", cmd_fock_vev,
+        "vev": ("vacuum expectation value by ladder steps", cmd_fock_vev,
                 (_Q, _OPS))}),
     "wick": ("q-Wick machinery", {
         "normal": ("normal-order an operator string", cmd_wick_normal,

@@ -8,8 +8,10 @@ q-oscillator representation
 
 so that  a adag - q adag a = 1  holds on every basis state.  Operators
 carrying distinct (species, mode) labels commute exactly; this is the
-minimal consistent multimode convention and is what makes the brute-force
-vacuum expectation values here a well-defined oracle for the Wick engine.
+minimal consistent multimode convention.  ``vev`` takes the square root
+of the level weight <h>_q on each step up and down that ``wick.wick_vev``
+takes once per closed height, so comparing the two checks rounding and
+where a value is 0, not the q-algebra.
 
 Charge conjugation swaps the two species with a unit phase epsilon.
 
@@ -130,20 +132,20 @@ def apply_string(ops: Sequence[LadderOp], occupations: dict,
     return occupations, amplitude
 
 
-def vev(ops: Sequence[LadderOp], q: float) -> complex:
-    """Brute-force vacuum expectation value of an operator product.
+def vev(ops: Sequence[LadderOp], q: float) -> float:
+    """Vacuum expectation value of an operator product, by applying it.
 
-    The oracle for the Wick engine, exact up to floating point at every
-    length: the amplitude of the vacuum's image if that image is the
-    vacuum, else 0.  The cost is linear in the length.
+    The amplitude of the vacuum's image if that image is the vacuum, else
+    0.0: real, since every step weight is a real square root.  Exact up to
+    floating point at every length, at a cost linear in the length.
     NumericOverflowError if it is not finite.
     """
     finite(q, "q")
     image = apply_string(ops, {}, q)
     if image is None or image[0]:
-        return 0j
+        return 0.0
     if math.isfinite(image[1]):
-        return complex(image[1])
+        return image[1]
     raise NumericOverflowError(f"the vacuum amplitude overflows at q={q}")
 
 

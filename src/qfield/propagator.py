@@ -211,7 +211,11 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
 
     The half-sum scalar form is used internally, so q = -1 is evaluable.
     Each entry is (g_ij - k_i k_j / m^2) D, so numpy.array(value) is
-    (g - outer(k, k) / m^2) * D evaluated in numpy, bit for bit.
+    (g - outer(k, k) / m^2) * D evaluated in numpy, bit for bit, except
+    where k_i k_j overflows: that entry is (g_ij - (k_i/m)(k_j/m)) D.
+    That form rounds three times, as k_i k_j / m^2 does, and neither
+    quotient nor their product is subnormal there (|k_i/m| > 1/m), so the
+    bound below holds for it too.
 
     Tolerance, with t = g - k k/m^2 exact at the float inputs, K_ij =
     |k_i k_j|/m^2 and B the scalar factor's bound (that of
@@ -230,7 +234,9 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
         m2 = m * m
         if m2 == 0.0:  # k k / m^2 is inf or nan on the whole diagonal
             raise NumericOverflowError(f"propagator matrix overflows at m={m}")
-        tensor = [g - k[i] * k[j] / m2 for g, (i, j) in zip(tensor, _UPPER)]
+        tensor = [g - (kk / m2 if math.isfinite(kk := k[i] * k[j])
+                       else k[i] / m * (k[j] / m))
+                  for g, (i, j) in zip(tensor, _UPPER)]
     v = complex(val)
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = [complex(t) * v for t in tensor]
     rows = ((c0, c1, c2, c3), (c1, c4, c5, c6), (c2, c5, c7, c8),

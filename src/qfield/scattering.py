@@ -104,8 +104,9 @@ def _check_conserved(legs: tuple):
         _check_conserved(tuple(tuple(0.5 * x for x in p) for p in legs))
 
 
-def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
-    """(|p| of a leg of mass m and energy E, unit vector at theta, phi)."""
+def _cm_frame(energy: float, theta: float, m: float) -> tuple:
+    """(|p| of a leg of mass m and energy E, unit vector at theta in the
+    xz-plane; its y is a zero with the sign of sin(theta))."""
     if energy <= _check_nonnegative_mass(m):
         raise ValueError("need E > m")
     try:
@@ -114,14 +115,13 @@ def _cm_frame(energy: float, theta: float, m: float, phi: float) -> tuple:
         raise NumericOverflowError(f"E^2 overflows at E={energy}") from None
     # math.sin of an infinite angle raises ValueError; make it typed
     st = math.sin(finite(theta, "theta"))
-    return pmag, (st * math.cos(finite(phi, "phi")), st * math.sin(phi),
-                  math.cos(theta))
+    return pmag, (st, st * 0.0, math.cos(theta))
 
 
-def cm_elastic_kinematics(energy: float, theta: float, m: float,
-                          phi: float = 0.0) -> ProcessKinematics:
+def cm_elastic_kinematics(energy: float, theta: float,
+                          m: float) -> ProcessKinematics:
     """Equal-mass elastic scattering in the CM frame along z, scatter by theta."""
-    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m, phi)
+    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
     pA = (energy, 0.0, 0.0, pmag)
     pB = (energy, 0.0, 0.0, -pmag)
     pC = (energy, pmag * nx, pmag * ny, pmag * nz)
@@ -129,10 +129,10 @@ def cm_elastic_kinematics(energy: float, theta: float, m: float,
     return ProcessKinematics((pA, pB), (pC, pD), (m, m, m, m))
 
 
-def cm_annihilation_kinematics(energy: float, theta: float, m: float,
-                               phi: float = 0.0) -> ProcessKinematics:
+def cm_annihilation_kinematics(energy: float, theta: float,
+                               m: float) -> ProcessKinematics:
     """e+ e- -> gamma gamma in the CM frame: massive in, massless out."""
-    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m, phi)
+    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
     pplus = (energy, 0.0, 0.0, pmag)
     pminus = (energy, 0.0, 0.0, -pmag)
     k1 = (energy, energy * nx, energy * ny, energy * nz)

@@ -350,7 +350,7 @@ class WickReport(Record):
     __slots__ = _fields = ("ops", "q", "wick_vev", "fock_vev")
 
     def __init__(self, ops: OperatorString, q: float, wick_vev: float,
-                 fock_vev: complex):
+                 fock_vev: float):
         self.ops = ops
         self.q = q
         self.wick_vev = wick_vev

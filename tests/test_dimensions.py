@@ -88,8 +88,11 @@ def photon(k, m, q):
         for j, c in enumerate(k):
             g = (i == j) * (1.0 if i == 0 else -1.0)
             if m > 0.0:
-                big = abs(a * c) / (m * m)
-                t, sub = abs(g - a * c / (m * m)), TINY * (1 + big) / (m * m)
+                # K_ij as the library forms it where k_i k_j overflows
+                kk = (a * c / (m * m) if math.isfinite(a * c)
+                      else a / m * (c / m))
+                big, t = abs(kk), abs(g - kk)
+                sub = TINY * (1 + big) / (m * m)
             else:
                 t, big, sub = abs(g), 0.0, 0.0
             bounds.append(t * b + d * (EPS * t + 2 * EPS * big + sub) + TINY)
@@ -221,7 +224,11 @@ BOOSTS = [sc.Boost(b) for b in ((0.0, 0.0, 0.0), (0.1, 0.0, 0.4),
 
 
 def elastic(energy, theta, m, beta=None):
-    kin = sc.cm_elastic_kinematics(energy, theta, m, 0.7)
+    kin = sc.cm_elastic_kinematics(energy, theta, m)
+    # the legs turned by 0.7 about z, out of the xz-plane
+    c, s = math.cos(0.7), math.sin(0.7)
+    legs = [(e, x * c - y * s, x * s + y * c, z) for e, x, y, z in kin.legs]
+    kin = sc.ProcessKinematics(legs[:2], legs[2:], kin.masses)
     if beta:
         kin = kin.boosted(sc.Boost(beta))
     return [kin.legs, kin.masses]
@@ -261,6 +268,9 @@ CASES += [("scalar", -2, scalar, (FAR, 1.0, 0.5), (1, 1, 0),
            momentum_squares),
           ("photon", -2, photon, ((1e155, 1.0, 0.0, 0.0), 0.0, 0.5),
            (1, 1, 0), momentum_squares),
+          # k0 k0 = 1e310 overflows, the 00 entry -2.5e148 does not
+          ("photon", -2, photon, (FAR, 100.0, 0.5), (1, 1, 0),
+           momentum_squares),
           # k0 = 1e300 leaves the float range from k = 28 on
           ("scalar", -2, scalar, ((1e300, 0.0, 0.0, 0.0), 1.0, 0.5),
            (1, 1, 0), momentum_squares)]

@@ -329,20 +329,21 @@ def test_pairing_diagram_is_a_value_record():
 
 def test_wick_report_is_a_value_record():
     # construction, ==, hash and repr of the old dataclass (repr text
-    # recorded from it)
+    # recorded from it); both VEVs are floats
     ops = (a(0), a_dag(0))
-    rep = wick.WickReport(ops, 0.5, 1.0, 1 + 0j)
+    rep = wick.WickReport(ops, 0.5, 1.0, 1.0)
     assert (rep.ops, rep.q, rep.wick_vev, rep.fock_vev) == (ops, 0.5, 1.0, 1)
     assert rep.passed and rep.abs_diff == 0.0
-    kw = wick.WickReport(ops=ops, q=0.5, wick_vev=1.0, fock_vev=1 + 0j)
+    kw = wick.WickReport(ops=ops, q=0.5, wick_vev=1.0, fock_vev=1.0)
     assert kw == rep == verify_wick(ops, 0.5)
     assert not kw != rep
-    assert rep != wick.WickReport(ops, 0.5, 1.0, 0.5 + 0j)
-    assert rep.__eq__((ops, 0.5, 1.0, 1 + 0j)) is NotImplemented
+    assert rep != wick.WickReport(ops, 0.5, 1.0, 0.5)
+    assert rep.__eq__((ops, 0.5, 1.0, 1.0)) is NotImplemented
     with pytest.raises(TypeError):
         hash(rep)
     assert repr(rep) == ("WickReport(ops=(a0, a0+), q=0.5, wick_vev=1.0, "
-                         "fock_vev=(1+0j))")
+                         "fock_vev=1.0)")
+    assert repr(verify_wick(ops, 0.5)) == repr(rep)
 
 
 def test_normal_order_two_ops():
