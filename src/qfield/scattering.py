@@ -14,9 +14,13 @@ written as half-sums so q = -+1 needs no special-casing.  Energies and
 makes the factors frame dependent for q != 1.
 
 All of it is Python-float arithmetic on 4-tuples (``lorentz``); numpy and
-``dirac`` are never loaded.  The spin-summed Moller |M|^2 is the Dirac
-trace closed form in the legs' six dot products; one spin assignment's
-amplitude contracts currents of the spinor basis lorentz._reduced_spinor.
+``dirac`` are never loaded.  The CM constructors and
+ProcessKinematics.boosted form float legs and hand them straight to the
+on-shell and conservation checks, with no float-to-float conversion; the
+CM constructors refuse only where E^2 overflows.  The spin-summed Moller
+|M|^2 is the Dirac trace closed form in the legs' six dot products; one
+spin assignment's amplitude contracts currents of the spinor basis
+lorentz._reduced_spinor.
 """
 from __future__ import annotations
 
@@ -25,9 +29,9 @@ import math
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, Record, finite)
-from .lorentz import (ONSHELL_RTOL, _check_mass, _check_nonnegative_mass,
-                      _check_onshell, _check_spin, _reduced_spinor, boost_rows,
-                      minkowski_dot)
+from .lorentz import (MIN_NORMAL, ONSHELL_RTOL, _check_mass,
+                      _check_nonnegative_mass, _check_onshell, _check_spin,
+                      _reduced_spinor, boost_rows, minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -74,6 +78,12 @@ class ProcessKinematics:
         self._validate(tuple(tuple(map(float, p))
                              for p in (*incoming, *outgoing)), tuple(masses))
 
+    @classmethod
+    def _of_float_legs(cls, legs: tuple, masses: tuple) -> "ProcessKinematics":
+        """Kinematics of legs that are already float 4-tuples, checked as
+        __init__ checks its converted legs."""
+        return cls.__new__(cls)._validate(legs, masses)
+
     def _validate(self, legs: tuple, masses: tuple) -> "ProcessKinematics":
         """self, with these float 4-tuple legs checked (see the class doc)."""
         self.legs, self.masses = legs, masses
@@ -86,8 +96,33 @@ class ProcessKinematics:
         """The legs boosted by b (Boost.apply: NumericOverflowError where a
         component overflows), then checked as on construction: OffShellError
         where a leg is off shell or four-momentum is not conserved."""
-        return ProcessKinematics.__new__(ProcessKinematics)._validate(
-            tuple(map(b.apply, self.legs)), self.masses)
+        # Boost.apply's expression term for term, so that each component is
+        # the float b.apply(p) gives, formed for the four legs at once
+        ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
+         (d0, d1, d2, d3)) = b.rows
+        ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3),
+         (s0, s1, s2, s3)) = self.legs
+        x = (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3,
+             b0 * p0 + b1 * p1 + b2 * p2 + b3 * p3,
+             c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3,
+             d0 * p0 + d1 * p1 + d2 * p2 + d3 * p3,
+             a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3,
+             b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3,
+             c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3,
+             d0 * q0 + d1 * q1 + d2 * q2 + d3 * q3,
+             a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3,
+             b0 * r0 + b1 * r1 + b2 * r2 + b3 * r3,
+             c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3,
+             d0 * r0 + d1 * r1 + d2 * r2 + d3 * r3,
+             a0 * s0 + a1 * s1 + a2 * s2 + a3 * s3,
+             b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3,
+             c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3,
+             d0 * s0 + d1 * s1 + d2 * s2 + d3 * s3)
+        if not all(map(math.isfinite, x)):
+            for p in self.legs:  # apply's error for the first bad leg
+                b.apply(p)
+        return ProcessKinematics._of_float_legs(
+            (x[0:4], x[4:8], x[8:12], x[12:16]), self.masses)
 
 
 def _check_conserved(legs: tuple):
@@ -105,39 +140,49 @@ def _check_conserved(legs: tuple):
 
 
 def _cm_frame(energy: float, theta: float, m: float) -> tuple:
-    """(|p| of a leg of mass m and energy E, unit vector at theta in the
-    xz-plane; its y is a zero with the sign of sin(theta))."""
+    """(E as a float, |p| of a leg of mass m and energy E, unit vector at
+    theta in the xz-plane; its y is a zero with the sign of sin(theta)).
+
+    |p| is sqrt(E^2 - m^2) where that difference is a normal float, and
+    sqrt(E - m) sqrt(E + m) below, where it underflows; either is within
+    2 eps E^2/(E^2 - m^2) relative of |p| at the float E and m.  ValueError
+    unless E > m >= 0, NumericOverflowError where E^2 overflows."""
     if energy <= _check_nonnegative_mass(m):
         raise ValueError("need E > m")
     try:
-        pmag = math.sqrt(energy ** 2 - m ** 2)
+        p2 = energy ** 2 - m ** 2
+        pmag = (math.sqrt(p2) if p2 >= MIN_NORMAL
+                else math.sqrt(energy - m) * math.sqrt(energy + m))
     except OverflowError:
         raise NumericOverflowError(f"E^2 overflows at E={energy}") from None
     # math.sin of an infinite angle raises ValueError; make it typed
     st = math.sin(finite(theta, "theta"))
-    return pmag, (st, st * 0.0, math.cos(theta))
+    return float(energy), pmag, (st, st * 0.0, math.cos(theta))
 
 
 def cm_elastic_kinematics(energy: float, theta: float,
                           m: float) -> ProcessKinematics:
-    """Equal-mass elastic scattering in the CM frame along z, scatter by theta."""
-    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
+    """Equal-mass elastic scattering in the CM frame along z, scatter by
+    theta; |p| as _cm_frame forms it."""
+    energy, pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
     pA = (energy, 0.0, 0.0, pmag)
     pB = (energy, 0.0, 0.0, -pmag)
     pC = (energy, pmag * nx, pmag * ny, pmag * nz)
     pD = (energy, -pmag * nx, -pmag * ny, -pmag * nz)
-    return ProcessKinematics((pA, pB), (pC, pD), (m, m, m, m))
+    return ProcessKinematics._of_float_legs((pA, pB, pC, pD), (m, m, m, m))
 
 
 def cm_annihilation_kinematics(energy: float, theta: float,
                                m: float) -> ProcessKinematics:
-    """e+ e- -> gamma gamma in the CM frame: massive in, massless out."""
-    pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
+    """e+ e- -> gamma gamma in the CM frame: massive in, massless out;
+    |p| as _cm_frame forms it."""
+    energy, pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
     pplus = (energy, 0.0, 0.0, pmag)
     pminus = (energy, 0.0, 0.0, -pmag)
     k1 = (energy, energy * nx, energy * ny, energy * nz)
     k2 = (energy, -energy * nx, -energy * ny, -energy * nz)
-    return ProcessKinematics((pplus, pminus), (k1, k2), (m, m, 0.0, 0.0))
+    return ProcessKinematics._of_float_legs((pplus, pminus, k1, k2),
+                                            (m, m, 0.0, 0.0))
 
 
 def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
@@ -186,7 +231,7 @@ def _moller_transfers(kin: ProcessKinematics,
     exactly 0, the only transfer with no amplitude."""
     m = kin.masses[0]
     _check_mass(m)
-    if any(mi != m for mi in kin.masses):
+    if kin.masses.count(m) != len(kin.masses):
         raise OffShellError(f"Moller legs need one mass, got {kin.masses}")
     (a0, a1, a2, a3), pB, (c0, c1, c2, c3), pD = kin.legs
     x0, x1, x2, x3 = pB if strict_paper_mode else pD

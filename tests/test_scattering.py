@@ -517,6 +517,59 @@ def test_boosted_validates_as_the_constructor():
     assert seen == {"value", NumericOverflowError, OffShellError}
 
 
+
+def test_cm_constructors_match_the_converting_constructor():
+    """Each CM constructor gives the legs and masses of ProcessKinematics
+    built from the same formula (_cm_frame's |p| and direction, E as
+    given), or both raise the same error with the same message: float,
+    int and numpy.float64 inputs, down to the bottom of the float range,
+    and every leg component is a Python float."""
+    def elastic(energy, theta, m):
+        _, pmag, (nx, ny, nz) = sc._cm_frame(energy, theta, m)
+        return sc.ProcessKinematics(
+            ((energy, 0.0, 0.0, pmag), (energy, 0.0, 0.0, -pmag)),
+            ((energy, pmag * nx, pmag * ny, pmag * nz),
+             (energy, -pmag * nx, -pmag * ny, -pmag * nz)), (m, m, m, m))
+
+    def annihilation(energy, theta, m):
+        _, pmag, (nx, ny, nz) = sc._cm_frame(energy, theta, m)
+        return sc.ProcessKinematics(
+            ((energy, 0.0, 0.0, pmag), (energy, 0.0, 0.0, -pmag)),
+            ((energy, energy * nx, energy * ny, energy * nz),
+             (energy, -energy * nx, -energy * ny, -energy * nz)),
+            (m, m, 0.0, 0.0))
+
+    def outcome(build):
+        try:
+            kin = build()
+        except (QFieldError, ValueError) as exc:
+            return type(exc), str(exc)
+        assert all(type(x) is float for p in kin.legs for x in p)
+        # repr tells -0.0 from 0.0, and a numpy mass from a float one
+        return repr(kin.legs), repr(kin.masses)
+
+    points = [(m * ratio if m else ratio * 1e-200, theta, m)
+              for m, ratio, theta in product(
+                  (0.0, 1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e154),
+                  (1 + 1e-12, 1 + 2.0 ** -20, 2.0, 1e4, 1e100),
+                  (0.0, 1.0, -2.5, 1e-6))]
+    points += [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (2.0, 1.0, -1.0),
+               (math.nan, 1.0, 1.0), (2.0, math.inf, 1.0),
+               (2.0, 1.0, math.nan), (math.inf, 1.0, 1.0)]
+    points += [tuple(map(np.float64, p)) for p in points]
+    points += [(2, 1, 1), (3, 0, 2), (10 ** 200, 1, 1), (5, 2, 0), (1, 1, 1)]
+    seen = set()
+    for point, (make, formula) in product(
+            points, ((sc.cm_elastic_kinematics, elastic),
+                     (sc.cm_annihilation_kinematics, annihilation))):
+        # numpy warns where a float64 E^2 overflows, or inf E meets 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = outcome(lambda: make(*point))
+            assert got == outcome(lambda: formula(*point)), point
+        seen.add(got[0] if isinstance(got[0], type) else "value")
+    assert seen == {"value", ValueError, NonFiniteInputError,
+                    NumericOverflowError}
+
 def test_photon_correction_pair_is_frame_scan_row():
     kin = sc.cm_elastic_kinematics(2.0, 1.0, M)
     b = sc.Boost([0.1, 0.0, 0.4])
