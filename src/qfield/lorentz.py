@@ -102,10 +102,11 @@ def boost_rows(beta) -> tuple:
     """Rows of the Lorentz boost with velocity beta, as float 4-tuples:
 
         L00 = gamma,  L0i = Li0 = gamma beta_i,
-        Lij = delta_ij + (gamma - 1) beta_i beta_j / beta^2,
+        Lij = delta_ij + k beta_i beta_j,  k = gamma^2/(1 + gamma),
 
-    which takes (m, 0) to (gamma m, gamma m beta).  SuperluminalError if
-    |beta| >= 1, NonFiniteInputError for a nan component."""
+    which takes (m, 0) to (gamma m, gamma m beta); k is (gamma - 1)/beta^2
+    without the division.  SuperluminalError if |beta| >= 1,
+    NonFiniteInputError for a nan component."""
     bx, by, bz = map(float, beta)
     b2 = bx * bx + by * by + bz * bz
     # compare |beta| itself, as the error reports it: b2 = 1 - 2^-53 has
@@ -114,11 +115,8 @@ def boost_rows(beta) -> tuple:
         if math.isnan(b2):  # an infinite component is superluminal
             raise NonFiniteInputError(f"beta = {(bx, by, bz)} must be finite")
         raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
-    if b2 == 0.0:
-        return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
     g = 1.0 / math.sqrt(1.0 - b2)
-    k = (g - 1.0) / b2
+    k = g * g / (1.0 + g)
     return ((g, g * bx, g * by, g * bz),
             (g * bx, 1.0 + k * (bx * bx), k * (bx * by), k * (bx * bz)),
             (g * by, k * (by * bx), 1.0 + k * (by * by), k * (by * bz)),

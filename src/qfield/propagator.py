@@ -10,8 +10,8 @@ equivalently (1/2w)[1/(k0-w) - q/(k0+w)]: two poles of unequal strength
 1 and q.  The spinor form carries (m + pslash)/2m and swaps q -> -q in
 the scalar factor; the photon/vector form is the metric (or the massive
 projector) times the scalar factor.  The scalar factor, its residues and
-omega (from ``lorentz``) are Python-float arithmetic, with k^2 - m^2
-formed as (k0 - w)(k0 + w) so that the digits near a pole survive.
+omega (from ``lorentz``) are Python-float arithmetic, dividing by
+k0 - w and by k0 + w in turn so that the digits near a pole survive.
 
 Position space depends on the invariant interval zeta^2 = r^2 - t^2
 only: the positive-frequency Wightman function is m K1(m zeta)/(4 pi^2
@@ -41,7 +41,8 @@ import math
 from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
                      Record, ZeroMassError, finite)
-from .lorentz import _check_mass, _check_nonnegative_mass, _finite_rows, omega
+from .lorentz import (MIN_NORMAL, _check_mass, _check_nonnegative_mass,
+                      _finite_rows, omega)
 
 # the upper triangle of the symmetric photon tensor: index pairs, metric
 _UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
@@ -71,38 +72,30 @@ class PropagatorValue(Record):
 def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     """(D, |k^2 - m^2|) for Python floats k0, w = omega and q:
 
-        k^2 - m^2 = (k0 - w)(k0 + w),
-        D = (1/2) [(k0 + w) - q (k0 - w)] / w / (k^2 - m^2),
+        D = (1/2) [(k0 + w) - q (k0 - w)] / w / (k0 - w) / (k0 + w),
+        |k^2 - m^2| = |(k0 - w)(k0 + w)|,
 
-    the half-sum form with the distance to the pole and the numerator both
+    the half-sum form with the numerator and the distances to the poles
     taken from k0 -+ w, each rounded once, so that no digit cancels near
-    either pole (tolerance: scalar_propagator_momentum).  At w = 0 that
-    form is 0/0 at q = 1, where D = 1/k0^2, returned within 2 eps, and
-    has no finite value at any other q.  Where k^2 - m^2 overflows, D is
-    divided by k0 - w and by k0 + w in turn, and the distance is inf.
-    PoleError only at k0 = +-w exactly; kvec serves only to name a
-    non-finite input.
+    either pole (tolerance: scalar_propagator_momentum), and D is kept
+    where only k^2 - m^2 under- or overflows (the distance is then 0 or
+    inf).  At w = 0 the form is 0/0 at q = 1, where D = 1/k0^2, returned
+    within 2 eps, and has no finite value at any other q.  PoleError only
+    at k0 = +-w exactly; kvec serves only to name a non-finite input.
     """
     d, s = k0 - w, k0 + w
     if d == 0.0 or s == 0.0:
         raise PoleError(f"k0 = {k0} is a pole, +-omega = +-{w}")
-    k2_m2 = d * s
-    # Python floats: an overflow gives inf, and a zero omega or k^2 - m^2
-    # (underflowed) an exception, where numpy scalars would warn
-    try:
-        val = 0.5 * ((s - q * d) / w) / k2_m2
-    except ZeroDivisionError:  # no finite value, but at w = 0 and q = 1
-        val = (1.0 / k0) / k0 if w == 0.0 and q == 1.0 else math.inf
-    if not (math.isfinite(val) and math.isfinite(k2_m2)):
+    try:  # Python floats: an overflow gives inf, a zero omega an exception
+        val = 0.5 * ((s - q * d) / w) / d / s
+    except ZeroDivisionError:  # w = 0: no finite value, but at q = 1
+        val = (1.0 / k0) / k0 if q == 1.0 else math.inf
+    if not math.isfinite(val):
         for x in (k0, *kvec):  # a non-finite input, else an overflow
             finite(x, "component of k")
-        if math.isinf(k2_m2) and w:  # D may be in range: divide in turn
-            val = 0.5 * ((s - q * d) / w) / d / s
-        if math.isfinite(val):
-            return val, math.inf
         raise NumericOverflowError(
             f"propagator overflows at k0={k0}, omega={w}, q={q}")
-    return val, abs(k2_m2)
+    return val, abs(d * s)
 
 
 def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -113,9 +106,9 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     (1/(k0 - w) - q/(k0 + w)) / (2w) at the same w, and within
     4 eps (1 + w/|k0 - w| + w/|k0 + w|) S + ulp(0) of the exact value at
     the float inputs, the w terms being the rounding of w and ulp(0) that
-    of a subnormal D (which the spinor and photon entries scale up where
-    k^2 - m^2 overflows).  Near k0 = w, S is |D| to
-    first order, so that is relative 6 eps (1 + w/|k0 - w|).  At w = 0 the
+    of a subnormal D (which the spinor and photon entries scale up).  Near
+    k0 = w, S is |D| to first order, so that is relative
+    6 eps (1 + w/|k0 - w|).  At w = 0 the
     value exists only at q = 1, D = 1/k0^2 within 2 eps; elsewhere there
     NumericOverflowError.  PoleError only at k0 = +-w exactly; ValueError
     at m < 0.
@@ -134,9 +127,10 @@ def pole_residues(kvec, m: float, q: float) -> tuple:
     h -> 0 from the steps h = 1e-3 w / 2^i, i < 5.  The physical (+w)
     residue is q-independent.
 
-    Tolerance: each residue within 1e-14 of 1/2w relative (|q|/2w for the
-    second) wherever it is normal: the steps are taken at w/2^n in [1, 2),
-    and the residues divided by 2^n, exactly.  ValueError at m < 0,
+    Tolerance: within 1e-14/2w of 1/2w and 1e-14 max(1, |q|)/2w of -q/2w
+    (the second's error is absolute, about eps/2w) wherever they are
+    normal: the steps are taken at w/2^n in [1, 2), and the residues
+    divided by 2^n, exactly.  ValueError at m < 0,
     ZeroMassError at w = 0, NumericOverflowError where a residue overflows.
     """
     _check_nonnegative_mass(m)
@@ -246,7 +240,6 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
 
 _EPS = math.ulp(1.0)
 _UNDERFLOW = math.ulp(0.0)  # the absolute rounding of a subnormal result
-_MIN_NORMAL = 2.0 ** -1022
 _FOUR_PI2 = 4.0 * math.pi ** 2
 _HALF_PI = 0.5 * math.pi
 _THREE_QUARTER_PI = 0.75 * math.pi
@@ -284,12 +277,10 @@ def _spacelike(z: float, den: float) -> tuple:
     # e^{-z} z K1(z) / den as one exponential: no intermediate under- or
     # overflow (sqrt(z) g / den itself overflows at m ~ 1e300, zeta ~ 1e-150)
     lead = math.log(math.sqrt(z) * g) - math.log(den) - z
-    try:
-        # the bound adds the rounding of lead, which moves W by |lead| eps
-        return math.exp(lead), _tab.K1_CHEB_RTOL + 4.0 * _EPS * abs(lead)
-    except OverflowError:
-        raise NumericOverflowError(
-            f"position-space value overflows at m zeta={z}") from None
+    # no overflow: _wightman calls this with z > 2 and a normal zeta^2, so
+    # den >= 4 pi^2 2^-1022 and W = z K1(z)/den <= 2 K1(2)/den ~ 3.2e305;
+    # the bound adds the rounding of lead, which moves W by |lead| eps
+    return math.exp(lead), _tab.K1_CHEB_RTOL + 4.0 * _EPS * abs(lead)
 
 
 def _timelike(x: float, den: float) -> tuple:
@@ -358,7 +349,7 @@ def _wightman(t: float, r: float, m: float) -> tuple:
             f"rounding of tau moves the phase m tau by a radian")
     den = _FOUR_PI2 * zeta2
     # a subnormal zeta^2 has lost digits, and W and z with it
-    if not (_MIN_NORMAL <= abs(zeta2) and abs(den) < math.inf):
+    if not (MIN_NORMAL <= abs(zeta2) and abs(den) < math.inf):
         # W has mass dimension 2: W(t, r, m) = 2^-2e W(t 2^-e, r 2^-e,
         # m 2^e) at the same z, where e takes zeta^2 to within 2^+-1001
         x = math.frexp(r - ta)[1] + math.frexp(r + ta)[1]
@@ -367,7 +358,7 @@ def _wightman(t: float, r: float, m: float) -> tuple:
             value, err = _wightman(math.ldexp(ta, -e), math.ldexp(r, -e),
                                    math.ldexp(m, e))
             # scaled up (e < 0), a subnormal value has too few digits
-            if e > 0 or abs(value) >= _MIN_NORMAL:
+            if e > 0 or abs(value) >= MIN_NORMAL:
                 # |e| < 600: 2^-e is exact, and so is each product unless
                 # it is subnormal (the added unit) or overflows
                 s = 2.0 ** -e

@@ -7,9 +7,10 @@ the frame dependence of the correction factors.
 The correction factors multiply the usual 1/(transfer)^2 denominators:
 
     photon line:    F = (1/2) [ (1+q) + (1-q) (E_in - E_out)/|dpvec| ]
-    electron line:  F = (1/2) [ (1-q) + (1+q) (E_in - E_out)/|dpvec| ]
 
-written as half-sums so q = -+1 needs no special-casing.  Energies and
+written as a half-sum so q = -+1 needs no special-casing.  The electron
+line's factor is the photon line's at -q, as the spinor propagator's
+scalar factor is the scalar one at -q.  Energies and
 3-momenta are taken in the current working frame, which is exactly what
 makes the factors frame dependent for q != 1.
 
@@ -29,9 +30,9 @@ import math
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, Record, finite)
-from .lorentz import (MIN_NORMAL, ONSHELL_RTOL, _check_mass,
-                      _check_nonnegative_mass, _check_onshell, _check_spin,
-                      _reduced_spinor, boost_rows, minkowski_dot)
+from .lorentz import (ONSHELL_RTOL, _check_mass, _check_nonnegative_mass,
+                      _check_onshell, _check_spin, _reduced_spinor,
+                      boost_rows, minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -143,21 +144,21 @@ def _cm_frame(energy: float, theta: float, m: float) -> tuple:
     """(E as a float, |p| of a leg of mass m and energy E, unit vector at
     theta in the xz-plane; its y is a zero with the sign of sin(theta)).
 
-    |p| is sqrt(E^2 - m^2) where that difference is a normal float, and
-    sqrt(E - m) sqrt(E + m) below, where it underflows; either is within
-    2 eps E^2/(E^2 - m^2) relative of |p| at the float E and m.  ValueError
-    unless E > m >= 0, NumericOverflowError where E^2 overflows."""
+    |p| = sqrt(E - m) sqrt(E + m), within 1.5 eps relative of |p| at the
+    float E and m (E - m is exact where m >= E/2).  ValueError unless
+    E > m >= 0.  NumericOverflowError where E^2 overflows, although |p| is
+    a float there: from about that E the Moller dot products overflow too
+    (moller_spin_summed refuses), though |M|^2 is of order 1."""
+    energy = float(energy)
     if energy <= _check_nonnegative_mass(m):
         raise ValueError("need E > m")
-    try:
-        p2 = energy ** 2 - m ** 2
-        pmag = (math.sqrt(p2) if p2 >= MIN_NORMAL
-                else math.sqrt(energy - m) * math.sqrt(energy + m))
-    except OverflowError:
-        raise NumericOverflowError(f"E^2 overflows at E={energy}") from None
+    # an infinite E is refused below, as a leg that is not finite
+    if energy * energy == math.inf > energy:
+        raise NumericOverflowError(f"E^2 overflows at E={energy}")
+    pmag = math.sqrt(energy - m) * math.sqrt(energy + m)
     # math.sin of an infinite angle raises ValueError; make it typed
     st = math.sin(finite(theta, "theta"))
-    return float(energy), pmag, (st, st * 0.0, math.cos(theta))
+    return energy, pmag, (st, st * 0.0, math.cos(theta))
 
 
 def cm_elastic_kinematics(energy: float, theta: float,
@@ -188,23 +189,21 @@ def cm_annihilation_kinematics(energy: float, theta: float,
 def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
                       q: float, flavor: str) -> float:
     """q-dependent multiplicative factor on an internal line (see module
-    doc), within 2 eps (|1 + q| + |1 - q| |r|) of it at the float inputs
-    where |dpvec| is normal, r = (E_in - E_out)/|dpvec| (1 -+ q on the
-    electron line); DegenerateTransferError only at |dpvec| = 0,
-    NonFiniteInputError for a non-finite input, NumericOverflowError where
-    the factor overflows."""
+    doc; the electron line's is the photon line's at -q), within
+    2 eps (|1 + q| + |1 - q| |r|) of it at the float inputs where |dpvec|
+    is normal, r = (E_in - E_out)/|dpvec|; DegenerateTransferError only at
+    |dpvec| = 0, ValueError for an unknown flavor, NonFiniteInputError for
+    a non-finite input, NumericOverflowError where the factor overflows."""
     a1, a2, a3 = pvec_in
     b1, b2, b3 = pvec_out
     dp = math.hypot(a1 - b1, a2 - b2, a3 - b3)
     if dp == 0.0:
         raise DegenerateTransferError("vanishing 3-momentum transfer")
     ratio = (E_in - E_out) / dp
-    if flavor == PHOTON_LINE:
-        value = 0.5 * ((1.0 + q) + (1.0 - q) * ratio)
-    elif flavor == ELECTRON_LINE:
-        value = 0.5 * ((1.0 - q) + (1.0 + q) * ratio)
-    else:
+    if flavor not in (PHOTON_LINE, ELECTRON_LINE):
         raise ValueError(f"unknown flavor {flavor!r}")
+    qf = q if flavor == PHOTON_LINE else -q
+    value = 0.5 * ((1.0 + qf) + (1.0 - qf) * ratio)
     # an infinite transfer gives ratio 0 and a finite factor, so dp is
     # tested with the result
     if not (math.isfinite(value) and dp < math.inf):
@@ -215,11 +214,16 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
     return value
 
 
+def _correction_pair(kin: ProcessKinematics, q: float, flavor: str) -> tuple:
+    """The factors of flavor on the lines from leg A to legs C and D."""
+    a, _, c, d = kin.legs
+    return (correction_factor(a[0], c[0], a[1:], c[1:], q, flavor),
+            correction_factor(a[0], d[0], a[1:], d[1:], q, flavor))
+
+
 def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
     """Photon-line factors (F_CA, F_DA) of the direct and exchange diagrams."""
-    pA, _, pC, pD = kin.legs
-    return (correction_factor(pA[0], pC[0], pA[1:], pC[1:], q, PHOTON_LINE),
-            correction_factor(pA[0], pD[0], pA[1:], pD[1:], q, PHOTON_LINE))
+    return _correction_pair(kin, q, PHOTON_LINE)
 
 
 def _moller_transfers(kin: ProcessKinematics,
@@ -228,19 +232,27 @@ def _moller_transfers(kin: ProcessKinematics,
     mode, after the checks the spinors make: ZeroMassError, OffShellError
     where the legs' masses differ (ProcessKinematics checked each leg on
     shell at its own mass), then DegenerateTransferError where t or u is
-    exactly 0, the only transfer with no amplitude."""
+    exactly 0, the only transfer with no amplitude, also at the transfer
+    scaled by a power of two; NumericOverflowError where t or u only
+    underflows (legs below E ~ 1e-154), as 1/t and the amplitude overflow."""
     m = kin.masses[0]
     _check_mass(m)
     if kin.masses.count(m) != len(kin.masses):
         raise OffShellError(f"Moller legs need one mass, got {kin.masses}")
     (a0, a1, a2, a3), pB, (c0, c1, c2, c3), pD = kin.legs
     x0, x1, x2, x3 = pB if strict_paper_mode else pD
-    t0, t1, t2, t3 = c0 - a0, c1 - a1, c2 - a2, c3 - a3
-    u0, u1, u2, u3 = x0 - a0, x1 - a1, x2 - a2, x3 - a3
-    t = t0 * t0 - t1 * t1 - t2 * t2 - t3 * t3
-    u = u0 * u0 - u1 * u1 - u2 * u2 - u3 * u3
+    tv = c0 - a0, c1 - a1, c2 - a2, c3 - a3
+    uv = x0 - a0, x1 - a1, x2 - a2, x3 - a3
+    t, u = minkowski_dot(tv, tv), minkowski_dot(uv, uv)
     if t == 0.0 or u == 0.0:
-        raise DegenerateTransferError("vanishing squared 4-momentum transfer")
+        for v in (tv, uv):  # judged again at 2^-e, an exact scaling
+            e = math.frexp(max(map(abs, v)))[1]
+            s = [math.ldexp(x, -e) for x in v]
+            if minkowski_dot(s, s) == 0.0:
+                raise DegenerateTransferError(
+                    "vanishing squared 4-momentum transfer")
+        raise NumericOverflowError(
+            f"squared 4-momentum transfer underflows at m={m}: t={t}, u={u}")
     return t, u
 
 
@@ -349,10 +361,7 @@ def annihilation_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
 
     In the CM frame both reduce to (1-q)/2 for any q.
     """
-    pplus, _, k1, k2 = kin.legs
-    f1 = correction_factor(pplus[0], k1[0], pplus[1:], k1[1:], q, ELECTRON_LINE)
-    f2 = correction_factor(pplus[0], k2[0], pplus[1:], k2[1:], q, ELECTRON_LINE)
-    return f1, f2
+    return _correction_pair(kin, q, ELECTRON_LINE)
 
 
 def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
@@ -366,8 +375,7 @@ def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
     boost, what ProcessKinematics.boosted raises and what
     correction_factor raises, in that order.
     """
-    pairs = {PHOTON_LINE: photon_correction_pair,
-             ELECTRON_LINE: annihilation_correction_pair}
-    if flavor not in pairs:
+    if flavor not in (PHOTON_LINE, ELECTRON_LINE):
         raise ValueError(f"unknown flavor {flavor!r}")
-    return [(b.beta, *pairs[flavor](kin.boosted(b), q)) for b in boosts]
+    return [(b.beta, *_correction_pair(kin.boosted(b), q, flavor))
+            for b in boosts]

@@ -91,6 +91,9 @@ def test_dirac_equation_and_normalization():
 def test_offshell_rejected():
     with pytest.raises(OffShellError):
         u_spinor([2.0, 0.0, 0.0, 0.0], 1, M)
+    # on the hyperboloid, but on its negative-energy sheet
+    with pytest.raises(OffShellError, match="p0 must be positive"):
+        lorentz._check_onshell((-2.0, 0.0, 0.0, math.sqrt(3.0)), 1.0)
 
 
 def test_rest_frame_spin_sum_diagonal():
@@ -117,6 +120,8 @@ def test_theta_projector_algebra():
     assert np.max(np.abs(theta_projector(rest, +1, M) - np.diag([1, 1, 0, 0]))) <= 1e-14
     with pytest.raises(ZeroMassError):
         theta_projector(p, +1, 0.0)
+    with pytest.raises(ValueError, match="sign must be"):
+        theta_projector(p, 0, M)
 
 
 def test_charge_conjugation_round_trip():

@@ -172,6 +172,13 @@ def test_pole_residues_log_grid():
             half = 1 / (2 * mp.sqrt(mp.mpf(m) ** 2))
             assert abs(rp - half) <= 1e-14 * half, (m, q)
             assert abs(rm + q * half) <= 1e-14 * abs(q) * half, (m, q)
+        # the second residue's error is absolute, about eps/2w, so at small
+        # |q| the stated bound is 1e-14 max(1, |q|)/2w, not relative to |q|
+        for q in (1e-3, 1e-9):
+            rp, rm = prop.pole_residues((0.0, 0.0, 0.0), m, q)
+            half = 1 / (2 * mp.sqrt(mp.mpf(m) ** 2))
+            assert abs(rp - half) <= 1e-14 * half, (m, q)
+            assert abs(rm + q * half) <= 1e-14 * half, (m, q)
 
 
 def test_residue_physical_pole_q_independent():
@@ -434,6 +441,20 @@ def test_delta_plus_invalid_args():
         prop.delta_plus_equal_time(0.0, 1.0)
     with pytest.raises(ValueError):
         prop.delta_plus_equal_time(1.0, -1.0)
+
+
+def test_refusals_at_the_edges_of_the_float_range():
+    with pytest.raises(ZeroMassError, match="need omega > 0"):
+        prop.pole_residues((0.0, 0.0, 0.0), 0.0, 0.5)
+    # 1/2w and q/2w both overflow
+    with pytest.raises(NumericOverflowError, match="pole residues overflow"):
+        prop.pole_residues((0.0, 0.0, 0.0), 1e-150, 1e300)
+    with pytest.raises(NumericOverflowError, match="m zeta overflows"):
+        prop.delta_plus_equal_time(1e10, 1e300)
+    # zeta^2 = 1e-320 is subnormal and W = 1/(4 pi^2 zeta^2) overflows
+    with pytest.raises(NumericOverflowError,
+                       match=r"invariant interval .* out of range"):
+        prop.delta_plus_equal_time(1e-160, 0.0)
 
 
 def test_spacelike_q_commutator():

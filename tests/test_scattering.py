@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from itertools import product
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_boost_rejects_nan_velocity():
     for build in (sc.Boost, lorentz.boost_rows):
         with pytest.raises(NonFiniteInputError):
             build([np.nan, 0.0, 0.0])
+
+
+def test_boost_rows_where_beta_squared_underflows():
+    # k = gamma^2/(1 + gamma) needs no division by beta^2: beta = 0 is the
+    # identity exactly, and a beta whose square underflows keeps gamma beta
+    identity = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+    assert lorentz.boost_rows((0.0, 0.0, 0.0)) == identity
+    assert lorentz.boost_rows((1e-170, 0.0, 0.0))[0] == (1.0, 1e-170, 0.0, 0.0)
+    assert sc.Boost((0.0, 1e-170, 0.0)).apply((1.0, 0.0, 0.0, 0.0)) == (
+        1.0, 0.0, 1e-170, 0.0)
 
 
 def test_boost_apply_rejects_nonfinite_components():
@@ -157,6 +168,30 @@ def test_correction_factor_electron_line_swaps_combinations():
     f = sc.correction_factor(2.0, 2.0, [1, 0, 0], [0, 0, 1], 0.5,
                              sc.ELECTRON_LINE)
     assert f == pytest.approx((1 - 0.5) / 2, abs=1e-14)
+
+
+def test_electron_line_is_the_photon_line_at_minus_q():
+    rng = np.random.default_rng(34)
+    for _ in range(2000):
+        e_in, e_out = rng.uniform(-5.0, 5.0, 2).tolist()
+        p_in, p_out = rng.normal(size=(2, 3)).tolist()
+        q = float(rng.choice((-1.0, 0.0, 1.0, rng.uniform(-3.0, 3.0))))
+        assert (sc.correction_factor(e_in, e_out, p_in, p_out, q,
+                                     sc.ELECTRON_LINE)
+                == sc.correction_factor(e_in, e_out, p_in, p_out, -q,
+                                        sc.PHOTON_LINE)), (e_in, e_out, q)
+    # the error names the q passed in, not its negative
+    with pytest.raises(NonFiniteInputError, match="got inf$"):
+        sc.correction_factor(2.0, 1.0, [1, 0, 0], [0, 0, 0], math.inf,
+                             sc.ELECTRON_LINE)
+
+
+def test_unknown_flavor_is_refused():
+    with pytest.raises(ValueError, match="unknown flavor 'x'"):
+        sc.correction_factor(2.0, 1.0, [1, 0, 0], [0, 0, 0], 0.5, "x")
+    # before any boost, so also with none
+    with pytest.raises(ValueError, match="unknown flavor 'x'"):
+        sc.frame_scan(generic_kinematics(), 0.5, [], "x")
 
 
 def test_correction_factor_degenerate():
@@ -569,6 +604,45 @@ def test_cm_constructors_match_the_converting_constructor():
         seen.add(got[0] if isinstance(got[0], type) else "value")
     assert seen == {"value", ValueError, NonFiniteInputError,
                     NumericOverflowError}
+
+
+def test_cm_momentum_against_mpmath():
+    """|p| = sqrt(E - m) sqrt(E + m) is within 1.5 eps of sqrt(E^2 - m^2)
+    at the float E and m, from far above threshold to m = E (1 - 2^-52),
+    and from E = 1e-150 to 1e150."""
+    mp = pytest.importorskip("mpmath")
+    eps = math.ulp(1.0)
+    with mp.workdps(60):
+        for energy in np.logspace(-150, 150, 61).tolist():
+            for k in range(1, 53):
+                m = energy * (1.0 - 2.0 ** -k)
+                _, pmag, _ = sc._cm_frame(energy, 0.0, m)
+                want = mp.sqrt(mp.mpf(energy) ** 2 - mp.mpf(m) ** 2)
+                assert abs(pmag - want) <= 1.5 * eps * want, (energy, m)
+
+
+def test_numpy_energy_whose_square_overflows():
+    # numpy's E^2 is inf with a RuntimeWarning; E is taken as a float first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (sc.cm_elastic_kinematics, sc.cm_annihilation_kinematics):
+            with pytest.raises(NumericOverflowError, match="E\\^2 overflows"):
+                make(np.float64(1e200), 1.0, 1.0)
+
+
+def test_moller_below_the_square_of_the_smallest_normal():
+    """Below E ~ 1e-154 the squares t and u underflow to 0, where 1/t and
+    the amplitude overflow: NumericOverflowError, and a transfer that is
+    0 at any scale is still degenerate."""
+    kin = sc.cm_elastic_kinematics(2e-200, 1.0, 1e-200)
+    with pytest.raises(NumericOverflowError, match="transfer underflows"):
+        sc.moller_amplitude(kin, (1, 1, 1, 1), 0.5)
+    with pytest.raises(NumericOverflowError, match="transfer underflows"):
+        sc.moller_spin_summed(kin, 0.5)
+    forward = sc.cm_elastic_kinematics(2e-200, 0.0, 1e-200)
+    with pytest.raises(DegenerateTransferError):
+        sc.moller_spin_summed(forward, 0.5)
+
 
 def test_photon_correction_pair_is_frame_scan_row():
     kin = sc.cm_elastic_kinematics(2.0, 1.0, M)
