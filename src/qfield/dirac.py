@@ -1,17 +1,19 @@
 """4x4 Dirac algebra on Python floats and complex numbers, metric (+,-,-,-):
 gamma matrices (Dirac representation), spinors (ubar u = 1, vbar v = -1),
 projectors and polarization vectors.  A matrix is a tuple of row tuples; its
-numpy.array has the bits, signs of zeros too, of the same formula in numpy,
-but where numpy fuses multiply-adds (3-vector lengths, products of two
-complex numbers).  Tolerances: eps = 2^-52, ulp(0) = 2^-1074, against
-exact arithmetic at the float inputs."""
+numpy.array has the bits, signs of zeros too, of the same formula in numpy
+wherever numpy's intermediates are normal floats, but where numpy fuses
+multiply-adds (3-vector lengths, products of two complex numbers).
+Tolerances: eps = 2^-52, ulp(0) = 2^-1074, against exact arithmetic at the
+float inputs."""
 from __future__ import annotations
 
 import math
 
 from .errors import NumericOverflowError, Record, finite
-from .lorentz import (MIN_NORMAL, _check_mass, _check_onshell, _check_spin,
-                      _finite_rows, _reduced_spinor, omega)
+from .lorentz import (_METRIC_UPPER, _check_mass, _check_onshell,
+                      _check_spin, _finite_rows, _kk_over_m2, _reduced_spinor,
+                      _slash_rows, _symmetric_rows, omega)
 
 METRIC = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0),
           (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
@@ -111,25 +113,16 @@ def charge_conjugate_spinor(s: DiracSpinor) -> DiracSpinor:
 
 
 def theta_projector(p, sign: int, m: float) -> tuple:
-    """Energy projector (+-m + pslash)/2m; equals the u/v spin sums.  Each
-    part within 1.5 eps of its modulus + ulp(0); NumericOverflowError where
-    1/2m overflows."""
+    """Energy projector (+-m + pslash)/2m, formed at the scale of m
+    (lorentz._slash_rows, at v = 1); equals the u/v spin sums.  Each part
+    within 1.5 eps of its modulus + ulp(0); NumericOverflowError where an
+    entry overflows."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_mass(m)
+    m, p = float(m), tuple(map(float, p))
     _check_onshell(p, m)
-    d, s = sign * m, 0.5 / m  # numpy: (d + 0j) I + pslash, divided as complex
-    rows = slash(p)
-    if s < MIN_NORMAL or float(p[0]) + m == math.inf:
-        # s is subnormal or m + p0 overflows: take 1/8 of each term,
-        # exactly, and 8 s as 4/m, a normal float at every finite m
-        d, s = d * 0.125, 4.0 / m
-        rows = [[complex(z.real * 0.125, z.imag * 0.125) for z in row]
-                for row in rows]
-    return _finite_rows(tuple(tuple(
-        complex((x + y * 0.0) * s, (y - x * 0.0) * s) for x, y in
-        ((d * (i == j) + z.real, 0.0 + z.imag) for j, z in enumerate(row)))
-        for i, row in enumerate(rows)), "projector", m)
+    return _finite_rows(_slash_rows(p, sign * m, m, 1 + 0j), "projector", m)
 
 
 def spin_sum(p, m: float, kind: str = "u") -> tuple:
@@ -178,15 +171,17 @@ def polarization_sum(p, m: float) -> tuple:
 
 
 def polarization_sum_closed_form(p, m: float) -> tuple:
-    """-g + p p / m^2 within 2 eps |p p|/m^2 + 0.5 eps |entry| + 2^-1073;
-    NonFiniteInputError for a nan or infinite input, NumericOverflowError
-    where p p / m^2 overflows.  p and m are first divided by 2^e ~ m."""
+    """-g + p p / m^2, p p / m^2 formed at the scale of m
+    (lorentz._kk_over_m2), each entry within 2 eps |p_i p_j|/m^2
+    + 0.5 eps |entry| + 2^-1073 + U_ij, U_ij = ulp(0) |p_j|/m for a factor
+    0 < |p_i| < 2^-1021 m (and the same with i and j swapped), else 0: the
+    rounding of p_i at that scale.  NonFiniteInputError for a nan or
+    infinite input, NumericOverflowError where p p / m^2 overflows."""
     _check_mass(m)
-    e = math.frexp(m)[1]
-    p = [math.ldexp(finite(float(x), "component of p"), -e) for x in p]
-    m2 = math.ldexp(m, -e) * math.ldexp(m, -e)
-    return _finite_rows(tuple(tuple(-g + a * b / m2 for g, b in zip(row, p))
-                              for row, a in zip(METRIC, p)), "p p / m^2", m)
+    p = [finite(float(x), "component of p") for x in p]
+    return _finite_rows(_symmetric_rows(
+        [-g + x for g, x in zip(_METRIC_UPPER, _kk_over_m2(p, float(m)))]),
+        "p p / m^2", m)
 
 
 # numpy.random.default_rng(12345).uniform(-3, 3, 3), drawn 20 times

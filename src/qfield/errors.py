@@ -54,10 +54,15 @@ class DegenerateTransferError(QFieldError):
 
 
 def finite(value: float, name: str) -> float:
-    """``value`` itself; NonFiniteInputError if it is nan or infinite."""
-    if not math.isfinite(value):
-        raise NonFiniteInputError(f"{name} must be finite, got {value}")
-    return value
+    """``value`` itself; NonFiniteInputError if it is nan or infinite,
+    NumericOverflowError for a number past the float range (an int)."""
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # no float holds it
+        raise NumericOverflowError(f"{name} is past the float range") \
+            from None
+    raise NonFiniteInputError(f"{name} must be finite, got {value}")
 
 
 class Record:

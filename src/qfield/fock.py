@@ -28,8 +28,8 @@ from collections import namedtuple
 from operator import index
 from typing import Iterable, Sequence
 
-from .errors import NegativeNormError, NumericOverflowError, finite
-from .qcore import basic_number
+from .errors import NumericOverflowError, finite
+from .qcore import _level_weight
 
 PARTICLE = "particle"
 ANTIPARTICLE = "antiparticle"
@@ -117,13 +117,7 @@ def apply_string(ops: Sequence[LadderOp], occupations: dict,
         level = n + 1 if kind == CREATE else n
         if level == 0:
             return None
-        try:
-            coeff2 = basic_number(q, level)
-        except NumericOverflowError:
-            coeff2 = math.inf
-        if coeff2 < 0.0:
-            raise NegativeNormError(f"<{level}>_q = {coeff2} < 0 at q={q}")
-        amplitude *= coeff2 ** 0.5
+        amplitude *= _level_weight(q, level) ** 0.5
         if not amplitude:
             return None
         n = level if kind == CREATE else level - 1

@@ -41,13 +41,9 @@ import math
 from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
                      Record, ZeroMassError, finite)
-from .lorentz import (MIN_NORMAL, _check_mass, _check_nonnegative_mass,
-                      _finite_rows, omega)
-
-# the upper triangle of the symmetric photon tensor: index pairs, metric
-_UPPER = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
-          (2, 3), (3, 3))
-_METRIC_UPPER = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0, 0.0, -1.0)
+from .lorentz import (_METRIC_UPPER, MIN_NORMAL, _check_mass,
+                      _check_nonnegative_mass, _finite_rows, _kk_over_m2,
+                      _slash_rows, _symmetric_rows, omega)
 
 
 class PropagatorValue(Record):
@@ -172,31 +168,27 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
     Reduces to (m+pslash)/(2m (p^2-m^2)) at q = -1.  The entries of
     m + pslash (Dirac representation), m +- p0, +-p3, +-(p1 +- i p2) and
     0, are multiplied by 1/2m and then by the scalar factor D as numpy
-    multiplies them: numpy.array(value) is (m I + dirac.slash(p))/(2m) * D
-    bit for bit, but for the sign of an entry that underflows to zero.
+    multiplies them, at the scale of m or 2m (lorentz._slash_rows):
+    numpy.array(value) is (m I + dirac.slash(p))/(2m) * D bit for bit,
+    signs of zeros included, wherever numpy's 1/2m and the parts and
+    entries it forms are normal floats.
 
     Tolerance, with N = m + pslash exact at the float inputs and B the
     scalar factor's bound (scalar_propagator_momentum's, at q -> -q):
-    each entry within (|N_ij|/2m)(B + (3 eps + 2 m ulp(0))|D|)
-    + ulp(0)(1 + |D|) of N_ij D/2m.  The eps terms are the rounding of
-    m +- p0, of 1/2m and of the two products; the ulp(0) ones count where
-    1/2m (m past 2e307) or a product is subnormal.
+    each entry within (|N_ij|/2m)(B + 3 eps |D|) + ulp(0)(1 + |D|) of
+    N_ij D/2m.  The eps terms are the rounding of m +- p0, of 1/2m and of
+    the two products; the ulp(0) ones count where a part of N/2m or the
+    entry is subnormal.  NumericOverflowError where an entry or a part of
+    N/2m overflows.
     """
     finite(q, "q")
     _check_mass(m)
     m = float(m)
-    p0, *kvec = map(float, p)
+    p0, *kvec = p = tuple(map(float, p))
     val, dist = _scalar_factor(p0, omega(kvec, m), -float(q), kvec)
-    p1, p2, p3 = kvec
-    v = complex(val)  # complex * complex: the full product, as in numpy
-    s = 1.0 / (2.0 * m)  # numpy divides a complex by 2m as a product by s
-    # 0.0 +- p: the zero parts of m + pslash are +0.0, as in numpy
-    x, nx, y, ny = [a * s for a in (0.0 + p1, 0.0 - p1, 0.0 + p2, 0.0 - p2)]
-    up, lo, z, nz, o = [complex(a * s) * v
-                        for a in (m + p0, m - p0, 0.0 + p3, 0.0 - p3, 0.0)]
-    rows = ((up, o, nz, complex(nx, y) * v), (o, up, complex(nx, ny) * v, z),
-            (z, complex(x, ny) * v, lo, o), (complex(x, y) * v, nz, o, lo))
-    return PropagatorValue(_finite_rows(rows, "propagator matrix", m), dist)
+    # complex * complex: the full product, as in numpy
+    return PropagatorValue(_finite_rows(_slash_rows(p, m, m, complex(val)),
+                                        "propagator matrix", m), dist)
 
 
 def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
@@ -204,20 +196,22 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     ValueError at m < 0, where omega (in m^2) would mix the two.
 
     The half-sum scalar form is used internally, so q = -1 is evaluable.
-    Each entry is (g_ij - k_i k_j / m^2) D, so numpy.array(value) is
-    (g - outer(k, k) / m^2) * D evaluated in numpy, bit for bit, except
-    where k_i k_j overflows: that entry is (g_ij - (k_i/m)(k_j/m)) D.
-    That form rounds three times, as k_i k_j / m^2 does, and neither
-    quotient nor their product is subnormal there (|k_i/m| > 1/m), so the
-    bound below holds for it too.
+    Each entry is (g_ij - K_ij) D, K_ij = k_i k_j / m^2 formed at the scale
+    of m (lorentz._kk_over_m2), so numpy.array(value) is
+    (g - outer(k, k) / m^2) * D evaluated in numpy, bit for bit, wherever
+    numpy's m^2, k_i k_j, quotients and entries are normal floats and no
+    nonzero |k_i| is below 2^-1021 m.
 
     Tolerance, with t = g - k k/m^2 exact at the float inputs, K_ij =
     |k_i k_j|/m^2 and B the scalar factor's bound (that of
     scalar_propagator_momentum): each entry within |t_ij| B
-    + |D| (eps |t_ij| + 2 eps K_ij + ulp(0)(1 + K_ij)/m^2) + ulp(0) of
-    t_ij D.  The eps terms are the rounding of k_i k_j, m^2, the quotient,
-    the difference and the product; the ulp(0) ones count where k_i k_j,
-    m^2 (m below 1.5e-154) or the entry is subnormal.
+    + |D| (eps |t_ij| + 2 eps K_ij + 3 ulp(0) + U_ij) + ulp(0) of t_ij D,
+    U_ij = ulp(0) |k_j|/m for a factor 0 < |k_i| < 2^-1021 m (and the
+    same with i and j swapped), else 0.  The eps terms are the rounding of
+    k_i k_j, m^2, the quotient, the difference and the product; 3 ulp(0)
+    counts where k_i k_j or K_ij is subnormal at the scale of m, U_ij
+    where a factor is, and the last ulp(0) where the entry is.
+    NumericOverflowError where an entry or a K_ij overflows.
     """
     m = float(_check_nonnegative_mass(m))
     finite(q, "q")
@@ -225,17 +219,11 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
     tensor = _METRIC_UPPER
     if m > 0.0:
-        m2 = m * m
-        if m2 == 0.0:  # k k / m^2 is inf or nan on the whole diagonal
-            raise NumericOverflowError(f"propagator matrix overflows at m={m}")
-        tensor = [g - (kk / m2 if math.isfinite(kk := k[i] * k[j])
-                       else k[i] / m * (k[j] / m))
-                  for g, (i, j) in zip(tensor, _UPPER)]
+        tensor = [g - x for g, x in zip(tensor, _kk_over_m2(k, m))]
     v = complex(val)
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = [complex(t) * v for t in tensor]
-    rows = ((c0, c1, c2, c3), (c1, c4, c5, c6), (c2, c5, c7, c8),
-            (c3, c6, c8, c9))
-    return PropagatorValue(_finite_rows(rows, "propagator matrix", m), dist)
+    return PropagatorValue(_finite_rows(
+        _symmetric_rows([complex(t) * v for t in tensor]),
+        "propagator matrix", m), dist)
 
 
 _EPS = math.ulp(1.0)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from operator import index
 
-from .errors import NumericOverflowError, OccupancyPoleError, finite
+from .errors import (NegativeNormError, NumericOverflowError,
+                     OccupancyPoleError, finite)
 
 # Below x = -ln 2, e^x < |e^x - 1|, so e^x - q rounds less than expm1.
 _LN2 = math.log(2.0)
@@ -64,6 +65,18 @@ def basic_number(q: float, n: int) -> float:
         if not math.isfinite(value):
             raise NumericOverflowError(f"<n>_q overflows at q={q}, n={n}")
     return value + 0.0  # <0>, and <even n> at q = -1, can come out -0.0
+
+
+def _level_weight(q: float, n: int) -> float:
+    """The weight <n>_q of a ladder step to or from level n (fock, wick):
+    inf where it overflows; NegativeNormError where it is below 0."""
+    try:
+        w = basic_number(q, n)
+    except NumericOverflowError:
+        return math.inf
+    if w < 0.0:
+        raise NegativeNormError(f"<{n}>_q = {w} < 0 at q={q}")
+    return w
 
 
 def q_occupancy(x: float, q: float) -> float:

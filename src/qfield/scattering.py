@@ -30,12 +30,22 @@ import math
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, Record, finite)
-from .lorentz import (ONSHELL_RTOL, _check_mass, _check_nonnegative_mass,
-                      _check_onshell, _check_spin, _reduced_spinor,
-                      boost_rows, minkowski_dot)
+from .lorentz import (ONSHELL_RTOL, _at_scale, _check_mass,
+                      _check_nonnegative_mass, _check_onshell, _check_spin,
+                      _reduced_spinor, boost_rows, minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
+
+
+def _floats(values, name: str) -> tuple:
+    """tuple(map(float, values)); NumericOverflowError for a number past the
+    float range (an int), where float() raises OverflowError."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise NumericOverflowError(f"{name} is past the float range") \
+            from None
 
 
 class Boost(Record):
@@ -47,7 +57,7 @@ class Boost(Record):
     _fields = ("beta",)
 
     def __init__(self, beta):
-        self.beta = tuple(map(float, beta))
+        self.beta = _floats(beta, "a component of beta")
         self.rows = boost_rows(self.beta)
 
     def apply(self, p) -> tuple:
@@ -76,7 +86,7 @@ class ProcessKinematics:
     four-momentum within 1e-10 of the larger incoming energy."""
 
     def __init__(self, incoming, outgoing, masses):
-        self._validate(tuple(tuple(map(float, p))
+        self._validate(tuple(_floats(p, "a leg component")
                              for p in (*incoming, *outgoing)), tuple(masses))
 
     @classmethod
@@ -149,7 +159,7 @@ def _cm_frame(energy: float, theta: float, m: float) -> tuple:
     E > m >= 0.  NumericOverflowError where E^2 overflows, although |p| is
     a float there: from about that E the Moller dot products overflow too
     (moller_spin_summed refuses), though |M|^2 is of order 1."""
-    energy = float(energy)
+    energy = _floats((energy,), "E")[0]
     if energy <= _check_nonnegative_mass(m):
         raise ValueError("need E > m")
     # an infinite E is refused below, as a leg that is not finite
@@ -246,8 +256,7 @@ def _moller_transfers(kin: ProcessKinematics,
     t, u = minkowski_dot(tv, tv), minkowski_dot(uv, uv)
     if t == 0.0 or u == 0.0:
         for v in (tv, uv):  # judged again at 2^-e, an exact scaling
-            e = math.frexp(max(map(abs, v)))[1]
-            s = [math.ldexp(x, -e) for x in v]
+            s = _at_scale(max(map(abs, v)), v)[1]
             if minkowski_dot(s, s) == 0.0:
                 raise DegenerateTransferError(
                     "vanishing squared 4-momentum transfer")

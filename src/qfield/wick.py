@@ -45,9 +45,9 @@ import struct
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import fock
-from .errors import NegativeNormError, NumericOverflowError, Record, finite
+from .errors import NumericOverflowError, Record, finite
 from .fock import CREATE, LadderOp, ModeLabel
-from .qcore import basic_number
+from .qcore import _level_weight
 
 OperatorString = Tuple[LadderOp, ...]
 
@@ -320,12 +320,8 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> float:
         if kind == CREATE:
             h += 1
             if h == len(weights):
-                try:
-                    w = basic_number(q, h)
-                except NumericOverflowError:
-                    w = math.inf  # multiplied in only if h is closed again
-                if w < 0.0:
-                    raise NegativeNormError(f"<{h}>_q = {w} < 0 at q={q}")
+                # an inf weight is multiplied in only if h is closed again
+                w = _level_weight(q, h)
                 if w == 0.0:
                     return 0.0
                 weights.append(w)

@@ -14,10 +14,12 @@ constructors' E^2 overflows.
 import math
 import sys
 
-from qfield import dirac, propagator as prop, scattering as sc
+from qfield import dirac, lorentz, propagator as prop, scattering as sc
 from qfield.errors import QFieldError
 from qfield.lorentz import minkowski_dot, omega
 
+# the order of lorentz._kk_over_m2: the upper triangle, row by row
+UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 EPS = sys.float_info.epsilon
 TINY = math.ulp(0.0)
 MIN_NORMAL = sys.float_info.min
@@ -67,31 +69,33 @@ def scalar(k, m, q):
 
 
 def spinor(k, m, q):
-    """Each entry within (|N_ij|/2m)(B + (3 eps + 2 m ulp(0))|D|)
-    + ulp(0)(1 + |D|), N = m + pslash, B the scalar bound at -q."""
+    """Each entry within (|N_ij|/2m)(B + 3 eps |D|) + ulp(0)(1 + |D|),
+    N = m + pslash, B the scalar bound at -q."""
     pv = prop.spinor_propagator_momentum(k, m, q)
     d = abs(prop.scalar_propagator_momentum(k, m, -q).value)
     b = scalar_bound(k[0], k[1:], m, -q)
     n = [abs(x + m * (i == j)) for i, row in enumerate(dirac.slash(k))
          for j, x in enumerate(row)]
-    return flat(pv.value), [x / (2 * m) * (b + (3 * EPS + 2 * m * TINY) * d)
-                            + TINY * (1 + d) for x in n]
+    return flat(pv.value), [x / (2 * m) * (b + 3 * EPS * d) + TINY * (1 + d)
+                            for x in n]
 
 
 def photon(k, m, q):
     """Each entry within |t_ij| B + |D| (eps |t_ij| + 2 eps K_ij
-    + ulp(0)(1 + K_ij)/m^2) + ulp(0), t = g - k k/m^2, K_ij = |k_i k_j|/m^2."""
+    + ulp(0)(1 + K_ij)/m^2) + ulp(0), t = g - k k/m^2, K_ij = |k_i k_j|/m^2
+    (the docstring has 3 ulp(0) + U_ij for ulp(0)(1 + K_ij)/m^2, and U_ij
+    is 0 at every point below)."""
     pv = prop.photon_propagator_momentum(k, m, q)
     d = abs(prop.scalar_propagator_momentum(k, m, q).value)
     b = scalar_bound(k[0], k[1:], m, q)
+    if m > 0.0:  # K_ij as the library forms it
+        kks = dict(zip(UPPER, lorentz._kk_over_m2(k, m)))
     bounds = []
     for i, a in enumerate(k):
         for j, c in enumerate(k):
             g = (i == j) * (1.0 if i == 0 else -1.0)
             if m > 0.0:
-                # K_ij as the library forms it where k_i k_j overflows
-                kk = (a * c / (m * m) if math.isfinite(a * c)
-                      else a / m * (c / m))
+                kk = kks[min(i, j), max(i, j)]
                 big, t = abs(kk), abs(g - kk)
                 sub = TINY * (1 + big) / (m * m)
             else:

@@ -263,7 +263,9 @@ def test_spinors_and_projectors_near_e_plus_m_overflow():
     legs = [((math.hypot(1e308, 1e307), 0.0, 0.0, 1e307), 1e308),
             ((1e308, 0.0, 0.0, 0.0), 1e308),
             ((math.hypot(1e308, 3e307, 4e307), 3e307, -4e307, 0.0), 1e308),
-            ((math.hypot(5e307, 1.6e308), 0.0, 0.0, 1.6e308), 5e307)]
+            ((math.hypot(5e307, 1.6e308), 0.0, 0.0, 1.6e308), 5e307),
+            # E/m = 2.5e308 overflows, (E + m)/2m = 1.25e308 does not
+            ((1e308, 0.0, 0.0, 1e308), 0.4)]
     # and legs with E + m between 2^1022, where 1/(E + m) turns subnormal,
     # and overflow, m from 5% to 50% of it
     rng = np.random.default_rng(308)
@@ -352,6 +354,8 @@ def test_dirac_overflow_is_typed():
         polarization_sum_closed_form([1e200, 0.0, 0.0, 1e200], 1.0)
     with pytest.raises(NumericOverflowError):  # m^2 underflows to 0
         polarization_sum_closed_form([1.0, 0.0, 0.0, 0.0], 1e-200)
+    with pytest.raises(NumericOverflowError):  # p / 2^e overflows
+        polarization_sum_closed_form([1e300, 0.0, 0.0, 1e300], 1e-300)
     with pytest.raises(NumericOverflowError):
         onshell_momentum([1e200, 0.0, 0.0], 1.0)
     assert onshell_momentum([1e150, 0.0, 0.0], 1.0)[0] == 1e150
@@ -409,20 +413,35 @@ def test_c_matrix_is_i_gamma2_gamma0():
 
 
 def test_slash_and_projector_are_the_numpy_formulas_bit_for_bit():
-    # signs of zeros included, on momenta with +-0.0 components
+    # signs of zeros included, on momenta with +-0.0 components; each point
+    # also at p and m scaled by 2^n, n over +-1000, where numpy's 1/2m and
+    # entries are normal floats
     g = [np.asarray(gamma(mu)) for mu in range(4)]
     rng = np.random.default_rng(16)
+    scales = np.random.default_rng(160)
+    compared = 0
     for _ in range(200):
         pvec = [float(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
                 for _ in range(3)]
         m = float(rng.uniform(0.2, 3.0))
         p = np.asarray(onshell_momentum(pvec, m))
-        ps = p[0] * g[0] - p[1] * g[1] - p[2] * g[2] - p[3] * g[3]
-        assert np.asarray(slash(p)).tobytes() == ps.tobytes()
-        for sign in (1, -1):
-            want = (sign * m * np.eye(4) + ps) / (2 * m)
-            got = np.asarray(theta_projector(p, sign, m))
-            assert got.tobytes() == want.tobytes()
+        points = [(p, m)] + [(np.ldexp(p, n), math.ldexp(m, n))
+                             for n in scales.integers(-1000, 1001, 3).tolist()]
+        for p, m in points:
+            ps = p[0] * g[0] - p[1] * g[1] - p[2] * g[2] - p[3] * g[3]
+            assert np.asarray(slash(p)).tobytes() == ps.tobytes()
+            for sign in (1, -1):
+                with np.errstate(all="ignore"):
+                    want = (sign * m * np.eye(4) + ps) / (2 * m)
+                parts = np.concatenate([want.real.ravel(), want.imag.ravel(),
+                                        p, [0.5 / m]])
+                if not np.all((parts == 0.0) | ((np.abs(parts) >= 2.0 ** -1022)
+                                                & np.isfinite(parts))):
+                    continue
+                got = np.asarray(theta_projector(p, sign, m))
+                assert got.tobytes() == want.tobytes(), (p, m, sign)
+                compared += 1
+    assert compared > 1000
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -442,6 +461,21 @@ def test_polarization_sum_at_small_momentum():
     want = np.asarray(polarization_sum_closed_form(p, m))
     got = polarization_sum(p, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_at_scale_is_exact_and_never_raises():
+    # x 2^-e lies in [0.5, 1); each value times 2^-e is ldexp's float, a
+    # signed inf where ldexp raises OverflowError, down to a subnormal x
+    for x in (5e-324, 3e-320, 2.0 ** -1023, 2.0 ** -1022, 1e-300, 0.3, 1.0,
+              1e300, 2.0 ** 1023, 1.7976931348623157e308):
+        e, (y, *got) = lorentz._at_scale(x, (x, 3.0, -0.0, -1e308, 5e-324))
+        assert 0.5 <= y < 1.0 and y == math.ldexp(x, -e)
+        for v, z in zip((3.0, -0.0, -1e308, 5e-324), got):
+            try:
+                want = math.ldexp(v, -e)
+            except OverflowError:
+                want = math.copysign(math.inf, v)
+            assert repr(z) == repr(want), (x, v)
 
 
 def test_onshell_check_where_p0_squared_overflows():

@@ -290,33 +290,96 @@ def numpy_matrix(kind, k, m, q):
     return tensor.astype(complex) * val
 
 
+def normal_parts(values) -> bool:
+    """Whether each real and imaginary part of values is 0 or normal."""
+    parts = np.concatenate([np.ravel(np.real(values)),
+                            np.ravel(np.imag(values))])
+    return bool(np.all((parts == 0.0) | ((np.abs(parts) >= 2.0 ** -1022)
+                                         & np.isfinite(parts))))
+
+
+def numpy_intermediates_normal(kind, k, m, want) -> bool:
+    """Whether numpy's m^2, k_i k_j, 1/2m and entries are normal floats
+    (or zeros of zero inputs), so that the numpy formula rounds each once."""
+    k = np.asarray(k, dtype=float)
+    with np.errstate(all="ignore"):
+        if kind == "spinor":
+            parts = [1.0 / (2.0 * m), (m * np.eye(4) + dirac.slash(k))
+                     / (2.0 * m)]
+        else:
+            parts = [m * m, np.outer(k, k), np.outer(k, k) / (m * m)]
+        nonzero = k[k != 0.0]
+        return (normal_parts(want) and all(map(normal_parts, parts))
+                and bool(np.all(np.abs(np.outer(nonzero, nonzero)) > 0.0)))
+
+
 def test_matrices_are_the_numpy_formulas_bit_for_bit():
     # repr shows the sign of a zero: every entry, zeros included, is the
-    # numpy formula's, on a grid with +-0.0 components and m = 0 photons
+    # numpy formula's, on a grid with +-0.0 components and m = 0 photons;
+    # each massive point also at k and m scaled by 2^n, n over +-1000, where
+    # numpy's own intermediates are normal floats
     rng = np.random.default_rng(15)
-    compared = 0
+    scales = np.random.default_rng(150)
+    compared = scaled = 0
     for _ in range(400):
         k = [float(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
              for _ in range(4)]
         q = float(rng.choice((-1.0, -0.0, 0.0, 1.0, rng.uniform(-2.0, 2.0))))
         m = float(rng.uniform(0.2, 3.0))
-        for kind, fn, mass in (("spinor", prop.spinor_propagator_momentum, m),
-                               ("photon", prop.photon_propagator_momentum, m),
-                               ("photon", prop.photon_propagator_momentum, 0.0)):
-            try:
-                want = numpy_matrix(kind, k, mass, q)
-            except QFieldError as e:  # a pole, or omega = 0 massless
-                with pytest.raises(type(e)):
-                    fn(k, mass, q)
-                continue
-            got = fn(k, mass, q).value
-            assert type(got) is tuple and all(type(row) is tuple for row in got)
-            assert ([[repr(z) for z in row] for row in got]
-                    == [[repr(z) for z in row] for row in want.tolist()]), \
-                (kind, k, mass, q)
-            assert np.array(got).tobytes() == want.tobytes()
-            compared += 1
-    assert compared > 1000
+        points = [(k, m, 0)]
+        for n in scales.integers(-1000, 1001, 3).tolist():
+            points.append(([math.ldexp(x, n) for x in k], math.ldexp(m, n), n))
+        for k, m, n in points:
+            for kind, fn, mass in (("spinor", prop.spinor_propagator_momentum,
+                                    m),
+                                   ("photon", prop.photon_propagator_momentum,
+                                    m),
+                                   ("photon", prop.photon_propagator_momentum,
+                                    0.0)):
+                if n and not mass:
+                    continue
+                try:
+                    with np.errstate(all="ignore"):
+                        want = numpy_matrix(kind, k, mass, q)
+                except QFieldError as e:  # a pole, or omega = 0 massless
+                    if not n:
+                        with pytest.raises(type(e)):
+                            fn(k, mass, q)
+                    continue
+                if n and not numpy_intermediates_normal(kind, k, mass, want):
+                    continue
+                got = fn(k, mass, q).value
+                assert type(got) is tuple and all(type(row) is tuple
+                                                  for row in got)
+                assert ([[repr(z) for z in row] for row in got]
+                        == [[repr(z) for z in row] for row in want.tolist()]), \
+                    (kind, k, mass, q)
+                assert np.array(got).tobytes() == want.tobytes()
+                compared += 1
+                scaled += n != 0
+    assert compared - scaled > 1000 and scaled > 1000
+
+
+def test_photon_entry_where_k_i_k_j_underflows():
+    # k_1 k_2 = 1e-326 underflows to 0, so the entry read -0.0, where it is
+    # 7.5e281: K_12 = k_1 k_2/m^2 is formed at the scale of m
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    eps, tiny = math.ulp(1.0), math.ulp(0.0)
+    k, m, q = (0.0, 1e-163, 1e-163, 0.0), 1e-152, 0.5
+    got = prop.photon_propagator_momentum(k, m, q).value[1][2]
+    K, M = [mp.mpf(x) for x in k], mp.mpf(m)
+    W = mp.sqrt(K[1] ** 2 + K[2] ** 2 + K[3] ** 2 + M ** 2)
+    d, s = K[0] - W, K[0] + W
+    D = ((s - q * d) / W / (d * s)) / 2
+    B = 4 * eps * (1 + W / abs(d) + W / abs(s)) * (
+        (1 / abs(d) + abs(q) / abs(s)) / (2 * W))
+    kk = K[1] * K[2] / M ** 2
+    want = -kk * D
+    assert abs(float(want) / 7.4999999999999969e+281 - 1) < 1e-16
+    # the docstring's bound, with U_12 = 0 (no factor below 2^-1021 m)
+    tol = kk * B + abs(D) * (eps * kk + 2 * eps * kk + 3 * tiny) + tiny
+    assert abs(got.real - want) <= tol and got.imag == 0.0, got
 
 
 def test_matrices_within_stated_tolerance_on_log_grid():
@@ -358,8 +421,7 @@ def test_matrices_within_stated_tolerance_on_log_grid():
                          [p3, mp.mpc(p1, -p2), M - p0, 0],
                          [mp.mpc(p1, p2), -p3, 0, M - p0]]
                     exact = [[n * D / (2 * M) for n in row] for row in N]
-                    tol = [[abs(n) / (2 * M) * (B + (3 * eps + 2 * M * tiny)
-                                                * abs(D))
+                    tol = [[abs(n) / (2 * M) * (B + 3 * eps * abs(D))
                             + tiny * (1 + abs(D)) for n in row] for row in N]
                 else:
                     t = [[(g[i] if i == j else 0) - K[i] * K[j] / M ** 2

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
                            OccupancyPoleError)
+from qfield import propagator as prop, scattering as sc
 from qfield.fock import a, a_dag, vev
 from qfield.qcore import basic_number, q_occupancy
 from qfield.wick import wick_vev
@@ -235,3 +236,31 @@ def test_occupancy_finite_at_large_x():
         assert q_occupancy(709.79, q) == pytest.approx(edge * math.exp(-0.01),
                                                        rel=1e-9)
         assert q_occupancy(1000.0, q) == 0.0
+
+
+BIG = 10 ** 400  # an int that no float holds
+LEG = (2.0, 0.0, 0.0, 3.0 ** 0.5)  # on shell at m = 1
+K = (0.3, 0.2, 0.0, 0.1)
+PAST_THE_FLOAT_RANGE = {
+    "wick_vev q": lambda: wick_vev((a(0), a_dag(0)), BIG),
+    "fock.vev q": lambda: vev((a(0), a_dag(0)), BIG),
+    "q_occupancy x": lambda: q_occupancy(BIG, 0.5),
+    "delta_plus_equal_time r": lambda: prop.delta_plus_equal_time(BIG, 1.0),
+    "scalar q": lambda: prop.scalar_propagator_momentum(K, 1.0, BIG),
+    "spinor q": lambda: prop.spinor_propagator_momentum(K, 1.0, BIG),
+    "photon q": lambda: prop.photon_propagator_momentum(K, 1.0, BIG),
+    "pole_residues q": lambda: prop.pole_residues(K[1:], 1.0, BIG),
+    "Boost beta": lambda: sc.Boost((BIG, 0, 0)),
+    "ProcessKinematics leg": lambda: sc.ProcessKinematics(
+        ((BIG, 0, 0, 0), LEG), (LEG, LEG), (1.0,) * 4),
+    "cm_elastic_kinematics E": lambda: sc.cm_elastic_kinematics(BIG, 1.0, 1.0),
+    "cm_annihilation_kinematics E":
+        lambda: sc.cm_annihilation_kinematics(BIG, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", PAST_THE_FLOAT_RANGE)
+def test_int_past_the_float_range_is_typed(name):
+    # float() and math.isfinite raise OverflowError for such an int
+    with pytest.raises(NumericOverflowError, match="past the float range"):
+        PAST_THE_FLOAT_RANGE[name]()
