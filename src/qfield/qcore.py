@@ -30,6 +30,10 @@ def basic_number(q: float, n: int) -> float:
     n ||q| - 1| <= 1, q^n - 1 is formed as expm1(n log1p(|q| - 1)), with
     no cancellation as |q| -> 1.  Elsewhere q ** n, within an ulp, is
     above 2, below 1/e or negative, so q^n - 1 loses at most a bit.
+
+    For an n past the float range, q^n underflows for |q| < 1 and the
+    value is 1/(1 - q); at q = -1 it is 0 or 1.  An int q past the float
+    range, and such an n at q = 1 or |q| > 1, raise NumericOverflowError.
     """
     if type(n) is not int:  # the library's exact ints skip this
         try:
@@ -39,20 +43,23 @@ def basic_number(q: float, n: int) -> float:
                 from None
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if q == 1.0:
-        return float(n)
-    x = abs(q) - 1.0
-    # n = 1 takes q ** n, exact as q - 1 over itself; at n >= 2 the test
-    # keeps |x| <= 1/2, where x is exact
-    if n >= 2 and n * abs(x) <= 1.0 and (q > 0.0 or n % 2 == 0):
-        num = math.expm1(n * math.log1p(x))
-    else:
-        q = float(q)  # a numpy q would warn where a float overflows
-        try:
-            num = q ** n - 1.0
-        except OverflowError:
-            num = math.inf
-    value = num / (q - 1.0)
+    try:  # OverflowError: q or n is an int past the float range
+        if q == 1.0:
+            return float(n)
+        x = abs(q) - 1.0
+        # n = 1 takes q ** n, exact as q - 1 over itself; at n >= 2 the
+        # test keeps |x| <= 1/2, where x is exact
+        if n >= 2 and n * abs(x) <= 1.0 and (q > 0.0 or n % 2 == 0):
+            num = math.expm1(n * math.log1p(x))
+        else:
+            q = float(q)  # a numpy q would warn where a float overflows
+            try:
+                num = q ** n - 1.0
+            except OverflowError:
+                num = math.inf
+        value = num / (q - 1.0)
+    except OverflowError:
+        return _past_the_float_range(q, n)
     # inf or nan where the quotient overflows or q is not finite
     if not math.isfinite(value):
         finite(q, "q")
@@ -65,6 +72,20 @@ def basic_number(q: float, n: int) -> float:
         if not math.isfinite(value):
             raise NumericOverflowError(f"<n>_q overflows at q={q}, n={n}")
     return value + 0.0  # <0>, and <even n> at q = -1, can come out -0.0
+
+
+def _past_the_float_range(q, n: int) -> float:
+    """<n>_q where q or n is an int that no float holds.  For |q| < 1,
+    q^n is below every float and the value is 1/(1 - q); at q = -1 it is
+    0 or 1 by the parity of n.  Elsewhere it overflows."""
+    finite(q, "q")  # typed for a nan, an inf, or an int q past the range
+    q = float(q)
+    if abs(q) < 1.0:
+        return 1.0 / (1.0 - q)
+    if q == -1.0:
+        return float(n % 2)
+    raise NumericOverflowError(f"<n>_q overflows at q={q}: n is past the "
+                               "float range")
 
 
 def _level_weight(q: float, n: int) -> float:

@@ -14,7 +14,13 @@ along three paths:
   creators, then its annihilators, each ordered by ``ModeLabel``.  The
   coefficients are integer polynomials in q, packed in 32-bit fields of
   one int while they are built and unpacked to a ``QPoly``, a tuple of
-  ints, whose value at a float q is the exact sum rounded once.
+  ints, whose value at a float q is the exact sum rounded once.  A
+  label's packed coefficients depend only on its core, the kinds from
+  its first annihilator to its last creator, and the sweep is memoized
+  on it: under ``MAX_STRING_LEN`` at most 2^11 - 1 = 2,047 cores exist,
+  so the memo is bounded with no size limit, and its values are tuples
+  of ints that cannot be changed.  Lifting the length cap (ROADMAP item
+  6) must keep the memo bounded.
 * Path product (``wick_vev``): read right to left, the string is a
   lattice path per label.  A creator steps its label's height up; an
   annihilator steps it down from height h and contributes the level
@@ -40,16 +46,20 @@ for a nan or infinite q.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
+from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import fock
 from .errors import NumericOverflowError, Record, finite
-from .fock import CREATE, LadderOp, ModeLabel
+from .fock import ANNIHILATE, CREATE, LadderOp, ModeLabel
 from .qcore import _level_weight
 
 OperatorString = Tuple[LadderOp, ...]
+
+_KIND = itemgetter(0)  # a LadderOp's kind
 
 # The longest string the two enumerators, normal_order and wick_expand,
 # accept: their output can grow exponentially with the length.  wick_vev
@@ -157,6 +167,14 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     then its annihilators, each ordered by ``ModeLabel``, as the input's
     own ``LadderOp`` objects.
 
+    The sweep is memoized on the label's core kinds (see ``_label_form``),
+    and a one-label string's coefficient tuples on the packed ints the
+    sweep returns; a product over several labels is unpacked on every
+    call.  Every call builds its own ``QPoly`` and ``NormalForm`` objects
+    around the memo's tuples, which cannot be changed.  The q check, the
+    length cap and the negative-norm check come before any lookup, so a
+    refused call leaves the memo as it was.
+
     The terms are exact integer polynomials in q; the returned
     ``NormalForm`` rounds each once at the working value ``q``.  Below
     q = -1 the algebra has negative norms: there the string raises
@@ -169,39 +187,79 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     strings: Dict[ModeLabel, List[LadderOp]] = {}
     for op in ops:
         strings.setdefault(op[1], []).append(op)
-    parts = [_label_form(strings[label]) for label in sorted(strings)]
+    parts = [_label_terms(strings[label]) for label in sorted(strings)]
+    if len(parts) == 1:
+        return NormalForm({c + d: QPoly(_coefficients(v))
+                           for c, d, v in parts[0]}, q)
     terms = parts[0] if parts else [((), (), 1)]
     for part in parts[1:]:
         # packed coefficients multiply as ints: each product coefficient
         # still counts contraction patterns, so no field carries
         terms = [(c + c2, d + d2, v * v2) for c, d, v in terms
                  for c2, d2, v2 in part]
-    # v fills n = ceil(bits / 32) fields, its top one nonzero; one struct
-    # call unpacks them.
-    return NormalForm({c + d: QPoly(_UNPACK[n](v.to_bytes(4 * n, "little")))
-                       for c, d, v in terms
-                       for n in ((v.bit_length() + 31) >> 5,)}, q)
+    return NormalForm({c + d: QPoly(_unpack(v)) for c, d, v in terms}, q)
 
 
-def _label_form(string: List[LadderOp]) -> List[Tuple[tuple, tuple, int]]:
+def _unpack(v: int) -> Tuple[int, ...]:
+    """The coefficients of a packed coefficient v, lowest power first: v
+    fills n = ceil(bits / 32) fields, its top one nonzero, and one struct
+    call unpacks them."""
+    n = (v.bit_length() + 31) >> 5
+    return _UNPACK[n](v.to_bytes(4 * n, "little"))
+
+
+# The one-label memo: keyed on the packed ints that _label_form returns,
+# so it holds no more entries than that memo's values.
+_coefficients = functools.cache(_unpack)
+
+# Each distinct packed int that _label_form returns, stored once however
+# many cores share it.
+_PACKED: Dict[int, int] = {}
+
+
+def _label_terms(string: List[LadderOp]) -> List[Tuple[tuple, tuple, int]]:
     """The normal form of one label's string as (creators, annihilators,
     packed coefficient) terms, term k the one with k contractions.
+
+    Leading creators and trailing annihilators stay where they are, so
+    only the core between the first annihilator and the last creator is
+    swept; a string with no such core is already normal-ordered."""
+    kinds = tuple(map(_KIND, string))
+    annihilators = kinds.count(ANNIHILATE)
+    creators = len(kinds) - annihilators
+    first = kinds.index(ANNIHILATE) if annihilators else len(kinds)
+    last = len(kinds) - kinds[::-1].index(CREATE) if creators else 0
+    forms = _label_form(kinds[first:last]) if first < last else (1,)
+    creator = string[last - 1] if creators else None
+    annihilator = string[first] if annihilators else None
+    return [((creator,) * (creators - k), (annihilator,) * (annihilators - k),
+             v) for k, v in enumerate(forms)]
+
+
+@functools.cache
+def _label_form(core: Tuple[str, ...]) -> Tuple[int, ...]:
+    """The packed coefficients of the normal form of one label's core,
+    the kinds from its first annihilator to its last creator: entry k is
+    the coefficient of the term with k contractions.
 
     A coefficient is packed into one int, the coefficient of q^e in the
     32-bit field e: multiplying by q^t is a shift and adding is +.  Each
     counts contraction patterns of the string, at most T(n) <= n! < 2^32
     for n <= MAX_STRING_LEN (T(n) the number of involutions), so no field
     carries into the next.
+
+    Memoized on the core: a core starts with an annihilator and ends with
+    a creator, so under MAX_STRING_LEN = 12 there are at most 2^11 - 1 =
+    2,047 of them, and the memo needs no size limit.  Its values are
+    tuples of ints, which cannot be changed.  Lifting the length cap
+    (fields sized per call) must keep this memo bounded.
     """
     forms = [1]  # forms[k]: term k's coefficient in the suffix read so far
     creators = 0
-    creator = annihilator = None  # the operators that key the terms
-    for op in reversed(string):
-        if op[0] == CREATE:
-            creator = op
+    for kind in reversed(core):
+        if kind == CREATE:
             creators += 1
             continue
-        annihilator = op
         # term k passes its c = creators - k creators at q^c, and term
         # k - 1 contracts with one of its c + 1 at [c + 1]_q
         c, u, passed = creators, 0, []
@@ -212,9 +270,7 @@ def _label_form(string: List[LadderOp]) -> List[Tuple[tuple, tuple, int]]:
         if c >= 0:  # the old last term had a creator left to contract
             passed.append(u * _RUN[c + 1])
         forms = passed
-    annihilators = len(string) - creators
-    return [((creator,) * (creators - k), (annihilator,) * (annihilators - k),
-             v) for k, v in enumerate(forms)]
+    return tuple(_PACKED.setdefault(v, v) for v in forms)
 
 
 class PairingDiagram(Record):

@@ -476,6 +476,18 @@ def test_overflow_and_large_x_paths():
     assert float(row.split(",")[-1]) == pytest.approx(1e300, rel=1e-15)
 
 
+def test_qnum_of_n_past_the_float_range(capsys):
+    # q^n underflows: <n>_q = 1/(1 - q); at q = 2 it overflows, typed
+    from qfield.cli import main
+    n = str(10 ** 400)
+    assert cli_row(capsys, "qnum", "--q", "0.5", "--n", n)["basic_number"] \
+        == "2"
+    assert main(["qnum", "--q", "2", "--n", n]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NumericOverflowError:")
+    assert len(err.splitlines()) == 1
+
+
 # The 16 invocations of acceptance criterion 11, one per command; none
 # needs numpy or scipy.
 NUMPY_FREE_ARGV = (

@@ -11,7 +11,7 @@ from qfield.errors import (NonFiniteInputError, NumericOverflowError,
 from qfield import propagator as prop, scattering as sc
 from qfield.fock import a, a_dag, vev
 from qfield.qcore import basic_number, q_occupancy
-from qfield.wick import wick_vev
+from qfield.wick import QPoly, normal_order, wick_vev
 
 Q_VALUES = [-1.0, -0.5, 0.3, 1.0, 1.2]
 
@@ -242,7 +242,10 @@ BIG = 10 ** 400  # an int that no float holds
 LEG = (2.0, 0.0, 0.0, 3.0 ** 0.5)  # on shell at m = 1
 K = (0.3, 0.2, 0.0, 0.1)
 PAST_THE_FLOAT_RANGE = {
+    "basic_number q": lambda: basic_number(BIG, 3),
     "wick_vev q": lambda: wick_vev((a(0), a_dag(0)), BIG),
+    "normal_order q": lambda: normal_order((a(0), a_dag(0)), BIG),
+    "QPoly.__call__ q": lambda: QPoly((1, 1))(BIG),
     "fock.vev q": lambda: vev((a(0), a_dag(0)), BIG),
     "q_occupancy x": lambda: q_occupancy(BIG, 0.5),
     "delta_plus_equal_time r": lambda: prop.delta_plus_equal_time(BIG, 1.0),
@@ -264,3 +267,20 @@ def test_int_past_the_float_range_is_typed(name):
     # float() and math.isfinite raise OverflowError for such an int
     with pytest.raises(NumericOverflowError, match="past the float range"):
         PAST_THE_FLOAT_RANGE[name]()
+
+
+def test_basic_number_of_n_past_the_float_range():
+    # q^n is below every float for |q| < 1, so <n>_q = 1/(1 - q); at
+    # q = -1 the value is the parity of n; elsewhere it overflows
+    for q in (0.5, -0.5, 0.0, 1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53,
+              np.float64(0.5)):
+        assert basic_number(q, BIG) == 1.0 / (1.0 - float(q))
+    assert basic_number(0.5, BIG) == 2.0
+    assert basic_number(-1.0, BIG) == 0.0
+    assert basic_number(-1.0, BIG + 1) == 1.0
+    for q in (1.0, 2.0, -2.0, 1.0 + 2.0 ** -52, -1.0 - 2.0 ** -52):
+        with pytest.raises(NumericOverflowError, match="n is past the float"):
+            basic_number(q, BIG)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFiniteInputError):
+            basic_number(bad, BIG)

@@ -413,10 +413,26 @@ def test_normal_order_matches_reference_rewriter():
             reference_normal_order(ops)), ops
 
 
+def clear_memo():
+    wick._label_form.cache_clear()
+    wick._coefficients.cache_clear()
+
+
+def memo_size():
+    return wick._label_form.cache_info().currsize
+
+
 def test_normal_order_matches_heap_rewriter():
-    strings = [ops for length in range(9, 13)
-               for ops in all_single_mode_strings(length)]
-    strings += list(all_two_mode_strings(6))
+    # each one-label string twice, from an empty memo: the first call
+    # fills it (where no earlier string filled the core) and the second
+    # reads it
+    clear_memo()
+    for length in range(9, 13):
+        for ops in all_single_mode_strings(length):
+            want = canonical(heap_normal_order(ops))
+            assert normal_order(ops, 0.5).terms == want, ops
+            assert normal_order(ops, 0.5).terms == want, ops
+    strings = list(all_two_mode_strings(6))
     rng = random.Random(2024)
     choices = (a(0), a_dag(0), a(1), a_dag(1), b(0), b_dag(0))
     strings += [tuple(rng.choice(choices) for _ in range(rng.randint(7, 12)))
@@ -424,6 +440,49 @@ def test_normal_order_matches_heap_rewriter():
     for ops in strings:
         assert normal_order(ops, 0.5).terms == canonical(
             heap_normal_order(ops)), ops
+
+
+def test_normal_order_memo_is_bounded_and_shares_no_qpoly():
+    # A core runs from an annihilator to a creator, so at most
+    # 2^(MAX_STRING_LEN - 1) - 1 of them exist, whatever ran before.
+    for length in range(wick.MAX_STRING_LEN + 1):
+        for ops in all_single_mode_strings(length):
+            first, second = normal_order(ops, 0.5), normal_order(ops, 0.5)
+            assert first.terms == second.terms and first is not second
+            assert not ({id(p) for p in first.terms.values()}
+                        & {id(p) for p in second.terms.values()}), ops
+    assert memo_size() <= 2 ** (wick.MAX_STRING_LEN - 1) - 1
+
+
+def test_leading_creators_and_trailing_annihilators_keep_the_coefficients():
+    def by_contractions(ops):
+        return {(len(ops) - len(key)) // 2: poly
+                for key, poly in normal_order(ops, 0.5).terms.items()}
+
+    for length in range(7):
+        for core in all_single_mode_strings(length):
+            want = by_contractions(core)
+            for lead, trail in product(range(4), repeat=2):
+                ops = (a_dag(0),) * lead + core + (a(0),) * trail
+                assert by_contractions(ops) == want, ops
+
+
+def test_refused_calls_leave_the_memo_as_it_was():
+    # each string's core is new to the emptied memo, and each call is
+    # refused before any lookup
+    clear_memo()
+    square = (a(0), a(0), a_dag(0), a_dag(0))  # <2>_q < 0 below q = -1
+    refused = (((a(0), a_dag(0)), math.nan, NonFiniteInputError),
+               ((a(0), a_dag(0), a(0), a_dag(0)) * 3 + (a(0),), 0.5,
+                ValueError),
+               (square, -2.0, NegativeNormError))
+    for ops, q, error in refused:
+        with pytest.raises(error):
+            normal_order(ops, q)
+        assert memo_size() == 0
+        assert wick._coefficients.cache_info().currsize == 0
+    normal_order(square, 0.5)
+    assert memo_size() == 1
 
 
 def test_normal_order_has_one_key_per_operator():
