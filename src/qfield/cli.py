@@ -58,7 +58,7 @@ def check_finite_options(args):
 
 
 def parse_vec3(text: str) -> tuple:
-    parts = tuple(finite(float(p), f"component of {text!r}")
+    parts = tuple(finite(p, f"component of {text!r}")
                   for p in text.split(","))
     if len(parts) != 3:
         raise ValueError(f"need 3 components, got {text!r}")
@@ -71,8 +71,8 @@ def parse_grid(text: str) -> list:
     underflows to 0 (i/(n - 1))*(hi - lo) + lo, and 0*(hi - lo) + lo at
     n = 1."""
     lo, hi, n = text.split(":")
-    lo = finite(float(lo), f"grid start in {text!r}")
-    hi = finite(float(hi), f"grid end in {text!r}")
+    lo = finite(lo, f"grid start in {text!r}")
+    hi = finite(hi, f"grid end in {text!r}")
     n = int(n)
     if n < 0:
         raise ValueError(f"Number of samples, {n}, must be non-negative.")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericOverflowError, Record, finite
+from .errors import NumericOverflowError, Record, finite, finite_vector
 from .lorentz import (_METRIC_UPPER, _check_mass, _check_onshell,
                       _check_spin, _finite_rows, _kk_over_m2, _reduced_spinor,
                       _slash_rows, _symmetric_rows, omega)
@@ -44,7 +44,7 @@ def gamma(mu: int) -> tuple:
 def slash(p) -> tuple:
     """pslash = p0 G0 - p1 G1 - p2 G2 - p3 G3 with complex products, as
     numpy forms it, exact; NonFiniteInputError for a nan or infinite p_mu."""
-    p0, p1, p2, p3 = (complex(finite(float(x), "component of p")) for x in p)
+    p0, p1, p2, p3 = map(complex, finite_vector(p, "component of p"))
     return tuple(tuple(p0 * a - p1 * b - p2 * c - p3 * d
                        for a, b, c, d in zip(*rows)) for rows in zip(*_GAMMA))
 
@@ -52,7 +52,7 @@ def slash(p) -> tuple:
 def onshell_momentum(pvec, m: float) -> tuple:
     """(p0, pvec), p0 = lorentz.omega within 1.5 eps p0 + 6e-162;
     NonFiniteInputError for nan or inf, NumericOverflowError at p0 = inf."""
-    pvec = tuple(finite(float(x), "component of pvec") for x in pvec)
+    pvec = finite_vector(pvec, "component of pvec")
     return _finite_rows([(omega(pvec, finite(m, "m")), *pvec)], "p0", m)[0]
 
 
@@ -75,12 +75,10 @@ class DiracSpinor(Record):
         return (c0 + 0j, c1 + 0j, 0j - c2, 0j - c3)
 
 
-def _spinors(p, m: float, kind: str) -> tuple:
-    """Rows r - 1: n = sqrt((E+m)/2m) times lorentz._reduced_spinor (halves
-    swapped for v); NumericOverflowError where n^2 overflows."""
-    m = float(m)
-    _check_mass(m)
-    leg = tuple(map(float, p))
+def _spinors(leg: tuple, m: float, kind: str) -> tuple:
+    """Rows r - 1 for a float leg and m > 0: n = sqrt((E+m)/2m) times
+    lorentz._reduced_spinor (halves swapped for v); OffShellError off
+    shell, NumericOverflowError where n^2 overflows."""
     _check_onshell(leg, m)
     ratio = (leg[0] + m) / (2 * m)
     if not math.isfinite(ratio):  # E + m or 2m overflows: halve both
@@ -97,10 +95,11 @@ def _spinors(p, m: float, kind: str) -> tuple:
 
 def u_spinor(p, r: int, m: float) -> DiracSpinor:
     """Positive-energy on-shell spinor, ubar u = 1; each real and imaginary
-    part within 3 eps of its modulus + n ulp(0)."""
-    _check_spin(r)
-    p = tuple(map(float, p))
-    return DiracSpinor(_spinors(p, m, "u")[r - 1], p, r, "u")
+    part within 3 eps of its modulus + n ulp(0).  ValueError unless the
+    spin index r is 1 or 2, taken by operator.index (so 1.0 is refused)."""
+    r = _check_spin(r)
+    p = finite_vector(p, "component of p")
+    return DiracSpinor(_spinors(p, _check_mass(m), "u")[r - 1], p, r, "u")
 
 
 def charge_conjugate_spinor(s: DiracSpinor) -> DiracSpinor:
@@ -119,8 +118,8 @@ def theta_projector(p, sign: int, m: float) -> tuple:
     entry overflows."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    _check_mass(m)
-    m, p = float(m), tuple(map(float, p))
+    m = _check_mass(m)
+    p = finite_vector(p, "component of p")
     _check_onshell(p, m)
     return _finite_rows(_slash_rows(p, sign * m, m, 1 + 0j), "projector", m)
 
@@ -128,7 +127,8 @@ def theta_projector(p, sign: int, m: float) -> tuple:
 def spin_sum(p, m: float, kind: str = "u") -> tuple:
     """Sum_r u ubar (or v vbar) assembled from explicit spinors, each entry
     within 8 eps (E+m)/m; NumericOverflowError where one overflows."""
-    rows = _spinors(p, m, kind)
+    m = _check_mass(m)
+    rows = _spinors(finite_vector(p, "component of p"), m, kind)
     return _finite_rows(tuple(
         tuple(g * sum((s[i] * s[j].conjugate() for s in rows), 0j)
               for j, g in enumerate((1, 1, -1, -1))) for i in range(4)),
@@ -145,9 +145,9 @@ def polarization_vectors(p, m: float) -> list:
     axis), phat x t and (|p|, E phat)/m (the rest-frame axes at |p| = 0), the
     first two within 16 eps of exact, the last within 3 eps of its modulus +
     ulp(0); NumericOverflowError where E/m overflows."""
-    _check_mass(m)
+    m = _check_mass(m)
+    p0, *pvec = p = finite_vector(p, "component of p")
     _check_onshell(p, m)
-    p0, *pvec = map(float, p)
     pmag = math.hypot(*pvec)
     if pmag == 0.0:
         return [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
@@ -177,10 +177,10 @@ def polarization_sum_closed_form(p, m: float) -> tuple:
     0 < |p_i| < 2^-1021 m (and the same with i and j swapped), else 0: the
     rounding of p_i at that scale.  NonFiniteInputError for a nan or
     infinite input, NumericOverflowError where p p / m^2 overflows."""
-    _check_mass(m)
-    p = [finite(float(x), "component of p") for x in p]
+    m = _check_mass(m)
+    p = finite_vector(p, "component of p")
     return _finite_rows(_symmetric_rows(
-        [-g + x for g, x in zip(_METRIC_UPPER, _kk_over_m2(p, float(m)))]),
+        [-g + x for g, x in zip(_METRIC_UPPER, _kk_over_m2(p, m))]),
         "p p / m^2", m)
 
 

@@ -1,7 +1,16 @@
-"""Shared across the package: typed exceptions, ``finite`` and the
-result-record base.
+"""Shared across the package: typed exceptions, the input conversions
+``finite`` and ``finite_vector``, and the result-record base.
 
-Every divergence or invalid input maps to one of the exceptions; no
+The input contract: every public function, constructor and method of
+the layers converts each numeric argument once, at entry, to a Python
+float (``finite``, ``finite_vector``, or the mass checks in ``lorentz``
+built on them), or hands it unchanged to an entry that does.  So a
+number past the float range (an int) raises NumericOverflowError and a
+nan or infinite one NonFiniteInputError (a velocity component's
+infinity is superluminal), before any work; internal helpers take the
+converted floats and convert nothing again.  ``lorentz.omega`` and
+``lorentz.minkowski_dot`` are the two documented unchecked helpers.
+Past the entry, every divergence maps to one of the exceptions; no
 operation returns a silent NaN.
 """
 import math
@@ -53,16 +62,30 @@ class DegenerateTransferError(QFieldError):
     """A momentum transfer (|dpvec|, or Moller's t or u) exactly zero."""
 
 
-def finite(value: float, name: str) -> float:
-    """``value`` itself; NonFiniteInputError if it is nan or infinite,
-    NumericOverflowError for a number past the float range (an int)."""
+def finite(value, name: str) -> float:
+    """float(value); NumericOverflowError for a number past the float range
+    (an int), NonFiniteInputError if it is nan or infinite."""
     try:
-        if math.isfinite(value):
-            return value
+        value = float(value)
     except OverflowError:  # no float holds it
         raise NumericOverflowError(f"{name} is past the float range") \
             from None
+    if math.isfinite(value):
+        return value
     raise NonFiniteInputError(f"{name} must be finite, got {value}")
+
+
+def finite_vector(values, name: str) -> tuple:
+    """The tuple of float(v) for v in values, each refused as ``finite``
+    refuses a number; ``name`` names a component."""
+    try:
+        values = tuple(map(float, values))
+    except OverflowError:
+        raise NumericOverflowError(f"{name} is past the float range") \
+            from None
+    if all(map(math.isfinite, values)):
+        return values
+    raise NonFiniteInputError(f"{name} must be finite, got {values}")
 
 
 class Record:

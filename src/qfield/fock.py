@@ -110,6 +110,7 @@ def apply_string(ops: Sequence[LadderOp], occupations: dict,
     sqrt(<level>_q) either way, inf where <level>_q overflows, and raises
     NegativeNormError where <level>_q < 0 (the even levels below q = -1).
     """
+    q = finite(q, "q")
     occupations = dict(occupations)
     amplitude = 1.0
     for kind, label in reversed(tuple(ops)):
@@ -134,7 +135,6 @@ def vev(ops: Sequence[LadderOp], q: float) -> float:
     floating point at every length, at a cost linear in the length.
     NumericOverflowError if it is not finite.
     """
-    finite(q, "q")
     image = apply_string(ops, {}, q)
     if image is None or image[0]:
         return 0.0
@@ -170,7 +170,6 @@ def charge_conjugate_string(ops: Iterable[LadderOp], epsilon: complex = 1.0):
 
 
 def _check_phase(epsilon: complex):
-    modulus = abs(complex(epsilon))
-    if not abs(modulus - 1.0) <= 1e-12:  # so that a nan phase fails too
-        finite(modulus, "|epsilon|")
+    modulus = finite(abs(epsilon), "|epsilon|")
+    if not abs(modulus - 1.0) <= 1e-12:
         raise ValueError(f"|epsilon| must be 1, got {modulus}")

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import index
 
 from .errors import (NonFiniteInputError, NumericOverflowError, OffShellError,
-                     SuperluminalError, ZeroMassError, finite)
+                     SuperluminalError, ZeroMassError, finite, finite_vector)
 
 ONSHELL_RTOL = 1e-10
 MIN_NORMAL = 2.0 ** -1022  # below it a float is subnormal and loses bits
@@ -58,26 +59,22 @@ def omega(kvec, m: float) -> float:
     return math.sqrt(kx * kx + ky * ky + kz * kz + m * m)
 
 
-def _check_onshell(p, m: float):
-    """OffShellError unless |p^2 - m^2| <= 1e-10 max(m^2, p0^2) and p0 > 0.
-    Where that scale is not a normal float, or the test fails, it is
-    repeated on p and m divided by a power of two near their largest
-    modulus, an exact scaling, so that a leg whose squares under- or
-    overflow is still judged; where p^2 - m^2 overflows too, the error
-    reports the scaled deviation times its power of two."""
+def _check_onshell(p: tuple, m: float):
+    """OffShellError unless |p^2 - m^2| <= 1e-10 max(m^2, p0^2) and p0 > 0,
+    for finite float p_mu and m.  Where that scale is not a normal float,
+    or the test fails, it is repeated on p and m divided by a power of two
+    near their largest modulus, an exact scaling, so that a leg whose
+    squares under- or overflow is still judged; where p^2 - m^2 overflows
+    too, the error reports the scaled deviation times its power of two."""
     p0, p1, p2, p3 = p
     dev = p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3 - m * m
-    p0 = float(p0)  # p0 * p0 is inf, not an exception, where it overflows
     scale = p0 * p0 if p0 * p0 > m * m else m * m  # max(m^2, p0^2)
-    # so that nan or inf fails too (q and n below are under 1 in modulus)
+    # q and n below are under 1 in modulus
     if not (MIN_NORMAL <= scale < math.inf
             and abs(dev) <= ONSHELL_RTOL * scale):
-        e, (*q, n) = _at_scale(max(map(abs, (*p, m))),
-                               [float(x) for x in (*p, m)])
+        e, (*q, n) = _at_scale(max(map(abs, (*p, m))), (*p, m))
         scaled = minkowski_dot(q, q) - n * n
         if not abs(scaled) <= ONSHELL_RTOL * max(n * n, q[0] * q[0]) < 1.0:
-            for x in (*p, m):
-                finite(x, "p and m")
             judged = dev if math.isfinite(dev) else f"{scaled} * 2**{2 * e}"
             raise OffShellError(f"p^2 - m^2 = {judged} for m = {m}")
     if p0 <= 0:
@@ -92,23 +89,25 @@ def _finite_rows(rows, what: str, m: float):
     return rows
 
 
-def _check_spin(r: int):
-    if r not in (1, 2):
-        raise ValueError(f"spin index must be 1 or 2, got {r}")
+def _check_spin(r) -> int:
+    """r as an int (operator.index); ValueError unless it is 1 or 2."""
+    if hasattr(r, "__index__") and index(r) in (1, 2):  # not 1.0 or None
+        return index(r)
+    raise ValueError(f"spin index must be 1 or 2, got {r}")
 
 
-def _check_mass(m: float):
-    if not 0.0 < m < math.inf:  # so that a nan mass fails too
-        finite(m, "m")
-        raise ZeroMassError(f"need m > 0, got {m}")
+def _check_mass(m) -> float:
+    """m as a float (errors.finite); ZeroMassError unless m > 0."""
+    if (m := finite(m, "m")) > 0.0:
+        return m
+    raise ZeroMassError(f"need m > 0, got {m}")
 
 
-def _check_nonnegative_mass(m: float) -> float:
-    """m; NonFiniteInputError for nan or inf, ValueError below 0."""
-    if not 0.0 <= m < math.inf:  # so that a nan mass fails too
-        finite(m, "m")
-        raise ValueError("need m >= 0")
-    return m
+def _check_nonnegative_mass(m) -> float:
+    """m as a float (errors.finite); ValueError below 0."""
+    if (m := finite(m, "m")) >= 0.0:
+        return m
+    raise ValueError("need m >= 0")
 
 
 def _reduced_spinor(p, m: float, r: int) -> tuple:
@@ -177,21 +176,31 @@ def boost_rows(beta) -> tuple:
         Lij = delta_ij + k beta_i beta_j,  k = gamma^2/(1 + gamma),
 
     which takes (m, 0) to (gamma m, gamma m beta); k is (gamma - 1)/beta^2
-    without the division.  beta is three numbers that float() converts;
-    SuperluminalError if |beta| >= 1 (an infinite component included),
-    NonFiniteInputError for a nan component, and every entry is finite
-    otherwise."""
-    bx, by, bz = map(float, beta)
+    without the division.  beta is three numbers, converted as
+    errors.finite_vector converts them, except that an infinite component
+    is superluminal: SuperluminalError if |beta| >= 1, and every entry is
+    finite otherwise."""
+    return _boost(beta)[1]
+
+
+def _boost(beta) -> tuple:
+    """(beta as a float 3-tuple, boost_rows(beta))."""
+    beta = tuple(beta)
+    try:
+        bx, by, bz = finite_vector(beta, "a component of beta")
+    except NonFiniteInputError:
+        if all(x == x for x in beta):  # no nan: an infinite beta
+            raise SuperluminalError("|beta| = inf >= 1") from None
+        raise
     b2 = bx * bx + by * by + bz * bz
     # compare |beta| itself, as the error reports it: b2 = 1 - 2^-53 has
     # sqrt 1.0
-    if not math.sqrt(b2) < 1.0:  # so that a nan component fails too
-        if math.isnan(b2):  # an infinite component is superluminal
-            raise NonFiniteInputError(f"beta = {(bx, by, bz)} must be finite")
+    if not math.sqrt(b2) < 1.0:
         raise SuperluminalError(f"|beta| = {math.sqrt(b2)} >= 1")
     g = 1.0 / math.sqrt(1.0 - b2)
     k = g * g / (1.0 + g)
-    return ((g, g * bx, g * by, g * bz),
-            (g * bx, 1.0 + k * (bx * bx), k * (bx * by), k * (bx * bz)),
-            (g * by, k * (by * bx), 1.0 + k * (by * by), k * (by * bz)),
-            (g * bz, k * (bz * bx), k * (bz * by), 1.0 + k * (bz * bz)))
+    return (bx, by, bz), (
+        (g, g * bx, g * by, g * bz),
+        (g * bx, 1.0 + k * (bx * bx), k * (bx * by), k * (bx * bz)),
+        (g * by, k * (by * bx), 1.0 + k * (by * by), k * (by * bz)),
+        (g * bz, k * (bz * bx), k * (bz * by), 1.0 + k * (bz * bz)))

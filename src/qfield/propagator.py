@@ -40,7 +40,7 @@ import math
 
 from . import _bessel_tables as _tab
 from .errors import (ConvergenceError, NumericOverflowError, PoleError,
-                     Record, ZeroMassError, finite)
+                     Record, ZeroMassError, finite, finite_vector)
 from .lorentz import (_METRIC_UPPER, MIN_NORMAL, _check_mass,
                       _check_nonnegative_mass, _finite_rows, _kk_over_m2,
                       _slash_rows, _symmetric_rows, omega)
@@ -65,7 +65,7 @@ class PropagatorValue(Record):
         self.quad_error = quad_error
 
 
-def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
+def _scalar_factor(k0: float, w: float, q: float) -> tuple:
     """(D, |k^2 - m^2|) for Python floats k0, w = omega and q:
 
         D = (1/2) [(k0 + w) - q (k0 - w)] / w / (k0 - w) / (k0 + w),
@@ -77,7 +77,7 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     where only k^2 - m^2 under- or overflows (the distance is then 0 or
     inf).  At w = 0 the form is 0/0 at q = 1, where D = 1/k0^2, returned
     within 2 eps, and has no finite value at any other q.  PoleError only
-    at k0 = +-w exactly; kvec serves only to name a non-finite input.
+    at k0 = +-w exactly, NumericOverflowError where D overflows.
     """
     d, s = k0 - w, k0 + w
     if d == 0.0 or s == 0.0:
@@ -87,8 +87,6 @@ def _scalar_factor(k0: float, w: float, q: float, kvec) -> tuple:
     except ZeroDivisionError:  # w = 0: no finite value, but at q = 1
         val = (1.0 / k0) / k0 if q == 1.0 else math.inf
     if not math.isfinite(val):
-        for x in (k0, *kvec):  # a non-finite input, else an overflow
-            finite(x, "component of k")
         raise NumericOverflowError(
             f"propagator overflows at k0={k0}, omega={w}, q={q}")
     return val, abs(d * s)
@@ -109,10 +107,10 @@ def scalar_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     NumericOverflowError.  PoleError only at k0 = +-w exactly; ValueError
     at m < 0.
     """
-    _check_nonnegative_mass(m)
-    finite(q, "q")
-    k0, *kvec = map(float, k)
-    val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
+    m = _check_nonnegative_mass(m)
+    q = finite(q, "q")
+    k0, *kvec = finite_vector(k, "component of k")
+    val, dist = _scalar_factor(k0, omega(kvec, m), q)
     return PropagatorValue(complex(val), dist)
 
 
@@ -129,11 +127,9 @@ def pole_residues(kvec, m: float, q: float) -> tuple:
     divided by 2^n, exactly.  ValueError at m < 0,
     ZeroMassError at w = 0, NumericOverflowError where a residue overflows.
     """
-    _check_nonnegative_mass(m)
-    finite(q, "q")
-    kvec = tuple(map(float, kvec))
-    q = float(q)
-    w = omega(kvec, m)
+    m = _check_nonnegative_mass(m)
+    q = finite(q, "q")
+    w = omega(finite_vector(kvec, "component of kvec"), m)
     if w <= 0.0:
         raise ZeroMassError("need omega > 0")
     unit = math.ldexp(1.0, math.frexp(w)[1] - 1)  # w / unit is in [1, 2)
@@ -143,7 +139,7 @@ def pole_residues(kvec, m: float, q: float) -> tuple:
         # (k0 - pole) of the rounded k0, so D's pole cancels exactly
         def f(h):
             k0 = pole + h
-            return (k0 - pole) * _scalar_factor(k0, v, q, kvec)[0]
+            return (k0 - pole) * _scalar_factor(k0, v, q)[0]
         return f
 
     residues = (_richardson(near(v), 1e-3 * v) / unit,
@@ -181,11 +177,10 @@ def spinor_propagator_momentum(p, m: float, q: float) -> PropagatorValue:
     entry is subnormal.  NumericOverflowError where an entry or a part of
     N/2m overflows.
     """
-    finite(q, "q")
-    _check_mass(m)
-    m = float(m)
-    p0, *kvec = p = tuple(map(float, p))
-    val, dist = _scalar_factor(p0, omega(kvec, m), -float(q), kvec)
+    q = finite(q, "q")
+    m = _check_mass(m)
+    p0, *kvec = p = finite_vector(p, "component of p")
+    val, dist = _scalar_factor(p0, omega(kvec, m), -q)
     # complex * complex: the full product, as in numpy
     return PropagatorValue(_finite_rows(_slash_rows(p, m, m, complex(val)),
                                         "propagator matrix", m), dist)
@@ -213,10 +208,10 @@ def photon_propagator_momentum(k, m: float, q: float) -> PropagatorValue:
     where a factor is, and the last ulp(0) where the entry is.
     NumericOverflowError where an entry or a K_ij overflows.
     """
-    m = float(_check_nonnegative_mass(m))
-    finite(q, "q")
-    k0, *kvec = k = tuple(map(float, k))
-    val, dist = _scalar_factor(k0, omega(kvec, m), float(q), kvec)
+    m = _check_nonnegative_mass(m)
+    q = finite(q, "q")
+    k0, *kvec = k = finite_vector(k, "component of k")
+    val, dist = _scalar_factor(k0, omega(kvec, m), q)
     tensor = _METRIC_UPPER
     if m > 0.0:
         tensor = [g - x for g, x in zip(tensor, _kk_over_m2(k, m))]
@@ -376,8 +371,7 @@ def delta_plus_equal_time(r: float, m: float) -> PropagatorValue:
     """Equal-time Wightman function m K1(m r)/(4 pi^2 r), the radial
     integral (1/(4 pi^2 r)) Int_0^inf dp p sin(p r) / omega(p); the
     massless limit is 1/(4 pi^2 r^2)."""
-    finite(r, "r")
-    _check_nonnegative_mass(m)
+    r, m = finite(r, "r"), _check_nonnegative_mass(m)
     if r <= 0.0:
         raise ValueError("need r > 0")
     return _position_value(*_wightman(0.0, r, m))
@@ -389,7 +383,7 @@ def spacelike_q_commutator(r: float, m: float, q: float) -> PropagatorValue:
     Zero at q = 1 (causal limit); nonzero otherwise.  The quantitative
     causality-violation probe.
     """
-    finite(q, "q")
+    q = finite(q, "q")
     base = delta_plus_equal_time(r, m)
     return _position_value((1.0 - q) * base.value,
                            abs(1.0 - q) * base.quad_error)
@@ -408,9 +402,8 @@ def causal_position(t: float, r: float, m: float, q: float) -> PropagatorValue:
     ConvergenceError on the light cone r == |t|, and inside it where m tau
     passes about 5.6e14 and the value has no correct digit (see _wightman).
     """
-    for value, name in ((t, "t"), (r, "r"), (q, "q")):
-        finite(value, name)
-    _check_nonnegative_mass(m)
+    t, r, q = finite(t, "t"), finite(r, "r"), finite(q, "q")
+    m = _check_nonnegative_mass(m)
     if t == 0.0:
         raise ValueError("need t != 0 (use delta_plus_equal_time)")
     if r <= 0.0:

@@ -43,7 +43,12 @@ def basic_number(q: float, n: int) -> float:
                 from None
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    try:  # OverflowError: q or n is an int past the float range
+    return _basic_number(finite(q, "q"), n)
+
+
+def _basic_number(q: float, n: int) -> float:
+    """basic_number of a finite float q and an int n >= 0."""
+    try:  # OverflowError: n is an int past the float range
         if q == 1.0:
             return float(n)
         x = abs(q) - 1.0
@@ -52,17 +57,21 @@ def basic_number(q: float, n: int) -> float:
         if n >= 2 and n * abs(x) <= 1.0 and (q > 0.0 or n % 2 == 0):
             num = math.expm1(n * math.log1p(x))
         else:
-            q = float(q)  # a numpy q would warn where a float overflows
             try:
                 num = q ** n - 1.0
             except OverflowError:
                 num = math.inf
         value = num / (q - 1.0)
-    except OverflowError:
-        return _past_the_float_range(q, n)
-    # inf or nan where the quotient overflows or q is not finite
+    except OverflowError:  # n is past the float range, and so is q^n:
+        # below every float for |q| < 1, +-1 at q = -1, else overflowing
+        if abs(q) < 1.0:
+            return 1.0 / (1.0 - q)
+        if q == -1.0:
+            return float(n % 2)
+        raise NumericOverflowError(f"<n>_q overflows at q={q}: n is past "
+                                   "the float range") from None
+    # inf where the quotient overflows
     if not math.isfinite(value):
-        finite(q, "q")
         # q^n is past the range but the value may not be: form it as
         # q^(n-1) (1 - q^-n)/(1 - 1/q), with 1 - 1/q as (q - 1)/q
         try:
@@ -74,25 +83,12 @@ def basic_number(q: float, n: int) -> float:
     return value + 0.0  # <0>, and <even n> at q = -1, can come out -0.0
 
 
-def _past_the_float_range(q, n: int) -> float:
-    """<n>_q where q or n is an int that no float holds.  For |q| < 1,
-    q^n is below every float and the value is 1/(1 - q); at q = -1 it is
-    0 or 1 by the parity of n.  Elsewhere it overflows."""
-    finite(q, "q")  # typed for a nan, an inf, or an int q past the range
-    q = float(q)
-    if abs(q) < 1.0:
-        return 1.0 / (1.0 - q)
-    if q == -1.0:
-        return float(n % 2)
-    raise NumericOverflowError(f"<n>_q overflows at q={q}: n is past the "
-                               "float range")
-
-
 def _level_weight(q: float, n: int) -> float:
-    """The weight <n>_q of a ladder step to or from level n (fock, wick):
-    inf where it overflows; NegativeNormError where it is below 0."""
+    """The weight <n>_q of a ladder step to or from level n >= 1 (fock,
+    wick) at a finite float q: inf where it overflows; NegativeNormError
+    where it is below 0."""
     try:
-        w = basic_number(q, n)
+        w = _basic_number(q, n)
     except NumericOverflowError:
         return math.inf
     if w < 0.0:
@@ -114,8 +110,7 @@ def q_occupancy(x: float, q: float) -> float:
     sign (x >= 0 and q <= 1 near the pole).  Below -ln 2 it is formed
     as e^x - q and S = e^x + |q|, a few eps unless q is near e^x.
     """
-    finite(x, "x")
-    finite(q, "q")
+    x, q = finite(x, "x"), finite(q, "q")
     try:
         # e^x - q without the cancellation of e^x against q near x = 0
         if x < -_LN2:

@@ -29,23 +29,13 @@ import cmath
 import math
 
 from .errors import (DegenerateTransferError, NumericOverflowError,
-                     OffShellError, Record, finite)
-from .lorentz import (ONSHELL_RTOL, _at_scale, _check_mass,
+                     OffShellError, Record, finite, finite_vector)
+from .lorentz import (ONSHELL_RTOL, _at_scale, _boost, _check_mass,
                       _check_nonnegative_mass, _check_onshell, _check_spin,
-                      _reduced_spinor, boost_rows, minkowski_dot)
+                      _reduced_spinor, minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
-
-
-def _floats(values, name: str) -> tuple:
-    """tuple(map(float, values)); NumericOverflowError for a number past the
-    float range (an int), where float() raises OverflowError."""
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise NumericOverflowError(f"{name} is past the float range") \
-            from None
 
 
 class Boost(Record):
@@ -57,14 +47,12 @@ class Boost(Record):
     _fields = ("beta",)
 
     def __init__(self, beta):
-        self.beta = _floats(beta, "a component of beta")
-        self.rows = boost_rows(self.beta)
+        self.beta, self.rows = _boost(beta)
 
     def apply(self, p) -> tuple:
-        """The boosted four-vector, as a float 4-tuple; NonFiniteInputError
-        for a non-finite component of p, NumericOverflowError where a
-        boosted component overflows."""
-        p0, p1, p2, p3 = p
+        """The boosted four-vector, as a float 4-tuple; NumericOverflowError
+        where a boosted component overflows."""
+        p0, p1, p2, p3 = finite_vector(p, "component of p")
         ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
          (d0, d1, d2, d3)) = self.rows
         out = (a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3,
@@ -72,8 +60,6 @@ class Boost(Record):
                c0 * p0 + c1 * p1 + c2 * p2 + c3 * p3,
                d0 * p0 + d1 * p1 + d2 * p2 + d3 * p3)
         if not all(map(math.isfinite, out)):
-            for x in p:
-                finite(x, "component of p")
             raise NumericOverflowError(f"boosted four-vector {out} overflows")
         return out
 
@@ -82,12 +68,14 @@ class ProcessKinematics:
     """2 -> 2 kinematics with per-leg masses, validated on construction.
 
     ``legs`` holds the four-momenta A, B (in) and C, D (out) as float
-    4-tuples, each on shell (lorentz._check_onshell), conserving
+    4-tuples, each on shell (lorentz._check_onshell) at its mass in
+    ``masses`` (floats; ValueError for a negative one), conserving
     four-momentum within 1e-10 of the larger incoming energy."""
 
     def __init__(self, incoming, outgoing, masses):
-        self._validate(tuple(_floats(p, "a leg component")
-                             for p in (*incoming, *outgoing)), tuple(masses))
+        self._validate(tuple(finite_vector(p, "a leg component")
+                             for p in (*incoming, *outgoing)),
+                       tuple(map(_check_nonnegative_mass, masses)))
 
     @classmethod
     def _of_float_legs(cls, legs: tuple, masses: tuple) -> "ProcessKinematics":
@@ -104,9 +92,10 @@ class ProcessKinematics:
         return self
 
     def boosted(self, b: Boost) -> "ProcessKinematics":
-        """The legs boosted by b (Boost.apply: NumericOverflowError where a
-        component overflows), then checked as on construction: OffShellError
-        where a leg is off shell or four-momentum is not conserved."""
+        """The legs boosted by b, as Boost.apply boosts each, then checked as
+        on construction: NumericOverflowError where a component overflows,
+        OffShellError where a leg is off shell or four-momentum is not
+        conserved."""
         # Boost.apply's expression term for term, so that each component is
         # the float b.apply(p) gives, formed for the four legs at once
         ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
@@ -129,11 +118,11 @@ class ProcessKinematics:
              b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3,
              c0 * s0 + c1 * s1 + c2 * s2 + c3 * s3,
              d0 * s0 + d1 * s1 + d2 * s2 + d3 * s3)
-        if not all(map(math.isfinite, x)):
-            for p in self.legs:  # apply's error for the first bad leg
-                b.apply(p)
-        return ProcessKinematics._of_float_legs(
-            (x[0:4], x[4:8], x[8:12], x[12:16]), self.masses)
+        legs = x[0:4], x[4:8], x[8:12], x[12:16]
+        if not all(map(math.isfinite, x)):  # Boost.apply's error
+            out = next(p for p in legs if not all(map(math.isfinite, p)))
+            raise NumericOverflowError(f"boosted four-vector {out} overflows")
+        return ProcessKinematics._of_float_legs(legs, self.masses)
 
 
 def _check_conserved(legs: tuple):
@@ -151,31 +140,29 @@ def _check_conserved(legs: tuple):
 
 
 def _cm_frame(energy: float, theta: float, m: float) -> tuple:
-    """(E as a float, |p| of a leg of mass m and energy E, unit vector at
-    theta in the xz-plane; its y is a zero with the sign of sin(theta)).
+    """((E, m) as floats, |p| of a leg of mass m and energy E, unit vector
+    at theta in the xz-plane; its y is a zero with the sign of sin(theta)).
 
     |p| = sqrt(E - m) sqrt(E + m), within 1.5 eps relative of |p| at the
     float E and m (E - m is exact where m >= E/2).  ValueError unless
     E > m >= 0.  NumericOverflowError where E^2 overflows, although |p| is
     a float there: from about that E the Moller dot products overflow too
     (moller_spin_summed refuses), though |M|^2 is of order 1."""
-    energy = _floats((energy,), "E")[0]
-    if energy <= _check_nonnegative_mass(m):
+    energy, m = finite(energy, "E"), _check_nonnegative_mass(m)
+    if energy <= m:
         raise ValueError("need E > m")
-    # an infinite E is refused below, as a leg that is not finite
-    if energy * energy == math.inf > energy:
+    if energy * energy == math.inf:
         raise NumericOverflowError(f"E^2 overflows at E={energy}")
     pmag = math.sqrt(energy - m) * math.sqrt(energy + m)
-    # math.sin of an infinite angle raises ValueError; make it typed
-    st = math.sin(finite(theta, "theta"))
-    return energy, pmag, (st, st * 0.0, math.cos(theta))
+    st = math.sin(theta := finite(theta, "theta"))
+    return (energy, m), pmag, (st, st * 0.0, math.cos(theta))
 
 
 def cm_elastic_kinematics(energy: float, theta: float,
                           m: float) -> ProcessKinematics:
     """Equal-mass elastic scattering in the CM frame along z, scatter by
     theta; |p| as _cm_frame forms it."""
-    energy, pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
+    (energy, m), pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
     pA = (energy, 0.0, 0.0, pmag)
     pB = (energy, 0.0, 0.0, -pmag)
     pC = (energy, pmag * nx, pmag * ny, pmag * nz)
@@ -187,7 +174,7 @@ def cm_annihilation_kinematics(energy: float, theta: float,
                                m: float) -> ProcessKinematics:
     """e+ e- -> gamma gamma in the CM frame: massive in, massless out;
     |p| as _cm_frame forms it."""
-    energy, pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
+    (energy, m), pmag, (nx, ny, nz) = _cm_frame(energy, theta, m)
     pplus = (energy, 0.0, 0.0, pmag)
     pminus = (energy, 0.0, 0.0, -pmag)
     k1 = (energy, energy * nx, energy * ny, energy * nz)
@@ -202,8 +189,17 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
     doc; the electron line's is the photon line's at -q), within
     2 eps (|1 + q| + |1 - q| |r|) of it at the float inputs where |dpvec|
     is normal, r = (E_in - E_out)/|dpvec|; DegenerateTransferError only at
-    |dpvec| = 0, ValueError for an unknown flavor, NonFiniteInputError for
-    a non-finite input, NumericOverflowError where the factor overflows."""
+    |dpvec| = 0, ValueError for an unknown flavor, NumericOverflowError
+    where the factor overflows."""
+    return _correction(finite(E_in, "E_in"), finite(E_out, "E_out"),
+                       finite_vector(pvec_in, "component of pvec_in"),
+                       finite_vector(pvec_out, "component of pvec_out"),
+                       finite(q, "q"), flavor)
+
+
+def _correction(E_in: float, E_out: float, pvec_in, pvec_out, q: float,
+                flavor: str) -> float:
+    """correction_factor of finite floats."""
     a1, a2, a3 = pvec_in
     b1, b2, b3 = pvec_out
     dp = math.hypot(a1 - b1, a2 - b2, a3 - b3)
@@ -217,23 +213,22 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
     # an infinite transfer gives ratio 0 and a finite factor, so dp is
     # tested with the result
     if not (math.isfinite(value) and dp < math.inf):
-        for x in (E_in, E_out, *pvec_in, *pvec_out, q):
-            finite(x, "correction_factor input")
         raise NumericOverflowError(
             f"correction factor overflows at E_in={E_in}, E_out={E_out}")
     return value
 
 
 def _correction_pair(kin: ProcessKinematics, q: float, flavor: str) -> tuple:
-    """The factors of flavor on the lines from leg A to legs C and D."""
+    """The factors of flavor at a finite float q on the lines from leg A to
+    legs C and D."""
     a, _, c, d = kin.legs
-    return (correction_factor(a[0], c[0], a[1:], c[1:], q, flavor),
-            correction_factor(a[0], d[0], a[1:], d[1:], q, flavor))
+    return (_correction(a[0], c[0], a[1:], c[1:], q, flavor),
+            _correction(a[0], d[0], a[1:], d[1:], q, flavor))
 
 
 def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
     """Photon-line factors (F_CA, F_DA) of the direct and exchange diagrams."""
-    return _correction_pair(kin, q, PHOTON_LINE)
+    return _correction_pair(kin, finite(q, "q"), PHOTON_LINE)
 
 
 def _moller_transfers(kin: ProcessKinematics,
@@ -294,11 +289,11 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     raises; NumericOverflowError where t, u, M or q F/t (q F/u) times the
     four norms, about q F (E/m)^2/|t|, overflows, even where M is finite.
     """
-    for r in spins:
-        _check_spin(r)
+    spins = tuple(map(_check_spin, spins))
+    q = finite(q, "q")
     m = kin.masses[0]
     t, u = _moller_transfers(kin, strict_paper_mode)
-    F_CA, F_DA = photon_correction_pair(kin, q)
+    F_CA, F_DA = _correction_pair(kin, q, PHOTON_LINE)
     wA, wB, wC, wD = map(_reduced_spinor, kin.legs, (m,) * 4, spins)
     nA, nB, nC, nD = (math.sqrt(p[0] + m) for p in kin.legs)
     # n_out n_in / 2m >= 1: a partial product overflows only where c does
@@ -339,9 +334,10 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
     OffShellError, DegenerateTransferError, then NumericOverflowError where
     the sum leaves the float range, which |M|^2 does before |M|.
     """
+    q = finite(q, "q")
     m = kin.masses[0]
     t, u = _moller_transfers(kin, strict_paper_mode)
-    F_CA, F_DA = photon_correction_pair(kin, q)
+    F_CA, F_DA = _correction_pair(kin, q, PHOTON_LINE)
     a, b, c, d = kin.legs
     ab = minkowski_dot(a, b)
     scale = max(ab, abs(t), abs(u))  # >= |t| > 0
@@ -370,7 +366,7 @@ def annihilation_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
 
     In the CM frame both reduce to (1-q)/2 for any q.
     """
-    return _correction_pair(kin, q, ELECTRON_LINE)
+    return _correction_pair(kin, finite(q, "q"), ELECTRON_LINE)
 
 
 def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
@@ -386,5 +382,6 @@ def frame_scan(kin: ProcessKinematics, q: float, boosts: list,
     """
     if flavor not in (PHOTON_LINE, ELECTRON_LINE):
         raise ValueError(f"unknown flavor {flavor!r}")
+    q = finite(q, "q")
     return [(b.beta, *_correction_pair(kin.boosted(b), q, flavor))
             for b in boosts]

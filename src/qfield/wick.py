@@ -97,7 +97,7 @@ class QPoly:
         """The value at q, correctly rounded: with q = n / 2^s exactly, it
         is N / 2^(s(D+1)) for the integer N = sum_e c_e n^e 2^(s(D+1-e)),
         D the degree, and CPython rounds an int / int division correctly."""
-        n, d = float(finite(q, "q")).as_integer_ratio()  # d = 2^s
+        n, d = finite(q, "q").as_integer_ratio()  # d = 2^s
         s = d.bit_length() - 1
         numerator = 0
         for k, c in enumerate(reversed(self.coeffs), 1):  # Horner
@@ -180,7 +180,7 @@ def normal_order(ops: Sequence[LadderOp], q: float) -> NormalForm:
     q = -1 the algebra has negative norms: there the string raises
     ``NegativeNormError`` exactly where ``wick_vev`` and ``fock.vev`` do.
     """
-    finite(q, "q")
+    q = finite(q, "q")
     ops = _capped(ops)
     if q < -1.0:
         wick_vev(ops, q)  # for its NegativeNormError; the value is unused
@@ -307,7 +307,7 @@ def wick_expand(ops: Sequence[LadderOp], q: float) -> List[PairingDiagram]:
     Deterministic lexicographic diagram order.  NumericOverflowError where
     a weight q^crossings overflows.
     """
-    finite(q, "q")
+    q = finite(q, "q")
     ops = _capped(ops)
     # each operator as 2 * (label index) + is_creator: small ints compare
     # far faster than LadderOps
@@ -365,7 +365,7 @@ def wick_vev(ops: Sequence[LadderOp], q: float) -> float:
     enters the product only where an annihilator closes its height.
     Raises ``NumericOverflowError`` where the product overflows.
     """
-    finite(q, "q")
+    q = finite(q, "q")
     height: Dict[ModeLabel, int] = {}
     # weights[h] = <h>_q, checked when first reached; <1>_q = (q - 1)/(q - 1)
     # is exactly 1.0 at every q, and neither check fires on it

@@ -496,5 +496,7 @@ def test_onshell_check_where_p0_squared_overflows():
     with pytest.raises(OffShellError,
                        match=r"^p\^2 - m\^2 = 2\.0 for m = 1\.0$"):
         lorentz._check_onshell((2.0, 1.0, 0.0, 0.0), 1.0)
+    # _check_onshell takes finite floats: a nan among such components is
+    # refused where a public entry converts them
     with pytest.raises(NonFiniteInputError):
-        lorentz._check_onshell((1e155, np.nan, 0.0, 0.0), 1.0)
+        theta_projector((1e155, np.nan, 0.0, 0.0), 1, 1.0)

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from qfield.errors import (NonFiniteInputError, NumericOverflowError,
                            OccupancyPoleError)
 from qfield import propagator as prop, scattering as sc
-from qfield.fock import a, a_dag, vev
+from qfield.dirac import u_spinor
+from qfield.fock import a, a_dag, apply_string, vev
 from qfield.qcore import basic_number, q_occupancy
 from qfield.wick import QPoly, normal_order, wick_vev
 
@@ -259,6 +260,18 @@ PAST_THE_FLOAT_RANGE = {
     "cm_elastic_kinematics E": lambda: sc.cm_elastic_kinematics(BIG, 1.0, 1.0),
     "cm_annihilation_kinematics E":
         lambda: sc.cm_annihilation_kinematics(BIG, 1.0, 1.0),
+    "apply_string q": lambda: apply_string((a_dag(0),), {}, BIG),
+    "scalar k component": lambda: prop.scalar_propagator_momentum(
+        (BIG, 0, 0, 0), 1.0, 0.5),
+    "causal_position m": lambda: prop.causal_position(2, 0.5, BIG, 0.5),
+    "correction_factor E_in": lambda: sc.correction_factor(
+        BIG, 1.0, (0, 0, 1), (0, 1, 0), 0.5, sc.PHOTON_LINE),
+    "moller_spin_summed q": lambda: sc.moller_spin_summed(
+        sc.cm_elastic_kinematics(2.0, 1.0, 1.0), BIG),
+    "Boost.apply p": lambda: sc.Boost((0.3, 0, 0)).apply((BIG, 0, 0, 0)),
+    "ProcessKinematics mass": lambda: sc.ProcessKinematics(
+        (LEG, LEG), (LEG, LEG), (1.0, 1.0, 1.0, BIG)),
+    "u_spinor p": lambda: u_spinor((BIG, 0, 0, 0), 1, 1.0),
 }
 
 

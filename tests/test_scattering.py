@@ -504,6 +504,29 @@ def test_moller_amplitude_validates_spins():
             lorentz._reduced_spinor(kin.legs[0], M, r)
 
 
+def test_kinematics_take_float_masses_and_refuse_a_negative_one():
+    legs = generic_kinematics().legs
+    with pytest.raises(ValueError, match="need m >= 0"):
+        sc.ProcessKinematics(legs[:2], legs[:2], (-1.0,) * 4)
+    kin = sc.ProcessKinematics(legs[:2], legs[2:], (1, True, np.float64(1), M))
+    assert all(type(m) is float for m in kin.masses)
+    assert kin.masses == (1.0, 1.0, 1.0, M)
+
+
+def test_spin_indices_are_integers():
+    kin = generic_kinematics()
+    for spins in [(1.0, 1, 1, 1), (1, 1, 1, 2.0)]:
+        with pytest.raises(ValueError, match="spin index"):
+            sc.moller_amplitude(kin, spins, 0.5)
+    assert (sc.moller_amplitude(kin, (np.int64(1), 2, 1, 2), 0.5)
+            == sc.moller_amplitude(kin, (1, 2, 1, 2), 0.5))
+    p = kin.legs[0]
+    for r in (1.0, 2.0, math.nan, None, "1"):
+        with pytest.raises(ValueError, match="spin index"):
+            dirac.u_spinor(p, r, M)
+    assert dirac.u_spinor(p, np.int64(2), M) == dirac.u_spinor(p, 2, M)
+
+
 def test_boosted_kinematics_match_leg_by_leg_boost():
     kin = generic_kinematics()
     b = sc.Boost([0.2, -0.3, 0.4])
