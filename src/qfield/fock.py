@@ -149,6 +149,25 @@ def charge_conjugate_op(op: LadderOp, epsilon: complex = 1.0):
     Returns (phase, operator) since the image carries the phase factor.
     """
     _check_phase(epsilon)
+    return _conjugate_op(op, epsilon)
+
+
+def charge_conjugate_string(ops: Iterable[LadderOp], epsilon: complex = 1.0):
+    """Conjugate a whole operator product termwise: returns (phase, ops).
+    epsilon is checked once, as charge_conjugate_op checks it, also for an
+    empty product."""
+    _check_phase(epsilon)
+    phase = 1.0 + 0.0j
+    new_ops = []
+    for op in ops:
+        p, new = _conjugate_op(op, epsilon)
+        phase *= p
+        new_ops.append(new)
+    return phase, tuple(new_ops)
+
+
+def _conjugate_op(op: LadderOp, epsilon: complex) -> tuple:
+    """charge_conjugate_op of a checked epsilon."""
     other = ANTIPARTICLE if op.label.species == PARTICLE else PARTICLE
     new = LadderOp(op.kind, ModeLabel(other, op.label.mode))
     if op.label.species == PARTICLE:
@@ -156,17 +175,6 @@ def charge_conjugate_op(op: LadderOp, epsilon: complex = 1.0):
     else:
         phase = epsilon if op.is_creator else epsilon.conjugate()
     return phase, new
-
-
-def charge_conjugate_string(ops: Iterable[LadderOp], epsilon: complex = 1.0):
-    """Conjugate a whole operator product termwise: returns (phase, ops)."""
-    phase = 1.0 + 0.0j
-    new_ops = []
-    for op in ops:
-        p, new = charge_conjugate_op(op, epsilon)
-        phase *= p
-        new_ops.append(new)
-    return phase, tuple(new_ops)
 
 
 def _check_phase(epsilon: complex):

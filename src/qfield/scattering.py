@@ -18,10 +18,14 @@ All of it is Python-float arithmetic on 4-tuples (``lorentz``); numpy and
 ``dirac`` are never loaded.  The CM constructors and
 ProcessKinematics.boosted form float legs and hand them straight to the
 on-shell and conservation checks, with no float-to-float conversion; the
-CM constructors refuse only where E^2 overflows.  The spin-summed Moller
-|M|^2 is the Dirac trace closed form in the legs' six dot products; one
-spin assignment's amplitude contracts currents of the spinor basis
-lorentz._reduced_spinor.
+CM constructors form no square of E and refuse only where E + m
+overflows.  The spin-summed Moller |M|^2 is the Dirac trace closed form
+in the legs' six dot products; one spin assignment's amplitude contracts
+currents of the spinor basis lorentz._reduced_spinor.  Both work on one
+scale, the legs and m taken by one exact power of two to the largest leg
+energy, so that no square of an energy is formed: they return |M|^2 of
+order 1 up to where a leg difference overflows (E ~ 9e307, see
+correction_factor).
 """
 from __future__ import annotations
 
@@ -127,7 +131,8 @@ class ProcessKinematics:
 
 def _check_conserved(legs: tuple):
     """OffShellError unless A + B = C + D within 1e-10 of max(a0, b0) in each
-    component (nan fails); where a sum overflows, judged on the legs halved."""
+    component (nan fails); where a sum overflows, judged once on the legs
+    taken by an exact power of two to the scale of the largest energy."""
     ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
      (d0, d1, d2, d3)) = legs
     t0, t1, t2, t3 = total = [(a0 + b0) - (c0 + d0), (a1 + b1) - (c1 + d1),
@@ -136,7 +141,10 @@ def _check_conserved(legs: tuple):
     if not (abs(t0) <= tol >= abs(t1) and abs(t2) <= tol >= abs(t3)):
         if all(map(math.isfinite, total)):
             raise OffShellError(f"4-momentum not conserved: {total}")
-        _check_conserved(tuple(tuple(0.5 * x for x in p) for p in legs))
+        # the legs are on shell, so each scaled component is at most
+        # about 1 and no scaled sum overflows
+        _, x = _at_scale(max(a0, b0, c0, d0), sum(legs, ()))
+        _check_conserved((x[0:4], x[4:8], x[8:12], x[12:16]))
 
 
 def _cm_frame(energy: float, theta: float, m: float) -> tuple:
@@ -144,16 +152,15 @@ def _cm_frame(energy: float, theta: float, m: float) -> tuple:
     at theta in the xz-plane; its y is a zero with the sign of sin(theta)).
 
     |p| = sqrt(E - m) sqrt(E + m), within 1.5 eps relative of |p| at the
-    float E and m (E - m is exact where m >= E/2).  ValueError unless
-    E > m >= 0.  NumericOverflowError where E^2 overflows, although |p| is
-    a float there: from about that E the Moller dot products overflow too
-    (moller_spin_summed refuses), though |M|^2 is of order 1."""
+    float E and m (E - m is exact where m >= E/2), over the whole float
+    range: no square is formed.  ValueError unless E > m >= 0;
+    NumericOverflowError only where E + m overflows (so E > 8.9e307)."""
     energy, m = finite(energy, "E"), _check_nonnegative_mass(m)
     if energy <= m:
         raise ValueError("need E > m")
-    if energy * energy == math.inf:
-        raise NumericOverflowError(f"E^2 overflows at E={energy}")
     pmag = math.sqrt(energy - m) * math.sqrt(energy + m)
+    if pmag == math.inf:
+        raise NumericOverflowError(f"E + m overflows at E={energy}, m={m}")
     st = math.sin(theta := finite(theta, "theta"))
     return (energy, m), pmag, (st, st * 0.0, math.cos(theta))
 
@@ -190,7 +197,9 @@ def correction_factor(E_in: float, E_out: float, pvec_in, pvec_out,
     2 eps (|1 + q| + |1 - q| |r|) of it at the float inputs where |dpvec|
     is normal, r = (E_in - E_out)/|dpvec|; DegenerateTransferError only at
     |dpvec| = 0, ValueError for an unknown flavor, NumericOverflowError
-    where the factor overflows."""
+    where the factor overflows, and also where |dpvec| overflows though the
+    factor is finite (the Moller amplitude and sum refuse there too: in the
+    CM frame from E ~ 9e307)."""
     return _correction(finite(E_in, "E_in"), finite(E_out, "E_out"),
                        finite_vector(pvec_in, "component of pvec_in"),
                        finite_vector(pvec_out, "component of pvec_out"),
@@ -233,31 +242,35 @@ def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
 
 def _moller_transfers(kin: ProcessKinematics,
                       strict_paper_mode: bool) -> tuple:
-    """(t, u) = ((C - A)^2, (D - A)^2), or (B - A)^2 for u in strict paper
-    mode, after the checks the spinors make: ZeroMassError, OffShellError
-    where the legs' masses differ (ProcessKinematics checked each leg on
-    shell at its own mass), then DegenerateTransferError where t or u is
-    exactly 0, the only transfer with no amplitude, also at the transfer
-    scaled by a power of two; NumericOverflowError where t or u only
-    underflows (legs below E ~ 1e-154), as 1/t and the amplitude overflow."""
-    m = kin.masses[0]
-    _check_mass(m)
+    """(legs, m, t, u): the legs A, B, C, D and their mass m times f = 2^-e,
+    with e the exponent of the largest leg energy (math.frexp, as
+    lorentz._at_scale takes it) rounded up to even, so that the energy lies
+    in [0.25, 1), and at least -1022, so that f is a float; and (t, u) =
+    ((C - A)^2, (D - A)^2), or (B - A)^2 for u in strict paper mode, formed
+    from the scaled legs.  Each scaled value is exact where it is a normal
+    float, and an even e scales each sqrt(E + m) exactly too.  Raises after
+    the checks the spinors make: ZeroMassError, OffShellError where the
+    legs' masses differ (ProcessKinematics checked each leg on shell at its
+    own mass), then DegenerateTransferError where t or u is exactly 0, the
+    only transfer with no amplitude."""
+    m = _check_mass(kin.masses[0])
     if kin.masses.count(m) != len(kin.masses):
         raise OffShellError(f"Moller legs need one mass, got {kin.masses}")
-    (a0, a1, a2, a3), pB, (c0, c1, c2, c3), pD = kin.legs
-    x0, x1, x2, x3 = pB if strict_paper_mode else pD
+    ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
+     (d0, d1, d2, d3)) = kin.legs
+    e = math.frexp(max(a0, b0, c0, d0))[1]
+    f = 2.0 ** -max(e + (e & 1), -1022)
+    a = a0, a1, a2, a3 = a0 * f, a1 * f, a2 * f, a3 * f
+    b = b0 * f, b1 * f, b2 * f, b3 * f
+    c = c0, c1, c2, c3 = c0 * f, c1 * f, c2 * f, c3 * f
+    d = d0 * f, d1 * f, d2 * f, d3 * f
+    x0, x1, x2, x3 = b if strict_paper_mode else d
     tv = c0 - a0, c1 - a1, c2 - a2, c3 - a3
     uv = x0 - a0, x1 - a1, x2 - a2, x3 - a3
     t, u = minkowski_dot(tv, tv), minkowski_dot(uv, uv)
     if t == 0.0 or u == 0.0:
-        for v in (tv, uv):  # judged again at 2^-e, an exact scaling
-            s = _at_scale(max(map(abs, v)), v)[1]
-            if minkowski_dot(s, s) == 0.0:
-                raise DegenerateTransferError(
-                    "vanishing squared 4-momentum transfer")
-        raise NumericOverflowError(
-            f"squared 4-momentum transfer underflows at m={m}: t={t}, u={u}")
-    return t, u
+        raise DegenerateTransferError("vanishing squared 4-momentum transfer")
+    return (a, b, c, d), m * f, t, u
 
 
 def _current(out, inc) -> tuple:
@@ -279,6 +292,10 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     with J_CA = ubar_C gamma^mu u_A (ubar u = 1), t = (C - A)^2 and u =
     (D - A)^2, or (B - A)^2 in ``strict_paper_mode``.  The currents use
     lorentz._reduced_spinor; the norms sqrt(E+m)/sqrt(2m) go into F/t, F/u.
+    t, u and the norms sqrt(E+m) are formed on the legs and m taken by one
+    exact power of two 2^-e to the largest leg energy (_moller_transfers),
+    and the 2^-2e that t and u then carry is taken out by the two 2m at the
+    true m: no square of an energy is formed.
 
     Tolerance: 1e-14 kappa max|M| against M exactly at the float legs,
     max|M| over the 16 spin assignments, kappa = E_max^2/(A.B) with E_max
@@ -286,22 +303,26 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     under a boost, where the currents cancel in the contraction.
 
     ValueError for a spin other than 1 or 2, then what moller_spin_summed
-    raises; NumericOverflowError where t, u, M or q F/t (q F/u) times the
-    four norms, about q F (E/m)^2/|t|, overflows, even where M is finite.
+    raises; NumericOverflowError where M or q F/t (q F/u) times the four
+    norms, about q F (E/m)^2/|t|, of order q F/m^2 in the CM frame,
+    overflows, even where M is finite.
     """
     spins = tuple(map(_check_spin, spins))
     q = finite(q, "q")
     m = kin.masses[0]
-    t, u = _moller_transfers(kin, strict_paper_mode)
+    legs, ms, t, u = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = _correction_pair(kin, q, PHOTON_LINE)
     wA, wB, wC, wD = map(_reduced_spinor, kin.legs, (m,) * 4, spins)
-    nA, nB, nC, nD = (math.sqrt(p[0] + m) for p in kin.legs)
-    # n_out n_in / 2m >= 1: a partial product overflows only where c does
+    nA, nB, nC, nD = (math.sqrt(p[0] + ms) for p in legs)
+    # the norms at 2^-e over the true 2m: each n_out n_in/2m 2^-e lies
+    # below 1/m and, in the CM frame, above 1/8m; with t and u, which carry
+    # 2^-2e, no partial product in the bracket overflows unless the bracket
+    # comes within a factor max(1, 8m) of overflowing
     c1 = q * F_CA * (nC * nA / (2 * m) / t * (nD * nB / (2 * m)))
     c2 = q * F_DA * (nD * nA / (2 * m) / u * (nC * nB / (2 * m)))
     amp = (c1 * minkowski_dot(_current(wC, wA), _current(wD, wB))
            - c2 * minkowski_dot(_current(wD, wA), _current(wC, wB)))
-    if not (cmath.isfinite(amp) and abs(t) < math.inf and abs(u) < math.inf):
+    if not cmath.isfinite(amp):
         raise NumericOverflowError(f"Moller amplitude overflows at m={m}")
     return amp
 
@@ -319,8 +340,12 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
         sum      = q^2 [c1^2 direct + c2^2 exchange - 2 c1 c2 cross] / (16 m^4)
 
     with c1 = F_CA/t and c2 = F_DA/u (see moller_amplitude).  The dot
-    products are taken in units of the largest of ab, |t| and |u|, so no
-    product of them overflows where the sum itself is finite.
+    products, m^2, t and u are formed on the legs and m taken by one exact
+    power of two to the largest leg energy (_moller_transfers), then taken
+    in units of the largest of ab, |t| and |u|, so no product of them
+    overflows where the sum itself is finite; q/m^2 is formed at the true
+    m.  Each ratio is the one at the float legs wherever the scaled values
+    are normal floats.
 
     Tolerance: relative 1e-13 kappa against the sum of |M|^2 over the 16
     moller_amplitude values, with kappa = (E_max/m)^2 (m^2/|t| + m^2/|u|) and
@@ -331,23 +356,22 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
     and agree within 1e-13 kappa (E_max/m)^2.
 
     Raises what moller_amplitude raises, in the same order: ZeroMassError,
-    OffShellError, DegenerateTransferError, then NumericOverflowError where
-    the sum leaves the float range, which |M|^2 does before |M|.
+    OffShellError, DegenerateTransferError (t or u exactly 0 at that
+    scale), then NumericOverflowError where a leg difference overflows (see
+    correction_factor) or the sum leaves the float range, which |M|^2 does
+    before |M|.
     """
     q = finite(q, "q")
     m = kin.masses[0]
-    t, u = _moller_transfers(kin, strict_paper_mode)
+    (a, b, c, d), ms, t, u = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = _correction_pair(kin, q, PHOTON_LINE)
-    a, b, c, d = kin.legs
     ab = minkowski_dot(a, b)
     scale = max(ab, abs(t), abs(u))  # >= |t| > 0
-    if not math.isfinite(scale):
-        raise NumericOverflowError(f"Moller dot products overflow at m={m}")
     ab, ac, ad = (ab / scale, minkowski_dot(a, c) / scale,
                   minkowski_dot(a, d) / scale)
     bc, bd, cd = (minkowski_dot(b, c) / scale, minkowski_dot(b, d) / scale,
                   minkowski_dot(c, d) / scale)
-    mm = m * m / scale
+    mm = ms * ms / scale
     # direct/32, exchange/32 and cross/16 over scale^2
     direct = cd * ab + bc * ad - mm * (ac + bd) + 2.0 * mm * mm
     exchange = cd * ab + bd * ac - mm * (ad + bc) + 2.0 * mm * mm

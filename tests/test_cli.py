@@ -411,7 +411,6 @@ def test_intermediate_overflow_exits_1(capsys):
         ("propagator", "spinor", "--m=1e-310", "--k0=0.3"),
         ("propagator", "residues", "--q=1e308", "--m=8e45"),
         ("propagator", "spacelike", "--q=1e308", "--r=1e-67"),
-        ("scatter", "annihilate", "--energy=1e308"),
         ("scatter", "moller", "--m=1e-308"),
         ("wick", "normal", "--q=1e300",
          "--ops=a0,a0+,a0,a0,a0,a0,a0,a0+,a0+,a0+,a0+,a0+"),
@@ -444,6 +443,14 @@ def test_intermediate_overflow_exits_1(capsys):
             main(argv)
         assert info.value.code == 2
         assert "need m >= 0" in capsys.readouterr().err
+
+
+def test_annihilation_factors_at_the_top_of_the_float_range(capsys):
+    # the CM constructors form no square of E: at E = 1e308 (it died on
+    # E^2 overflowing) both factors are the CM value (1 - q)/2
+    row = cli_row(capsys, "scatter", "annihilate", "--q", "0.5",
+                  "--energy=1e308")
+    assert (row["F1"], row["F2"]) == ("0.25", "0.25")
 
 
 def test_moller_amplitude_finite_at_large_energy_over_mass():

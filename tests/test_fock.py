@@ -230,6 +230,9 @@ def test_charge_conjugation_operator_relabeling():
 def test_charge_conjugation_bad_phase():
     with pytest.raises(ValueError):
         charge_conjugate_op(a(), 2.0)
+    # epsilon is checked at entry, not per operator: an empty string too
+    with pytest.raises(ValueError):
+        charge_conjugate_string((), 2.0)
 
 
 def test_charge_conjugation_non_finite_phase():
@@ -240,6 +243,8 @@ def test_charge_conjugation_non_finite_phase():
             charge_conjugate_op(a(), eps)
         with pytest.raises(NonFiniteInputError):
             charge_conjugate_string([a(), a_dag(1)], eps)
+        with pytest.raises(NonFiniteInputError):
+            charge_conjugate_string((), eps)
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

@@ -390,16 +390,26 @@ SPINS = tuple(product((1, 2), repeat=4))
 def moller_tensor(kin, q, strict_paper_mode=False):
     """All 16 tree Moller amplitudes at once, M[rA-1, rB-1, rC-1, rD-1]:
     the spinors of both spins of each leg give the currents
-    J[mu, s_out, s_in], which the metric contracts in pairs."""
+    J[mu, s_out, s_in], which the metric contracts in pairs.  t and u are
+    formed here from the legs, with the library's ZeroMassError and
+    DegenerateTransferError checks, so that nothing is taken from
+    moller_amplitude's own transfers."""
     def current(out, inc):
         gam = np.asarray(dirac._GAMMA)
         return np.einsum("ai,mij,bj->mab", out.conj() @ gam[0], gam, inc)
 
     m = kin.masses[0]
-    t_direct, t_exchange = sc._moller_transfers(kin, strict_paper_mode)
+    if not m > 0.0:
+        raise ZeroMassError(f"need m > 0, got {m}")
+    pA, pB, pC, pD = map(np.array, kin.legs)
+    metric = np.diag(dirac.METRIC)
+    with np.errstate(all="ignore"):  # t and u overflow above E ~ 1e154
+        dC, dX = pC - pA, (pB if strict_paper_mode else pD) - pA
+        t_direct, t_exchange = dC @ (metric * dC), dX @ (metric * dX)
+    if t_direct == 0.0 or t_exchange == 0.0:
+        raise DegenerateTransferError("vanishing squared 4-momentum transfer")
     F_CA, F_DA = sc.photon_correction_pair(kin, q)
     uA, uB, uC, uD = (np.asarray(dirac._spinors(p, m, "u")) for p in kin.legs)
-    metric = np.diag(dirac.METRIC)
     with np.errstate(all="ignore"):
         direct = np.einsum("m,mca,mdb->abcd", metric,
                            current(uC, uA), current(uD, uB))
@@ -411,11 +421,20 @@ def moller_tensor(kin, q, strict_paper_mode=False):
     return amps
 
 
+def scaled_legs(kin):
+    """The legs over the power of two that takes E_max into [0.5, 1), an
+    exact scaling, so that their products are finite where those of the
+    legs overflow."""
+    emax = max(p[0] for p in kin.legs)
+    return np.ldexp(np.array(kin.legs), -math.frexp(emax)[1])
+
+
 def amplitude_tolerance(kin, amps):
     """moller_amplitude's stated tolerance: 1e-14 kappa max |M|, with
     kappa = E_max^2 / (A.B)."""
-    emax = max(p[0] for p in kin.legs)
-    kappa = emax * emax / minkowski_dot(kin.legs[0], kin.legs[1])
+    pA, pB, *_ = legs = scaled_legs(kin)
+    emax = max(p[0] for p in legs)
+    kappa = emax * emax / minkowski_dot(pA, pB)
     return 1e-14 * kappa * float(np.max(np.abs(amps)))
 
 
@@ -580,8 +599,8 @@ def test_cm_constructors_match_the_converting_constructor():
     """Each CM constructor gives the legs and masses of ProcessKinematics
     built from the same formula (_cm_frame's |p| and direction, E as
     given), or both raise the same error with the same message: float,
-    int and numpy.float64 inputs, down to the bottom of the float range,
-    and every leg component is a Python float."""
+    int and numpy.float64 inputs, from the bottom of the float range to
+    its top, and every leg component is a Python float."""
     def elastic(energy, theta, m):
         _, pmag, (nx, ny, nz) = sc._cm_frame(energy, theta, m)
         return sc.ProcessKinematics(
@@ -616,14 +635,15 @@ def test_cm_constructors_match_the_converting_constructor():
                (2.0, 1.0, math.nan), (math.inf, 1.0, 1.0)]
     points += [tuple(map(np.float64, p)) for p in points]
     points += [(2, 1, 1), (3, 0, 2), (10 ** 200, 1, 1), (5, 2, 0), (1, 1, 1)]
+    # no square of E is formed: legs up to the float maximum, and a
+    # refusal only where E + m overflows
+    points += [(sys.float_info.max, 1.0, 1e291), (1e308, 1.0, 9.9e307)]
     seen = set()
     for point, (make, formula) in product(
             points, ((sc.cm_elastic_kinematics, elastic),
                      (sc.cm_annihilation_kinematics, annihilation))):
-        # numpy warns where a float64 E^2 overflows, or inf E meets 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = outcome(lambda: make(*point))
-            assert got == outcome(lambda: formula(*point)), point
+        got = outcome(lambda: make(*point))
+        assert got == outcome(lambda: formula(*point)), point
         seen.add(got[0] if isinstance(got[0], type) else "value")
     assert seen == {"value", ValueError, NonFiniteInputError,
                     NumericOverflowError}
@@ -645,22 +665,24 @@ def test_cm_momentum_against_mpmath():
 
 
 def test_numpy_energy_whose_square_overflows():
-    # numpy's E^2 is inf with a RuntimeWarning; E is taken as a float first
+    # numpy's E^2 is inf with a RuntimeWarning; E is taken as a float
+    # first, and no square of it is formed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for make in (sc.cm_elastic_kinematics, sc.cm_annihilation_kinematics):
-            with pytest.raises(NumericOverflowError, match="E\\^2 overflows"):
-                make(np.float64(1e200), 1.0, 1.0)
+            kin = make(np.float64(1e200), 1.0, 1.0)
+            assert repr(kin.legs) == repr(make(1e200, 1.0, 1.0).legs)
 
 
 def test_moller_below_the_square_of_the_smallest_normal():
-    """Below E ~ 1e-154 the squares t and u underflow to 0, where 1/t and
-    the amplitude overflow: NumericOverflowError, and a transfer that is
-    0 at any scale is still degenerate."""
+    """Below E ~ 1e-154 the squares t and u at the legs underflow to 0, but
+    are formed at the scale of E: M, of order 1/m^2, and the sum, of order
+    1/m^4, overflow at m = 1e-200, and a transfer that is 0 at that scale
+    is still degenerate."""
     kin = sc.cm_elastic_kinematics(2e-200, 1.0, 1e-200)
-    with pytest.raises(NumericOverflowError, match="transfer underflows"):
+    with pytest.raises(NumericOverflowError, match="amplitude overflows"):
         sc.moller_amplitude(kin, (1, 1, 1, 1), 0.5)
-    with pytest.raises(NumericOverflowError, match="transfer underflows"):
+    with pytest.raises(NumericOverflowError, match="spin sum overflows"):
         sc.moller_spin_summed(kin, 0.5)
     forward = sc.cm_elastic_kinematics(2e-200, 0.0, 1e-200)
     with pytest.raises(DegenerateTransferError):
@@ -684,14 +706,15 @@ def test_superluminal_check_shared():
 # ------------------------------------------- the closed form, whole domain
 
 def condition_number(kin, strict_paper_mode):
-    """kappa of moller_spin_summed's docstring: (E_max/m)^2 (m^2/|t| + m^2/|u|)."""
-    pA, pB, pC, pD = map(np.array, kin.legs)
-    m = kin.masses[0]
+    """kappa of moller_spin_summed's docstring: (E_max/m)^2 (m^2/|t| + m^2/|u|),
+    and E_max/m."""
+    pA, pB, pC, pD = scaled_legs(kin)
     dC, dX = pC - pA, (pB if strict_paper_mode else pD) - pA
     t, u = minkowski_dot(dC, dC), minkowski_dot(dX, dX)
-    emax = max(p[0] for p in kin.legs)
+    e = max(pA[0], pB[0], pC[0], pD[0])
     # multiplied out so that it is finite where E_max/m squared is not
-    return emax * (emax / abs(t)) + emax * (emax / abs(u)), emax / m
+    emax = max(p[0] for p in kin.legs)
+    return e * (e / abs(t)) + e * (e / abs(u)), emax / kin.masses[0]
 
 
 def unit(v):
@@ -803,6 +826,60 @@ def test_moller_amplitude_against_mpmath():
     assert evaluated >= 50
 
 
+def mpmath_moller_trace(kin, q, mp):
+    """moller_spin_summed's Dirac-trace closed form at the float legs in
+    200-bit arithmetic, with no scaling: mpmath's exponent does not
+    overflow."""
+    with mp.workprec(200):
+        m, q = mp.mpf(kin.masses[0]), mp.mpf(q)
+        a, b, c, d = ([mp.mpf(x) for x in p] for p in kin.legs)
+
+        def dot(p, k):
+            return p[0] * k[0] - p[1] * k[1] - p[2] * k[2] - p[3] * k[3]
+
+        def diff(x, y):
+            return [xi - yi for xi, yi in zip(x, y)]
+
+        def factor(pin, pout):
+            dp = mp.sqrt(sum(x * x for x in diff(pin[1:], pout[1:])))
+            return ((1 + q) + (1 - q) * (pin[0] - pout[0]) / dp) / 2
+
+        ab, ac, ad = dot(a, b), dot(a, c), dot(a, d)
+        bc, bd, cd = dot(b, c), dot(b, d), dot(c, d)
+        m2 = m * m
+        direct = 32 * (cd * ab + bc * ad - m2 * ac - m2 * bd + 2 * m2 * m2)
+        exchange = 32 * (cd * ab + bd * ac - m2 * ad - m2 * bc + 2 * m2 * m2)
+        cross = (-32 * ab * cd + 16 * m2 * (ab + ac + ad + bc + bd + cd)
+                 - 32 * m2 * m2)
+        c1 = factor(a, c) / dot(diff(c, a), diff(c, a))
+        c2 = factor(a, d) / dot(diff(d, a), diff(d, a))
+        return float(q * q * (c1 * c1 * direct + c2 * c2 * exchange
+                              - 2 * c1 * c2 * cross) / (16 * m2 * m2))
+
+
+def test_moller_at_the_top_of_the_float_range_against_mpmath():
+    """Where E^2 overflows, the spin sum and the 16 amplitudes' |M|^2 summed
+    are within the spin sum's stated tolerance of the Dirac trace at the
+    float legs in 200 bits, and each amplitude within its own of M in 40
+    digits; |M|^2 is of order 1 there, as at E = 1e100."""
+    mp = pytest.importorskip("mpmath")
+    for energy, theta in product((1e154, 1e200, 1e300), (1.0, 0.3)):
+        kin = sc.cm_elastic_kinematics(energy, theta, 1.0)
+        want = mpmath_moller_trace(kin, 0.5, mp)
+        kappa, _ = condition_number(kin, False)
+        got = sc.moller_spin_summed(kin, 0.5)
+        assert abs(got - want) <= 1e-13 * kappa * want, energy
+        amps = mpmath_moller_amplitudes(kin, 0.5, False, mp)
+        tol = amplitude_tolerance(kin, np.array(list(amps.values())))
+        total = 0.0
+        for spins, value in amps.items():
+            amp = sc.moller_amplitude(kin, spins, 0.5)
+            assert abs(amp - value) <= tol, (energy, theta, spins)
+            total += abs(amp) * abs(amp)
+        assert abs(total - want) <= 1e-13 * kappa * want, energy
+        assert 1.0 < got < 300.0
+
+
 def test_frame_scan_rows_near_light_speed():
     elastic = sc.cm_elastic_kinematics(3.0, 0.4, M)
     annihilation = sc.cm_annihilation_kinematics(3.0, 0.4, M)
@@ -828,7 +905,8 @@ def test_moller_spin_summed_error_parity():
     seen, reach = set(), 0.0
     for m, energy, theta, q, beta in product(
             (0.0, 1e-200, 1e-100, 1e-30, 1.0, 1e100),
-            (1.5, 1e30, 1e100, 1e150, 1e200), (0.0, 1.0), (0.5, -3.0),
+            (1.5, 1e30, 1e100, 1e150, 1e200, 1e300, 1e308), (0.0, 1.0),
+            (0.5, -3.0),
             (None, [0.0, 0.0, 0.9])):
         try:
             kin = sc.cm_elastic_kinematics(max(energy, 1.5 * m), theta, m)
