@@ -4,7 +4,8 @@ Lorentz boost rows, the Dirac spinor basis and the two mass-scaled
 matrices, (d + pslash)/2m (``_slash_rows``) and k k/m^2 (``_kk_over_m2``).
 Each rule is stated here once; the dirac, propagator and scattering layers
 call it.  Where a float's range edge matters, the inputs are first taken
-by an exact power of two to the scale of one of them (``_at_scale``).
+by an exact power of two to the scale of one of them (``_at_scale``, or
+the factor alone, ``_scale_factor``, where a caller multiplies inline).
 
 Metric signature (+,-,-,-).  A four-vector is any indexable of four
 numbers (a tuple, a list or a numpy array); nothing here needs numpy.
@@ -38,6 +39,33 @@ def _at_scale(x: float, values) -> tuple:
         return e, [v * f for v in values]
     # x < 2^-1023: 2^-e overflows, so scale up by it in two exact steps
     return e, [v * 2.0 ** 1023 * 2.0 ** (-e - 1023) for v in values]
+
+
+def _scale_factor(x: float, even: bool = False) -> float:
+    """The float 2^-e by which a caller takes its values to the scale of x
+    itself, one product each: e is _at_scale's exponent of x, rounded up
+    to even where even is true (x 2^-e then lies in [0.25, 1), and
+    sqrt(y 2^-e) is sqrt(y) 2^(-e/2) exactly), and at least -1022, so that
+    2^-e is a float (below x = 2^-1022, x 2^-e lies under 0.5 instead, and
+    each product by it is still exact).  1.0 at x = 0, inf or nan."""
+    e = math.frexp(x)[1]
+    if even:
+        e += e & 1
+    return 2.0 ** -(e if e > -1022 else -1022)
+
+
+def _transfer_at_scale(p, k, f: float) -> tuple:
+    """((p - k)^2 g^2, h) for float four-vectors p and k: g is the
+    even-exponent _scale_factor of the largest |p_mu - k_mu|, so that each
+    difference times g is exact where it is normal and the square neither
+    under- nor overflows where (p - k)^2 would (it is 0 only where that is
+    exactly 0 at this scale, and inf or nan where a difference overflows);
+    h = sqrt(g/f), for another even-exponent factor f, is the float power
+    of two that takes the square at f to it: (p f - k f)^2 = that/h^4."""
+    v0, v1, v2, v3 = p[0] - k[0], p[1] - k[1], p[2] - k[2], p[3] - k[3]
+    g = _scale_factor(max(abs(v0), abs(v1), abs(v2), abs(v3)), True)
+    v0, v1, v2, v3 = v0 * g, v1 * g, v2 * g, v3 * g
+    return v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3, math.sqrt(g) / math.sqrt(f)
 
 
 def minkowski_dot(p, k) -> float:

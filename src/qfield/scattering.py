@@ -21,11 +21,12 @@ on-shell and conservation checks, with no float-to-float conversion; the
 CM constructors form no square of E and refuse only where E + m
 overflows.  The spin-summed Moller |M|^2 is the Dirac trace closed form
 in the legs' six dot products; one spin assignment's amplitude contracts
-currents of the spinor basis lorentz._reduced_spinor.  Both work on one
-scale, the legs and m taken by one exact power of two to the largest leg
-energy, so that no square of an energy is formed: they return |M|^2 of
-order 1 up to where a leg difference overflows (E ~ 9e307, see
-correction_factor).
+currents of the spinor basis lorentz._reduced_spinor.  Both work on the
+legs and m taken by one exact power of two to the largest leg energy, and
+on t and u each formed from its leg difference taken by one to its own
+scale, so that no square of an energy is formed and no small transfer is
+lost: they return |M|^2 of order 1 up to where a leg difference overflows
+(E ~ 9e307, see correction_factor).
 """
 from __future__ import annotations
 
@@ -36,7 +37,8 @@ from .errors import (DegenerateTransferError, NumericOverflowError,
                      OffShellError, Record, finite, finite_vector)
 from .lorentz import (ONSHELL_RTOL, _at_scale, _boost, _check_mass,
                       _check_nonnegative_mass, _check_onshell, _check_spin,
-                      _reduced_spinor, minkowski_dot)
+                      _reduced_spinor, _scale_factor, _transfer_at_scale,
+                      minkowski_dot)
 
 PHOTON_LINE = "photon_line"
 ELECTRON_LINE = "electron_line"
@@ -242,35 +244,37 @@ def photon_correction_pair(kin: ProcessKinematics, q: float) -> tuple:
 
 def _moller_transfers(kin: ProcessKinematics,
                       strict_paper_mode: bool) -> tuple:
-    """(legs, m, t, u): the legs A, B, C, D and their mass m times f = 2^-e,
-    with e the exponent of the largest leg energy (math.frexp, as
-    lorentz._at_scale takes it) rounded up to even, so that the energy lies
-    in [0.25, 1), and at least -1022, so that f is a float; and (t, u) =
-    ((C - A)^2, (D - A)^2), or (B - A)^2 for u in strict paper mode, formed
-    from the scaled legs.  Each scaled value is exact where it is a normal
-    float, and an even e scales each sqrt(E + m) exactly too.  Raises after
-    the checks the spinors make: ZeroMassError, OffShellError where the
-    legs' masses differ (ProcessKinematics checked each leg on shell at its
-    own mass), then DegenerateTransferError where t or u is exactly 0, the
-    only transfer with no amplitude."""
+    """(legs, m, (t, h_t), (u, h_u)) on two kinds of scale.  legs and m are
+    the legs A, B, C, D and their mass times f, the even-exponent
+    lorentz._scale_factor of the largest leg energy, so that each scaled
+    sqrt(E + m) is sqrt(E + m) sqrt(f) exactly.  t and u are (C - A)^2 and
+    (D - A)^2, or (B - A)^2 for u in strict paper mode, each formed from
+    its difference of the float legs taken to that vector's own scale
+    (lorentz._transfer_at_scale), so that a transfer far below E^2 neither
+    under- nor overflows; h, a power of two that is a float, takes t at the
+    legs' scale, t/h^4, to t.  Each scaled value is exact where it is a
+    normal float.  Raises after the checks the spinors make:
+    ZeroMassError, OffShellError where the legs' masses differ
+    (ProcessKinematics checked each leg on shell at its own mass), then
+    DegenerateTransferError where t or u is exactly 0, the only transfer
+    with no amplitude, then NumericOverflowError where a leg difference
+    overflows (above about 9e307)."""
     m = _check_mass(kin.masses[0])
     if kin.masses.count(m) != len(kin.masses):
         raise OffShellError(f"Moller legs need one mass, got {kin.masses}")
     ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
      (d0, d1, d2, d3)) = kin.legs
-    e = math.frexp(max(a0, b0, c0, d0))[1]
-    f = 2.0 ** -max(e + (e & 1), -1022)
-    a = a0, a1, a2, a3 = a0 * f, a1 * f, a2 * f, a3 * f
-    b = b0 * f, b1 * f, b2 * f, b3 * f
-    c = c0, c1, c2, c3 = c0 * f, c1 * f, c2 * f, c3 * f
-    d = d0 * f, d1 * f, d2 * f, d3 * f
-    x0, x1, x2, x3 = b if strict_paper_mode else d
-    tv = c0 - a0, c1 - a1, c2 - a2, c3 - a3
-    uv = x0 - a0, x1 - a1, x2 - a2, x3 - a3
-    t, u = minkowski_dot(tv, tv), minkowski_dot(uv, uv)
+    f = _scale_factor(max(a0, b0, c0, d0), True)
+    t, ht = _transfer_at_scale(kin.legs[2], kin.legs[0], f)
+    u, hu = _transfer_at_scale(kin.legs[1 if strict_paper_mode else 3],
+                               kin.legs[0], f)
     if t == 0.0 or u == 0.0:
         raise DegenerateTransferError("vanishing squared 4-momentum transfer")
-    return (a, b, c, d), m * f, t, u
+    if not math.isfinite(t + u):
+        raise NumericOverflowError(f"Moller leg difference overflows at m={m}")
+    legs = ((a0 * f, a1 * f, a2 * f, a3 * f), (b0 * f, b1 * f, b2 * f, b3 * f),
+            (c0 * f, c1 * f, c2 * f, c3 * f), (d0 * f, d1 * f, d2 * f, d3 * f))
+    return legs, m * f, (t, ht), (u, hu)
 
 
 def _current(out, inc) -> tuple:
@@ -292,10 +296,12 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     with J_CA = ubar_C gamma^mu u_A (ubar u = 1), t = (C - A)^2 and u =
     (D - A)^2, or (B - A)^2 in ``strict_paper_mode``.  The currents use
     lorentz._reduced_spinor; the norms sqrt(E+m)/sqrt(2m) go into F/t, F/u.
-    t, u and the norms sqrt(E+m) are formed on the legs and m taken by one
-    exact power of two 2^-e to the largest leg energy (_moller_transfers),
-    and the 2^-2e that t and u then carry is taken out by the two 2m at the
-    true m: no square of an energy is formed.
+    The norms sqrt(E+m) are formed on the legs and m taken by one exact
+    power of two to the largest leg energy, and t and u each on its own
+    leg difference taken by one to its largest component
+    (_moller_transfers); the powers of two are taken out between the
+    factors, at the true m: no square of an energy is formed, and a small
+    transfer is not lost.
 
     Tolerance: 1e-14 kappa max|M| against M exactly at the float legs,
     max|M| over the 16 spin assignments, kappa = E_max^2/(A.B) with E_max
@@ -310,16 +316,17 @@ def moller_amplitude(kin: ProcessKinematics, spins: tuple, q: float,
     spins = tuple(map(_check_spin, spins))
     q = finite(q, "q")
     m = kin.masses[0]
-    legs, ms, t, u = _moller_transfers(kin, strict_paper_mode)
+    legs, ms, (t, ht), (u, hu) = _moller_transfers(kin, strict_paper_mode)
     F_CA, F_DA = _correction_pair(kin, q, PHOTON_LINE)
     wA, wB, wC, wD = map(_reduced_spinor, kin.legs, (m,) * 4, spins)
     nA, nB, nC, nD = (math.sqrt(p[0] + ms) for p in legs)
-    # the norms at 2^-e over the true 2m: each n_out n_in/2m 2^-e lies
-    # below 1/m and, in the CM frame, above 1/8m; with t and u, which carry
-    # 2^-2e, no partial product in the bracket overflows unless the bracket
-    # comes within a factor max(1, 8m) of overflowing
-    c1 = q * F_CA * (nC * nA / (2 * m) / t * (nD * nB / (2 * m)))
-    c2 = q * F_DA * (nD * nA / (2 * m) / u * (nC * nB / (2 * m)))
+    # each n_out n_in/2m, at least 1 at the true m, carries f from the
+    # scaled norms, which h^2 = g/f turns into g, so that the two carry the
+    # g^2 that t carries: each partial product is the unscaled bracket's
+    # times a power of two, and overflows only where the bracket does
+    m2 = 2 * m
+    c1 = q * F_CA * (nC * nA / m2 * ht * ht / t * (nD * nB / m2 * ht * ht))
+    c2 = q * F_DA * (nD * nA / m2 * hu * hu / u * (nC * nB / m2 * hu * hu))
     amp = (c1 * minkowski_dot(_current(wC, wA), _current(wD, wB))
            - c2 * minkowski_dot(_current(wD, wA), _current(wC, wB)))
     if not cmath.isfinite(amp):
@@ -340,12 +347,15 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
         sum      = q^2 [c1^2 direct + c2^2 exchange - 2 c1 c2 cross] / (16 m^4)
 
     with c1 = F_CA/t and c2 = F_DA/u (see moller_amplitude).  The dot
-    products, m^2, t and u are formed on the legs and m taken by one exact
-    power of two to the largest leg energy (_moller_transfers), then taken
-    in units of the largest of ab, |t| and |u|, so no product of them
-    overflows where the sum itself is finite; q/m^2 is formed at the true
-    m.  Each ratio is the one at the float legs wherever the scaled values
-    are normal floats.
+    products and m^2 are formed on the legs and m taken by one exact power
+    of two to the largest leg energy, t and u each on its own leg
+    difference taken by one to its largest component (_moller_transfers),
+    and all of them taken in units of the largest of ab, |t| and |u| at
+    the legs' scale, so no product of them overflows where the sum itself
+    is finite; q/m^2 is formed at the true m, with the power of two
+    between t at the two scales taken out between its factors.  Each ratio
+    is the one at the float legs wherever the scaled values are normal
+    floats.
 
     Tolerance: relative 1e-13 kappa against the sum of |M|^2 over the 16
     moller_amplitude values, with kappa = (E_max/m)^2 (m^2/|t| + m^2/|u|) and
@@ -356,17 +366,20 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
     and agree within 1e-13 kappa (E_max/m)^2.
 
     Raises what moller_amplitude raises, in the same order: ZeroMassError,
-    OffShellError, DegenerateTransferError (t or u exactly 0 at that
-    scale), then NumericOverflowError where a leg difference overflows (see
+    OffShellError, DegenerateTransferError (t or u exactly 0), then
+    NumericOverflowError where a leg difference overflows (see
     correction_factor) or the sum leaves the float range, which |M|^2 does
     before |M|.
     """
     q = finite(q, "q")
     m = kin.masses[0]
-    (a, b, c, d), ms, t, u = _moller_transfers(kin, strict_paper_mode)
+    (a, b, c, d), ms, (t, ht), (u, hu) = _moller_transfers(
+        kin, strict_paper_mode)
     F_CA, F_DA = _correction_pair(kin, q, PHOTON_LINE)
     ab = minkowski_dot(a, b)
-    scale = max(ab, abs(t), abs(u))  # >= |t| > 0
+    # t and u at the legs' scale are t/h^4 and u/h^4
+    scale = max(ab, abs(t) / (ht * ht) / (ht * ht),
+                abs(u) / (hu * hu) / (hu * hu))
     ab, ac, ad = (ab / scale, minkowski_dot(a, c) / scale,
                   minkowski_dot(a, d) / scale)
     bc, bd, cd = (minkowski_dot(b, c) / scale, minkowski_dot(b, d) / scale,
@@ -376,9 +389,12 @@ def moller_spin_summed(kin: ProcessKinematics, q: float,
     direct = cd * ab + bc * ad - mm * (ac + bd) + 2.0 * mm * mm
     exchange = cd * ab + bd * ac - mm * (ad + bc) + 2.0 * mm * mm
     cross = -2.0 * ab * cd + mm * (ab + ac + ad + bc + bd + cd) - 2.0 * mm * mm
-    qm = q / m / m  # not q^2 / m^4: m^4 underflows below m = 1e-77
-    c1 = qm * F_CA / (t / scale)
-    c2 = qm * F_DA / (u / scale)
+    # q/m/m F/(t/scale) with t at the legs' scale, its h^4 taken out around
+    # the second 1/m, so that a large h (a small transfer) makes up for a
+    # large m before q/m^2 underflows (not q^2/m^4: m^4 underflows below
+    # m = 1e-77)
+    c1 = q / m * ht * ht / m * F_CA / (t / scale) * ht * ht
+    c2 = q / m * hu * hu / m * F_DA / (u / scale) * hu * hu
     total = 2.0 * (c1 * c1 * direct + c2 * c2 * exchange - c1 * c2 * cross)
     if not math.isfinite(total):
         raise NumericOverflowError(f"Moller spin sum overflows at m={m}")

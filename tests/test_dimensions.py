@@ -203,11 +203,16 @@ def moller(kin, q, strict):
 def moller_sum(kin, q, strict):
     """Within 1e-13 (E_max/m)^2 (m^2/|t| + m^2/|u|) relative."""
     got = sc.moller_spin_summed(kin, q, strict)
-    # the legs and transfers at one power of two, so that kappa is finite
-    # where t and u at the legs overflow
-    legs, _, t, u = sc._moller_transfers(kin, strict)
-    emax = max(p[0] for p in legs)
-    kappa = emax * (emax / abs(t)) + emax * (emax / abs(u))
+    a, b, c, d = kin.legs
+    emax = max(p[0] for p in kin.legs)
+    kappa = 0.0
+    for x in (c, b if strict else d):
+        # E_max^2/|v.v| for v = x - A over its largest component, so that
+        # it is finite where v.v or E_max^2 under- or overflows
+        v = [xi - ai for xi, ai in zip(x, a)]
+        s = max(map(abs, v))
+        r, w = emax / s, [vi / s for vi in v]
+        kappa += r * r / abs(minkowski_dot(w, w))
     return [got], [1e-13 * kappa * abs(got)]
 
 

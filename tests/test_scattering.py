@@ -675,15 +675,19 @@ def test_numpy_energy_whose_square_overflows():
 
 
 def test_moller_below_the_square_of_the_smallest_normal():
-    """Below E ~ 1e-154 the squares t and u at the legs underflow to 0, but
-    are formed at the scale of E: M, of order 1/m^2, and the sum, of order
-    1/m^4, overflow at m = 1e-200, and a transfer that is 0 at that scale
-    is still degenerate."""
+    """Where t = (C - A)^2 underflows at the legs, or at the legs taken to
+    the scale of E, it is formed at the scale of C - A itself: M, of order
+    1/m^2 (1/t at small angles), and the sum, of order 1/m^4, overflow, and
+    only a transfer that is exactly 0 is degenerate."""
+    # below E ~ 1e-154, at m = 1e-200
     kin = sc.cm_elastic_kinematics(2e-200, 1.0, 1e-200)
-    with pytest.raises(NumericOverflowError, match="amplitude overflows"):
-        sc.moller_amplitude(kin, (1, 1, 1, 1), 0.5)
-    with pytest.raises(NumericOverflowError, match="spin sum overflows"):
-        sc.moller_spin_summed(kin, 0.5)
+    # at E = 2, theta = 1e-170: t = -3e-340, at any scale of the legs
+    small_angle = sc.cm_elastic_kinematics(2.0, 1e-170, 1.0)
+    for kin in (kin, small_angle):
+        with pytest.raises(NumericOverflowError, match="amplitude overflows"):
+            sc.moller_amplitude(kin, (1, 1, 1, 1), 0.5)
+        with pytest.raises(NumericOverflowError, match="spin sum overflows"):
+            sc.moller_spin_summed(kin, 0.5)
     forward = sc.cm_elastic_kinematics(2e-200, 0.0, 1e-200)
     with pytest.raises(DegenerateTransferError):
         sc.moller_spin_summed(forward, 0.5)
@@ -708,13 +712,17 @@ def test_superluminal_check_shared():
 def condition_number(kin, strict_paper_mode):
     """kappa of moller_spin_summed's docstring: (E_max/m)^2 (m^2/|t| + m^2/|u|),
     and E_max/m."""
-    pA, pB, pC, pD = scaled_legs(kin)
-    dC, dX = pC - pA, (pB if strict_paper_mode else pD) - pA
-    t, u = minkowski_dot(dC, dC), minkowski_dot(dX, dX)
-    e = max(pA[0], pB[0], pC[0], pD[0])
-    # multiplied out so that it is finite where E_max/m squared is not
+    a, b, c, d = kin.legs
     emax = max(p[0] for p in kin.legs)
-    return e * (e / abs(t)) + e * (e / abs(u)), emax / kin.masses[0]
+    kappa = 0.0
+    for x in (c, b if strict_paper_mode else d):
+        # E_max^2/|v.v| for v = x - A over its largest component, so that
+        # it is finite where v.v or E_max^2 under- or overflows
+        v = [xi - ai for xi, ai in zip(x, a)]
+        s = max(map(abs, v))
+        r, w = emax / s, [vi / s for vi in v]
+        kappa += r * r / abs(minkowski_dot(w, w))
+    return kappa, emax / kin.masses[0]
 
 
 def unit(v):
@@ -824,6 +832,15 @@ def test_moller_amplitude_against_mpmath():
             assert abs(got - value) <= tol, (kin.legs, q, spins)
         evaluated += 1
     assert evaluated >= 50
+    # small angles at m >> 1, where t at the legs taken to the scale of E
+    # is subnormal (1e-160) or 0 (1e-162), though |M| ~ 1e280 is finite
+    for theta in (1e-160, 1e-162):
+        kin = sc.cm_elastic_kinematics(2e20, theta, 1e20)
+        want = mpmath_moller_amplitudes(kin, 0.5, False, mp)
+        tol = amplitude_tolerance(kin, np.array(list(want.values())))
+        for spins, value in want.items():
+            got = sc.moller_amplitude(kin, spins, 0.5)
+            assert abs(got - value) <= tol, (theta, spins)
 
 
 def mpmath_moller_trace(kin, q, mp):
@@ -878,6 +895,23 @@ def test_moller_at_the_top_of_the_float_range_against_mpmath():
             total += abs(amp) * abs(amp)
         assert abs(total - want) <= 1e-13 * kappa * want, energy
         assert 1.0 < got < 300.0
+
+
+def test_moller_spin_summed_at_small_angles_against_mpmath():
+    """At small angles and m >> 1, where t at the legs taken to the scale
+    of E underflows to 0 but |M|^2 is finite, the spin sum is within
+    1e-13 of the Dirac trace at the float legs in 200 bits: the same
+    closed form, whose terms do not cancel here, so the sum's 1/|t| in
+    kappa is not needed."""
+    mp = pytest.importorskip("mpmath")
+    for energy, theta, m in ((2e100, 1e-162, 1e100), (1e300, 1e-200, 1e200)):
+        for beta in (None, (0.0, 0.0, 0.9)):
+            kin = sc.cm_elastic_kinematics(energy, theta, m)
+            if beta:
+                kin = kin.boosted(sc.Boost(beta))
+            want = mpmath_moller_trace(kin, 0.5, mp)
+            got = sc.moller_spin_summed(kin, 0.5)
+            assert abs(got - want) <= 1e-13 * want, (energy, theta, beta)
 
 
 def test_frame_scan_rows_near_light_speed():
